@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import MvfracError
+from .errors import DegenerateInputError, MvfracError
 from .fracops import (
     FracOrder,
     SaigoParams,
@@ -79,8 +79,12 @@ def _inline_matrix(text):
 
 
 def _emit(records, output):
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":"))
-             for r in records]
+    try:
+        lines = [json.dumps(r, sort_keys=True, separators=(",", ":"),
+                            allow_nan=False)
+                 for r in records]
+    except ValueError as exc:
+        raise DegenerateInputError(f"result is not finite: {exc}") from exc
     text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w") as fh:

@@ -11,7 +11,8 @@ the rectangular-variable average with weight exp(-tr(A X B X')) already
 reduced to the cone through the r-frame surface constant.  Closed forms are
 available when f is a determinant power or a zonal polynomial; everything
 else goes through the Monte Carlo route, which substitutes X = Z^(1/2) W
-Z^(1/2) and integrates uniformly over {W : O < W < I}.
+Z^(1/2) and integrates uniformly over {W : O < W < I}; its operands map the
+(n, p, p) stack of X values to n values.
 
 Values are carried in log-magnitude plus sign form since gamma ratios
 overflow quickly as the dimension grows.
@@ -22,15 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, ParameterDomainError
+from .errors import DimensionError, ParameterDomainError
 from .gammacalc import (
     Partition,
     log_matrix_gamma,
     signed_log_gen_pochhammer,
 )
 from .hyperseries import HyperParams, hyper_pfq_at_identity
-from .matsample import McEstimate, _cone_raw, _indicator_estimate
-from .spdcore import RectConfig, SpdMatrix, spd_sqrt, stiefel_constant
+from .matsample import McEstimate, _batch_det, _cone_raw, _indicator_estimate
+from .spdcore import RectConfig, spd_sqrt, stiefel_constant
 from .zonal import fetch_table, zonal_eval
 
 __all__ = [
@@ -71,10 +72,13 @@ class SaigoParams:
 
 @dataclass(frozen=True)
 class DetPowerOperand:
-    """The operand f(X) = |X|^exponent, eligible for closed forms and for
-    the vectorized Monte Carlo path."""
+    """The operand f(X) = |X|^exponent, eligible for closed forms; called on
+    an (n, p, p) stack it returns the n determinant powers."""
 
     exponent: float
+
+    def __call__(self, x):
+        return _batch_det(x) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -211,41 +215,27 @@ def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None, table=None):
 def frac_integral_numeric(order, Z, operand, n, seed):
     """Monte Carlo operator value on an arbitrary operand.
 
-    The operand is either a DetPowerOperand, which runs on the vectorized
-    determinant arrays straight from the rejection sampler, or a callable
-    mapping an SpdMatrix to a float, which is evaluated once per accepted
-    draw at X = Z^(1/2) W Z^(1/2).  Returns the estimate on the absolute
-    scale together with its standard error.
+    The operand takes the (n, p, p) stack X = Z^(1/2) W Z^(1/2) over the
+    accepted cone draws W and returns their n values; DetPowerOperand is one
+    such operand.  Returns the estimate on the absolute scale together with
+    its standard error.
     """
     _check_argument(order, Z)
     cfg = order.config
+    if isinstance(operand, DetPowerOperand):
+        _operand_exponent_check(cfg, operand.exponent)
     p = cfg.p
     half = 0.5 * (p + 1)
     alpha = order.alpha
     w, det_w, det_v, n_proposals = _cone_raw(p, n, seed)
-    log_prefactor = (stiefel_constant(p, cfg.r)
+    root = np.asarray(spd_sqrt(Z).entries)
+    x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
+    kernel = det_v ** (alpha - half) * det_w ** (0.5 * cfg.r - half)
+    raw = _indicator_estimate(operand(x), n_proposals,
+                              2.0 ** (p * (p - 1) // 2), n, seed, kernel)
+    scale = math.exp(stiefel_constant(p, cfg.r)
                      - cfg.log_weight_factor
                      - log_matrix_gamma(p, alpha)
                      + (alpha + 0.5 * cfg.r - half) * Z.log_det)
-    if isinstance(operand, DetPowerOperand):
-        eta = operand.exponent
-        _operand_exponent_check(cfg, eta)
-        h = np.exp((alpha - half) * np.log(det_v)
-                   + (0.5 * cfg.r + eta - half) * np.log(det_w))
-        log_prefactor += eta * Z.log_det
-    else:
-        root = np.asarray(spd_sqrt(Z).entries)
-        kern_v = det_v ** (alpha - half)
-        kern_w = det_w ** (0.5 * cfg.r - half)
-        h = np.empty(n)
-        for i in range(n):
-            x = root @ w[i] @ root
-            x = 0.5 * (x + x.T)
-            h[i] = kern_v[i] * kern_w[i] * float(operand(SpdMatrix(x)))
-    if not np.all(np.isfinite(h)):
-        raise DegenerateInputError("integrand returned a non-finite value")
-    raw = _indicator_estimate(h, n_proposals, 2.0 ** (p * (p - 1) // 2),
-                              n, seed)
-    scale = math.exp(log_prefactor)
     return McEstimate(value=raw.value * scale, stderr=raw.stderr * scale,
                       n=n, seed=int(seed), n_proposals=n_proposals)

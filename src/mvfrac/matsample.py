@@ -65,10 +65,11 @@ _EDGE = 1e-10
 _KS_CRIT_1PCT = 1.6276  # asymptotic one-percent Kolmogorov-Smirnov quantile
 
 
-def _check_count(n):
+def _check_count(n, least=1):
     n = int(n)
-    if n < 1:
-        raise ParameterDomainError(f"sample count must be at least 1, got {n}")
+    if n < least:
+        raise ParameterDomainError(
+            f"sample count must be at least {least}, got {n}")
     return n
 
 
@@ -159,24 +160,30 @@ def sample_rect_exponential(cfg, n, seed, stream=0):
     return [RectMatrix(raw[i]) for i in range(n)]
 
 
+def _batch_det(m):
+    """Determinants of an (n, p, p) stack: cofactor expansion for p <= 3,
+    LU factorization beyond."""
+    p = m.shape[-1]
+    if p == 1:
+        return m[:, 0, 0].copy()
+    if p == 2:
+        (a, b), (c, d) = m.transpose(1, 2, 0)
+        return a * d - b * c
+    if p == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(m)
+
+
 def _pd_minors(w):
     """(positive-definite mask, determinant) for a batch of symmetric
     matrices, requiring every leading principal minor to clear the edge
     margin."""
-    p = w.shape[-1]
-    if p == 1:
-        d = w[:, 0, 0]
-        return d > _EDGE, d.copy()
-    if p == 2:
-        m1 = w[:, 0, 0]
-        det = m1 * w[:, 1, 1] - w[:, 0, 1] ** 2
-        return (m1 > _EDGE) & (det > _EDGE), det
-    m1 = w[:, 0, 0]
-    m2 = m1 * w[:, 1, 1] - w[:, 0, 1] ** 2
-    det = (m1 * (w[:, 1, 1] * w[:, 2, 2] - w[:, 1, 2] ** 2)
-           - w[:, 0, 1] * (w[:, 0, 1] * w[:, 2, 2] - w[:, 1, 2] * w[:, 0, 2])
-           + w[:, 0, 2] * (w[:, 0, 1] * w[:, 1, 2] - w[:, 1, 1] * w[:, 0, 2]))
-    return (m1 > _EDGE) & (m2 > _EDGE) & (det > _EDGE), det
+    det = _batch_det(w)
+    ok = det > _EDGE
+    for k in range(1, w.shape[-1]):
+        ok &= _batch_det(w[:, :k, :k]) > _EDGE
+    return ok, det
 
 
 def _cone_raw(p, n, seed):
@@ -258,14 +265,23 @@ def cone_acceptance_report(p, n, seed):
     }
 
 
-def _indicator_estimate(h, n_proposals, box_volume, n, seed):
-    """Hit-or-miss estimate from the accepted-sample integrand values h;
-    rejected proposals enter the mean and variance as exact zeros."""
+def _indicator_estimate(h, n_proposals, box_volume, n, seed, kernel=1.0):
+    """Hit-or-miss estimate from the integrand values h, one per accepted
+    draw and finite once multiplied by kernel; rejected proposals enter the
+    mean and variance as exact zeros."""
+    _check_count(n, 2)
+    h = np.asarray(h, dtype=float)
+    if h.shape != (n,):
+        raise DimensionError(
+            f"integrand must return shape ({n},), got {h.shape}")
+    h = kernel * h
+    if not np.all(np.isfinite(h)):
+        raise DegenerateInputError("integrand returned a non-finite value")
     total = float(np.sum(h))
     total_sq = float(np.sum(np.square(h)))
     m = n_proposals
     value = box_volume * total / m
-    var = (total_sq - total * total / m) / (m - 1) if m > 1 else 0.0
+    var = (total_sq - total * total / m) / (m - 1)
     stderr = box_volume * math.sqrt(max(var, 0.0) / m)
     return McEstimate(value=value, stderr=stderr, n=n,
                       seed=int(seed), n_proposals=m)
@@ -274,16 +290,12 @@ def _indicator_estimate(h, n_proposals, box_volume, n, seed):
 def mc_integrate_unit_cone(g, p, n, seed):
     """Monte Carlo integral of g over {W : W > 0, I - W > 0}.
 
-    g maps an SpdMatrix to a float and is evaluated once per accepted draw.
+    g takes the (n, p, p) stack of accepted draws and returns their n
+    values; the standard error needs n >= 2.
     """
     w, _, _, n_proposals = _cone_raw(p, n, seed)
-    h = np.empty(n)
-    for i in range(n):
-        h[i] = float(g(SpdMatrix(w[i])))
-    if not np.all(np.isfinite(h)):
-        raise DegenerateInputError("integrand returned a non-finite value")
-    box_volume = 2.0 ** (p * (p - 1) // 2)
-    return _indicator_estimate(h, n_proposals, box_volume, n, seed)
+    return _indicator_estimate(g(w), n_proposals, 2.0 ** (p * (p - 1) // 2),
+                               n, seed)
 
 
 def _batch_sym_inv_sqrt(s):
@@ -309,15 +321,6 @@ def sample_type1_beta(p, a1, a2, n, seed):
     return [SpdMatrix(b[i]) for i in range(n)]
 
 
-def _batch_det(m):
-    p = m.shape[-1]
-    if p == 1:
-        return m[:, 0, 0].copy()
-    if p == 2:
-        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    return np.linalg.det(m)
-
-
 def _batch_transform(x, cfg):
     """rect_transform applied across an (n, p, r) batch."""
     sa = np.asarray(cfg._sqrt_A.entries)
@@ -336,8 +339,9 @@ def verify_sum_density(cfg1, cfg2, n, seed):
     (r1+r2)/2 and identity scale whatever the weights are.  Compares the mean
     trace and mean determinant against exact moments at four standard errors,
     and for p = 1 adds a Kolmogorov-Smirnov test at the one-percent level.
+    The standard errors need at least two samples.
     """
-    n = _check_count(n)
+    n = _check_count(n, 2)
     if cfg1.p != cfg2.p:
         raise DimensionError(
             f"configurations disagree on dimension: {cfg1.p} vs {cfg2.p}")

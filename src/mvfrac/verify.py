@@ -11,6 +11,7 @@ Monte Carlo comparisons report z = (closed - estimate) / stderr and pass at
 deterministic identities use explicit tolerances stated per case.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ from .hyperseries import (
     hyper_pfq,
     pathway_det_limit,
 )
-from .matsample import mc_integrate_unit_cone, verify_sum_density
+from .matsample import _batch_det, mc_integrate_unit_cone, verify_sum_density
 from .rng import derive_key, normals, uniforms
 from .spdcore import RectConfig, SpdMatrix, stiefel_constant
 from .zonal import fetch_table, zonal_eval
@@ -152,10 +153,8 @@ def suite_euler(samples=1_000_000, seed=42):
     e_rest = c - a - 0.5 * (p + 1)
 
     def g(v):
-        m = eye - root @ v.entries @ root
-        m = 0.5 * (m + m.T)
-        rest = SpdMatrix(eye - v.entries)
-        return (v.det ** e_v) * (rest.det ** e_rest) * (SpdMatrix(m).det ** -b)
+        return (_batch_det(v) ** e_v * _batch_det(eye - v) ** e_rest
+                * _batch_det(eye - root @ v @ root) ** -b)
 
     mc = mc_integrate_unit_cone(g, p, samples, seed)
     const = math.exp(log_matrix_gamma(p, c + 0.5 * r)
@@ -222,12 +221,6 @@ def suite_fracpower(p=None, samples=1_000_000, seed=42):
     return _report("fracpower", seed, {"samples": int(samples)}, cases)
 
 
-def _zonal_operand(K, table):
-    def f(x):
-        return zonal_eval(K, x, table)
-    return f
-
-
 def suite_fraczonal(p=None, samples=150_000, seed=42):
     """Closed zonal form against the Monte Carlo operator on C_K over the
     grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5}, K in {(1),(2)}; plus the
@@ -243,8 +236,9 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
         for K in ((1,), (2,)):
             part = Partition.coerce(K)
             closed = frac_integral_zonal_closed(order, z, part, table).value()
-            est = frac_integral_numeric(order, z, _zonal_operand(part, table),
-                                        samples, seed + idx)
+            est = frac_integral_numeric(
+                order, z, lambda x: zonal_eval(part, x, table),
+                samples, seed + idx)
             zscore = _mc_z(closed, est)
             cases.append({
                 "name": f"p{pp}-r{r}-a{alpha}-K{list(part.parts)}",
@@ -328,7 +322,7 @@ def suite_saigo(samples=400_000, seed=42):
     poly = np.polynomial.Polynomial(coeffs)
 
     def g(w):
-        ww = w.entries[0, 0]
+        ww = w[:, 0, 0]
         return (ww ** (s - half)) * ((1.0 - ww) ** (alpha - half)) * poly(1.0 - ww)
 
     mc = mc_integrate_unit_cone(g, pp, samples, seed)
@@ -371,8 +365,8 @@ def suite_beta(samples=200_000, seed=42):
         target = math.exp(log_matrix_beta(p, al, be))
 
         def g_type1(w, al=al, be=be):
-            rest = SpdMatrix(eye - w.entries)
-            return (w.det ** (al - half)) * (rest.det ** (be - half))
+            return (_batch_det(w) ** (al - half)
+                    * _batch_det(eye - w) ** (be - half))
 
         est1 = mc_integrate_unit_cone(g_type1, p, samples, seed + i)
         z1 = (target - est1.value) / est1.stderr
@@ -388,14 +382,11 @@ def suite_beta(samples=200_000, seed=42):
         })
 
         def g_type2(w, al=al, be=be):
-            rest = SpdMatrix(eye - w.entries)
-            inv = rest.matrix_power(-1.0)
-            prod = w.entries @ inv.entries
-            s_mat = SpdMatrix(0.5 * (prod + prod.T))
-            grown = SpdMatrix(eye + s_mat.entries)
-            return ((s_mat.det ** (al - half))
-                    * (grown.det ** -(al + be))
-                    * (rest.det ** -(p + 1.0)))
+            rest = eye - w
+            s_mat = w @ np.linalg.inv(rest)
+            return (_batch_det(s_mat) ** (al - half)
+                    * _batch_det(eye + s_mat) ** -(al + be)
+                    * _batch_det(rest) ** -(p + 1.0))
 
         est2 = mc_integrate_unit_cone(g_type2, p, samples, seed + 100 + i)
         z2 = (target - est2.value) / est2.stderr
@@ -497,7 +488,7 @@ def run_suite(name, **kwargs):
         raise ParameterDomainError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
-    allowed = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    allowed = inspect.signature(fn).parameters
     passed = {k: v for k, v in kwargs.items()
               if v is not None and k in allowed}
     return fn(**passed)

@@ -13,6 +13,8 @@ import math
 import os
 import threading
 
+import numpy as np
+
 from .errors import (DimensionError, MissingTableEntryError,
                      ParameterDomainError, ResourceLimitError)
 from .gammacalc import Partition, partitions_of
@@ -219,19 +221,25 @@ def fetch_table(k_max, p):
 def zonal_eval(K, Z, table):
     """Evaluate the zonal polynomial for partition K at the SPD matrix Z.
 
-    The value is a symmetric function of the eigenvalues of Z.  If K has more
-    nonzero parts than Z has rows the value is identically zero, which falls
-    out of the monomial basis with no special casing.
+    Z is an SpdMatrix, giving a float, or an (n, p, p) array stack of
+    symmetric matrices, giving the n values as an array.  The value is a
+    symmetric function of the eigenvalues of Z.  If K has more nonzero parts
+    than Z has rows the value is identically zero, which falls out of the
+    monomial basis with no special casing.
     """
     K = Partition.coerce(K)
-    if Z.dim > table.p:
+    if isinstance(Z, np.ndarray):
+        eigs = tuple(np.linalg.eigvalsh(Z)[:, ::-1].T)
+        total = np.zeros(len(Z))
+    else:
+        eigs = tuple(Z.eigenvalues.tolist())
+        total = 0.0
+    if len(eigs) > table.p:
         raise DimensionError(
-            f"argument dimension {Z.dim} exceeds table dimension {table.p}")
+            f"argument dimension {len(eigs)} exceeds table dimension {table.p}")
     if K.weight > table.k_max or len(K) > table.p:
         raise MissingTableEntryError(
             f"partition {K.parts} outside table range (k_max={table.k_max}, p={table.p})")
-    eigs = tuple(Z.eigenvalues.tolist())
-    total = 0.0
     for mu, c in table.row(K).items():
         if len(mu) <= len(eigs):
             total += c * table.monomial_value(mu, eigs)

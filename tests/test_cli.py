@@ -12,12 +12,27 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mvfrac import cli
+from mvfrac.verify import SUITES
 
 from conftest import run_cli as run
 
 
 def records(proc):
     return [json.loads(line) for line in proc.stdout.splitlines() if line]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_records(text):
+    """JSON lines parsed with NaN and Infinity refused."""
+    return [json.loads(line, parse_constant=_refuse_constant)
+            for line in text.splitlines() if line]
 
 
 def test_eval_gamma_frozen():
@@ -144,6 +159,56 @@ def test_verify_byte_identical_across_runs():
             "--seed", "7")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("suite", ["beta", "euler", "fracpower", "fraczonal",
+                                   "saigo", "sumdensity"])
+def test_verify_one_sample_is_domain_error(suite):
+    # one draw leaves no standard error, so the run is refused up front
+    proc = run("verify", "--suite", suite, "--samples", "1", "--seed", "3")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "ParameterDomainError"
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_nonfinite_result_is_domain_error():
+    # seed 37 makes the constant-integrand grid point (p=2, r=3, alpha=1.5,
+    # eta=0) accept both of its two proposals, so its stderr is 0 and its
+    # z-score infinite; that is refused rather than printed as Infinity
+    proc = run("verify", "--suite", "fracpower", "--p", "2", "--samples", "2",
+               "--seed", "37")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "DegenerateInputError"
+    assert "Traceback" not in proc.stderr
+
+
+_BAD_FLAGS = (["--bogus"], ["--samples", "ten"], ["--samples", "-3"],
+              ["--p", "9"], ["--kmax", "-1"], ["--kmax", "99"],
+              ["--suite", "nope"])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(suite=st.sampled_from(sorted(SUITES)),
+       samples=st.integers(min_value=0, max_value=50),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       extra=st.one_of(st.just([]), st.sampled_from(_BAD_FLAGS)))
+def test_verify_fuzz_exits_cleanly(capsys, suite, samples, seed, extra):
+    # in process: every exit is a documented code with strict JSON lines
+    capsys.readouterr()
+    argv = ["verify", "--suite", suite, "--samples", str(samples),
+            "--seed", str(seed), *extra]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 64)
+    recs = strict_records(out)
+    assert all(r["schema"] == "mvfrac/1" for r in recs)
+    assert len(recs) == (0 if code == 64 else 1)
 
 
 def test_sample_stream_shape_and_determinism():

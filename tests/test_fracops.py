@@ -181,8 +181,8 @@ def test_numeric_matches_zonal_closed():
     part = Partition.coerce((1,))
     closed = frac_integral_zonal_closed(order, z, part, table).value()
 
-    def g(v):
-        return zonal_eval(part, v, table)
+    def g(x):
+        return zonal_eval(part, x, table)
 
     est = frac_integral_numeric(order, z, g, 40_000, 31)
     assert abs(est.value - closed) < 3 * est.stderr
@@ -197,10 +197,11 @@ def test_numeric_determinism():
 
 
 def test_numeric_operand_kinds_agree():
-    # the callable path and the det-power fast path must estimate the same
+    # a plain array callable and DetPowerOperand must estimate the same
     # integral; identical seeds share identical cone samples
     z = SpdMatrix(np.array([[0.9]]))
     order = FracOrder(1.0, _cfg(1, 1))
     fast = frac_integral_numeric(order, z, DetPowerOperand(1.0), 20_000, 8)
-    slow = frac_integral_numeric(order, z, lambda v: v.det, 20_000, 8)
+    slow = frac_integral_numeric(order, z, lambda x: np.linalg.det(x),
+                                 20_000, 8)
     assert fast.value == pytest.approx(slow.value, rel=1e-10)

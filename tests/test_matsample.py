@@ -31,6 +31,7 @@ from mvfrac import (
     sample_uniform_spd_unit,
     verify_sum_density,
 )
+from mvfrac.matsample import _batch_det
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,13 @@ def test_cone_acceptance_report_fields():
     assert rep["acceptance_rate"] == pytest.approx(math.pi / 12, rel=0.05)
 
 
+@pytest.mark.parametrize("p,proposals", [(1, 10_000), (2, 38_855),
+                                         (3, 736_791)])
+def test_cone_accepted_draws_pinned(p, proposals):
+    # the proposal count of a seeded run pins the accepted draws
+    assert cone_acceptance_report(p, 10_000, 5)["proposals"] == proposals
+
+
 def test_cone_dimension_frontier():
     # rejection filling is only viable in low dimension
     with pytest.raises(ParameterDomainError):
@@ -145,14 +153,14 @@ def test_cone_dimension_frontier():
 
 def test_mc_volume_p2():
     # volume of the p=2 unit cone is Gamma_2(3/2)^2 / Gamma_2(3) = pi/6
-    est = mc_integrate_unit_cone(lambda m: 1.0, 2, 100_000, 9)
+    est = mc_integrate_unit_cone(lambda w: np.ones(len(w)), 2, 100_000, 9)
     vol = math.exp(2 * log_matrix_gamma(2, 1.5) - log_matrix_gamma(2, 3.0))
     assert abs(est.value - vol) < 3 * est.stderr
 
 
 def test_mc_monomial_p1():
     # integral of w^2 on (0,1)
-    est = mc_integrate_unit_cone(lambda m: m.entries[0, 0] ** 2, 1, 100_000, 33)
+    est = mc_integrate_unit_cone(lambda w: w[:, 0, 0] ** 2, 1, 100_000, 33)
     assert abs(est.value - 1.0 / 3.0) < 3 * est.stderr
 
 
@@ -161,9 +169,9 @@ def test_mc_beta_integrand_p2():
     a = bw = 2.0
     eye = np.eye(2)
 
-    def g(m):
-        rest = SpdMatrix(eye - m.entries)
-        return m.det ** (a - 1.5) * rest.det ** (bw - 1.5)
+    def g(w):
+        return (np.linalg.det(w) ** (a - 1.5)
+                * np.linalg.det(eye - w) ** (bw - 1.5))
 
     est = mc_integrate_unit_cone(g, 2, 150_000, 41)
     want = math.exp(log_matrix_beta(2, a, bw))
@@ -172,7 +180,7 @@ def test_mc_beta_integrand_p2():
 
 def test_mc_stderr_scaling():
     # quadrupling the sample count halves the standard error
-    g = lambda m: m.entries[0, 0]
+    g = lambda w: w[:, 0, 0]
     small = mc_integrate_unit_cone(g, 2, 50_000, 77)
     big = mc_integrate_unit_cone(g, 2, 200_000, 78)
     ratio = small.stderr / big.stderr
@@ -180,7 +188,7 @@ def test_mc_stderr_scaling():
 
 
 def test_mc_determinism():
-    g = lambda m: m.trace
+    g = lambda w: np.trace(w, axis1=1, axis2=2)
     a = mc_integrate_unit_cone(g, 2, 5_000, 11)
     b = mc_integrate_unit_cone(g, 2, 5_000, 11)
     assert a == b
@@ -188,7 +196,32 @@ def test_mc_determinism():
 
 def test_mc_rejects_nonfinite_integrand():
     with pytest.raises(DegenerateInputError):
-        mc_integrate_unit_cone(lambda m: float("nan"), 1, 100, 1)
+        mc_integrate_unit_cone(lambda w: np.full(len(w), np.nan), 1, 100, 1)
+
+
+@pytest.mark.parametrize("g", [lambda w: 1.0,
+                               lambda w: w[:, 0, :],
+                               lambda w: np.ones(len(w) - 1)])
+def test_mc_rejects_wrong_integrand_shape(g):
+    # the integrand must return one value per accepted draw
+    with pytest.raises(DimensionError):
+        mc_integrate_unit_cone(g, 2, 100, 1)
+
+
+def test_mc_needs_two_samples():
+    # one draw leaves no standard error
+    with pytest.raises(ParameterDomainError):
+        mc_integrate_unit_cone(lambda w: w[:, 0, 0], 1, 1, 3)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_batch_det_matches_linalg(p, symmetric):
+    m = np.random.default_rng(10 * p + symmetric).standard_normal((50, p, p))
+    if symmetric:
+        m = m + m.transpose(0, 2, 1)
+    np.testing.assert_allclose(_batch_det(m), np.linalg.det(m),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_mc_estimate_validation():
@@ -237,6 +270,12 @@ def test_sum_density_order_invariance():
     b = verify_sum_density(c2, c1, 50_000, 9)
     assert a["pass"] and b["pass"]
     assert a["orders"] == [3, 4] and b["orders"] == [4, 3]
+
+
+def test_sum_density_needs_two_samples():
+    cfg = RectConfig.with_identity_weights(1, 1)
+    with pytest.raises(ParameterDomainError):
+        verify_sum_density(cfg, cfg, 1, 42)
 
 
 def test_sum_density_dimension_mismatch():

@@ -151,3 +151,22 @@ def test_empty_partition_is_constant_one():
     z = SpdMatrix.diagonal((0.3, 5.0))
     assert zonal_eval((), z, table) == 1.0
     assert zonal_at_identity(Partition.coerce(()), 2, table) == 1.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stack_matches_per_matrix(p):
+    # an (n, p, p) stack gives the n per-matrix values, including the
+    # constant empty partition and partitions longer than p; built directly
+    # because fetch_table may hand back a wider cached table
+    table = build_zonal_table(3, 3)
+    mats = [_spd_from_eigs(np.linspace(0.2, 1.7, p) + 0.1 * i, seed=i)
+            for i in range(6)]
+    stack = np.stack([m.entries for m in mats])
+    for k in range(4):
+        for K in partitions_of(k, 3):
+            got = zonal_eval(K, stack, table)
+            want = [zonal_eval(K, m, table) for m in mats]
+            assert got.shape == (len(mats),)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    with pytest.raises(DimensionError):
+        zonal_eval((1,), np.stack([np.eye(4)] * 2), table)
