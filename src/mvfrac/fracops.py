@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterDomainError
+from .errors import DegenerateInputError, DimensionError, ParameterDomainError
 from .gammacalc import (
     Partition,
     log_matrix_gamma,
@@ -97,7 +97,11 @@ class FracValue:
     def value(self):
         if self.sign == 0:
             return 0.0
-        return self.sign * math.exp(self.log_magnitude)
+        try:
+            return self.sign * math.exp(self.log_magnitude)
+        except OverflowError as exc:
+            raise DegenerateInputError(
+                f"value exp({self.log_magnitude}) overflows a float") from exc
 
 
 def _check_argument(order, Z):

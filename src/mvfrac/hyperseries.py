@@ -2,8 +2,9 @@
 
 The series is a sum over integer partitions: for each weight k every
 partition K contributes a ratio of generalized Pochhammer symbols times the
-zonal polynomial value over k factorial.  Weights are accumulated in fixed
-order (k ascending, reverse-lex within k) with compensated summation so
+zonal polynomial value over k factorial.  A weight's sum is one dot product
+of its Pochhammer ratios with the zonal values, and the weight sums are
+accumulated in fixed order (k ascending) with compensated summation so
 results are byte-reproducible.
 """
 
@@ -97,46 +98,36 @@ class SeriesResult(NamedTuple):
 _GROWTH_LIMIT = 5  # consecutive growing weight sums before declaring divergence
 
 
-def _poch_ratio(num, den, parts):
-    """Product over boxes of numerator factors divided by denominator factors,
-    interleaved so intermediate magnitudes stay near the final value."""
-    out = 1.0
-    for j, kj in enumerate(parts):
-        off = -0.5 * j
-        for i in range(kj):
-            shift = off + i
-            for a in num:
-                out *= a + shift
-            for b in den:
-                out /= b + shift
-    return out
-
-
 def _zonal_series(num, den, eigenvalues, trunc, table):
     p_dim = len(eigenvalues)
-    eigs = tuple(eigenvalues)
+    m = table.monomials(eigenvalues, trunc.k_max)
+    # one Pochhammer factor per partition, for the box its parent lacks;
+    # only boxes of partitions up to trunc.k_max with at most p_dim rows are
+    # evaluated, which are the ones check_denominators vetted, and longer
+    # partitions get a zero ratio
+    size = len(m)
+    live = np.flatnonzero(table.lengths[1:size] <= p_dim) + 1
+    shift = table.box_shift[live]
+    factor = np.ones(len(live))
+    for a in num:
+        factor *= a + shift
+    for b in den:
+        factor /= b + shift
+    box = np.zeros(size)
+    box[live] = factor
+    poch = np.ones(size)
     value = 0.0
     comp = 0.0  # Kahan carry
     inv_fact = 1.0
     weight_sums = []
     growth = 0
     for k in range(trunc.k_max + 1):
+        lo, hi = table.offsets[k], table.offsets[k + 1]
         if k:
             inv_fact /= k
-        wsum = 0.0
-        all_poch_zero = k > 0
-        for K in table.weight_partitions(k):
-            if len(K) > p_dim:
-                continue
-            ratio = _poch_ratio(num, den, K)
-            if ratio == 0.0:
-                continue
-            all_poch_zero = False
-            cz = 0.0
-            for mu, c in table.row(K).items():
-                if len(mu) <= p_dim:
-                    cz += c * table.monomial_value(mu, eigs)
-            wsum += ratio * cz * inv_fact
+            poch[lo:hi] = poch[table.parent[lo:hi]] * box[lo:hi]
+        wsum = float(poch[lo:hi] @ (table.coeffs[k] @ m[lo:hi])) * inv_fact
+        all_poch_zero = k > 0 and not poch[lo:hi].any()
         y = wsum - comp
         t = value + y
         comp = (t - value) - y

@@ -8,7 +8,6 @@ Coefficients are dimension-stable, so a table built for p variables restricts
 correctly to any argument of dimension <= p.
 """
 
-import itertools
 import math
 import os
 import threading
@@ -121,14 +120,72 @@ def _build_weight(k, p):
 
 class ZonalTable:
     """Precomputed zonal coefficients for all partitions of weight <= k_max
-    with at most p parts."""
+    with at most p parts.
+
+    Besides the coefficient rows the table holds, derived once, the arrays
+    that evaluation runs on.  Partitions are numbered weight by weight in
+    ``weight_partitions`` order, so everything up to a weight k is the
+    prefix ``[:offsets[k + 1]]``.  ``coeffs[k]`` is the dense coefficient
+    matrix of weight k (rows kappa, columns mu); it is upper triangular
+    because that order refines dominance.  For each partition, ``lengths``
+    holds its number of parts, and ``parent`` and ``box_shift`` the
+    partition left by removing the last box of its last row and that box's
+    content (column - row / 2, both from 0), from which the Pochhammer
+    products follow box by box.
+    """
 
     def __init__(self, k_max, p, rows):
         self.k_max = k_max
         self.p = p
         self._rows = rows
-        self._perm_cache = {}
-        self._partition_lists = {}
+        self._weights = [[q.parts for q in partitions_of(k, p)]
+                         for k in range(k_max + 1)]
+        flat = [kappa for plist in self._weights for kappa in plist]
+        self._index = {kappa: i for i, kappa in enumerate(flat)}
+        for kappa in flat:
+            if kappa not in rows:
+                self.row(kappa)  # raises MissingTableEntryError
+        self.offsets = [0]
+        self.coeffs = []
+        for plist in self._weights:
+            lo = self.offsets[-1]
+            block = np.zeros((len(plist), len(plist)))
+            for i, kappa in enumerate(plist):
+                for mu, c in rows[kappa].items():
+                    if mu in self._index:  # else mu has more than p parts
+                        block[i, self._index[mu] - lo] = c
+            self.coeffs.append(block)
+            self.offsets.append(lo + len(plist))
+        self.lengths = np.array([len(kappa) for kappa in flat])
+        self.parent = np.array([0] + [
+            self._index[kappa[:-1] + (kappa[-1] - 1,) * (kappa[-1] > 1)]
+            for kappa in flat[1:]])
+        self.box_shift = np.array([0.0] + [
+            kappa[-1] - 1 - 0.5 * (len(kappa) - 1) for kappa in flat[1:]])
+        # m_lam(x_1) = x_1**|lam| for at most one part, and m_lam(x_1..x_j)
+        # = sum_e x_j**e m_{lam - e}(x_1..x_{j-1}) over the distinct parts
+        # e of lam, plus e = 0 while lam has fewer than j parts.  Pass j > 1
+        # holds the partitions with at most j parts, the number of them up
+        # to each weight, and their (source, e) terms as rows of equal
+        # width; the unused slots read source -1, which monomials keeps 0.
+        self._one_part = np.array([0] + [self._index[(k,)]
+                                         for k in range(1, k_max + 1)])
+        removals = [[(self._index[kappa[:i] + kappa[i + 1:]], kappa[i])
+                     for i in range(len(kappa))
+                     if i == 0 or kappa[i] != kappa[i - 1]]
+                    for kappa in flat]
+        self._passes = []
+        for j in range(2, p + 1):
+            targets = [i for i, kappa in enumerate(flat) if len(kappa) <= j]
+            counts = np.searchsorted(targets, self.offsets[1:]).tolist()
+            terms = [([(i, 0)] if len(flat[i]) < j else []) + removals[i]
+                     for i in targets]
+            width = max(map(len, terms))
+            src = np.full((len(terms), width), -1, dtype=np.intp)
+            exps = np.zeros_like(src)
+            for row, pairs in enumerate(terms):
+                src[row, :len(pairs)], exps[row, :len(pairs)] = zip(*pairs)
+            self._passes.append((np.array(targets), counts, src, exps))
 
     def row(self, K):
         K = Partition.coerce(K)
@@ -144,33 +201,56 @@ class ZonalTable:
         return {Partition(mu): c for mu, c in self.row(K).items()}
 
     def weight_partitions(self, k):
-        cached = self._partition_lists.get(k)
-        if cached is None:
-            cached = [q.parts for q in partitions_of(k, self.p)]
-            self._partition_lists[k] = cached
-        return cached
+        return self._weights[k]
 
-    def _perms(self, exps):
-        cached = self._perm_cache.get(exps)
-        if cached is None:
-            cached = sorted(set(itertools.permutations(exps)))
-            self._perm_cache[exps] = cached
-        return cached
+    def _position(self, K):
+        i = self._index.get(K.parts)
+        if i is None:
+            raise MissingTableEntryError(
+                f"partition {K.parts} outside table range "
+                f"(k_max={self.k_max}, p={self.p})")
+        return i
+
+    def monomials(self, eigenvalues, k_max):
+        """Every monomial symmetric polynomial of weight <= k_max at the
+        eigenvalues, in table order.
+
+        Eigenvalues of shape (d,) give shape (offsets[k_max + 1],), and an
+        (n, d) array gives one column per argument.  Entries for
+        partitions with more than d parts are zero.
+        """
+        # contiguous rows keep numpy's vectorized pow loop
+        x = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float).T)
+        d = len(x)
+        if d > self.p:
+            raise DimensionError(
+                f"argument dimension {d} exceeds table dimension {self.p}")
+        size = self.offsets[k_max + 1]
+        exponents = np.arange(k_max + 1).reshape((-1,) + (1,) * (x.ndim - 1))
+        powers = x[:, None] ** exponents
+        m = np.zeros((size + 1,) + x.shape[1:])
+        m[self._one_part[:k_max + 1]] = powers[0]
+        for j, (targets, counts, src, exps) in enumerate(self._passes[:d - 1],
+                                                         1):
+            rows = counts[k_max]
+            terms = m[src[:rows]] * powers[j, exps[:rows]]
+            m = np.zeros_like(m)
+            m[targets[:rows]] = terms.sum(axis=1)
+        return m[:size]
+
+    def value(self, K, eigenvalues):
+        """Zonal polynomial for the partition K at eigenvalues of shape (d,)
+        or (n, d)."""
+        i = self._position(K)
+        lo = self.offsets[K.weight]
+        m = self.monomials(eigenvalues, K.weight)
+        return self.coeffs[K.weight][i - lo] @ m[lo:]
 
     def monomial_value(self, mu, eigenvalues):
-        """Monomial symmetric polynomial for mu at the given eigenvalues."""
-        n = len(eigenvalues)
-        if len(mu) > n:
-            return 0.0
-        exps = tuple(mu) + (0,) * (n - len(mu))
-        total = 0.0
-        for perm in self._perms(exps):
-            term = 1.0
-            for x, e in zip(eigenvalues, perm):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        """Monomial symmetric polynomial for mu at eigenvalues of shape (d,)
+        or (n, d)."""
+        mu = Partition.coerce(mu)
+        return self.monomials(eigenvalues, mu.weight)[self._position(mu)]
 
 
 _table_cache = {}
@@ -227,23 +307,13 @@ def zonal_eval(K, Z, table):
     than Z has rows the value is identically zero, which falls out of the
     monomial basis with no special casing.
     """
-    K = Partition.coerce(K)
-    if isinstance(Z, np.ndarray):
-        eigs = tuple(np.linalg.eigvalsh(Z)[:, ::-1].T)
-        total = np.zeros(len(Z))
-    else:
-        eigs = tuple(Z.eigenvalues.tolist())
-        total = 0.0
-    if len(eigs) > table.p:
-        raise DimensionError(
-            f"argument dimension {len(eigs)} exceeds table dimension {table.p}")
-    if K.weight > table.k_max or len(K) > table.p:
-        raise MissingTableEntryError(
-            f"partition {K.parts} outside table range (k_max={table.k_max}, p={table.p})")
-    for mu, c in table.row(K).items():
-        if len(mu) <= len(eigs):
-            total += c * table.monomial_value(mu, eigs)
-    return total
+    stack = isinstance(Z, np.ndarray)
+    eigs = np.linalg.eigvalsh(Z)[:, ::-1] if stack else Z.eigenvalues
+    if eigs.shape[-1] > table.p:
+        raise DimensionError(f"argument dimension {eigs.shape[-1]} exceeds "
+                             f"table dimension {table.p}")
+    value = table.value(Partition.coerce(K), eigs)
+    return value if stack else float(value)
 
 
 def zonal_at_identity(K, p, table):
@@ -252,23 +322,7 @@ def zonal_at_identity(K, p, table):
         raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
     if p > table.p:
         raise DimensionError(f"dimension {p} exceeds table dimension {table.p}")
-    K = Partition.coerce(K)
-    if K.weight > table.k_max or len(K) > table.p:
-        raise MissingTableEntryError(
-            f"partition {K.parts} outside table range (k_max={table.k_max}, p={table.p})")
-    total = 0.0
-    for mu, c in table.row(K).items():
-        if len(mu) <= p:
-            # number of distinct arrangements of the exponents over p slots
-            count = math.factorial(p)
-            mult = {}
-            for part in mu:
-                mult[part] = mult.get(part, 0) + 1
-            mult[0] = p - len(mu)
-            for m in mult.values():
-                count //= math.factorial(m)
-            total += c * count
-    return total
+    return float(table.value(Partition.coerce(K), np.ones(p)))
 
 
 # ---------------------------------------------------------------------------

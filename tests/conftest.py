@@ -1,9 +1,13 @@
 """Shared test helpers."""
 
+import itertools
+import math
 import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 import mvfrac
 
@@ -20,3 +24,23 @@ def run_cli(*args):
         filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "mvfrac.cli", *args],
                           capture_output=True, text=True, env=env)
+
+
+def brute_monomial(mu, eigs):
+    """Monomial symmetric polynomial for mu: one product per distinct
+    arrangement of its exponents over the variables."""
+    if len(mu) > len(eigs):
+        return 0.0
+    exps = tuple(mu) + (0,) * (len(eigs) - len(mu))
+    return sum(math.prod(x ** e for x, e in zip(eigs, perm))
+               for perm in set(itertools.permutations(exps)))
+
+
+def spd_from_eigs(eigs, seed=0):
+    """SPD matrix with the given eigenvalues in a seeded random basis."""
+    p = len(eigs)
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((p, p)))
+    q = q * np.sign(np.diag(r))
+    m = (q * np.asarray(eigs)) @ q.T
+    return mvfrac.SpdMatrix(0.5 * (m + m.T))

@@ -211,6 +211,75 @@ def test_verify_fuzz_exits_cleanly(capsys, suite, samples, seed, extra):
     assert len(recs) == (0 if code == 64 else 1)
 
 
+def test_eval_overflowing_value_is_domain_error():
+    # |Z|^(3/2) at Z = 1e300 is beyond the float range
+    proc = run("eval", "fracint-power", "--r", "1", "--alpha", "2.0",
+               "--z", "[[1e300]]")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "DegenerateInputError"
+    assert "Traceback" not in proc.stderr
+
+
+_EXTREME = st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308])
+_PARAMS = st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=2)
+
+
+def _csv(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+def _with_extreme(draw, values):
+    # one entry in two cases becomes an extreme or degenerate value
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_EXTREME)
+    return values
+
+
+@st.composite
+def _eval_argv(draw):
+    p = draw(st.integers(min_value=1, max_value=4))
+    eigs = _with_extreme(draw, draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.5), min_size=p, max_size=p)))
+    command = draw(st.sampled_from(["hyper", "zonal", "fracint-power"]))
+    if command == "hyper":
+        return ["eval", "hyper", f"--num={_csv(draw(_PARAMS))}",
+                f"--den={_csv(draw(_PARAMS))}", f"--eigs={_csv(eigs)}",
+                "--kmax", str(draw(st.integers(min_value=0, max_value=12)))]
+    if command == "zonal":
+        parts = sorted(draw(st.lists(st.integers(min_value=0, max_value=3),
+                                     max_size=p)), reverse=True)
+        return ["eval", "zonal", f"--k={','.join(map(str, parts))}",
+                f"--eigs={_csv(eigs)}"]
+    # diagonally dominant unless an extreme entry lands on the diagonal
+    off = _with_extreme(draw, draw(st.lists(
+        st.floats(min_value=-0.05, max_value=0.05), min_size=p * p,
+        max_size=p * p)))
+    z = [[eigs[i] + 0.2 if i == j else off[min(i, j) * p + max(i, j)]
+          for j in range(p)] for i in range(p)]
+    return ["eval", "fracint-power",
+            "--r", str(p + draw(st.integers(min_value=-1, max_value=2))),
+            f"--alpha={draw(st.floats(min_value=-1.0, max_value=5.0))!r}",
+            "--z", json.dumps(z)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_eval_argv())
+def test_eval_fuzz_exits_cleanly(capsys, argv):
+    # in process: every exit is a documented code with strict JSON lines
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 64)
+    recs = strict_records(out)
+    assert all(r["schema"] == "mvfrac/1" for r in recs)
+    assert len(recs) == (0 if code == 64 else 1)
+
+
 def test_sample_stream_shape_and_determinism():
     args = ("sample", "matrix-gamma", "--p", "2", "--shape", "2.5",
             "--n", "4", "--seed", "11")

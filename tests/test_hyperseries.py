@@ -7,6 +7,7 @@ identity, which is an independent closed form.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from mvfrac import (
     RectConfig,
     SpdMatrix,
     Truncation,
+    fetch_table,
     gauss_2f1_rect,
     hyper_pfq,
     hyper_pfq_at_identity,
     pathway_det_limit,
 )
+
+from conftest import brute_monomial, spd_from_eigs
 
 
 def _scalar_pfq(num, den, z, k_max):
@@ -83,6 +87,76 @@ def test_binomial_identity_p2(b, e1, e2):
     res = hyper_pfq(HyperParams((b,), ()), z, Truncation(k_max=25))
     direct = (1.0 - e1) ** (-b) * (1.0 - e2) ** (-b)
     assert res.value == pytest.approx(direct, abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_binomial_and_exponential_identities(p):
+    # 1F0(a; Z) = |I - Z|^(-a) and 0F0(Z) = exp(tr Z); with the spectrum
+    # at most 0.1 the weight-16 truncation leaves a tail below 1e-11
+    trunc = Truncation(k_max=16)
+    rng = np.random.default_rng(p)
+    for seed in range(3):
+        z = spd_from_eigs(rng.uniform(0.02, 0.1, p), seed)
+        a = rng.uniform(0.3, 1.5)
+        got = hyper_pfq(HyperParams((a,), ()), z, trunc).value
+        want = np.linalg.det(np.eye(p) - z.entries) ** -a
+        assert got == pytest.approx(want, rel=1e-10)
+        got = hyper_pfq(HyperParams((), ()), z, trunc).value
+        assert got == pytest.approx(math.exp(z.trace), rel=1e-10)
+
+
+def _per_row_series(num, den, eigs, k_max, table):
+    # the series partition by partition: Pochhammer ratio box by box, zonal
+    # value row by row from brute-force monomials
+    total = 0.0
+    for k in range(k_max + 1):
+        for K in table.weight_partitions(k):
+            if len(K) > len(eigs):
+                continue
+            ratio = 1.0
+            for i, part in enumerate(K):
+                for j in range(part):
+                    for a in num:
+                        ratio *= a + j - 0.5 * i
+                    for b in den:
+                        ratio /= b + j - 0.5 * i
+            cz = sum(c * brute_monomial(mu, eigs)
+                     for mu, c in table.row(K).items())
+            total += ratio * cz / math.factorial(k)
+    return total
+
+
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=12),
+       st.lists(st.floats(min_value=1.6, max_value=2.5), max_size=2),
+       st.lists(st.floats(min_value=2.0, max_value=4.0), max_size=2),
+       st.lists(st.floats(min_value=0.01, max_value=0.25), min_size=4,
+                max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_matches_per_row_reference(p, k_max, num, den, eigs):
+    # parameters above (p-1)/2 keep every Pochhammer factor positive, so the
+    # terms cannot cancel and a relative bound applies
+    num = num[:len(den) + 1]
+    z = spd_from_eigs(eigs[:p], seed=k_max)
+    got = hyper_pfq(HyperParams(num, den), z, Truncation(k_max=k_max))
+    want = _per_row_series(num, den, z.eigenvalues.tolist(), k_max,
+                           fetch_table(k_max, p))
+    assert got.value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [-6.0, 0.5])
+def test_truncation_below_table_weight(b):
+    # a wider cached table must not evaluate Pochhammer factors beyond
+    # trunc.k_max or below the argument's rows: the denominator -6 vanishes
+    # only at weight 7, and 0.5 only in the second row
+    table = fetch_table(30, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hyper_pfq(HyperParams((1.0,), (b,)),
+                        SpdMatrix(np.array([[0.3]])), Truncation(k_max=5),
+                        table)
+    want = _scalar_pfq((1.0,), (b,), 0.3, 5)
+    assert got.value == pytest.approx(want, rel=1e-12)
 
 
 def test_negative_integer_parameter_terminates():

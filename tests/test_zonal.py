@@ -26,19 +26,12 @@ from mvfrac import (
     zonal_eval,
 )
 
-
-def _spd_from_eigs(eigs, seed=0):
-    p = len(eigs)
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((p, p)))
-    q = q * np.sign(np.diag(r))
-    m = (q * np.asarray(eigs)) @ q.T
-    return SpdMatrix(0.5 * (m + m.T))
+from conftest import brute_monomial, spd_from_eigs
 
 
 def test_weight_one_is_trace():
     table = fetch_table(1, 3)
-    z = _spd_from_eigs((0.5, 1.5, 2.0))
+    z = spd_from_eigs((0.5, 1.5, 2.0))
     assert zonal_eval((1,), z, table) == pytest.approx(z.trace, rel=1e-12)
 
 
@@ -68,7 +61,7 @@ def test_dimension_one_is_power():
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 5), (4, 6)])
 def test_normalization_identity(p, k):
     table = fetch_table(k, p)
-    z = _spd_from_eigs(tuple(0.4 + 0.3 * i for i in range(p)), seed=p * 10 + k)
+    z = spd_from_eigs(tuple(0.4 + 0.3 * i for i in range(p)), seed=p * 10 + k)
     total = sum(zonal_eval(K, z, table) for K in partitions_of(k, p))
     assert total == pytest.approx(z.trace ** k, rel=1e-11)
 
@@ -137,6 +130,19 @@ def test_build_ceiling(monkeypatch):
     build_zonal_table(10, 2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_monomial_value_matches_permutation_sum(d):
+    table = build_zonal_table(6, 4)
+    eigs = np.random.default_rng(d).uniform(0.1, 2.0, (3, d))
+    for k in range(7):
+        for mu in partitions_of(k, 4):
+            want = [brute_monomial(mu.parts, row) for row in eigs]
+            np.testing.assert_allclose(table.monomial_value(mu, eigs), want,
+                                       rtol=1e-12)
+            assert table.monomial_value(mu, eigs[0]) == pytest.approx(
+                want[0], rel=1e-12)
+
+
 def test_records_round_trip():
     table = fetch_table(4, 2)
     records = table_to_records(table)
@@ -159,7 +165,7 @@ def test_stack_matches_per_matrix(p):
     # constant empty partition and partitions longer than p; built directly
     # because fetch_table may hand back a wider cached table
     table = build_zonal_table(3, 3)
-    mats = [_spd_from_eigs(np.linspace(0.2, 1.7, p) + 0.1 * i, seed=i)
+    mats = [spd_from_eigs(np.linspace(0.2, 1.7, p) + 0.1 * i, seed=i)
             for i in range(6)]
     stack = np.stack([m.entries for m in mats])
     for k in range(4):
