@@ -34,12 +34,13 @@ from .gammacalc import (
 )
 from .hyperseries import HyperParams, Truncation, hyper_pfq, pathway_det_limit
 from .matsample import (
+    _TAG_GAMMA_DIAG,
     MatrixGammaSpec,
-    sample_matrix_gamma,
-    sample_rect_exponential,
-    sample_uniform_spd_unit,
+    _cone_raw,
+    _matrix_gamma_raw,
+    _rect_raw,
 )
-from .spdcore import RectConfig, SpdMatrix
+from .spdcore import RectConfig, SpdMatrix, check_full_rank, check_spd
 from .verify import SUITES, run_suite
 from .zonal import fetch_table, zonal_eval
 
@@ -78,13 +79,19 @@ def _inline_matrix(text):
         raise argparse.ArgumentTypeError(f"matrix is not valid JSON: {exc}")
 
 
-def _emit(records, output):
+def _dumps(obj):
     try:
-        lines = [json.dumps(r, sort_keys=True, separators=(",", ":"),
-                            allow_nan=False)
-                 for r in records]
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
     except ValueError as exc:
         raise DegenerateInputError(f"result is not finite: {exc}") from exc
+
+
+def _emit(records, output):
+    _write([_dumps(r) for r in records], output)
+
+
+def _write(lines, output):
     text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w") as fh:
@@ -265,19 +272,27 @@ def _cmd_sample(args):
     if args.kind == "matrix-gamma":
         if args.shape is None:
             raise _UsageError("sample matrix-gamma requires --shape")
-        mats = sample_matrix_gamma(MatrixGammaSpec(args.p, args.shape),
-                                   args.n, seed)
+        spec = MatrixGammaSpec(args.p, args.shape)
+        stack = _matrix_gamma_raw(spec.dim, spec.shape, args.n, seed,
+                                  _TAG_GAMMA_DIAG)
+        check_spd(stack)
     elif args.kind == "rect-exponential":
         if args.r is None:
             raise _UsageError("sample rect-exponential requires --r")
-        mats = sample_rect_exponential(
-            RectConfig.with_identity_weights(args.p, args.r), args.n, seed)
+        stack = _rect_raw(RectConfig.with_identity_weights(args.p, args.r),
+                          args.n, seed)
+        check_full_rank(stack)
     else:
-        mats = sample_uniform_spd_unit(args.p, args.n, seed)
-    records = [{"schema": _SCHEMA, "kind": args.kind, "seed": seed,
-                "index": i, "entries": m.to_lists()}
-               for i, m in enumerate(mats)]
-    _emit(records, args.output)
+        stack = _cone_raw(args.p, args.n, seed)[0]
+        check_spd(stack)
+    # The records are {"entries", "index", "kind", "schema", "seed"} in
+    # sorted key order.  One encoder pass over the whole stack, cut where
+    # one matrix ends and the next begins ("]],[[", which no number
+    # contains), gives each record's entries as encoding it alone would.
+    entries = _dumps(stack.tolist())[3:-3].split("]],[[")
+    rest = _dumps({"kind": args.kind, "schema": _SCHEMA, "seed": seed})[1:]
+    _write([f'{{"entries":[[{e}]],"index":{i},{rest}'
+            for i, e in enumerate(entries)], args.output)
     return 0
 
 
@@ -439,7 +454,10 @@ def main(argv=None):
         config_defaults = _load_config(known.config) if known.config else {}
         parser = _build_parser(config_defaults)
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite result is reported as a DegenerateInputError record,
+        # so numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"mvfrac: error: {exc}\n")
         return 64

@@ -95,7 +95,13 @@ class SeriesResult(NamedTuple):
     ratio: float
 
 
-_GROWTH_LIMIT = 5  # consecutive growing weight sums before declaring divergence
+# Consecutive growing weight sums before a beyond-balanced series (more than
+# one numerator parameter in excess) is declared divergent.  Only those
+# series diverge for every nonzero argument: a balanced-plus-one series
+# converges below spectral radius one, which hyper_pfq checks, even when its
+# weight sums rise for about p*a*x/(1-x) weights first, and a series with no
+# more numerator than denominator parameters is entire.
+_GROWTH_LIMIT = 5
 
 
 def _zonal_series(num, den, eigenvalues, trunc, table):
@@ -121,6 +127,7 @@ def _zonal_series(num, den, eigenvalues, trunc, table):
     inv_fact = 1.0
     weight_sums = []
     growth = 0
+    beyond_balanced = len(num) > len(den) + 1
     for k in range(trunc.k_max + 1):
         lo, hi = table.offsets[k], table.offsets[k + 1]
         if k:
@@ -135,7 +142,7 @@ def _zonal_series(num, den, eigenvalues, trunc, table):
         sk = abs(wsum)
         if weight_sums and sk > weight_sums[-1] > 0.0:
             growth += 1
-            if growth >= _GROWTH_LIMIT:
+            if beyond_balanced and growth >= _GROWTH_LIMIT:
                 raise NonConvergenceError(
                     f"weight sums grew for {_GROWTH_LIMIT} consecutive weights "
                     f"(k={k}); the series is diverging")

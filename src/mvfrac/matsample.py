@@ -115,6 +115,7 @@ class MatrixGammaSpec:
 
 def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     """n matrix gamma draws as an (n, p, p) array, W = T T'."""
+    n = _check_count(n)
     t = np.zeros((n, p, p))
     for j in range(p):
         key = derive_key(seed, tag_base + j)
@@ -134,20 +135,20 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
 
 def sample_matrix_gamma(spec, n, seed):
     """n independent matrix gamma draws for the given spec."""
-    n = _check_count(n)
     raw = _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
-    return [SpdMatrix(raw[i]) for i in range(n)]
+    return [SpdMatrix(w) for w in raw]
 
 
 def _rect_raw(cfg, n, seed, stream=0):
     """n rectangular exponential-weight draws as an (n, p, r) array."""
+    n = _check_count(n)
     key = derive_key(seed, _TAG_RECT + stream)
     g = normals(key, 0, n * cfg.p * cfg.r).reshape(n, cfg.p, cfg.r)
     g *= math.sqrt(0.5)
     inv_sqrt_a = np.linalg.inv(cfg._sqrt_A.entries)
     vals_b, vecs_b = np.linalg.eigh(np.asarray(cfg.B.entries))
     inv_sqrt_b = (vecs_b / np.sqrt(vals_b)) @ vecs_b.T
-    return np.einsum("ij,njk,kl->nil", inv_sqrt_a, g, inv_sqrt_b)
+    return inv_sqrt_a @ g @ inv_sqrt_b
 
 
 def sample_rect_exponential(cfg, n, seed, stream=0):
@@ -155,9 +156,8 @@ def sample_rect_exponential(cfg, n, seed, stream=0):
 
     Distinct stream values give independent sequences under the same seed.
     """
-    n = _check_count(n)
     raw = _rect_raw(cfg, n, seed, stream)
-    return [RectMatrix(raw[i]) for i in range(n)]
+    return [RectMatrix(x) for x in raw]
 
 
 def _batch_det(m):
@@ -175,15 +175,41 @@ def _batch_det(m):
     return np.linalg.det(m)
 
 
-def _pd_minors(w):
-    """(positive-definite mask, determinant) for a batch of symmetric
-    matrices, requiring every leading principal minor to clear the edge
-    margin."""
-    det = _batch_det(w)
-    ok = det > _EDGE
-    for k in range(1, w.shape[-1]):
-        ok &= _batch_det(w[:, :k, :k]) > _EDGE
-    return ok, det
+def _cone_hits(slots, p, limit):
+    """The first `limit` accepted proposals of one batch of box proposals,
+    as (indices, W, det W, det(I - W)).
+
+    A proposal is accepted when every leading principal minor of W and of
+    I - W clears the edge margin.  The 1x1 and 2x2 minors are formed
+    straight from the slot columns, as the same products _batch_det forms
+    on the assembled matrices ((-v)*(-v) is v*v exactly), so only the
+    proposals that pass them are assembled and given a 3x3 determinant.
+    """
+    d0 = slots[:, 0]
+    det_w = d0
+    det_v = 1.0 - d0
+    ok = (det_w > _EDGE) & (det_v > _EDGE)
+    if p > 1:
+        v = 2.0 * slots[:, p] - 1.0
+        vv = v * v
+        det_w = d0 * slots[:, 1] - vv
+        det_v = det_v * (1.0 - slots[:, 1]) - vv
+        ok &= (det_w > _EDGE) & (det_v > _EDGE)
+    hits = np.flatnonzero(ok)
+    if p < 3:
+        hits = hits[:limit]
+    sel = slots[hits]
+    w = np.zeros((hits.size, p, p))
+    for j in range(p):
+        w[:, j, j] = sel[:, j]
+    for t, (i, j) in enumerate((i, j) for i in range(1, p) for j in range(i)):
+        w[:, i, j] = w[:, j, i] = 2.0 * sel[:, p + t] - 1.0
+    if p < 3:
+        return hits, w, det_w[hits], det_v[hits]
+    det_w = _batch_det(w)
+    det_v = _batch_det(np.eye(p) - w)
+    keep = np.flatnonzero((det_w > _EDGE) & (det_v > _EDGE))[:limit]
+    return hits[keep], w[keep], det_w[keep], det_v[keep]
 
 
 def _cone_raw(p, n, seed):
@@ -200,10 +226,7 @@ def _cone_raw(p, n, seed):
             f"rejection sampling is limited to dimensions 1..3, got {p}; "
             f"higher dimensions need the beta importance sampler")
     key = derive_key(seed, _TAG_CONE)
-    q = p * (p - 1) // 2
-    width = p + q
-    pairs = [(i, j) for i in range(1, p) for j in range(i)]
-    eye = np.eye(p)
+    width = p + p * (p - 1) // 2
 
     kept_w, kept_dw, kept_dv = [], [], []
     accepted = 0
@@ -212,26 +235,13 @@ def _cone_raw(p, n, seed):
     batch = 1 << 15
     while accepted < n:
         slots = uniforms(key, offered * width, batch * width).reshape(batch, width)
-        w = np.zeros((batch, p, p))
-        for j in range(p):
-            w[:, j, j] = slots[:, j]
-        for t, (i, j) in enumerate(pairs):
-            v = 2.0 * slots[:, p + t] - 1.0
-            w[:, i, j] = v
-            w[:, j, i] = v
-        ok_w, det_w = _pd_minors(w)
-        ok_v, det_v = _pd_minors(eye - w)
-        hits = np.nonzero(ok_w & ok_v)[0]
-        if accepted + hits.size >= n:
-            need = n - accepted
-            hits = hits[:need]
+        hits, w, det_w, det_v = _cone_hits(slots, p, n - accepted)
+        accepted += hits.size
+        if accepted == n:
             n_proposals = offered + int(hits[-1]) + 1
-            accepted = n
-        else:
-            accepted += hits.size
-        kept_w.append(w[hits])
-        kept_dw.append(det_w[hits])
-        kept_dv.append(det_v[hits])
+        kept_w.append(w)
+        kept_dw.append(det_w)
+        kept_dv.append(det_v)
         offered += batch
         if accepted < n:
             if offered >= 10_000 and accepted / offered < 1e-4:
@@ -325,8 +335,11 @@ def _batch_transform(x, cfg):
     """rect_transform applied across an (n, p, r) batch."""
     sa = np.asarray(cfg._sqrt_A.entries)
     b = np.asarray(cfg.B.entries)
-    y = np.einsum("ij,njk,kl->nil", sa, x, b)
-    z = np.einsum("nik,njk->nij", y, np.einsum("ij,njk->nik", sa, x))
+    ax = sa @ x
+    # the last product stays an einsum: a BLAS matmul rounds its sums
+    # differently (fused multiply-adds), which changes the output bytes
+    # even at identity weights
+    z = np.einsum("nik,njk->nij", ax @ b, ax)
     return 0.5 * (z + z.transpose(0, 2, 1))
 
 

@@ -56,24 +56,43 @@ def derive_key(seed, tag=0):
 
 
 def _raw(key, idx):
-    """Finalized 64-bit words at the given uint64 counter indices."""
-    z = key + (idx + np.uint64(1)) * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """Finalized 64-bit words at the given uint64 counter indices, in a new
+    buffer that the finalizer rounds update in place."""
+    z = np.empty(np.shape(idx), dtype=np.uint64)
+    np.add(idx, np.uint64(1), out=z)
+    z *= _GOLDEN
+    z += key
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mix
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+def _unit(z):
+    """Uniforms (z >> 11 + 0.5) * 2**-53 written over the words' own buffer.
+
+    The shifted words are below 2**53, so every step is exact."""
+    z >>= np.uint64(11)
+    u = z.view(np.float64)
+    np.add(z, 0.5, out=u)
+    u *= _TWO_NEG53
+    return u
 
 
 def uniforms(key, start, n):
     """n uniforms in the open interval (0,1) at counter positions
     start..start+n-1."""
     idx = np.arange(int(start), int(start) + int(n), dtype=np.uint64)
-    return ((_raw(key, idx) >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+    return _unit(_raw(key, idx))
 
 
 def uniforms_at(key, idx):
     """Uniforms in (0,1) at explicit counter positions."""
-    idx = np.asarray(idx, dtype=np.uint64)
-    return ((_raw(key, idx) >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+    return _unit(_raw(key, np.asarray(idx, dtype=np.uint64)))
 
 
 def normals(key, first, n):
@@ -81,15 +100,19 @@ def normals(key, first, n):
 
     Normal position e consumes the uniform pair (2*(e//2), 2*(e//2)+1); even
     positions take the Box-Muller cosine branch, odd ones the sine branch, so
-    any contiguous block of positions is reproducible in isolation.
+    any contiguous block of positions is reproducible in isolation.  Each
+    pair is transformed once and yields both branches.
     """
-    e = np.arange(int(first), int(first) + int(n), dtype=np.int64)
-    pair = (e >> 1).astype(np.uint64)
+    first = int(first)
+    pair = np.arange(first >> 1, (first + int(n) + 1) >> 1, dtype=np.uint64)
     u1 = uniforms_at(key, pair * np.uint64(2))
     u2 = uniforms_at(key, pair * np.uint64(2) + np.uint64(1))
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = _TWO_PI * u2
-    return np.where(e & 1, radius * np.sin(angle), radius * np.cos(angle))
+    z = np.empty((pair.size, 2))
+    np.multiply(radius, np.cos(angle), out=z[:, 0])
+    np.multiply(radius, np.sin(angle), out=z[:, 1])
+    return z.reshape(-1)[first & 1:(first & 1) + int(n)]
 
 
 def gamma_variates(key, shape, n, first=0):

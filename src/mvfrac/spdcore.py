@@ -2,8 +2,9 @@
 
 The eigendecomposition is the single linear-algebra primitive here: the
 determinant, square root and positivity checks all come from it, and it is
-computed once per matrix and cached.  Dimensions 1 and 2 use the closed-form
-eigenvalues because the sampling paths construct millions of small matrices.
+computed once per matrix and cached.  The checks take one matrix or an
+(n, p, p) stack, so a sampler validates a whole batch of draws in one call
+with the same rules SpdMatrix applies to one.
 """
 
 import json
@@ -24,6 +25,8 @@ __all__ = [
     "spd_sqrt",
     "stiefel_constant",
     "ordering_lt",
+    "check_spd",
+    "check_full_rank",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -33,24 +36,50 @@ __all__ = [
 _PD_RTOL = 1e-12
 
 
-def _sym_eigenvalues(entries):
-    """Eigenvalues of a symmetric matrix, descending. Closed form for p <= 2."""
-    p = entries.shape[0]
-    if p == 1:
-        return np.array([entries[0, 0]])
-    if p == 2:
-        a = entries[0, 0]
-        c = entries[1, 1]
-        b = entries[0, 1]
-        half_tr = 0.5 * (a + c)
-        disc = math.hypot(0.5 * (a - c), b)
-        return np.array([half_tr + disc, half_tr - disc])
-    return np.linalg.eigvalsh(entries)[::-1].copy()
+def _pd_spectrum(m):
+    """(eigenvalues, positive definite) of a symmetric matrix or an (n, p, p)
+    stack: eigenvalues descending along the last axis, and per matrix
+    whether every one exceeds _PD_RTOL times the largest absolute one.
+    That holds exactly when the smallest exceeds _PD_RTOL times the largest,
+    since then all are positive.
+
+    LAPACK's symmetric solver scales extreme entries and does not cancel, so
+    diag(1.0, 1e-10) gives back 1e-10 and diag(1e308, 1e308) stays finite.
+    """
+    eig = np.linalg.eigvalsh(m)[..., ::-1]
+    return eig, eig[..., -1] > _PD_RTOL * eig[..., 0]
 
 
-def _is_pd(eigenvalues):
-    scale = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return scale > 0.0 and bool(np.min(eigenvalues) > _PD_RTOL * scale)
+def check_spd(entries):
+    """Validate a square matrix, or an (n, p, p) stack, as SpdMatrix does:
+    finite entries, exact symmetry and positive definiteness.  Returns the
+    eigenvalues, descending along the last axis; the error names the first
+    matrix that fails."""
+    if not np.isfinite(entries).all():
+        raise DegenerateInputError("matrix entries must be finite")
+    if not (entries == np.swapaxes(entries, -1, -2)).all():
+        raise DegenerateInputError(
+            "matrix is not exactly symmetric; symmetrize before constructing")
+    eig, ok = _pd_spectrum(entries)
+    if not ok.all():
+        bad = eig if eig.ndim == 1 else eig[np.argmin(ok)]
+        raise DegenerateInputError(
+            f"matrix is not positive definite (eigenvalues {bad.tolist()})")
+    return eig
+
+
+def check_full_rank(entries):
+    """Validate a p x r matrix with r >= p, or an (n, p, r) stack, as
+    RectMatrix does: finite entries and a smallest singular value above
+    1e-10 times the largest, which also refuses the zero matrix."""
+    if not np.isfinite(entries).all():
+        raise DegenerateInputError("matrix entries must be finite")
+    sv = np.linalg.svd(entries, compute_uv=False)
+    ok = sv[..., -1] > 1e-10 * sv[..., 0]
+    if not ok.all():
+        first = sv if sv.ndim == 1 else sv[np.argmin(ok)]
+        raise DegenerateInputError(
+            f"matrix is rank deficient (singular values {first.tolist()})")
 
 
 class SpdMatrix:
@@ -65,17 +94,9 @@ class SpdMatrix:
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DegenerateInputError("matrix entries must be finite")
-        if not np.array_equal(arr, arr.T):
-            raise DegenerateInputError(
-                "matrix is not exactly symmetric; symmetrize before constructing")
-        eig = _sym_eigenvalues(arr)
-        if not _is_pd(eig):
-            raise DegenerateInputError(
-                f"matrix is not positive definite (eigenvalues {eig.tolist()})")
+        eig = check_spd(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
         object.__setattr__(self, "_eigenvalues", eig)
@@ -88,6 +109,8 @@ class SpdMatrix:
 
     @classmethod
     def identity(cls, p):
+        if not p >= 1:
+            raise DimensionError(f"dimension must be at least 1, got {p}")
         return cls(np.eye(p))
 
     @classmethod
@@ -177,12 +200,7 @@ class RectMatrix:
         p, r = arr.shape
         if r < p:
             raise DimensionError(f"need at least as many columns as rows, got {p}x{r}")
-        if not np.all(np.isfinite(arr)):
-            raise DegenerateInputError("matrix entries must be finite")
-        sv = np.linalg.svd(arr, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-            raise DegenerateInputError(
-                f"matrix is rank deficient (singular values {sv.tolist()})")
+        check_full_rank(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
 
@@ -292,7 +310,7 @@ def ordering_lt(S1, S2):
     if S1.dim != S2.dim:
         raise DimensionError(f"dimension mismatch: {S1.dim} vs {S2.dim}")
     diff = S2.entries - S1.entries
-    return _is_pd(_sym_eigenvalues(diff))
+    return bool(_pd_spectrum(diff)[1])
 
 
 # ---------------------------------------------------------------------------

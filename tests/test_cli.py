@@ -6,6 +6,7 @@ more test checks that it prints the same bytes.  Exit code contract:
 0 success, 1 failed verification, 2 domain error, 64 usage error.
 """
 
+import hashlib
 import json
 import math
 import shutil
@@ -307,6 +308,110 @@ def test_sample_rect_requires_r():
 def test_sample_unit_cone():
     recs = records(run("sample", "uniform-unit-cone", "--p", "1", "--n", "3"))
     assert all(0 < r["entries"][0][0] < 1 for r in recs)
+
+
+# SHA-256 of stdout, computed when each draw was validated as its own
+# SpdMatrix or RectMatrix and encoded by its own json.dumps call
+_SAMPLE_DIGESTS = [
+    (["uniform-unit-cone", "--p", "1"],
+     "f3e92fbba9d64ea6029724115cfd331d5bebdeb4e5fabf7c1395eb8f26a19052"),
+    (["uniform-unit-cone", "--p", "2"],
+     "f23bbd922ae06ffee9a6e0612bf26e65ef40453046361a3bb41840dfb107f041"),
+    (["uniform-unit-cone", "--p", "3"],
+     "b4c119ec61c5a46c3b7c11c49a3dbb44542fe844feb6a74179d0483214d307f5"),
+    (["matrix-gamma", "--p", "3", "--shape", "2.5"],
+     "bed6c02b292d54df0af3751f5d91fa0229946a1910661a2f21499e3266e91188"),
+    (["rect-exponential", "--p", "2", "--r", "3"],
+     "18336c4fa2751ee434bb28a42f6aba69c435a2ebd85b95c03f5c4ad240ac746c"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", _SAMPLE_DIGESTS)
+def test_sample_output_pinned(capsys, flags, digest):
+    capsys.readouterr()
+    assert cli.main(["sample", *flags, "--n", "200", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@st.composite
+def _sample_argv(draw):
+    kind = draw(st.sampled_from(["matrix-gamma", "rect-exponential",
+                                 "uniform-unit-cone"]))
+    p = draw(st.integers(min_value=1, max_value=4))
+    argv = ["sample", kind, "--p", str(p),
+            "--n", str(draw(st.integers(min_value=0, max_value=50))),
+            "--seed", str(draw(st.integers(min_value=0, max_value=2**63)))]
+    if kind == "matrix-gamma" and draw(st.integers(0, 9)):
+        shape = draw(st.one_of(
+            st.floats(min_value=-1.0, max_value=8.0),
+            st.sampled_from([0.0, 0.5 * (p - 1), 1e-300, 1e300, math.inf,
+                             math.nan])))
+        argv += ["--shape", repr(shape)]
+    if kind == "rect-exponential" and draw(st.integers(0, 9)):
+        argv += ["--r", str(draw(st.integers(min_value=-1, max_value=7)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_sample_argv())
+def test_sample_fuzz_exits_cleanly(capsys, argv):
+    # in process: a documented exit code with strict JSON lines, the draws
+    # indexed 0..n-1 on success, and the p >= 4 cone refused as a domain error
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 64)
+    recs = strict_records(out)
+    assert all(r["schema"] == "mvfrac/1" for r in recs)
+    n = int(argv[argv.index("--n") + 1])
+    if code == 0:
+        assert [r["index"] for r in recs] == list(range(n))
+        assert all(r["kind"] == argv[1] for r in recs)
+    else:
+        assert len(recs) == (0 if code == 64 else 1)
+    if argv[1] == "uniform-unit-cone" and argv[3] == "4":
+        assert code == 2
+        assert recs[0]["error"] == "ParameterDomainError"
+
+
+def test_extreme_spectrum_keeps_its_small_eigenvalue():
+    # the p = 2 closed form cancelled 0.5 to 0.0 next to 1e300; the
+    # condition number 2e300 is still beyond the 1e-12 definiteness rule
+    proc = run("eval", "hyper", "--num=", "--eigs", "1e300,0.5")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "DegenerateInputError"
+    reported = json.loads(rec["message"].partition("eigenvalues ")[2][:-1])
+    assert reported == pytest.approx([1e300, 0.5], rel=1e-15)
+    assert "Warning" not in proc.stderr
+
+
+def test_huge_finite_matrix_is_positive_definite():
+    # diag(1e308, 1e308) overflowed to eigenvalues [inf, inf] and was
+    # refused as not positive definite; its value overflows instead
+    proc = run("eval", "fracint-power", "--r", "2", "--alpha", "2.0",
+               "--z", "[[1e308,0],[0,1e308]]")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "DegenerateInputError"
+    assert "positive definite" not in rec["message"]
+    assert "overflows" in rec["message"]
+    assert "Warning" not in proc.stderr
+
+
+def test_domain_error_prints_no_numpy_warning():
+    # the weight-2 monomials of 1e300 overflow; the result is reported as
+    # a non-finite value, with nothing on stderr
+    proc = run("eval", "zonal", "--k", "2", "--eigs", "1e300")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "DegenerateInputError"
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_output_flag_writes_file(tmp_path):

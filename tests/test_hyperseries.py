@@ -180,6 +180,16 @@ def test_divergent_series_detected():
                   Truncation(k_max=25))
 
 
+def test_convergent_series_with_rising_weight_sums():
+    # |I - Z|^(-3.5) at Z = diag(0.5, ..., 0.5) in dimension 4 is 2^14; its
+    # weight sums rise for about a dozen weights before they fall, which
+    # is no sign of divergence below spectral radius one
+    res = hyper_pfq(HyperParams((3.5,), ()), SpdMatrix.diagonal((0.5,) * 4),
+                    Truncation(k_max=30))
+    assert abs(res.value - 16384.0) <= res.tail_estimate
+    assert res.ratio < 1.0
+
+
 def test_denominator_pochhammer_zero_rejected():
     with pytest.raises(ParameterDomainError):
         hyper_pfq(HyperParams((1.0,), (-2.0,)), SpdMatrix(np.array([[0.3]])),

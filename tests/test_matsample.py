@@ -6,6 +6,7 @@ statistical.  Tolerances are standard-error multiples computed from the
 sample itself.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from mvfrac import (
     sample_uniform_spd_unit,
     verify_sum_density,
 )
-from mvfrac.matsample import _batch_det
+from mvfrac.matsample import _batch_det, _cone_raw
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,24 @@ def test_cone_acceptance_report_fields():
 def test_cone_accepted_draws_pinned(p, proposals):
     # the proposal count of a seeded run pins the accepted draws
     assert cone_acceptance_report(p, 10_000, 5)["proposals"] == proposals
+
+
+# SHA-256 of W, det W and det(I - W) bytes and the proposal count, computed
+# when every proposal was assembled into a matrix before any minor was tested
+@pytest.mark.parametrize("p,proposals,digest", [
+    (1, 20_000,
+     "848016e5bfb773ddfa074b65f94ee8d5ae0397fb6edefba425c40543b615e8fe"),
+    (2, 75_696,
+     "8e4cc420fa5e5ac89b3bf923fc96d45d91de602b2d0739a7395d1d6d5794d8af"),
+    (3, 1_455_930,
+     "d29967ea8417c0fbdffc2421bb78be5a62f423d827189de4bb5a7c30010a444d"),
+])
+def test_cone_raw_outputs_pinned(p, proposals, digest):
+    w, det_w, det_v, n_proposals = _cone_raw(p, 20_000, 1)
+    assert n_proposals == proposals
+    h = hashlib.sha256(w.tobytes() + det_w.tobytes() + det_v.tobytes()
+                       + str(n_proposals).encode())
+    assert h.hexdigest() == digest
 
 
 def test_cone_dimension_frontier():

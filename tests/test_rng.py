@@ -4,11 +4,14 @@ Distribution checks use scipy's reference CDFs at the 1% level with fixed
 seeds, so they are deterministic.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from mvfrac import ParameterDomainError, derive_key, gamma_variates, normals, uniforms
+from mvfrac.rng import uniforms_at
 
 
 def test_uniforms_open_interval():
@@ -22,6 +25,27 @@ def test_uniforms_batch_split_invariance():
     whole = uniforms(key, 0, 1000)
     pieces = np.concatenate([uniforms(key, 0, 313), uniforms(key, 313, 687)])
     assert np.array_equal(whole, pieces)
+
+
+def test_stream_words_pinned():
+    # SHA-256 of the float64 bytes, computed when the finalizer ran out of
+    # place and normals evaluated both Box-Muller branches at every position
+    key = derive_key(11, 3)
+    assert hashlib.sha256(uniforms(key, 5, 10_001).tobytes()).hexdigest() == (
+        "ba81695e6b91682a6bb4f52d1c0686c8a672b0685535c4a6c4e0a55d062b632e")
+    assert hashlib.sha256(normals(key, 3, 10_001).tobytes()).hexdigest() == (
+        "5632422f827d56181d116c3eaf6d71d4e702e223a693f06f16337c85bdf30a7c")
+    gammas = (gamma_variates(key, 0.7, 2_000, 5).tobytes()
+              + gamma_variates(key, 2.5, 2_000).tobytes())
+    assert hashlib.sha256(gammas).hexdigest() == (
+        "72a8a279c2ca12911084369b0f582210809d13d70e9b57b7019a5c195d0dadf9")
+
+
+def test_uniforms_at_scalar_and_array_positions():
+    key = derive_key(7, 2)
+    block = uniforms(key, 0, 8)
+    assert np.array_equal(uniforms_at(key, np.arange(8)[::-1]), block[::-1])
+    assert float(uniforms_at(key, 5)) == block[5]
 
 
 def test_uniforms_distinct_keys_decorrelated():

@@ -21,6 +21,7 @@ from mvfrac import (
     stiefel_constant,
 )
 from mvfrac.errors import ParameterDomainError
+from mvfrac.spdcore import check_full_rank, check_spd
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -56,6 +57,47 @@ def test_eigenvalues_sorted_descending():
     m = SpdMatrix.diagonal((0.3, 2.0, 1.1))
     assert m.eigenvalues[0] == pytest.approx(2.0)
     assert m.eigenvalues[-1] == pytest.approx(0.3)
+
+
+def test_small_eigenvalue_is_not_cancelled():
+    # half the trace minus the discriminant gave 1.0000000827e-10 here
+    m = SpdMatrix.diagonal((1.0, 1e-10))
+    assert m.eigenvalues[1] == pytest.approx(1e-10, rel=1e-15)
+    assert m.log_det == pytest.approx(math.log(1e-10), rel=1e-15)
+
+
+def test_stack_check_applies_the_constructor_rules():
+    rng = np.random.default_rng(3)
+    good = np.stack([_random_spd(rng, 3).entries for _ in range(3)])
+    eig = check_spd(good)
+    for m, e in zip(good, eig):
+        assert np.array_equal(e, SpdMatrix(m).eigenvalues)
+    # the 1e-12 relative definiteness tolerance, from either side
+    check_spd(np.stack([good[0], np.diag([1.0, 1.0, 2e-12])]))
+    asym = np.eye(3)
+    asym[0, 1] = 1e-3
+    for bad, message in ((np.diag([1.0, 1.0, 5e-13]), r"5e-13\]"),
+                         (np.diag([1.0, np.nan, 1.0]), "finite"),
+                         (asym, "symmetric")):
+        with pytest.raises(DegenerateInputError, match=message):
+            check_spd(np.stack([good[0], bad, good[1]]))
+        with pytest.raises(DegenerateInputError, match=message):
+            SpdMatrix(bad)
+
+
+def test_stack_rank_check_applies_the_constructor_rule():
+    x = np.zeros((2, 2, 3))
+    x[:, 0, 0] = 1.0
+    x[0, 1, 1] = 2e-10
+    x[1, 1, 2] = 5e-11
+    check_full_rank(x[:1])
+    RectMatrix(x[0])
+    with pytest.raises(DegenerateInputError, match=r"5e-11\]"):
+        check_full_rank(x)
+    with pytest.raises(DegenerateInputError, match="rank deficient"):
+        RectMatrix(x[1])
+    with pytest.raises(DegenerateInputError, match="finite"):
+        check_full_rank(np.where(x == 1.0, np.inf, x))
 
 
 def test_det_trace_logdet():
