@@ -69,6 +69,13 @@ class SaigoParams:
     b: float
     c: float
 
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterDomainError(
+                    f"Saigo parameter {name} must be finite, "
+                    f"got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class DetPowerOperand:

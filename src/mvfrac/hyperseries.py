@@ -41,6 +41,11 @@ class HyperParams:
                            tuple(float(a) for a in self.numerator))
         object.__setattr__(self, "denominator",
                            tuple(float(b) for b in self.denominator))
+        for name in ("numerator", "denominator"):
+            for i, v in enumerate(getattr(self, name), 1):
+                if not math.isfinite(v):
+                    raise ParameterDomainError(
+                        f"{name} parameter {i} must be finite, got {v}")
 
     def check_denominators(self, p, k_max):
         """Reject denominator parameters whose Pochhammer product vanishes at

@@ -1,11 +1,18 @@
 """Zonal polynomial tables in the monomial symmetric basis.
 
 Each polynomial of weight k is an eigenfunction of the radial part of the
-Laplace-Beltrami operator; its coefficients over monomial symmetric
-polynomials are filled in top-down in dominance order from the leading term,
-then the whole weight is rescaled so the polynomials sum to (trace)**k.
-Coefficients are dimension-stable, so a table built for p variables restricts
-correctly to any argument of dimension <= p.
+Laplace-Beltrami operator (James 1968).  Its coefficients over monomial
+symmetric polynomials follow from James's recurrence, and each weight is
+built as one dense matrix, a column mu at a time: the terms that feed
+column mu, "raise t units from part j to part i", do not depend on the row,
+so the column over every row kappa that dominates mu is one gather, one
+matrix-vector product and one divide by the eigenvalue gaps.  The diagonal
+is 1.  Each row is then scaled so that it takes the closed-form value of
+C_kappa(I_p) (Muirhead 1982, section 7.2), an exact integer ratio, against
+the monomials at the identity; that sum has no negative terms, so nothing
+cancels, and the polynomials of a weight then sum to (trace)**k.
+Coefficients are dimension-stable, so a table built for p variables
+restricts correctly to any argument of dimension <= p.
 """
 
 import math
@@ -48,114 +55,92 @@ def _eigen_weight(parts):
     return sum(ki * (ki - (i + 1)) for i, ki in enumerate(parts))
 
 
-def _dominated(lo, hi):
-    """True iff lo <= hi in dominance order (equal weights assumed)."""
-    s_lo = 0
-    s_hi = 0
-    for i in range(max(len(lo), len(hi))):
-        s_lo += lo[i] if i < len(lo) else 0
-        s_hi += hi[i] if i < len(hi) else 0
-        if s_lo > s_hi:
-            return False
-    return True
+def _at_identity(kappa, p):
+    """C_kappa(I_p) in closed form (Muirhead 1982, section 7.2), in exact
+    integers up to one final division."""
+    num = 2 ** sum(kappa) * math.factorial(sum(kappa))
+    den = 1
+    for i, ki in enumerate(kappa):
+        num *= math.prod(range(p - i, p - i + 2 * ki, 2))
+        num *= math.prod(2 * (ki - kj) + j - i
+                         for j, kj in enumerate(kappa[i + 1:], i + 1))
+        den *= math.factorial(2 * ki + len(kappa) - i - 1)
+    return num / den
 
 
-def _multinomial(k, parts):
-    out = math.factorial(k)
-    for li in parts:
-        out //= math.factorial(li)
+def _monomials_at_ones(mu, p):
+    """m_mu(1, ..., 1) with p ones: the distinct orderings of mu padded to
+    p entries."""
+    out = math.factorial(p) // math.factorial(p - len(mu))
+    for part in set(mu):
+        out //= math.factorial(mu.count(part))
     return float(out)
 
 
-def _build_weight(k, p):
-    """Coefficient rows {kappa: {mu: coeff}} for all weight-k partitions."""
-    plist = [q.parts for q in partitions_of(k, p)]
-    rho = {parts: _eigen_weight(parts) for parts in plist}
-    unnorm = {}
-    for pos, kappa in enumerate(plist):
-        row = {kappa: 1.0}
-        for lam in plist[pos + 1:]:
-            if not _dominated(lam, kappa):
-                continue
-            # pull t units from a lower part up to a higher position; every
-            # producing triple (i, j, t) contributes separately
-            acc = 0.0
-            parts = list(lam)
-            nparts = len(parts)
-            for j in range(1, nparts):
-                lj = parts[j]
-                for i in range(j):
-                    li = parts[i]
-                    for t in range(1, lj + 1):
-                        raised = li + t
-                        lowered = lj - t
-                        cand = list(parts)
-                        cand[i] = raised
-                        cand[j] = lowered
-                        cand.sort(reverse=True)
-                        while cand and cand[-1] == 0:
-                            cand.pop()
-                        cmu = row.get(tuple(cand))
-                        if cmu is not None:
-                            acc += (raised - lowered) * cmu
-            gap = rho[kappa] - rho[lam]
-            row[lam] = acc / gap
-        unnorm[kappa] = row
-    # fix the overall scale of each eigenfunction so the weight sums to the
-    # trace power: solve the triangular system against the multinomial
-    # coefficients of (x_1 + ... + x_p)**k
-    scale = {}
-    for pos, lam in enumerate(plist):
-        acc = _multinomial(k, lam)
-        for kappa in plist[:pos]:
-            c = unnorm[kappa].get(lam)
-            if c is not None:
-                acc -= scale[kappa] * c
-        scale[lam] = acc
-    return {
-        kappa: {mu: scale[kappa] * c for mu, c in row.items()}
-        for kappa, row in unnorm.items()
-    }
+def _build_weight(plist, p):
+    """Dense coefficient block of the weight-k zonal polynomials: rows kappa
+    and columns mu, both in plist order."""
+    n = len(plist)
+    index = {lam: i for i, lam in enumerate(plist)}
+    parts = np.zeros((n, p), dtype=int)
+    for i, lam in enumerate(plist):
+        parts[i, :len(lam)] = lam
+    # zero-padded parts give partial sums padded with k, as dominance needs
+    sums = np.cumsum(parts, axis=1)
+    rho = np.array([_eigen_weight(lam) for lam in plist], dtype=float)
+    block = np.eye(n)
+    for pos in range(1, n):
+        # raising t units from part j to part i of lam gives mu with weight
+        # lam_i + t - (lam_j - t); these feeds are the same for every row
+        lam = plist[pos]
+        feeds = {}
+        for j in range(1, len(lam)):
+            for i in range(j):
+                for t in range(1, lam[j] + 1):
+                    mu = list(lam)
+                    mu[i] += t
+                    mu[j] -= t
+                    src = index[tuple(sorted(filter(None, mu), reverse=True))]
+                    feeds[src] = feeds.get(src, 0) + lam[i] - lam[j] + 2 * t
+        rows = np.flatnonzero((sums[:pos] >= sums[pos]).all(axis=1))
+        block[rows, pos] = (block[rows[:, None], list(feeds)]
+                            @ list(feeds.values()) / (rho[rows] - rho[pos]))
+    # scale each eigenfunction to its closed-form value at the identity; the
+    # row sums against m_mu(1^p) have no negative terms to cancel
+    ones = np.array([_monomials_at_ones(mu, p) for mu in plist])
+    ident = np.array([_at_identity(kappa, p) for kappa in plist])
+    block *= (ident / (block @ ones))[:, None]
+    return block
+
+
+def _partition_lists(k_max, p):
+    return [[q.parts for q in partitions_of(k, p)] for k in range(k_max + 1)]
 
 
 class ZonalTable:
-    """Precomputed zonal coefficients for all partitions of weight <= k_max
-    with at most p parts.
+    """Zonal coefficients for all partitions of weight <= k_max with at most
+    p parts, and the arrays that evaluation runs on.
 
-    Besides the coefficient rows the table holds, derived once, the arrays
-    that evaluation runs on.  Partitions are numbered weight by weight in
-    ``weight_partitions`` order, so everything up to a weight k is the
-    prefix ``[:offsets[k + 1]]``.  ``coeffs[k]`` is the dense coefficient
-    matrix of weight k (rows kappa, columns mu); it is upper triangular
-    because that order refines dominance.  For each partition, ``lengths``
-    holds its number of parts, and ``parent`` and ``box_shift`` the
-    partition left by removing the last box of its last row and that box's
-    content (column - row / 2, both from 0), from which the Pochhammer
-    products follow box by box.
+    Partitions are numbered weight by weight in ``weight_partitions`` order
+    (``weights[k]``), so everything up to a weight k is the prefix
+    ``[:offsets[k + 1]]``.  ``coeffs[k]`` is the dense coefficient matrix of
+    weight k (rows kappa, columns mu), and the only store of coefficients;
+    it is upper triangular because that order refines dominance.  For each
+    partition, ``lengths`` holds its number of parts, and ``parent`` and
+    ``box_shift`` the partition left by removing the last box of its last
+    row and that box's content (column - row / 2, both from 0), from which
+    the Pochhammer products follow box by box.
     """
 
-    def __init__(self, k_max, p, rows):
-        self.k_max = k_max
+    def __init__(self, p, weights, coeffs):
+        self.k_max = len(weights) - 1
         self.p = p
-        self._rows = rows
-        self._weights = [[q.parts for q in partitions_of(k, p)]
-                         for k in range(k_max + 1)]
-        flat = [kappa for plist in self._weights for kappa in plist]
+        self._weights = weights
+        self.coeffs = coeffs
+        flat = [kappa for plist in weights for kappa in plist]
         self._index = {kappa: i for i, kappa in enumerate(flat)}
-        for kappa in flat:
-            if kappa not in rows:
-                self.row(kappa)  # raises MissingTableEntryError
-        self.offsets = [0]
-        self.coeffs = []
-        for plist in self._weights:
-            lo = self.offsets[-1]
-            block = np.zeros((len(plist), len(plist)))
-            for i, kappa in enumerate(plist):
-                for mu, c in rows[kappa].items():
-                    if mu in self._index:  # else mu has more than p parts
-                        block[i, self._index[mu] - lo] = c
-            self.coeffs.append(block)
-            self.offsets.append(lo + len(plist))
+        self.offsets = np.cumsum([0] + [len(plist) for plist in weights]
+                                 ).tolist()
         self.lengths = np.array([len(kappa) for kappa in flat])
         self.parent = np.array([0] + [
             self._index[kappa[:-1] + (kappa[-1] - 1,) * (kappa[-1] > 1)]
@@ -169,7 +154,7 @@ class ZonalTable:
         # to each weight, and their (source, e) terms as rows of equal
         # width; the unused slots read source -1, which monomials keeps 0.
         self._one_part = np.array([0] + [self._index[(k,)]
-                                         for k in range(1, k_max + 1)])
+                                         for k in range(1, self.k_max + 1)])
         removals = [[(self._index[kappa[:i] + kappa[i + 1:]], kappa[i])
                      for i in range(len(kappa))
                      if i == 0 or kappa[i] != kappa[i - 1]]
@@ -188,13 +173,13 @@ class ZonalTable:
             self._passes.append((np.array(targets), counts, src, exps))
 
     def row(self, K):
+        """Nonzero monomial coefficients of the polynomial for K, keyed by
+        part tuples."""
         K = Partition.coerce(K)
-        row = self._rows.get(K.parts)
-        if row is None:
-            raise MissingTableEntryError(
-                f"no table entry for partition {K.parts} "
-                f"(k_max={self.k_max}, p={self.p})")
-        return row
+        i = self._position(K)
+        k = K.weight
+        row = self.coeffs[k][i - self.offsets[k]].tolist()
+        return {mu: c for mu, c in zip(self._weights[k], row) if c}
 
     def coefficients(self, K):
         """Monomial coefficients of the polynomial for K, keyed by Partition."""
@@ -279,10 +264,9 @@ def build_zonal_table(k_max, p):
         table = _table_cache.get(key)
     if table is not None:
         return table
-    rows = {}
-    for k in range(k_max + 1):
-        rows.update(_build_weight(k, p))
-    table = ZonalTable(k_max, p, rows)
+    weights = _partition_lists(k_max, p)
+    table = ZonalTable(p, weights,
+                       [_build_weight(plist, p) for plist in weights])
     with _table_lock:
         # idempotent: concurrent builders produce identical coefficients
         table = _table_cache.setdefault(key, table)
@@ -332,15 +316,11 @@ def zonal_at_identity(K, p, table):
 def table_to_records(table):
     """Flatten a table to {k, partition, monomial, coefficient} records."""
     records = []
-    for kappa in sorted(table._rows, key=lambda q: (sum(q), tuple(-x for x in q))):
-        for mu, c in sorted(table._rows[kappa].items(),
-                            key=lambda it: tuple(-x for x in it[0])):
-            records.append({
-                "k": sum(kappa),
-                "partition": list(kappa),
-                "monomial": list(mu),
-                "coefficient": c,
-            })
+    for k, plist in enumerate(table._weights):
+        for kappa, row in zip(plist, table.coeffs[k].tolist()):
+            records.extend({"k": k, "partition": list(kappa),
+                            "monomial": list(mu), "coefficient": c}
+                           for mu, c in zip(plist, row) if c)
     return records
 
 
@@ -349,14 +329,27 @@ def table_from_records(records, p=None):
 
     The dimension bound cannot be recovered from the records alone when it
     exceeds every partition length, so callers may pass p explicitly.
+    Every partition up to the largest weight with at most p parts needs a
+    record, or MissingTableEntryError is raised.
     """
-    rows = {}
-    k_max = 0
-    max_len = 1
+    k_max = max((int(rec["k"]) for rec in records), default=0)
+    if p is None:
+        p = max([1] + [len(rec[key]) for rec in records
+                       for key in ("partition", "monomial")])
+    weights = _partition_lists(k_max, p)
+    index = {kappa: i for plist in weights for i, kappa in enumerate(plist)}
+    coeffs = [np.zeros((len(plist), len(plist))) for plist in weights]
+    seen = set()
     for rec in records:
         kappa = tuple(rec["partition"])
         mu = tuple(rec["monomial"])
-        rows.setdefault(kappa, {})[mu] = float(rec["coefficient"])
-        k_max = max(k_max, int(rec["k"]))
-        max_len = max(max_len, len(kappa), len(mu))
-    return ZonalTable(k_max, p if p is not None else max_len, rows)
+        seen.add(kappa)
+        if kappa in index and mu in index:  # else more than p parts
+            coeffs[sum(kappa)][index[kappa], index[mu]] = float(
+                rec["coefficient"])
+    for kappa in index:
+        if kappa not in seen:
+            raise MissingTableEntryError(
+                f"no table entry for partition {kappa} "
+                f"(k_max={k_max}, p={p})")
+    return ZonalTable(p, weights, coeffs)

@@ -13,7 +13,7 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mvfrac import cli
@@ -223,7 +223,9 @@ def test_eval_overflowing_value_is_domain_error():
 
 
 _EXTREME = st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308])
-_PARAMS = st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=2)
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_SCALAR = st.one_of(st.floats(min_value=-5.0, max_value=5.0), _NONFINITE)
+_PARAMS = st.lists(_SCALAR, max_size=2)
 
 
 def _csv(values):
@@ -237,20 +239,42 @@ def _with_extreme(draw, values):
     return values
 
 
+def _partition_flag(draw, p):
+    parts = sorted(draw(st.lists(st.integers(min_value=0, max_value=3),
+                                 max_size=p)), reverse=True)
+    return f"--k={','.join(map(str, parts))}"
+
+
 @st.composite
 def _eval_argv(draw):
     p = draw(st.integers(min_value=1, max_value=4))
     eigs = _with_extreme(draw, draw(st.lists(
         st.floats(min_value=0.0, max_value=1.5), min_size=p, max_size=p)))
-    command = draw(st.sampled_from(["hyper", "zonal", "fracint-power"]))
+    command = draw(st.sampled_from([
+        "gamma", "beta", "pochhammer", "zonal", "hyper", "fracint-power",
+        "fracint-zonal", "saigo", "pathway"]))
+
+    def scalar(flag):
+        return f"--{flag}={draw(_SCALAR)!r}"
+
+    if command in ("gamma", "beta"):
+        argv = ["eval", command, "--p", str(draw(st.integers(-1, 5))),
+                scalar("alpha")]
+        if command == "beta":
+            argv.append(scalar("beta"))
+        return argv
+    if command == "pochhammer":
+        return ["eval", "pochhammer", scalar("a"), _partition_flag(draw, p)]
+    if command == "pathway":
+        source = (f"--eigs={_csv(eigs)}" if draw(st.booleans())
+                  else _partition_flag(draw, p))
+        return ["eval", "pathway", scalar("q"), source]
     if command == "hyper":
         return ["eval", "hyper", f"--num={_csv(draw(_PARAMS))}",
                 f"--den={_csv(draw(_PARAMS))}", f"--eigs={_csv(eigs)}",
                 "--kmax", str(draw(st.integers(min_value=0, max_value=12)))]
     if command == "zonal":
-        parts = sorted(draw(st.lists(st.integers(min_value=0, max_value=3),
-                                     max_size=p)), reverse=True)
-        return ["eval", "zonal", f"--k={','.join(map(str, parts))}",
+        return ["eval", "zonal", _partition_flag(draw, p),
                 f"--eigs={_csv(eigs)}"]
     # diagonally dominant unless an extreme entry lands on the diagonal
     off = _with_extreme(draw, draw(st.lists(
@@ -258,15 +282,26 @@ def _eval_argv(draw):
         max_size=p * p)))
     z = [[eigs[i] + 0.2 if i == j else off[min(i, j) * p + max(i, j)]
           for j in range(p)] for i in range(p)]
-    return ["eval", "fracint-power",
+    argv = ["eval", command,
             "--r", str(p + draw(st.integers(min_value=-1, max_value=2))),
             f"--alpha={draw(st.floats(min_value=-1.0, max_value=5.0))!r}",
             "--z", json.dumps(z)]
+    if command == "fracint-zonal":
+        argv.append(_partition_flag(draw, p))
+    elif command == "saigo":
+        argv += [scalar("a"), scalar("b"), scalar("c"),
+                 "--kmax", str(draw(st.integers(min_value=0, max_value=12)))]
+    return argv
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_eval_argv())
+# non-finite parameters that once escaped as tracebacks, always tried
+@example(argv=["eval", "hyper", "--num=1.0", "--den=nan", "--eigs=0.5"])
+@example(argv=["eval", "hyper", "--num=1.0", "--den=inf", "--eigs=0.5"])
+@example(argv=["eval", "saigo", "--r", "1", "--alpha=1.0", "--a=1.0",
+               "--b=0.2", "--c=nan", "--z", "[[0.5]]"])
 def test_eval_fuzz_exits_cleanly(capsys, argv):
     # in process: every exit is a documented code with strict JSON lines
     capsys.readouterr()

@@ -1,10 +1,19 @@
 """Zonal polynomial tables: construction, evaluation, classical identities.
 
-The strongest oracle here is the normalization identity: the polynomials
-for weight k must sum to (tr Z)^k exactly.  Together with homogeneity,
-permutation symmetry, and the hand-checkable weight-2 monomial table this
-pins the coefficients completely for the sizes we exercise.
+The library scales each eigenfunction to the closed form of C_kappa(I), so
+the trace identity, that the polynomials of weight k sum to (tr Z)^k, is a
+check no step of the build enforces.  The strongest oracle is an exact
+rational build: the same recurrence in fractions, normalized by solving
+the trace identity itself, which every float coefficient must match to
+1e-12.  Homogeneity, permutation symmetry, the hand-checkable weight-2
+table and a hook-length form of C_kappa(I) complete the picture.
 """
+
+import math
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -176,3 +185,115 @@ def test_stack_matches_per_matrix(p):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     with pytest.raises(DimensionError):
         zonal_eval((1,), np.stack([np.eye(4)] * 2), table)
+
+
+@lru_cache(maxsize=None)
+def _exact_weight(k, p):
+    """Weight-k zonal coefficients {kappa: {mu: c}} in exact rationals: the
+    Laplace-Beltrami recurrence row by row, then each row's scale solved
+    from sum_kappa C_kappa = (x_1 + ... + x_p)^k, whose coefficient on m_mu
+    is the multinomial k! / prod(mu_i!)."""
+    plist = [q.parts for q in partitions_of(k, p)]
+
+    def sums(q):
+        return list(accumulate(q + (0,) * (p - len(q))))
+
+    def rho(q):
+        return sum(x * (x - i) for i, x in enumerate(q, 1))
+
+    feeds = {}
+    for lam in plist:
+        feed = feeds[lam] = Counter()
+        for i, j in combinations(range(len(lam)), 2):
+            for t in range(1, lam[j] + 1):
+                mu = list(lam)
+                mu[i] += t
+                mu[j] -= t
+                mu = tuple(sorted(filter(None, mu), reverse=True))
+                feed[mu] += lam[i] - lam[j] + 2 * t
+    rows = {}
+    for pos, kappa in enumerate(plist):
+        row = rows[kappa] = {kappa: Fraction(1)}
+        for lam in plist[pos + 1:]:
+            if all(a >= b for a, b in zip(sums(kappa), sums(lam))):
+                row[lam] = sum(w * row.get(mu, 0)
+                               for mu, w in feeds[lam].items()
+                               ) / (rho(kappa) - rho(lam))
+    scale = {}
+    for lam in plist:
+        multinomial = math.factorial(k) // math.prod(map(math.factorial, lam))
+        scale[lam] = multinomial - sum(s * rows[kappa].get(lam, 0)
+                                       for kappa, s in scale.items())
+    return {kappa: {mu: scale[kappa] * c for mu, c in row.items()}
+            for kappa, row in rows.items()}
+
+
+def test_coefficients_match_exact_rationals():
+    # exact coefficients do not depend on p, so the p = 5 build serves
+    # every smaller table
+    k_max = 16
+    for p in range(1, 6):
+        table = build_zonal_table(k_max, p)
+        for k in range(k_max + 1):
+            exact = _exact_weight(k, 5)
+            for kappa in table.weight_partitions(k):
+                want = {mu: c for mu, c in exact[kappa].items()
+                        if len(mu) <= p}
+                got = table.row(kappa)
+                assert got.keys() == want.keys()
+                for mu, c in want.items():
+                    assert abs(got[mu] - c) <= 1e-12 * c, (p, kappa, mu)
+
+
+def _hook_identity_value(kappa, p):
+    """C_kappa(I_p) = 2^k k! prod_s (p - i + 1 + 2(j - 1))
+    / prod_s (2a + l + 1)(2a + l + 2) over the boxes s = (i, j) of kappa,
+    with arm a and leg l (Macdonald's hook form of the Jack polynomial at
+    alpha = 2)."""
+    k = sum(kappa)
+    conj = [sum(1 for ki in kappa if ki > j)
+            for j in range(max(kappa, default=0))]
+    num = 2 ** k * math.factorial(k)
+    den = 1
+    for i, ki in enumerate(kappa):
+        for j in range(ki):
+            arm = ki - j - 1
+            leg = conj[j] - i - 1
+            num *= p - i + 2 * j
+            den *= (2 * arm + leg + 1) * (2 * arm + leg + 2)
+    return num / den
+
+
+@pytest.mark.parametrize("k_max,p", [(30, 4), (25, 5)])
+def test_trace_identity_and_identity_values(k_max, p):
+    table = build_zonal_table(k_max, p)
+    # the trace identity holds for arguments of any dimension d <= p
+    for d in (p, 2):
+        eigs = np.random.default_rng(d).uniform(0.1, 1.0, d)
+        m = table.monomials(eigs, k_max)
+        for k in range(k_max + 1):
+            lo, hi = table.offsets[k], table.offsets[k + 1]
+            total = (table.coeffs[k] @ m[lo:hi]).sum()
+            assert total == pytest.approx(eigs.sum() ** k, rel=1e-12)
+    top = table.weight_partitions(k_max)
+    for kappa in top[::7] + top[-3:]:
+        assert zonal_at_identity(kappa, p, table) == pytest.approx(
+            _hook_identity_value(kappa, p), rel=1e-12)
+    ones = table.monomials(np.ones(p), k_max)
+    values = np.concatenate([table.coeffs[k] @ ones[table.offsets[k]:
+                                                    table.offsets[k + 1]]
+                             for k in range(k_max + 1)])
+    want = [_hook_identity_value(kappa, p)
+            for k in range(k_max + 1) for kappa in table.weight_partitions(k)]
+    np.testing.assert_allclose(values, want, rtol=1e-12)
+
+
+def test_incomplete_records_raise():
+    records = table_to_records(fetch_table(4, 2))
+    for gone in ((2, 2), (1,), ()):
+        kept = [rec for rec in records if tuple(rec["partition"]) != gone]
+        with pytest.raises(MissingTableEntryError):
+            table_from_records(kept, p=2)
+    # a record set is complete up to its largest weight only
+    assert table_from_records(
+        [rec for rec in records if rec["k"] <= 3], p=2).k_max == 3
