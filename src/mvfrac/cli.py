@@ -34,13 +34,12 @@ from .gammacalc import (
 )
 from .hyperseries import HyperParams, Truncation, hyper_pfq, pathway_det_limit
 from .matsample import (
-    _TAG_GAMMA_DIAG,
     MatrixGammaSpec,
-    _cone_raw,
-    _matrix_gamma_raw,
-    _rect_raw,
+    sample_matrix_gamma,
+    sample_rect_exponential,
+    sample_uniform_spd_unit,
 )
-from .spdcore import RectConfig, SpdMatrix, check_full_rank, check_spd
+from .spdcore import RectConfig, SpdMatrix
 from .verify import SUITES, run_suite
 from .zonal import fetch_table, zonal_eval
 
@@ -272,19 +271,15 @@ def _cmd_sample(args):
     if args.kind == "matrix-gamma":
         if args.shape is None:
             raise _UsageError("sample matrix-gamma requires --shape")
-        spec = MatrixGammaSpec(args.p, args.shape)
-        stack = _matrix_gamma_raw(spec.dim, spec.shape, args.n, seed,
-                                  _TAG_GAMMA_DIAG)
-        check_spd(stack)
+        stack = sample_matrix_gamma(MatrixGammaSpec(args.p, args.shape),
+                                    args.n, seed)
     elif args.kind == "rect-exponential":
         if args.r is None:
             raise _UsageError("sample rect-exponential requires --r")
-        stack = _rect_raw(RectConfig.with_identity_weights(args.p, args.r),
-                          args.n, seed)
-        check_full_rank(stack)
+        stack = sample_rect_exponential(
+            RectConfig.with_identity_weights(args.p, args.r), args.n, seed)
     else:
-        stack = _cone_raw(args.p, args.n, seed)[0]
-        check_spd(stack)
+        stack = sample_uniform_spd_unit(args.p, args.n, seed)
     # The records are {"entries", "index", "kind", "schema", "seed"} in
     # sorted key order.  One encoder pass over the whole stack, cut where
     # one matrix ends and the next begins ("]],[[", which no number

@@ -18,7 +18,9 @@ The rejection sampler also powers a hit-or-miss Monte Carlo integrator over
 that set: rejected proposals count as zero-valued integrand samples, so the
 box volume times the mean over all proposals estimates the integral.  Every
 sampler is a pure function of (seed, counter), so equal seeds reproduce equal
-output regardless of batch sizes.
+output regardless of batch sizes.  The public samplers return their draws as
+one float array, validated in one call with the rules SpdMatrix and
+RectMatrix apply to a single matrix.
 """
 
 import math
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .gammacalc import log_matrix_gamma
 from .rng import derive_key, gamma_variates, normals, uniforms
-from .spdcore import RectMatrix, SpdMatrix
+from .spdcore import check_full_rank, check_spd, rect_transform
 
 __all__ = [
     "McEstimate",
@@ -134,9 +136,11 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
 
 
 def sample_matrix_gamma(spec, n, seed):
-    """n independent matrix gamma draws for the given spec."""
-    raw = _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
-    return [SpdMatrix(w) for w in raw]
+    """n independent matrix gamma draws for the given spec, as one validated
+    (n, p, p) array."""
+    w = _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
+    check_spd(w)
+    return w
 
 
 def _rect_raw(cfg, n, seed, stream=0):
@@ -145,19 +149,19 @@ def _rect_raw(cfg, n, seed, stream=0):
     key = derive_key(seed, _TAG_RECT + stream)
     g = normals(key, 0, n * cfg.p * cfg.r).reshape(n, cfg.p, cfg.r)
     g *= math.sqrt(0.5)
-    inv_sqrt_a = np.linalg.inv(cfg._sqrt_A.entries)
-    vals_b, vecs_b = np.linalg.eigh(np.asarray(cfg.B.entries))
-    inv_sqrt_b = (vecs_b / np.sqrt(vals_b)) @ vecs_b.T
-    return inv_sqrt_a @ g @ inv_sqrt_b
+    return (cfg.A.matrix_power(-0.5).entries @ g
+            @ cfg.B.matrix_power(-0.5).entries)
 
 
 def sample_rect_exponential(cfg, n, seed, stream=0):
-    """n independent draws with density exp(-tr(A X B X')) up to constant.
+    """n independent draws with density exp(-tr(A X B X')) up to constant,
+    as one full-rank-checked (n, p, r) array.
 
     Distinct stream values give independent sequences under the same seed.
     """
-    raw = _rect_raw(cfg, n, seed, stream)
-    return [RectMatrix(x) for x in raw]
+    x = _rect_raw(cfg, n, seed, stream)
+    check_full_rank(x)
+    return x
 
 
 def _batch_det(m):
@@ -257,9 +261,11 @@ def _cone_raw(p, n, seed):
 
 
 def sample_uniform_spd_unit(p, n, seed):
-    """n uniform draws from {W : W > 0, I - W > 0}."""
-    w, _, _, _ = _cone_raw(p, n, seed)
-    return [SpdMatrix(w[i]) for i in range(n)]
+    """n uniform draws from {W : W > 0, I - W > 0}, as one validated
+    (n, p, p) array."""
+    w = _cone_raw(p, n, seed)[0]
+    check_spd(w)
+    return w
 
 
 def cone_acceptance_report(p, n, seed):
@@ -318,8 +324,8 @@ def _batch_sym_inv_sqrt(s):
 
 def sample_type1_beta(p, a1, a2, n, seed):
     """n draws of (W1+W2)^{-1/2} W1 (W1+W2)^{-1/2} for independent matrix
-    gamma W1, W2 with shapes a1, a2; the result has the type-1 matrix beta
-    density with parameters (a1, a2)."""
+    gamma W1, W2 with shapes a1, a2, as one validated (n, p, p) array; the
+    draws have the type-1 matrix beta density with parameters (a1, a2)."""
     n = _check_count(n)
     MatrixGammaSpec(p, a1)
     MatrixGammaSpec(p, a2)
@@ -328,19 +334,8 @@ def sample_type1_beta(p, a1, a2, n, seed):
     e = _batch_sym_inv_sqrt(w1 + w2)
     b = e @ w1 @ e
     b = 0.5 * (b + b.transpose(0, 2, 1))
-    return [SpdMatrix(b[i]) for i in range(n)]
-
-
-def _batch_transform(x, cfg):
-    """rect_transform applied across an (n, p, r) batch."""
-    sa = np.asarray(cfg._sqrt_A.entries)
-    b = np.asarray(cfg.B.entries)
-    ax = sa @ x
-    # the last product stays an einsum: a BLAS matmul rounds its sums
-    # differently (fused multiply-adds), which changes the output bytes
-    # even at identity weights
-    z = np.einsum("nik,njk->nij", ax @ b, ax)
-    return 0.5 * (z + z.transpose(0, 2, 1))
+    check_spd(b)
+    return b
 
 
 def verify_sum_density(cfg1, cfg2, n, seed):
@@ -361,8 +356,8 @@ def verify_sum_density(cfg1, cfg2, n, seed):
     p = cfg1.p
     r1 = cfg1.r
     r2 = cfg2.r
-    u = (_batch_transform(_rect_raw(cfg1, n, seed, stream=1), cfg1)
-         + _batch_transform(_rect_raw(cfg2, n, seed, stream=2), cfg2))
+    u = (rect_transform(_rect_raw(cfg1, n, seed, stream=1), cfg1)
+         + rect_transform(_rect_raw(cfg2, n, seed, stream=2), cfg2))
 
     a = 0.5 * (r1 + r2)
     cases = []

@@ -262,28 +262,31 @@ class RectConfig:
         """log of |A|^(r/2) |B|^(p/2), the determinant weight of the transform."""
         return 0.5 * self.r * self.A.log_det + 0.5 * self.p * self.B.log_det
 
-    @cached_property
-    def log_density_const(self):
-        """log of the Gaussian normalizer |A|^(r/2) |B|^(p/2) / pi^(rp/2)."""
-        return self.log_weight_factor - 0.5 * self.r * self.p * math.log(math.pi)
-
 
 def rect_transform(X, cfg):
-    """A^(1/2) X B X' A^(1/2) as an SpdMatrix.
+    """A^(1/2) X B X' A^(1/2) for one p x r matrix or an (n, p, r) stack.
 
-    Full-rank X of shape (cfg.p, cfg.r) maps to a positive definite p x p
-    matrix; the product is symmetrized before construction to scrub float
-    asymmetry.
+    One full-rank X of shape (cfg.p, cfg.r) maps to a positive definite
+    p x p SpdMatrix.  A stack maps to the plain (n, p, p) array of
+    transforms, left to the caller to validate.  Products are symmetrized to
+    scrub float asymmetry.
     """
-    if not isinstance(X, RectMatrix):
-        X = RectMatrix(X)
-    if X.rows != cfg.p or X.cols != cfg.r:
+    single = not (isinstance(X, np.ndarray) and X.ndim == 3)
+    if single:
+        if not isinstance(X, RectMatrix):
+            X = RectMatrix(X)
+        X = X.entries[None]
+    if X.shape[1:] != (cfg.p, cfg.r):
         raise DimensionError(
-            f"X has shape {X.rows}x{X.cols}, config expects {cfg.p}x{cfg.r}")
-    ah = cfg._sqrt_A.entries
-    core = X.entries @ cfg.B.entries @ X.entries.T
-    z = ah @ core @ ah
-    return SpdMatrix(0.5 * (z + z.T))
+            f"X has shape {X.shape[-2]}x{X.shape[-1]}, "
+            f"config expects {cfg.p}x{cfg.r}")
+    ax = cfg._sqrt_A.entries @ X
+    # the last product stays an einsum: a BLAS matmul rounds its sums
+    # differently (fused multiply-adds), which changes the output bytes
+    # even at identity weights
+    z = np.einsum("nik,njk->nij", ax @ cfg.B.entries, ax)
+    z = 0.5 * (z + z.transpose(0, 2, 1))
+    return SpdMatrix(z[0]) if single else z
 
 
 def spd_sqrt(S):

@@ -42,7 +42,7 @@ from .hyperseries import (
 )
 from .matsample import _batch_det, mc_integrate_unit_cone, verify_sum_density
 from .rng import derive_key, normals, uniforms
-from .spdcore import RectConfig, SpdMatrix, stiefel_constant
+from .spdcore import RectConfig, SpdMatrix
 from .zonal import fetch_table, zonal_eval
 
 __all__ = [
@@ -277,7 +277,8 @@ def suite_saigo(samples=400_000, seed=42):
     Monte Carlo comparison at small parameters.
 
     The MC side expands the kernel to the same truncation the closed form
-    uses, so the two agree in expectation with no truncation bias.
+    uses and hands it to frac_integral_numeric as the operand, so the two
+    agree in expectation with no truncation bias.
     """
     cases = []
 
@@ -302,37 +303,30 @@ def suite_saigo(samples=400_000, seed=42):
     aa, bb, cc = 0.3, 0.2, 2.0
     alpha, eta = 1.0, 0.5
     z = _grid_argument(pp)
-    cfg = RectConfig.with_identity_weights(pp, r)
-    order = FracOrder(alpha, cfg)
+    order = FracOrder(alpha, RectConfig.with_identity_weights(pp, r))
     trunc = Truncation(k_max=25)
     table = fetch_table(trunc.k_max, pp)
     closed = saigo_power_closed(order, z, SaigoParams(aa, bb, cc), eta=eta,
                                 trunc=trunc, table=table).value()
 
-    s = 0.5 * r + eta
-    half = 0.5 * (pp + 1)
-
-    # dimension 1: the truncated kernel is a plain polynomial in 1 - w, so
-    # precompute its coefficients once instead of re-summing per sample
+    # dimension 1: the truncated Gauss kernel of I - Z^(-1/2) X Z^(-1/2) is
+    # a plain polynomial in 1 - x / z, so precompute its coefficients once
+    # instead of re-summing per sample; the operator supplies the rest of
+    # the kernel and the scale
     coeffs = []
     for k in range(trunc.k_max + 1):
         part = Partition.coerce((k,) if k else ())
         coeffs.append(gen_pochhammer(aa, part) * gen_pochhammer(bb, part)
                       / (gen_pochhammer(cc, part) * math.factorial(k)))
     poly = np.polynomial.Polynomial(coeffs)
+    z11 = z.entries[0, 0]
 
-    def g(w):
-        ww = w[:, 0, 0]
-        return (ww ** (s - half)) * ((1.0 - ww) ** (alpha - half)) * poly(1.0 - ww)
+    def operand(x):
+        xx = x[:, 0, 0]
+        return xx ** eta * poly(1.0 - xx / z11)
 
-    mc = mc_integrate_unit_cone(g, pp, samples, seed)
-    prefactor = math.exp(stiefel_constant(pp, r)
-                         - cfg.log_weight_factor
-                         - log_matrix_gamma(pp, alpha)
-                         + (alpha + s - half) * z.log_det)
-    estimate = prefactor * mc.value
-    stderr = prefactor * mc.stderr
-    zscore = (closed - estimate) / stderr
+    mc = frac_integral_numeric(order, z, operand, samples, seed)
+    zscore = (closed - mc.value) / mc.stderr
     cases.append({
         "name": "mc-small-params",
         "a": aa,
@@ -341,8 +335,8 @@ def suite_saigo(samples=400_000, seed=42):
         "alpha": alpha,
         "eta": eta,
         "closed": closed,
-        "estimate": estimate,
-        "stderr": stderr,
+        "estimate": mc.value,
+        "stderr": mc.stderr,
         "z": zscore,
         "pass": bool(abs(zscore) <= 3.0),
     })

@@ -12,11 +12,19 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mvfrac import cli
+from mvfrac import (
+    MatrixGammaSpec,
+    RectConfig,
+    cli,
+    sample_matrix_gamma,
+    sample_rect_exponential,
+    sample_uniform_spd_unit,
+)
 from mvfrac.verify import SUITES
 
 from conftest import run_cli as run
@@ -367,6 +375,25 @@ def test_sample_output_pinned(capsys, flags, digest):
     assert cli.main(["sample", *flags, "--n", "200", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags,draw,shape", [
+    (["matrix-gamma", "--p", "3", "--shape", "2.5"],
+     lambda: sample_matrix_gamma(MatrixGammaSpec(3, 2.5), 50, 7), (50, 3, 3)),
+    (["rect-exponential", "--p", "2", "--r", "3"],
+     lambda: sample_rect_exponential(RectConfig.with_identity_weights(2, 3),
+                                     50, 7), (50, 2, 3)),
+    (["uniform-unit-cone", "--p", "3"],
+     lambda: sample_uniform_spd_unit(3, 50, 7), (50, 3, 3)),
+], ids=["matrix-gamma", "rect-exponential", "uniform-unit-cone"])
+def test_sample_records_match_library_samplers(capsys, flags, draw, shape):
+    # the CLI prints exactly the public sampler's array, one record per row
+    capsys.readouterr()
+    assert cli.main(["sample", *flags, "--n", "50", "--seed", "7"]) == 0
+    recs = strict_records(capsys.readouterr().out)
+    stack = draw()
+    assert isinstance(stack, np.ndarray) and stack.shape == shape
+    assert np.array_equal(np.array([r["entries"] for r in recs]), stack)
 
 
 @st.composite

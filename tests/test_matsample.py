@@ -42,7 +42,7 @@ def test_matrix_gamma_p1_is_scalar_gamma():
     # density w^{a-1} e^{-w} for a single entry
     a = 1.8
     mats = sample_matrix_gamma(MatrixGammaSpec(1, a), 100_000, 3)
-    x = np.array([m.entries[0, 0] for m in mats])
+    x = mats[:, 0, 0]
     stat = scipy.stats.kstest(x, "gamma", args=(a,)).statistic
     assert stat < 1.6276 / math.sqrt(len(x))  # 1% level
 
@@ -50,7 +50,7 @@ def test_matrix_gamma_p1_is_scalar_gamma():
 @pytest.mark.parametrize("p,a", [(2, 3.5), (3, 2.6)])
 def test_matrix_gamma_trace_moment(p, a):
     mats = sample_matrix_gamma(MatrixGammaSpec(p, a), 40_000, 17)
-    tr = np.array([m.trace for m in mats])
+    tr = np.trace(mats, axis1=1, axis2=2)
     se = tr.std() / math.sqrt(len(tr))
     assert abs(tr.mean() - p * a) < 4 * se
 
@@ -59,7 +59,7 @@ def test_matrix_gamma_trace_moment(p, a):
 def test_matrix_gamma_determinant_moment(p, a):
     # E|W| is the ratio of consecutive matrix gamma values
     mats = sample_matrix_gamma(MatrixGammaSpec(p, a), 40_000, 29)
-    dt = np.array([m.det for m in mats])
+    dt = _batch_det(mats)
     want = math.exp(log_matrix_gamma(p, a + 1) - log_matrix_gamma(p, a))
     se = dt.std() / math.sqrt(len(dt))
     assert abs(dt.mean() - want) < 4 * se
@@ -73,8 +73,8 @@ def test_matrix_gamma_shape_domain():
 def test_matrix_gamma_determinism():
     a = sample_matrix_gamma(MatrixGammaSpec(2, 2.0), 3, 5)
     b = sample_matrix_gamma(MatrixGammaSpec(2, 2.0), 3, 5)
-    for m1, m2 in zip(a, b):
-        assert np.array_equal(m1.entries, m2.entries)
+    assert a.shape == (3, 2, 2)
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_rect_entry_variance():
     # identity weights make every entry centered with variance 1/2
     cfg = RectConfig.with_identity_weights(1, 1)
     xs = sample_rect_exponential(cfg, 100_000, 7)
-    v = np.array([x.entries[0, 0] for x in xs])
+    v = xs[:, 0, 0]
     assert abs(v.mean()) < 4 * v.std() / math.sqrt(len(v))
     assert v.var() == pytest.approx(0.5, abs=0.01)
 
@@ -97,10 +97,8 @@ def test_rect_transform_mean():
     b = SpdMatrix.diagonal((2.0, 0.5, 1.0))
     cfg = RectConfig(2, 3, a, b)
     xs = sample_rect_exponential(cfg, 30_000, 13)
-    acc = np.zeros((2, 2))
-    for x in xs:
-        acc += rect_transform(x, cfg).entries
-    acc /= len(xs)
+    assert xs.shape == (30_000, 2, 3)
+    acc = rect_transform(xs, cfg).mean(axis=0)
     assert np.max(np.abs(acc - 1.5 * np.eye(2))) < 0.05
 
 
@@ -108,7 +106,7 @@ def test_rect_streams_differ():
     cfg = RectConfig.with_identity_weights(2, 2)
     a = sample_rect_exponential(cfg, 2, 5, stream=0)
     b = sample_rect_exponential(cfg, 2, 5, stream=1)
-    assert not np.array_equal(a[0].entries, b[0].entries)
+    assert not np.array_equal(a[0], b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +114,14 @@ def test_rect_streams_differ():
 
 def test_cone_p1_mean():
     w = sample_uniform_spd_unit(1, 50_000, 5)
-    v = np.array([m.entries[0, 0] for m in w])
+    v = w[:, 0, 0]
     assert abs(v.mean() - 0.5) < 4 * v.std() / math.sqrt(len(v))
 
 
 def test_cone_samples_inside_cone():
     eye = SpdMatrix.identity(2)
     for m in sample_uniform_spd_unit(2, 200, 21):
-        assert ordering_lt(m, eye)
+        assert ordering_lt(SpdMatrix(m), eye)
 
 
 def test_cone_acceptance_report_fields():
@@ -258,17 +256,15 @@ def test_mc_estimate_validation():
 def test_type1_beta_mean():
     # E[W] = a1/(a1+a2) I
     mats = sample_type1_beta(2, 2.0, 3.0, 30_000, 19)
-    acc = np.zeros((2, 2))
-    for m in mats:
-        acc += m.entries
-    acc /= len(mats)
+    assert mats.shape == (30_000, 2, 2)
+    acc = mats.mean(axis=0)
     assert np.max(np.abs(acc - 0.4 * np.eye(2))) < 0.02
 
 
 def test_type1_beta_inside_cone():
     eye = SpdMatrix.identity(2)
     for m in sample_type1_beta(2, 2.0, 2.0, 100, 23):
-        assert ordering_lt(m, eye)
+        assert ordering_lt(SpdMatrix(m), eye)
 
 
 # ---------------------------------------------------------------------------

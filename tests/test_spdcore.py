@@ -170,6 +170,28 @@ def test_rect_transform_oracle():
                     rtol=1e-10)
 
 
+def test_rect_transform_stack_matches_single_calls():
+    # the stack path agrees with one call per matrix under non-identity
+    # weights, and returns the plain (n, p, p) array
+    rng = np.random.default_rng(6)
+    cfg = RectConfig(2, 3, _random_spd(rng, 2), _random_spd(rng, 3))
+    xs = rng.standard_normal((20, 2, 3))
+    stack = rect_transform(xs, cfg)
+    assert isinstance(stack, np.ndarray) and stack.shape == (20, 2, 2)
+    single = np.stack([rect_transform(x, cfg).entries for x in xs])
+    assert_allclose(stack, single, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 2), (4, 3, 2), (2, 2)])
+def test_rect_transform_rejects_mismatched_shape(shape):
+    # a stack or matrix that does not fit the configuration is a dimension
+    # error, not a numpy broadcasting failure
+    cfg = RectConfig.with_identity_weights(2, 3)
+    x = np.broadcast_to(np.eye(*shape[-2:]), shape).copy()
+    with pytest.raises(DimensionError):
+        rect_transform(x, cfg)
+
+
 def test_rect_config_weight_factor():
     a = SpdMatrix.diagonal((2.0, 2.0))
     b = SpdMatrix.diagonal((3.0, 1.0, 1.0))
