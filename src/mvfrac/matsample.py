@@ -36,7 +36,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .gammacalc import log_matrix_gamma
-from .rng import derive_key, gamma_variates, normals, uniforms
+from .rng import derive_key, gamma_variates, normals, uniforms_at
 from .spdcore import check_full_rank, check_spd, rect_transform
 
 __all__ = [
@@ -63,6 +63,11 @@ _TAG_BETA_SECOND = 0x500
 # the shaved layer has volume of the same order, far below Monte Carlo
 # resolution, and keeps every accepted matrix safely inside the SPD checks
 _EDGE = 1e-10
+
+# proposals per rejection block, sized so that a block's uniforms, counter
+# offsets and minor temporaries stay in a core's L2 cache; proposal i owns
+# the counter slots i*width.., so the block size changes no draw
+_CONE_BLOCK = 1 << 14
 
 _KS_CRIT_1PCT = 1.6276  # asymptotic one-percent Kolmogorov-Smirnov quantile
 
@@ -122,15 +127,10 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     for j in range(p):
         key = derive_key(seed, tag_base + j)
         t[:, j, j] = np.sqrt(gamma_variates(key, shape - 0.5 * j, n))
-    q = p * (p - 1) // 2
-    if q:
+    i, j = np.tril_indices(p, -1)
+    if i.size:
         key = derive_key(seed, tag_base + 0xF0)
-        z = normals(key, 0, n * q).reshape(n, q) * math.sqrt(0.5)
-        col = 0
-        for i in range(1, p):
-            for j in range(i):
-                t[:, i, j] = z[:, col]
-                col += 1
+        t[:, i, j] = normals(key, 0, n * i.size).reshape(n, -1) * math.sqrt(0.5)
     w = t @ t.transpose(0, 2, 1)
     return 0.5 * (w + w.transpose(0, 2, 1))
 
@@ -179,35 +179,40 @@ def _batch_det(m):
     return np.linalg.det(m)
 
 
-def _cone_hits(slots, p, limit):
-    """The first `limit` accepted proposals of one batch of box proposals,
-    as (indices, W, det W, det(I - W)).
+def _cone_block(key, p, cols, first, limit):
+    """The first `limit` accepted proposals among proposals first.. of one
+    block, as (block offsets, W, det W, det(I - W)).
 
     A proposal is accepted when every leading principal minor of W and of
-    I - W clears the edge margin.  The 1x1 and 2x2 minors are formed
-    straight from the slot columns, as the same products _batch_det forms
-    on the assembled matrices ((-v)*(-v) is v*v exactly), so only the
-    proposals that pass them are assembled and given a 3x3 determinant.
+    I - W clears the edge margin.  cols[:, i] holds the counter offsets of
+    proposal i's head slots (diagonal 0 and 1, off-diagonal p), enough for
+    the 1x1 and 2x2 minors, formed as _batch_det forms them ((-v)*(-v) is
+    v*v exactly).  Only proposals that pass draw their other slots.
     """
-    d0 = slots[:, 0]
-    det_w = d0
-    det_v = 1.0 - d0
+    width = p + p * (p - 1) // 2
+    head = uniforms_at(key, cols + np.uint64(first * width))
+    det_w = head[0]
+    det_v = 1.0 - det_w
     ok = (det_w > _EDGE) & (det_v > _EDGE)
     if p > 1:
-        v = 2.0 * slots[:, p] - 1.0
+        v = 2.0 * head[2] - 1.0
         vv = v * v
-        det_w = d0 * slots[:, 1] - vv
-        det_v = det_v * (1.0 - slots[:, 1]) - vv
+        det_w = det_w * head[1] - vv
+        det_v = det_v * (1.0 - head[1]) - vv
         ok &= (det_w > _EDGE) & (det_v > _EDGE)
     hits = np.flatnonzero(ok)
     if p < 3:
         hits = hits[:limit]
-    sel = slots[hits]
-    w = np.zeros((hits.size, p, p))
-    for j in range(p):
-        w[:, j, j] = sel[:, j]
-    for t, (i, j) in enumerate((i, j) for i in range(1, p) for j in range(i)):
-        w[:, i, j] = w[:, j, i] = 2.0 * sel[:, p + t] - 1.0
+    sel = np.empty((width, hits.size))
+    sel[cols[:, 0]] = head[:, hits]
+    if p == 3:
+        tail = np.array((2, 4, 5))
+        sel[tail] = uniforms_at(key, tail[:, None] + (first + hits) * width)
+    w = np.empty((p, p, hits.size))
+    i, j = np.tril_indices(p, -1)
+    w[range(p), range(p)] = sel[:p]
+    w[i, j] = w[j, i] = 2.0 * sel[p:] - 1.0
+    w = w.transpose(2, 0, 1)
     if p < 3:
         return hits, w, det_w[hits], det_v[hits]
     det_w = _batch_det(w)
@@ -231,33 +236,23 @@ def _cone_raw(p, n, seed):
             f"higher dimensions need the beta importance sampler")
     key = derive_key(seed, _TAG_CONE)
     width = p + p * (p - 1) // 2
+    slots = np.array((0, 1, p)[:width], dtype=np.uint64)
+    cols = slots[:, None] + np.arange(_CONE_BLOCK, dtype=np.uint64) * np.uint64(width)
 
-    kept_w, kept_dw, kept_dv = [], [], []
-    accepted = 0
-    offered = 0
-    n_proposals = 0
-    batch = 1 << 15
-    while accepted < n:
-        slots = uniforms(key, offered * width, batch * width).reshape(batch, width)
-        hits, w, det_w, det_v = _cone_hits(slots, p, n - accepted)
+    out = np.empty((n, p, p)), np.empty(n), np.empty(n)
+    accepted = first = 0
+    while True:
+        hits, *block = _cone_block(key, p, cols, first, n - accepted)
+        for o, b in zip(out, block):
+            o[accepted:accepted + hits.size] = b
         accepted += hits.size
         if accepted == n:
-            n_proposals = offered + int(hits[-1]) + 1
-        kept_w.append(w)
-        kept_dw.append(det_w)
-        kept_dv.append(det_v)
-        offered += batch
-        if accepted < n:
-            if offered >= 10_000 and accepted / offered < 1e-4:
-                raise ResourceLimitError(
-                    f"cone rejection rate below 1e-4 for dimension {p} "
-                    f"({accepted} acceptances in {offered} proposals)")
-            if accepted:
-                rate = accepted / offered
-                batch = int(min(max((n - accepted) / rate * 1.15, 1 << 14),
-                                1 << 21))
-    return (np.concatenate(kept_w), np.concatenate(kept_dw),
-            np.concatenate(kept_dv), n_proposals)
+            return (*out, first + int(hits[-1]) + 1)
+        first += _CONE_BLOCK
+        if accepted < 1e-4 * first:
+            raise ResourceLimitError(
+                f"cone rejection rate below 1e-4 for dimension {p} "
+                f"({accepted} acceptances in {first} proposals)")
 
 
 def sample_uniform_spd_unit(p, n, seed):

@@ -41,6 +41,10 @@ _GAMMA_STRIDE = 256
 _GAMMA_MAX_ATTEMPTS = 84
 _GAMMA_BOOST_SLOT = 255
 
+# words per pass of uniforms and normals: a chunk and its scratch (512 KB)
+# stay in L2 cache instead of streaming through memory once per round
+_CHUNK = 1 << 15
+
 
 def derive_key(seed, tag=0):
     """A 64-bit stream key from a seed and a small stream tag."""
@@ -55,27 +59,18 @@ def derive_key(seed, tag=0):
     return np.uint64(z)
 
 
-def _raw(key, idx):
-    """Finalized 64-bit words at the given uint64 counter indices, in a new
-    buffer that the finalizer rounds update in place."""
-    z = np.empty(np.shape(idx), dtype=np.uint64)
-    np.add(idx, np.uint64(1), out=z)
+def _unit(key, z, t):
+    """Uniforms (word >> 11 + 0.5) * 2**-53 in place of the counter indices
+    plus one held in the uint64 buffer z, with t as the finalizer's scratch.
+    The shifted words are below 2**53, so the conversion is exact."""
     z *= _GOLDEN
     z += key
-    t = np.empty_like(z)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, shift, out=t)
         z ^= t
         z *= mix
     np.right_shift(z, 31, out=t)
     z ^= t
-    return z
-
-
-def _unit(z):
-    """Uniforms (z >> 11 + 0.5) * 2**-53 written over the words' own buffer.
-
-    The shifted words are below 2**53, so every step is exact."""
     z >>= np.uint64(11)
     u = z.view(np.float64)
     np.add(z, 0.5, out=u)
@@ -86,13 +81,21 @@ def _unit(z):
 def uniforms(key, start, n):
     """n uniforms in the open interval (0,1) at counter positions
     start..start+n-1."""
-    idx = np.arange(int(start), int(start) + int(n), dtype=np.uint64)
-    return _unit(_raw(key, idx))
+    out = np.empty(int(n))
+    step = np.arange(min(out.size, _CHUNK), dtype=np.uint64)
+    t = np.empty_like(step)
+    for lo in range(0, out.size, _CHUNK):
+        z = out[lo:lo + _CHUNK].view(np.uint64)
+        np.add(step[:z.size], np.uint64(int(start) + lo + 1), out=z)
+        _unit(key, z, t[:z.size])
+    return out
 
 
 def uniforms_at(key, idx):
     """Uniforms in (0,1) at explicit counter positions."""
-    return _unit(_raw(key, np.asarray(idx, dtype=np.uint64)))
+    idx = np.asarray(idx, dtype=np.uint64)
+    z = np.add(idx, np.uint64(1), out=np.empty(idx.shape, dtype=np.uint64))
+    return _unit(key, z, np.empty_like(z))
 
 
 def normals(key, first, n):
@@ -104,14 +107,14 @@ def normals(key, first, n):
     pair is transformed once and yields both branches.
     """
     first = int(first)
-    pair = np.arange(first >> 1, (first + int(n) + 1) >> 1, dtype=np.uint64)
-    u1 = uniforms_at(key, pair * np.uint64(2))
-    u2 = uniforms_at(key, pair * np.uint64(2) + np.uint64(1))
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = _TWO_PI * u2
-    z = np.empty((pair.size, 2))
-    np.multiply(radius, np.cos(angle), out=z[:, 0])
-    np.multiply(radius, np.sin(angle), out=z[:, 1])
+    z = np.empty((((first + int(n) + 1) >> 1) - (first >> 1), 2))
+    for lo in range(0, len(z), _CHUNK // 2):
+        zc = z[lo:lo + _CHUNK // 2]
+        u = uniforms(key, (first & ~1) + 2 * lo, zc.size).reshape(-1, 2)
+        radius = np.sqrt(-2.0 * np.log(u[:, 0]))
+        angle = _TWO_PI * u[:, 1]
+        np.multiply(radius, np.cos(angle), out=zc[:, 0])
+        np.multiply(radius, np.sin(angle), out=zc[:, 1])
     return z.reshape(-1)[first & 1:(first & 1) + int(n)]
 
 
@@ -138,10 +141,8 @@ def gamma_variates(key, shape, n, first=0):
     for attempt in range(_GAMMA_MAX_ATTEMPTS):
         if pending.size == 0:
             break
-        slot = ((base_first + pending) * _GAMMA_STRIDE + 3 * attempt).astype(np.uint64)
-        u1 = uniforms_at(key, slot)
-        u2 = uniforms_at(key, slot + np.uint64(1))
-        u3 = uniforms_at(key, slot + np.uint64(2))
+        slot = (base_first + pending) * _GAMMA_STRIDE + 3 * attempt
+        u1, u2, u3 = uniforms_at(key, slot + np.arange(3)[:, None])
         x = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
         v = (1.0 + c * x) ** 3
         positive = v > 0.0
@@ -157,7 +158,6 @@ def gamma_variates(key, shape, n, first=0):
             f"gamma sampler exhausted {_GAMMA_MAX_ATTEMPTS} attempts for "
             f"{pending.size} variates (shape={shape})")
     if boosted:
-        slot = ((base_first + np.arange(n, dtype=np.int64)) * _GAMMA_STRIDE
-                + _GAMMA_BOOST_SLOT).astype(np.uint64)
+        slot = (base_first + np.arange(n)) * _GAMMA_STRIDE + _GAMMA_BOOST_SLOT
         out *= uniforms_at(key, slot) ** (1.0 / shape)
     return out

@@ -55,6 +55,8 @@ def check_spd(entries):
     finite entries, exact symmetry and positive definiteness.  Returns the
     eigenvalues, descending along the last axis; the error names the first
     matrix that fails."""
+    if 0 in np.shape(entries)[-2:]:
+        raise DimensionError(f"expected a non-empty matrix, got shape {np.shape(entries)}")
     if not np.isfinite(entries).all():
         raise DegenerateInputError("matrix entries must be finite")
     if not (entries == np.swapaxes(entries, -1, -2)).all():
@@ -72,6 +74,8 @@ def check_full_rank(entries):
     """Validate a p x r matrix with r >= p, or an (n, p, r) stack, as
     RectMatrix does: finite entries and a smallest singular value above
     1e-10 times the largest, which also refuses the zero matrix."""
+    if 0 in np.shape(entries)[-2:]:
+        raise DimensionError(f"expected a non-empty matrix, got shape {np.shape(entries)}")
     if not np.isfinite(entries).all():
         raise DegenerateInputError("matrix entries must be finite")
     sv = np.linalg.svd(entries, compute_uv=False)

@@ -32,7 +32,14 @@ from mvfrac import (
     sample_uniform_spd_unit,
     verify_sum_density,
 )
-from mvfrac.matsample import _batch_det, _cone_raw
+from mvfrac.matsample import (
+    _CONE_BLOCK,
+    _EDGE,
+    _TAG_CONE,
+    _batch_det,
+    _cone_raw,
+)
+from mvfrac.rng import derive_key, uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +164,43 @@ def test_cone_raw_outputs_pinned(p, proposals, digest):
     h = hashlib.sha256(w.tobytes() + det_w.tobytes() + det_v.tobytes()
                        + str(n_proposals).encode())
     assert h.hexdigest() == digest
+
+
+def _cone_reference(p, seed, n_proposals):
+    """Accepted proposals among the first n_proposals, drawn in one uniforms
+    call and tested on every leading minor of the assembled W and I - W, as
+    (positions, W, det W, det(I - W))."""
+    width = p + p * (p - 1) // 2
+    slots = uniforms(derive_key(seed, _TAG_CONE), 0, n_proposals * width)
+    slots = slots.reshape(n_proposals, width)
+    w = np.zeros((n_proposals, p, p))
+    for j in range(p):
+        w[:, j, j] = slots[:, j]
+    for t, (i, j) in enumerate(zip(*np.tril_indices(p, -1))):
+        w[:, i, j] = w[:, j, i] = 2.0 * slots[:, p + t] - 1.0
+    ok = np.ones(n_proposals, dtype=bool)
+    for k in range(1, p + 1):
+        lead = w[:, :k, :k]
+        ok &= (_batch_det(lead) > _EDGE) & (_batch_det(np.eye(k) - lead) > _EDGE)
+    hits = np.flatnonzero(ok)
+    return hits, w[hits], _batch_det(w[hits]), _batch_det(np.eye(p) - w[hits])
+
+
+# seeds whose first five blocks hold an acceptance on a block's first
+# proposal (after block 0) and one on a block's last proposal
+@pytest.mark.parametrize("p,seed", [(1, 11), (2, 2), (3, 185)])
+def test_cone_blocks_match_one_pass_reference(p, seed):
+    hits, w, det_w, det_v = _cone_reference(p, seed, 5 * _CONE_BLOCK)
+    offset = hits % _CONE_BLOCK
+    on_first = np.flatnonzero((offset == 0) & (hits >= _CONE_BLOCK))[0]
+    on_last = np.flatnonzero(offset == _CONE_BLOCK - 1)[0]
+    deep = np.searchsorted(hits, 4 * _CONE_BLOCK + _CONE_BLOCK // 2)
+    for n in (on_first + 1, on_last + 1, deep):
+        got_w, got_dw, got_dv, n_proposals = _cone_raw(p, n, seed)
+        assert n_proposals == hits[n - 1] + 1
+        assert np.array_equal(got_w, w[:n])
+        assert np.array_equal(got_dw, det_w[:n])
+        assert np.array_equal(got_dv, det_v[:n])
 
 
 def test_cone_dimension_frontier():

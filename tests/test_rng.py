@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from mvfrac import ParameterDomainError, derive_key, gamma_variates, normals, uniforms
-from mvfrac.rng import uniforms_at
+from mvfrac.rng import _CHUNK, uniforms_at
 
 
 def test_uniforms_open_interval():
@@ -39,6 +39,34 @@ def test_stream_words_pinned():
               + gamma_variates(key, 2.5, 2_000).tobytes())
     assert hashlib.sha256(gammas).hexdigest() == (
         "72a8a279c2ca12911084369b0f582210809d13d70e9b57b7019a5c195d0dadf9")
+
+
+@pytest.mark.parametrize("start", [0, 5, _CHUNK - 1])
+def test_uniforms_chunks_match_explicit_positions(start):
+    # lengths and cuts straddle the internal chunk size
+    key = derive_key(13, 1)
+    n = 3 * _CHUNK + 17
+    whole = uniforms(key, start, n)
+    assert np.array_equal(whole, uniforms_at(key, np.arange(start, start + n)))
+    for cut in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+        pieces = [uniforms(key, start, cut), uniforms(key, start + cut, n - cut)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+
+
+@pytest.mark.parametrize("first", [0, 1, 7, _CHUNK - 1])
+def test_normals_chunks_match_explicit_pairs(first):
+    key = derive_key(13, 2)
+    n = 3 * _CHUNK + 17
+    whole = normals(key, first, n)
+    for cut in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+        pieces = [normals(key, first, cut), normals(key, first + cut, n - cut)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+    # Box-Muller on the uniform pair of every position, one position at a time
+    pos = np.arange(first, first + n)
+    radius = np.sqrt(-2.0 * np.log(uniforms_at(key, pos - pos % 2)))
+    angle = 2.0 * np.pi * uniforms_at(key, pos - pos % 2 + 1)
+    expected = np.where(pos % 2 == 0, radius * np.cos(angle), radius * np.sin(angle))
+    assert np.array_equal(whole, expected)
 
 
 def test_uniforms_at_scalar_and_array_positions():

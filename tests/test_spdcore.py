@@ -152,6 +152,18 @@ def test_rect_matrix_shape_rule():
         RectMatrix(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("check,shape", [
+    (RectMatrix, (0, 2)),
+    (RectMatrix, (0, 0)),
+    (check_full_rank, (3, 0, 2)),
+    (check_spd, (3, 0, 0)),
+])
+def test_zero_sized_matrices_are_dimension_errors(check, shape):
+    # an empty singular-value or eigenvalue axis used to raise IndexError
+    with pytest.raises(DimensionError, match="non-empty"):
+        check(np.ones(shape))
+
+
 def test_rect_matrix_rank():
     with pytest.raises(DegenerateInputError):
         RectMatrix(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
