@@ -55,7 +55,6 @@ from .matsample import (
     sample_rect_exponential,
     sample_type1_beta,
     sample_uniform_spd_unit,
-    verify_sum_density,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms
 from .spdcore import (
@@ -69,7 +68,7 @@ from .spdcore import (
     spd_sqrt,
     stiefel_constant,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, verify_sum_density
 from .zonal import (
     ZonalTable,
     build_zonal_table,

@@ -39,11 +39,9 @@ from .matsample import (
     sample_rect_exponential,
     sample_uniform_spd_unit,
 )
-from .spdcore import RectConfig, SpdMatrix
-from .verify import SUITES, run_suite
+from .spdcore import RectConfig, SpdMatrix, matrix_from_rows
+from .verify import _SCHEMA, SUITES, run_suite
 from .zonal import fetch_table, zonal_eval
-
-_SCHEMA = "mvfrac/1"
 
 
 class _UsageError(Exception):
@@ -74,7 +72,7 @@ def _csv_partition(text):
 def _inline_matrix(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"matrix is not valid JSON: {exc}")
 
 
@@ -99,29 +97,34 @@ def _write(lines, output):
         sys.stdout.write(text)
 
 
-def _spd_from_args(args, flag="z"):
-    """Matrix argument from --z inline JSON or --z-file path."""
-    inline = getattr(args, flag, None)
-    path = getattr(args, f"{flag}_file", None)
-    if inline is None and path is None:
-        raise _UsageError(f"one of --{flag} or --{flag}-file is required")
-    if inline is not None and path is not None:
-        raise _UsageError(f"--{flag} and --{flag}-file are mutually exclusive")
-    if path is not None:
+def _spd_from_args(args, eigs=None):
+    """Matrix argument from exactly one of --z inline JSON, --z-file path
+    and, for the commands that take it, --eigs (a diagonal matrix)."""
+    given = [flag for flag, value in (("--z", args.z), ("--eigs", eigs),
+                                      ("--z-file", args.z_file))
+             if value is not None]
+    if len(given) > 1:
+        raise _UsageError(f"{' and '.join(given)} are mutually exclusive")
+    if eigs is not None:
+        return SpdMatrix.diagonal(eigs)
+    rows = args.z
+    if args.z_file is not None:
         try:
-            with open(path) as fh:
-                inline = json.load(fh)
+            with open(args.z_file) as fh:
+                rows = json.load(fh)
         except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"{path} is not valid JSON: {exc}")
-    return SpdMatrix(np.array(inline, dtype=float))
+            raise _UsageError(f"cannot read {args.z_file}: {exc}")
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise _UsageError(f"{args.z_file} is not valid JSON: {exc}")
+    elif rows is None:
+        raise _UsageError("one of --z or --z-file is required")
+    return SpdMatrix(matrix_from_rows(rows))
 
 
 def _weights_config(args, p, r):
-    a = SpdMatrix(np.array(args.weight_a, dtype=float)) \
+    a = SpdMatrix(matrix_from_rows(args.weight_a)) \
         if args.weight_a is not None else SpdMatrix.identity(p)
-    b = SpdMatrix(np.array(args.weight_b, dtype=float)) \
+    b = SpdMatrix(matrix_from_rows(args.weight_b)) \
         if args.weight_b is not None else SpdMatrix.identity(r)
     return RectConfig(p, r, a, b)
 
@@ -171,10 +174,7 @@ def _cmd_eval_pochhammer(args):
 
 def _cmd_eval_zonal(args):
     part = Partition.coerce(args.k)
-    if args.eigs is not None:
-        z = SpdMatrix.diagonal(args.eigs)
-    else:
-        z = _spd_from_args(args)
+    z = _spd_from_args(args, args.eigs)
     table = fetch_table(part.weight, z.dim)
     rec = {"schema": _SCHEMA, "op": "zonal", "partition": list(part.parts),
            "eigenvalues": z.eigenvalues.tolist(),
@@ -184,8 +184,7 @@ def _cmd_eval_zonal(args):
 
 
 def _cmd_eval_hyper(args):
-    z = SpdMatrix.diagonal(args.eigs) if args.eigs is not None \
-        else _spd_from_args(args)
+    z = _spd_from_args(args, args.eigs)
     params = HyperParams(args.num, args.den if args.den else ())
     trunc = Truncation(k_max=args.kmax)
     res = hyper_pfq(params, z, trunc)

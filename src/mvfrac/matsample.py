@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import (
     DegenerateInputError,
@@ -35,9 +34,8 @@ from .errors import (
     ParameterDomainError,
     ResourceLimitError,
 )
-from .gammacalc import log_matrix_gamma
 from .rng import derive_key, gamma_variates, normals, uniforms_at
-from .spdcore import check_full_rank, check_spd, rect_transform
+from .spdcore import check_full_rank, check_spd
 
 __all__ = [
     "McEstimate",
@@ -48,7 +46,6 @@ __all__ = [
     "sample_type1_beta",
     "cone_acceptance_report",
     "mc_integrate_unit_cone",
-    "verify_sum_density",
 ]
 
 # stream tags; diagonal gamma streams add the row index to the base
@@ -68,8 +65,6 @@ _EDGE = 1e-10
 # offsets and minor temporaries stay in a core's L2 cache; proposal i owns
 # the counter slots i*width.., so the block size changes no draw
 _CONE_BLOCK = 1 << 14
-
-_KS_CRIT_1PCT = 1.6276  # asymptotic one-percent Kolmogorov-Smirnov quantile
 
 
 def _check_count(n, least=1):
@@ -331,78 +326,3 @@ def sample_type1_beta(p, a1, a2, n, seed):
     b = 0.5 * (b + b.transpose(0, 2, 1))
     check_spd(b)
     return b
-
-
-def verify_sum_density(cfg1, cfg2, n, seed):
-    """Check that the sum of two independent transformed rectangular draws
-    follows the matrix gamma law with shape (r1+r2)/2.
-
-    Z_i is the quadratic transform of a draw from the exponential-weight
-    density for cfg_i, and U = Z_1 + Z_2 should be matrix gamma with shape
-    (r1+r2)/2 and identity scale whatever the weights are.  Compares the mean
-    trace and mean determinant against exact moments at four standard errors,
-    and for p = 1 adds a Kolmogorov-Smirnov test at the one-percent level.
-    The standard errors need at least two samples.
-    """
-    n = _check_count(n, 2)
-    if cfg1.p != cfg2.p:
-        raise DimensionError(
-            f"configurations disagree on dimension: {cfg1.p} vs {cfg2.p}")
-    p = cfg1.p
-    r1 = cfg1.r
-    r2 = cfg2.r
-    u = (rect_transform(_rect_raw(cfg1, n, seed, stream=1), cfg1)
-         + rect_transform(_rect_raw(cfg2, n, seed, stream=2), cfg2))
-
-    a = 0.5 * (r1 + r2)
-    cases = []
-
-    traces = np.trace(u, axis1=1, axis2=2)
-    expected_trace = p * a
-    mean_tr = float(np.mean(traces))
-    se_tr = float(np.std(traces, ddof=1) / math.sqrt(n))
-    z_tr = (mean_tr - expected_trace) / se_tr
-    cases.append({
-        "name": "mean-trace",
-        "observed": mean_tr,
-        "expected": expected_trace,
-        "z": z_tr,
-        "pass": bool(abs(z_tr) <= 4.0),
-    })
-
-    dets = _batch_det(u)
-    expected_det = math.exp(log_matrix_gamma(p, a + 1.0)
-                            - log_matrix_gamma(p, a))
-    mean_det = float(np.mean(dets))
-    se_det = float(np.std(dets, ddof=1) / math.sqrt(n))
-    z_det = (mean_det - expected_det) / se_det
-    cases.append({
-        "name": "mean-determinant",
-        "observed": mean_det,
-        "expected": expected_det,
-        "z": z_det,
-        "pass": bool(abs(z_det) <= 4.0),
-    })
-
-    if p == 1:
-        xs = np.sort(u[:, 0, 0])
-        cdf = gammainc(a, xs)
-        grid = np.arange(1, n + 1) / n
-        stat = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
-        crit = _KS_CRIT_1PCT / math.sqrt(n)
-        cases.append({
-            "name": "ks-distribution",
-            "statistic": stat,
-            "critical": crit,
-            "pass": bool(stat < crit),
-        })
-
-    return {
-        "check": "sum-density",
-        "dimension": int(p),
-        "orders": [int(r1), int(r2)],
-        "samples": n,
-        "seed": int(seed),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }

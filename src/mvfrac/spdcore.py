@@ -29,6 +29,7 @@ __all__ = [
     "check_full_rank",
     "matrix_to_json",
     "matrix_from_json",
+    "matrix_from_rows",
 ]
 
 # An eigenvalue counts as positive iff it exceeds this times the largest
@@ -333,14 +334,19 @@ def matrix_to_json(m):
     return json.dumps(payload)
 
 
-def matrix_from_json(text):
-    """Parse a JSON array-of-arrays into a float ndarray, validating shape."""
-    obj = json.loads(text)
+def matrix_from_rows(rows):
+    """A parsed JSON array of row arrays as a float ndarray, validating
+    shape and entries."""
     try:
-        arr = np.array(obj, dtype=float)
-    except ValueError as exc:  # ragged rows
-        raise DimensionError(f"rows have mismatched lengths: {exc}")
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
+        raise DimensionError(f"expected equal-length rows of numbers: {exc}")
     if arr.ndim != 2:
         raise DimensionError(
             f"expected a JSON array of row arrays, got ndim={arr.ndim}")
     return arr
+
+
+def matrix_from_json(text):
+    """Parse a JSON array-of-arrays into a float ndarray, validating shape."""
+    return matrix_from_rows(json.loads(text))

@@ -6,17 +6,20 @@ exact beta value, or a limit law.  Suites return JSON-ready dicts and are
 pure functions of their arguments, so a repeated run with the same seed
 serializes to identical bytes.
 
-Monte Carlo comparisons report z = (closed - estimate) / stderr and pass at
-|z| <= 3; moment checks inside the sum-density report use 4 standard errors;
-deterministic identities use explicit tolerances stated per case.
+The record helpers below are the one place that turns numbers into pass
+flags.  Monte Carlo comparisons report z = (closed - estimate) / stderr and
+pass at |z| <= 3; moment checks inside the sum-density report use 4
+standard errors; exact identities pass at relative error 1e-12.
 """
 
+import dataclasses
 import inspect
 import math
 
 import numpy as np
+from scipy.special import gammainc
 
-from .errors import ParameterDomainError
+from .errors import DimensionError, ParameterDomainError
 from .fracops import (
     DetPowerOperand,
     FracOrder,
@@ -40,9 +43,14 @@ from .hyperseries import (
     hyper_pfq,
     pathway_det_limit,
 )
-from .matsample import _batch_det, mc_integrate_unit_cone, verify_sum_density
+from .matsample import (
+    _batch_det,
+    _check_count,
+    _rect_raw,
+    mc_integrate_unit_cone,
+)
 from .rng import derive_key, normals, uniforms
-from .spdcore import RectConfig, SpdMatrix
+from .spdcore import RectConfig, SpdMatrix, rect_transform
 from .zonal import fetch_table, zonal_eval
 
 __all__ = [
@@ -56,6 +64,7 @@ __all__ = [
     "suite_pathway",
     "SUITES",
     "run_suite",
+    "verify_sum_density",
 ]
 
 _SCHEMA = "mvfrac/1"
@@ -67,6 +76,8 @@ _GRID_Z = {
     2: ((1.1, 0.3), (0.3, 0.8)),
 }
 
+_KS_CRIT_1PCT = 1.6276  # asymptotic one-percent Kolmogorov-Smirnov quantile
+
 
 def _report(suite, seed, extra, cases):
     rep = {"schema": _SCHEMA, "suite": suite, "seed": int(seed)}
@@ -76,13 +87,47 @@ def _report(suite, seed, extra, cases):
     return rep
 
 
-def _mc_z(closed, est):
+def _z_check(name, z, limit, **fields):
+    return {"name": name, **fields, "z": z, "pass": bool(abs(z) <= limit)}
+
+
+def _mc_check(name, closed, est, ref="closed", **fields):
+    """3 SE record of a closed form, stored under ref, against the Monte
+    Carlo estimate est."""
     # A constant integrand (every determinant exponent zero) gives a zero
     # stderr; the estimate is then exact and the comparison must be too.
     if est.stderr == 0.0:
         scale = max(abs(closed), abs(est.value), 1.0)
-        return 0.0 if abs(closed - est.value) <= 1e-12 * scale else math.inf
-    return (closed - est.value) / est.stderr
+        z = 0.0 if abs(closed - est.value) <= 1e-12 * scale else math.inf
+    else:
+        z = (closed - est.value) / est.stderr
+    return _z_check(name, z, 3.0, **fields, **{ref: closed},
+                    estimate=est.value, stderr=est.stderr)
+
+
+def _rel_check(name, key, value, power, **fields):
+    """Exact-identity record: value, stored under key, against the power
+    form at relative error 1e-12."""
+    rel = abs(value - power) / abs(power)
+    return {"name": name, **fields, key: value, "power_form": power,
+            "rel_error": rel, "pass": bool(rel <= 1e-12)}
+
+
+def _operator_at(p, r, alpha):
+    """Grid argument Z and identity-weight order of one operator point."""
+    return (SpdMatrix(np.array(_GRID_Z[p])),
+            FracOrder(alpha, RectConfig.with_identity_weights(p, r)))
+
+
+def _grid(p=None):
+    """The operator grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5} as
+    (p, r, alpha, Z, order); a given p keeps only that dimension."""
+    if p is not None and p not in _GRID_Z:
+        raise ParameterDomainError(f"grid covers p in {sorted(_GRID_Z)}, got {p}")
+    for pp in sorted(_GRID_Z) if p is None else (p,):
+        for r in (pp, pp + 1):
+            for alpha in (1.0, 1.5):
+                yield (pp, r, alpha, *_operator_at(pp, r, alpha))
 
 
 def _random_spd(seed, tag, p, lo, hi):
@@ -160,63 +205,25 @@ def suite_euler(samples=1_000_000, seed=42):
     const = math.exp(log_matrix_gamma(p, c + 0.5 * r)
                      - log_matrix_gamma(p, a + 0.5 * r)
                      - log_matrix_gamma(p, c - a))
-    estimate = const * mc.value
-    stderr = const * mc.stderr
-    z = (series - estimate) / stderr
-    cases = [{
-        "name": "euler-p2",
-        "series": series,
-        "estimate": estimate,
-        "stderr": stderr,
-        "z": z,
-        "proposals": mc.n_proposals,
-        "pass": bool(abs(z) <= 3.0),
-    }]
+    est = dataclasses.replace(mc, value=const * mc.value,
+                              stderr=const * mc.stderr)
+    cases = [_mc_check("euler-p2", series, est, ref="series",
+                       proposals=mc.n_proposals)]
     return _report("euler", seed, {"samples": int(samples)}, cases)
-
-
-def _grid_points(p_filter=None):
-    pts = []
-    for p in (1, 2):
-        if p_filter is not None and p != p_filter:
-            continue
-        for r in (p, p + 1):
-            for alpha in (1.0, 1.5):
-                pts.append((p, r, alpha))
-    return pts
-
-
-def _grid_argument(p):
-    return SpdMatrix(np.array(_GRID_Z[p]))
 
 
 def suite_fracpower(p=None, samples=1_000_000, seed=42):
     """Closed power form against the Monte Carlo operator on |X|^eta over the
     grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5}, eta in {0,1}."""
-    if p is not None and p not in _GRID_Z:
-        raise ParameterDomainError(f"grid covers p in {sorted(_GRID_Z)}, got {p}")
     cases = []
     idx = 0
-    for pp, r, alpha in _grid_points(p):
-        z = _grid_argument(pp)
-        order = FracOrder(alpha, RectConfig.with_identity_weights(pp, r))
+    for pp, r, alpha, z, order in _grid(p):
         for eta in (0.0, 1.0):
             closed = frac_integral_power_closed(order, z, eta).value()
             est = frac_integral_numeric(order, z, DetPowerOperand(eta),
                                         samples, seed + idx)
-            zscore = _mc_z(closed, est)
-            cases.append({
-                "name": f"p{pp}-r{r}-a{alpha}-e{eta}",
-                "dimension": pp,
-                "r": r,
-                "alpha": alpha,
-                "eta": eta,
-                "closed": closed,
-                "estimate": est.value,
-                "stderr": est.stderr,
-                "z": zscore,
-                "pass": bool(abs(zscore) <= 3.0),
-            })
+            cases.append(_mc_check(f"p{pp}-r{r}-a{alpha}-e{eta}", closed, est,
+                                   dimension=pp, r=r, alpha=alpha, eta=eta))
             idx += 1
     return _report("fracpower", seed, {"samples": int(samples)}, cases)
 
@@ -225,50 +232,26 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
     """Closed zonal form against the Monte Carlo operator on C_K over the
     grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5}, K in {(1),(2)}; plus the
     exact reduction of the empty partition to the power form."""
-    if p is not None and p not in _GRID_Z:
-        raise ParameterDomainError(f"grid covers p in {sorted(_GRID_Z)}, got {p}")
     table = fetch_table(2, 2)
     cases = []
     idx = 0
-    for pp, r, alpha in _grid_points(p):
-        z = _grid_argument(pp)
-        order = FracOrder(alpha, RectConfig.with_identity_weights(pp, r))
+    for pp, r, alpha, z, order in _grid(p):
         for K in ((1,), (2,)):
             part = Partition.coerce(K)
             closed = frac_integral_zonal_closed(order, z, part, table).value()
             est = frac_integral_numeric(
                 order, z, lambda x: zonal_eval(part, x, table),
                 samples, seed + idx)
-            zscore = _mc_z(closed, est)
-            cases.append({
-                "name": f"p{pp}-r{r}-a{alpha}-K{list(part.parts)}",
-                "dimension": pp,
-                "r": r,
-                "alpha": alpha,
-                "partition": list(part.parts),
-                "closed": closed,
-                "estimate": est.value,
-                "stderr": est.stderr,
-                "z": zscore,
-                "pass": bool(abs(zscore) <= 3.0),
-            })
+            cases.append(_mc_check(
+                f"p{pp}-r{r}-a{alpha}-K{list(part.parts)}", closed, est,
+                dimension=pp, r=r, alpha=alpha, partition=list(part.parts)))
             idx += 1
-    for pp, r, alpha in _grid_points(p):
-        z = _grid_argument(pp)
-        order = FracOrder(alpha, RectConfig.with_identity_weights(pp, r))
-        zonal_empty = frac_integral_zonal_closed(order, z, (), table).value()
-        power = frac_integral_power_closed(order, z, 0.0).value()
-        rel = abs(zonal_empty - power) / abs(power)
-        cases.append({
-            "name": f"empty-K-p{pp}-r{r}-a{alpha}",
-            "dimension": pp,
-            "r": r,
-            "alpha": alpha,
-            "zonal_form": zonal_empty,
-            "power_form": power,
-            "rel_error": rel,
-            "pass": bool(rel <= 1e-12),
-        })
+    for pp, r, alpha, z, order in _grid(p):
+        cases.append(_rel_check(
+            f"empty-K-p{pp}-r{r}-a{alpha}", "zonal_form",
+            frac_integral_zonal_closed(order, z, (), table).value(),
+            frac_integral_power_closed(order, z, 0.0).value(),
+            dimension=pp, r=r, alpha=alpha))
     return _report("fraczonal", seed, {"samples": int(samples)}, cases)
 
 
@@ -284,26 +267,18 @@ def suite_saigo(samples=400_000, seed=42):
 
     for pp, r, alpha, bb, cc, eta in ((1, 1, 1.0, 0.2, 2.0, 0.5),
                                       (2, 2, 1.5, 0.4, 2.5, 1.0)):
-        z = _grid_argument(pp)
-        order = FracOrder(alpha, RectConfig.with_identity_weights(pp, r))
-        collapsed = saigo_power_closed(order, z, SaigoParams(0.0, bb, cc),
-                                       eta=eta).value()
-        power = frac_integral_power_closed(order, z, eta).value()
-        rel = abs(collapsed - power) / abs(power)
-        cases.append({
-            "name": f"collapse-p{pp}",
-            "dimension": pp,
-            "collapsed": collapsed,
-            "power_form": power,
-            "rel_error": rel,
-            "pass": bool(rel <= 1e-12),
-        })
+        z, order = _operator_at(pp, r, alpha)
+        cases.append(_rel_check(
+            f"collapse-p{pp}", "collapsed",
+            saigo_power_closed(order, z, SaigoParams(0.0, bb, cc),
+                               eta=eta).value(),
+            frac_integral_power_closed(order, z, eta).value(),
+            dimension=pp))
 
     pp, r = 1, 1
     aa, bb, cc = 0.3, 0.2, 2.0
     alpha, eta = 1.0, 0.5
-    z = _grid_argument(pp)
-    order = FracOrder(alpha, RectConfig.with_identity_weights(pp, r))
+    z, order = _operator_at(pp, r, alpha)
     trunc = Truncation(k_max=25)
     table = fetch_table(trunc.k_max, pp)
     closed = saigo_power_closed(order, z, SaigoParams(aa, bb, cc), eta=eta,
@@ -326,20 +301,8 @@ def suite_saigo(samples=400_000, seed=42):
         return xx ** eta * poly(1.0 - xx / z11)
 
     mc = frac_integral_numeric(order, z, operand, samples, seed)
-    zscore = (closed - mc.value) / mc.stderr
-    cases.append({
-        "name": "mc-small-params",
-        "a": aa,
-        "b": bb,
-        "c": cc,
-        "alpha": alpha,
-        "eta": eta,
-        "closed": closed,
-        "estimate": mc.value,
-        "stderr": mc.stderr,
-        "z": zscore,
-        "pass": bool(abs(zscore) <= 3.0),
-    })
+    cases.append(_mc_check("mc-small-params", closed, mc, a=aa, b=bb, c=cc,
+                           alpha=alpha, eta=eta))
     return _report("saigo", seed, {"samples": int(samples)}, cases)
 
 
@@ -362,19 +325,6 @@ def suite_beta(samples=200_000, seed=42):
             return (_batch_det(w) ** (al - half)
                     * _batch_det(eye - w) ** (be - half))
 
-        est1 = mc_integrate_unit_cone(g_type1, p, samples, seed + i)
-        z1 = (target - est1.value) / est1.stderr
-        cases.append({
-            "name": f"type1-a{al}-b{be}",
-            "alpha": al,
-            "beta": be,
-            "target": target,
-            "estimate": est1.value,
-            "stderr": est1.stderr,
-            "z": z1,
-            "pass": bool(abs(z1) <= 3.0),
-        })
-
         def g_type2(w, al=al, be=be):
             rest = eye - w
             s_mat = w @ np.linalg.inv(rest)
@@ -382,20 +332,67 @@ def suite_beta(samples=200_000, seed=42):
                     * _batch_det(eye + s_mat) ** -(al + be)
                     * _batch_det(rest) ** -(p + 1.0))
 
-        est2 = mc_integrate_unit_cone(g_type2, p, samples, seed + 100 + i)
-        z2 = (target - est2.value) / est2.stderr
-        cases.append({
-            "name": f"type2-a{al}-b{be}",
-            "alpha": al,
-            "beta": be,
-            "target": target,
-            "estimate": est2.value,
-            "stderr": est2.stderr,
-            "z": z2,
-            "pass": bool(abs(z2) <= 3.0),
-        })
+        for kind, g, stream in (("type1", g_type1, seed + i),
+                                ("type2", g_type2, seed + 100 + i)):
+            est = mc_integrate_unit_cone(g, p, samples, stream)
+            cases.append(_mc_check(f"{kind}-a{al}-b{be}", target, est,
+                                   ref="target", alpha=al, beta=be))
     return _report("beta", seed, {"samples": int(samples), "dimension": p},
                    cases)
+
+
+def verify_sum_density(cfg1, cfg2, n, seed):
+    """Check that the sum of two independent transformed rectangular draws
+    follows the matrix gamma law with shape (r1+r2)/2.
+
+    Z_i is the quadratic transform of a draw from the exponential-weight
+    density for cfg_i, and U = Z_1 + Z_2 should be matrix gamma with shape
+    (r1+r2)/2 and identity scale whatever the weights are.  Compares the mean
+    trace and mean determinant against exact moments at four standard errors,
+    and for p = 1 adds a Kolmogorov-Smirnov test at the one-percent level.
+    The standard errors need at least two samples.
+    """
+    n = _check_count(n, 2)
+    if cfg1.p != cfg2.p:
+        raise DimensionError(
+            f"configurations disagree on dimension: {cfg1.p} vs {cfg2.p}")
+    p = cfg1.p
+    u = (rect_transform(_rect_raw(cfg1, n, seed, stream=1), cfg1)
+         + rect_transform(_rect_raw(cfg2, n, seed, stream=2), cfg2))
+    a = 0.5 * (cfg1.r + cfg2.r)
+
+    cases = []
+    for name, xs, expected in (
+            ("mean-trace", np.trace(u, axis1=1, axis2=2), p * a),
+            ("mean-determinant", _batch_det(u),
+             math.exp(log_matrix_gamma(p, a + 1.0) - log_matrix_gamma(p, a)))):
+        observed = float(np.mean(xs))
+        se = float(np.std(xs, ddof=1) / math.sqrt(n))
+        cases.append(_z_check(name, (observed - expected) / se, 4.0,
+                              observed=observed, expected=expected))
+
+    if p == 1:
+        xs = np.sort(u[:, 0, 0])
+        cdf = gammainc(a, xs)
+        grid = np.arange(1, n + 1) / n
+        stat = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
+        crit = _KS_CRIT_1PCT / math.sqrt(n)
+        cases.append({
+            "name": "ks-distribution",
+            "statistic": stat,
+            "critical": crit,
+            "pass": bool(stat < crit),
+        })
+
+    return {
+        "check": "sum-density",
+        "dimension": int(p),
+        "orders": [int(cfg1.r), int(cfg2.r)],
+        "samples": n,
+        "seed": int(seed),
+        "cases": cases,
+        "pass": all(c["pass"] for c in cases),
+    }
 
 
 def suite_sumdensity(p=None, r1=None, r2=None, samples=100_000, seed=42):
@@ -415,7 +412,6 @@ def suite_sumdensity(p=None, r1=None, r2=None, samples=100_000, seed=42):
         rep = verify_sum_density(RectConfig.with_identity_weights(pp, rr1),
                                  RectConfig.with_identity_weights(pp, rr2),
                                  samples, seed)
-        rep = dict(rep)
         rep["name"] = f"p{pp}-r{rr1}-r{rr2}"
         cases.append(rep)
     return _report("sumdensity", seed, {"samples": int(samples)}, cases)

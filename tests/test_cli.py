@@ -193,6 +193,38 @@ def test_verify_nonfinite_result_is_domain_error():
     assert "Traceback" not in proc.stderr
 
 
+# SHA-256 of `verify` stdout at seed 7 and small sizes, computed when each
+# suite wrote its own pass records and the sum-density check lived with
+# the samplers
+_VERIFY_DIGESTS = {
+    "beta": (["--samples", "4000"],
+             "6da7ce08288ab112ed6412fd1a5fd68a09113db52a05d395549de4dc462358f3"),
+    "binomial": ([],
+                 "8e1abf26afc0ffa3522a7d133b2b38ab4e9587775b61502af66d3c67faf40793"),
+    "euler": (["--samples", "20000"],
+              "4b0c0d11f666d60fdf994821e0ce847837b7fe444699c2fa37eb3cd68e332100"),
+    "fracpower": (["--samples", "4000"],
+                  "5da2e91728552ff648f1c7e0c3ee2932186b9acb8d627e09cf1eb06f9031d675"),
+    "fraczonal": (["--samples", "2000"],
+                  "98cf019b1c3aedd90ff847c9b4fc1e7139d1550aa88dc7bc6821cc637d089ab9"),
+    "pathway": ([],
+                "28c499909ad2c9d3e66083951812b4b2d492eda7ae6fc771d220a0fbfe1c30ad"),
+    "saigo": (["--samples", "4000"],
+              "dd3d571baf7865a8ed9b3031437ce15a3ac735eb04b42ccdce56280f4e6198d2"),
+    "sumdensity": (["--samples", "4000"],
+                   "e7a4a1966eb8987c52e6c7beb30921f6f6f00ea122e918f4f776c0281fe36122"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_DIGESTS))
+def test_verify_output_pinned(capsys, suite):
+    flags, digest = _VERIFY_DIGESTS[suite]
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", suite, *flags, "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _BAD_FLAGS = (["--bogus"], ["--samples", "ten"], ["--samples", "-3"],
               ["--p", "9"], ["--kmax", "-1"], ["--kmax", "99"],
               ["--suite", "nope"])
@@ -228,6 +260,61 @@ def test_eval_overflowing_value_is_domain_error():
     (rec,) = strict_records(proc.stdout)
     assert rec["error"] == "DegenerateInputError"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("payload", ['[["a"]]', "[[1,2],[3]]", '{"a":1}'],
+                         ids=["string", "ragged", "object"])
+@pytest.mark.parametrize("flag", ["--z", "--z-file", "--weight-a",
+                                  "--weight-b"])
+def test_malformed_matrix_is_dimension_error(capsys, tmp_path, flag, payload):
+    # JSON that is not a matrix of numbers is a domain error, not a crash
+    flags = {"--z": "[[0.5]]", flag: payload}
+    if flag == "--z-file":
+        del flags["--z"]
+        path = tmp_path / "z.json"
+        path.write_text(payload)
+        flags[flag] = str(path)
+    argv = ["eval", "fracint-power", "--r", "1", "--alpha", "1.0"]
+    capsys.readouterr()
+    code = cli.main(argv + [x for kv in flags.items() for x in kv])
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert code == 2
+    assert rec["error"] == "DimensionError"
+    assert "equal-length rows of numbers" in rec["message"]
+
+
+@pytest.mark.parametrize("flag", ["--z", "--z-file"])
+def test_deeply_nested_matrix_is_usage_error(capsys, tmp_path, flag):
+    # deeper than the JSON decoder recurses: refused like unparseable text
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "z.json"
+    path.write_text(deep)
+    value = deep if flag == "--z" else str(path)
+    capsys.readouterr()
+    try:
+        code = cli.main(["eval", "fracint-power", "--r", "1", "--alpha", "1.0",
+                         flag, value])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "not valid JSON" in captured.err
+
+
+@pytest.mark.parametrize("command", [["zonal", "--k", "1"],
+                                     ["hyper", "--num", "1"]],
+                         ids=["zonal", "hyper"])
+@pytest.mark.parametrize("matrix", [["--z", "[[1]]"],
+                                    ["--z-file", "unused.json"]],
+                         ids=["z", "z-file"])
+def test_eigs_with_matrix_is_usage_error(capsys, command, matrix):
+    capsys.readouterr()
+    code = cli.main(["eval", *command, "--eigs", "0.5", *matrix])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "mutually exclusive" in captured.err
 
 
 _EXTREME = st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308])
