@@ -84,17 +84,20 @@ def _dumps(obj):
         raise DegenerateInputError(f"result is not finite: {exc}") from exc
 
 
-def _emit(records, output):
-    _write([_dumps(r) for r in records], output)
+def _emit(record, output):
+    _write([_dumps(record)], output)
 
 
 def _write(lines, output):
     text = "\n".join(lines) + "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc}")
 
 
 def _spd_from_args(args, eigs=None):
@@ -121,137 +124,108 @@ def _spd_from_args(args, eigs=None):
     return SpdMatrix(matrix_from_rows(rows))
 
 
-def _weights_config(args, p, r):
+def _operator(args):
+    """Z and the FracOrder of fracint-power, fracint-zonal and saigo, from
+    --z or --z-file, --r, --alpha and the weights (identity by default)."""
+    z = _spd_from_args(args)
     a = SpdMatrix(matrix_from_rows(args.weight_a)) \
-        if args.weight_a is not None else SpdMatrix.identity(p)
+        if args.weight_a is not None else SpdMatrix.identity(z.dim)
     b = SpdMatrix(matrix_from_rows(args.weight_b)) \
-        if args.weight_b is not None else SpdMatrix.identity(r)
-    return RectConfig(p, r, a, b)
+        if args.weight_b is not None else SpdMatrix.identity(args.r)
+    return z, FracOrder(args.alpha, RectConfig(z.dim, args.r, a, b))
 
 
-def _frac_record(op, fv, echo):
-    rec = {
-        "schema": _SCHEMA,
-        "op": op,
-        "sign": fv.sign,
-        "det_exponent": fv.det_exponent,
-        "log_magnitude": fv.log_magnitude if fv.sign != 0 else None,
-        "value": fv.value(),
-    }
-    rec.update(echo)
-    return rec
+def _operator_fields(args, z, fv):
+    """The fields the three operator records share: the closed-form value
+    fv and the operator's arguments."""
+    return {"sign": fv.sign,
+            "det_exponent": fv.det_exponent,
+            "log_magnitude": fv.log_magnitude if fv.sign != 0 else None,
+            "value": fv.value(),
+            "p": z.dim, "r": args.r, "alpha": args.alpha,
+            "z_matrix": z.to_lists()}
 
 
 # ---------------------------------------------------------------------------
-# eval subcommands
+# eval subcommands: each returns its record's fields, and _cmd_eval adds
+# the schema and the op
 
-def _cmd_eval_gamma(args):
-    rec = {"schema": _SCHEMA, "op": "gamma", "p": args.p, "alpha": args.alpha,
-           "log_value": log_matrix_gamma(args.p, args.alpha)}
-    _emit([rec], args.output)
-    return 0
-
-
-def _cmd_eval_beta(args):
-    rec = {"schema": _SCHEMA, "op": "beta", "p": args.p, "alpha": args.alpha,
-           "beta": args.beta,
-           "log_value": log_matrix_beta(args.p, args.alpha, args.beta)}
-    _emit([rec], args.output)
-    return 0
+def _gamma(args):
+    return {"p": args.p, "alpha": args.alpha,
+            "log_value": log_matrix_gamma(args.p, args.alpha)}
 
 
-def _cmd_eval_pochhammer(args):
+def _beta(args):
+    return {"p": args.p, "alpha": args.alpha, "beta": args.beta,
+            "log_value": log_matrix_beta(args.p, args.alpha, args.beta)}
+
+
+def _pochhammer(args):
     part = Partition.coerce(args.k)
     log_mag, sign = signed_log_gen_pochhammer(args.a, part)
-    rec = {"schema": _SCHEMA, "op": "pochhammer", "a": args.a,
-           "partition": list(part.parts),
-           "value": gen_pochhammer(args.a, part),
-           "log_magnitude": log_mag if sign != 0 else None,
-           "sign": sign}
-    _emit([rec], args.output)
-    return 0
+    return {"a": args.a, "partition": list(part.parts),
+            "value": gen_pochhammer(args.a, part),
+            "log_magnitude": log_mag if sign != 0 else None,
+            "sign": sign}
 
 
-def _cmd_eval_zonal(args):
+def _zonal(args):
     part = Partition.coerce(args.k)
     z = _spd_from_args(args, args.eigs)
     table = fetch_table(part.weight, z.dim)
-    rec = {"schema": _SCHEMA, "op": "zonal", "partition": list(part.parts),
-           "eigenvalues": z.eigenvalues.tolist(),
-           "value": zonal_eval(part, z, table)}
-    _emit([rec], args.output)
-    return 0
+    return {"partition": list(part.parts),
+            "eigenvalues": z.eigenvalues.tolist(),
+            "value": zonal_eval(part, z, table)}
 
 
-def _cmd_eval_hyper(args):
+def _hyper(args):
     z = _spd_from_args(args, args.eigs)
-    params = HyperParams(args.num, args.den if args.den else ())
-    trunc = Truncation(k_max=args.kmax)
-    res = hyper_pfq(params, z, trunc)
-    rec = {"schema": _SCHEMA, "op": "hyper",
-           "numerator": list(params.numerator),
-           "denominator": list(params.denominator),
-           "eigenvalues": z.eigenvalues.tolist(),
-           "k_max": args.kmax,
-           "value": res.value,
-           "tail_estimate": res.tail_estimate,
-           "ratio": res.ratio}
-    _emit([rec], args.output)
-    return 0
+    params = HyperParams(args.num, args.den)
+    res = hyper_pfq(params, z, Truncation(k_max=args.kmax))
+    return {"numerator": list(params.numerator),
+            "denominator": list(params.denominator),
+            "eigenvalues": z.eigenvalues.tolist(),
+            "k_max": args.kmax,
+            "value": res.value,
+            "tail_estimate": res.tail_estimate,
+            "ratio": res.ratio}
 
 
-def _cmd_eval_fracint_power(args):
-    z = _spd_from_args(args)
-    cfg = _weights_config(args, z.dim, args.r)
-    order = FracOrder(args.alpha, cfg)
+def _fracint_power(args):
+    z, order = _operator(args)
     fv = frac_integral_power_closed(order, z, args.eta)
-    rec = _frac_record("fracint-power", fv, {
-        "p": z.dim, "r": args.r, "alpha": args.alpha, "eta": args.eta,
-        "z_matrix": z.to_lists()})
-    _emit([rec], args.output)
-    return 0
+    return {**_operator_fields(args, z, fv), "eta": args.eta}
 
 
-def _cmd_eval_fracint_zonal(args):
-    z = _spd_from_args(args)
-    cfg = _weights_config(args, z.dim, args.r)
-    order = FracOrder(args.alpha, cfg)
+def _fracint_zonal(args):
+    z, order = _operator(args)
     part = Partition.coerce(args.k)
     fv = frac_integral_zonal_closed(order, z, part)
-    rec = _frac_record("fracint-zonal", fv, {
-        "p": z.dim, "r": args.r, "alpha": args.alpha,
-        "partition": list(part.parts), "z_matrix": z.to_lists()})
-    _emit([rec], args.output)
-    return 0
+    return {**_operator_fields(args, z, fv), "partition": list(part.parts)}
 
 
-def _cmd_eval_saigo(args):
-    z = _spd_from_args(args)
-    cfg = _weights_config(args, z.dim, args.r)
-    order = FracOrder(args.alpha, cfg)
+def _saigo(args):
+    z, order = _operator(args)
     fv = saigo_power_closed(order, z, SaigoParams(args.a, args.b, args.c),
                             eta=args.eta, trunc=Truncation(k_max=args.kmax))
-    rec = _frac_record("saigo", fv, {
-        "p": z.dim, "r": args.r, "alpha": args.alpha, "eta": args.eta,
-        "a": args.a, "b": args.b, "c": args.c, "k_max": args.kmax,
-        "z_matrix": z.to_lists()})
-    _emit([rec], args.output)
-    return 0
+    return {**_operator_fields(args, z, fv), "eta": args.eta, "a": args.a,
+            "b": args.b, "c": args.c, "k_max": args.kmax}
 
 
-def _cmd_eval_pathway(args):
+def _pathway(args):
     if (args.eigs is None) == (args.k is None):
         raise _UsageError("exactly one of --eigs or --k is required")
     if args.eigs is not None:
-        value = pathway_det_limit(args.q, np.array(args.eigs))
-        rec = {"schema": _SCHEMA, "op": "pathway", "q": args.q,
-               "eigenvalues": list(args.eigs), "value": value}
-    else:
-        part = Partition.coerce(args.k)
-        rec = {"schema": _SCHEMA, "op": "pathway", "q": args.q,
-               "partition": list(part.parts),
-               "value": pathway_factor(args.q, part)}
-    _emit([rec], args.output)
+        return {"q": args.q, "eigenvalues": list(args.eigs),
+                "value": pathway_det_limit(args.q, np.array(args.eigs))}
+    part = Partition.coerce(args.k)
+    return {"q": args.q, "partition": list(part.parts),
+            "value": pathway_factor(args.q, part)}
+
+
+def _cmd_eval(args):
+    fields = _EVAL[args.subcommand][0](args)
+    _emit({"schema": _SCHEMA, "op": args.subcommand, **fields}, args.output)
     return 0
 
 
@@ -261,7 +235,7 @@ def _cmd_eval_pathway(args):
 def _cmd_verify(args):
     report = run_suite(args.suite, samples=args.samples, seed=args.seed,
                        k_max=args.kmax, p=args.p, r1=args.r1, r2=args.r2)
-    _emit([report], args.output)
+    _emit(report, args.output)
     return 0 if report["pass"] else 1
 
 
@@ -291,26 +265,63 @@ def _cmd_sample(args):
 
 
 # ---------------------------------------------------------------------------
+# flags: each is declared once, as (option, add_argument settings); a
+# command lists its flags in --help order
+
+def _variant(flag, **settings):
+    """flag with some of its settings replaced."""
+    return flag[0], {**flag[1], **settings}
+
+
+_P = ("--p", dict(type=int, required=True))
+_R = ("--r", dict(type=int, required=True))
+_A = ("--a", dict(type=float, required=True))
+_ALPHA = ("--alpha", dict(type=float, required=True))
+_K = ("--k", dict(type=_csv_partition, required=True))
+_EIGS = ("--eigs", dict(type=_csv_floats))
+_KMAX = ("--kmax", dict(type=int, default=25))
+_ETA = ("--eta", dict(type=float, default=0.0))
+_MATRIX = (("--z", dict(type=_inline_matrix,
+                        help="matrix as inline JSON rows")),
+           ("--z-file", dict(help="path to a JSON matrix file")))
+_WEIGHTS = (
+    ("--weight-a", dict(type=_inline_matrix, help="left weight matrix A as "
+                        "inline JSON (default identity)")),
+    ("--weight-b", dict(type=_inline_matrix, help="right weight matrix B as "
+                        "inline JSON (default identity)")))
+
+_EVAL = {
+    "gamma": (_gamma, [_P, _ALPHA]),
+    "beta": (_beta, [_P, _ALPHA,
+                     ("--beta", dict(type=float, required=True))]),
+    "pochhammer": (_pochhammer, [
+        _A, _variant(_K, help="partition as comma-separated parts, e.g. 2,1")]),
+    "zonal": (_zonal, [
+        _K, _variant(_EIGS, help="eigenvalues as comma-separated floats"),
+        *_MATRIX]),
+    "hyper": (_hyper, [
+        ("--num", dict(type=_csv_floats, required=True,
+                       help="numerator parameters")),
+        ("--den", dict(type=_csv_floats, default=(),
+                       help="denominator parameters")),
+        _EIGS, _KMAX, *_MATRIX]),
+    "fracint-power": (_fracint_power,
+                      [_R, _ALPHA, _ETA, *_MATRIX, *_WEIGHTS]),
+    "fracint-zonal": (_fracint_zonal, [_R, _ALPHA, _K, *_MATRIX, *_WEIGHTS]),
+    "saigo": (_saigo, [
+        _R, _ALPHA, _A, ("--b", dict(type=float, required=True)),
+        ("--c", dict(type=float, required=True)), _ETA, _KMAX, *_MATRIX,
+        *_WEIGHTS]),
+    "pathway": (_pathway, [("--q", dict(type=float, required=True)), _EIGS,
+                           _variant(_K, required=False)]),
+}
+
+
+# ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_output(sp):
-    sp.add_argument("--output", help="write JSON to this path instead of stdout")
-
-
-def _add_matrix_flags(sp, flag="z"):
-    sp.add_argument(f"--{flag}", type=_inline_matrix,
-                    help="matrix as inline JSON rows")
-    sp.add_argument(f"--{flag}-file", help="path to a JSON matrix file")
-
-
-def _add_weight_flags(sp):
-    sp.add_argument("--weight-a", type=_inline_matrix,
-                    help="left weight matrix A as inline JSON (default identity)")
-    sp.add_argument("--weight-b", type=_inline_matrix,
-                    help="right weight matrix B as inline JSON (default identity)")
-
-
-def _build_parser(config_defaults):
+def _build_parser():
+    """The parser and the list of its subcommand parsers."""
     # abbreviation is off at the top level so that subcommand flags such as
     # --c are never mistaken for a prefix of --config
     parser = _Parser(prog="mvfrac", allow_abbrev=False,
@@ -318,109 +329,45 @@ def _build_parser(config_defaults):
                                  "fractional integral operators")
     parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
-    all_subparsers = []
+    commands = []
 
-    def new(parent, name, func, **kw):
+    def new(parent, name, func, flags, **kw):
         sp = parent.add_parser(name, **kw)
         sp.set_defaults(func=func)
-        _add_output(sp)
-        all_subparsers.append(sp)
-        return sp
+        sp.add_argument("--output",
+                        help="write JSON to this path instead of stdout")
+        for option, settings in flags:
+            sp.add_argument(option, **settings)
+        commands.append(sp)
 
     pe = sub.add_parser("eval", help="evaluate closed forms and series")
     pe_sub = pe.add_subparsers(dest="subcommand", required=True)
-
-    sp = new(pe_sub, "gamma", _cmd_eval_gamma)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-
-    sp = new(pe_sub, "beta", _cmd_eval_beta)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-
-    sp = new(pe_sub, "pochhammer", _cmd_eval_pochhammer)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--k", type=_csv_partition, required=True,
-                    help="partition as comma-separated parts, e.g. 2,1")
-
-    sp = new(pe_sub, "zonal", _cmd_eval_zonal)
-    sp.add_argument("--k", type=_csv_partition, required=True)
-    sp.add_argument("--eigs", type=_csv_floats,
-                    help="eigenvalues as comma-separated floats")
-    _add_matrix_flags(sp)
-
-    sp = new(pe_sub, "hyper", _cmd_eval_hyper)
-    sp.add_argument("--num", type=_csv_floats, required=True,
-                    help="numerator parameters")
-    sp.add_argument("--den", type=_csv_floats, default=(),
-                    help="denominator parameters")
-    sp.add_argument("--eigs", type=_csv_floats)
-    sp.add_argument("--kmax", type=int, default=25)
-    _add_matrix_flags(sp)
-
-    sp = new(pe_sub, "fracint-power", _cmd_eval_fracint_power)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--eta", type=float, default=0.0)
-    _add_matrix_flags(sp)
-    _add_weight_flags(sp)
-
-    sp = new(pe_sub, "fracint-zonal", _cmd_eval_fracint_zonal)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--k", type=_csv_partition, required=True)
-    _add_matrix_flags(sp)
-    _add_weight_flags(sp)
-
-    sp = new(pe_sub, "saigo", _cmd_eval_saigo)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--eta", type=float, default=0.0)
-    sp.add_argument("--kmax", type=int, default=25)
-    _add_matrix_flags(sp)
-    _add_weight_flags(sp)
-
-    sp = new(pe_sub, "pathway", _cmd_eval_pathway)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--eigs", type=_csv_floats)
-    sp.add_argument("--k", type=_csv_partition)
-
-    sp = new(sub, "verify", _cmd_verify,
-             help="run an oracle comparison suite")
-    sp.add_argument("--suite", required=True, choices=sorted(SUITES))
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--kmax", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r1", type=int)
-    sp.add_argument("--r2", type=int)
-
-    sp = new(sub, "sample", _cmd_sample, help="draw seeded random matrices")
-    sp.add_argument("kind", choices=["matrix-gamma", "rect-exponential",
-                                     "uniform-unit-cone"])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--shape", type=float)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=42)
-
-    if config_defaults:
-        for spx in all_subparsers:
-            spx.set_defaults(**config_defaults)
-            # a key in the config satisfies a required flag
-            for action in spx._actions:
-                if action.required and action.dest in config_defaults:
-                    action.required = False
-    return parser
+    for name, (_, flags) in _EVAL.items():
+        new(pe_sub, name, _cmd_eval, flags)
+    new(sub, "verify", _cmd_verify, [
+        ("--suite", dict(required=True, choices=sorted(SUITES))),
+        ("--samples", dict(type=int)), ("--seed", dict(type=int)),
+        _variant(_KMAX, default=None), _variant(_P, required=False),
+        ("--r1", dict(type=int)), ("--r2", dict(type=int))],
+        help="run an oracle comparison suite")
+    new(sub, "sample", _cmd_sample, [
+        ("kind", dict(choices=["matrix-gamma", "rect-exponential",
+                               "uniform-unit-cone"])),
+        _P, ("--shape", dict(type=float)), _variant(_R, required=False),
+        ("--n", dict(type=int, required=True)),
+        ("--seed", dict(type=int, default=42))],
+        help="draw seeded random matrices")
+    return parser, commands
 
 
-def _load_config(path):
-    """key=value lines; blank lines and # comments ignored.  Values stay
-    strings so argparse applies the same conversions as for real flags."""
+def _apply_config(path, commands):
+    """Defaults for every subcommand from the key=value lines of the file
+    at path; blank lines and # comments are ignored.  A key names a flag of
+    some subcommand, with - read as _, and satisfies that flag where it is
+    required.  Values stay strings so argparse applies the same conversions
+    as for real flags."""
+    keys = {action.dest for sp in commands for action in sp._actions
+            if action.option_strings and action.dest != "help"}
     defaults = {}
     try:
         with open(path) as fh:
@@ -432,21 +379,29 @@ def _load_config(path):
                     raise _UsageError(
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = value.strip()
+                dest = key.strip().replace("-", "_")
+                if dest not in keys:
+                    raise _UsageError(
+                        f"{path}:{lineno}: {key.strip()!r} is not a flag of "
+                        f"any subcommand")
+                defaults[dest] = value.strip()
     except OSError as exc:
         raise _UsageError(f"cannot read config {path}: {exc}")
-    return defaults
+    for sp in commands:
+        sp.set_defaults(**defaults)
+        for action in sp._actions:
+            if action.required and action.dest in defaults:
+                action.required = False
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     try:
-        config_defaults = _load_config(known.config) if known.config else {}
-        parser = _build_parser(config_defaults)
+        parser, commands = _build_parser()
+        if known.config:
+            _apply_config(known.config, commands)
         args = parser.parse_args(argv)
         # a non-finite result is reported as a DegenerateInputError record,
         # so numpy's floating-point warnings would only repeat it on stderr
@@ -456,8 +411,8 @@ def main(argv=None):
         sys.stderr.write(f"mvfrac: error: {exc}\n")
         return 64
     except MvfracError as exc:
-        _emit([{"schema": _SCHEMA, "error": type(exc).__name__,
-                "message": str(exc)}], None)
+        _emit({"schema": _SCHEMA, "error": type(exc).__name__,
+               "message": str(exc)}, None)
         return 2
 
 

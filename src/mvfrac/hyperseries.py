@@ -67,23 +67,16 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Series truncation policy.
-
-    k_max caps the partition weight.  tail_tol is the relative tail size a
-    caller is willing to accept; the series itself always reports the
-    geometric tail estimate and leaves the verdict to the caller.
-    """
+    """Series truncation policy: k_max caps the partition weight.  The
+    series always reports its geometric tail estimate and leaves the
+    verdict to the caller."""
 
     k_max: int = 25
-    tail_tol: float = 1e-10
 
     def __post_init__(self):
         if not isinstance(self.k_max, int) or self.k_max < 0:
             raise ParameterDomainError(
                 f"k_max must be a non-negative integer, got {self.k_max!r}")
-        if not self.tail_tol > 0.0:
-            raise ParameterDomainError(
-                f"tail_tol must be positive, got {self.tail_tol!r}")
 
 
 class SeriesResult(NamedTuple):

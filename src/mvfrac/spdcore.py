@@ -9,6 +9,7 @@ with the same rules SpdMatrix applies to one.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -335,18 +336,28 @@ def matrix_to_json(m):
 
 
 def matrix_from_rows(rows):
-    """A parsed JSON array of row arrays as a float ndarray, validating
-    shape and entries."""
+    """A parsed JSON array of row arrays as a float ndarray.  Ragged rows,
+    entries that are not JSON numbers (strings, booleans, null) and integers
+    beyond the float range are DimensionErrors."""
     try:
         arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionError(f"expected equal-length rows of numbers: {exc}")
     if arr.ndim != 2:
         raise DimensionError(
             f"expected a JSON array of row arrays, got ndim={arr.ndim}")
+    for x in (x for row in rows for x in row):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise DimensionError(f"expected equal-length rows of numbers: "
+                                 f"{x!r} is not a number")
     return arr
 
 
 def matrix_from_json(text):
     """Parse a JSON array-of-arrays into a float ndarray, validating shape."""
-    return matrix_from_rows(json.loads(text))
+    try:
+        rows = json.loads(text)
+    except RecursionError:
+        raise DimensionError("expected equal-length rows of numbers: "
+                             "nested too deeply to decode") from None
+    return matrix_from_rows(rows)

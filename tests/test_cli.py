@@ -24,6 +24,7 @@ from mvfrac import (
     sample_matrix_gamma,
     sample_rect_exponential,
     sample_uniform_spd_unit,
+    zonal,
 )
 from mvfrac.verify import SUITES
 
@@ -193,6 +194,138 @@ def test_verify_nonfinite_result_is_domain_error():
     assert "Traceback" not in proc.stderr
 
 
+def _main(argv):
+    """cli.main in process, with argparse's SystemExit read as the code."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_Z2 = "[[1.1,0.2],[0.2,0.7]]"
+_WA = "[[2.0,0.1],[0.1,1.0]]"
+_WB = "[[1.0,0.0,0.0],[0.0,3.0,0.5],[0.0,0.5,2.0]]"
+
+# (eval argv, exit code, SHA-256 of stdout), computed when each eval
+# subcommand wrote its own record envelope; {zfile} holds
+# [[1.2,-0.3],[-0.3,0.9]]
+_EVAL_DIGESTS = [
+    (["gamma", "--p", "2", "--alpha", "3.0"], 0,
+     "4ed71dbf23eaee342f8aeaf5efc7993de85ff9b063265b442bc1313e5fe49fc3"),
+    (["beta", "--p", "2", "--alpha", "2.5", "--beta", "1.5"], 0,
+     "f02426089967187051357b02ba7ca7058b932c06e6ea62eff71b0a2a858ef901"),
+    (["pochhammer", "--a", "2.0", "--k", "2,1"], 0,
+     "3a04630522cefdf17d5f0fbe58a1ce1b10afaabbe68b63bbfaa7211edf33ad98"),
+    (["pochhammer", "--a", "0.5", "--k", "1,1"], 0,  # sign 0
+     "b92c884d3cad941c7f67439b2343b955f2ce2f8d1dc4d208dfea65c2b6aaf97f"),
+    (["zonal", "--k", "2,1", "--eigs", "0.5,1.5"], 0,
+     "4f30fa08f1bab6f6b8f8d9fdb28a5be633e4eb8c09d8b7d8165f7d16f481f915"),
+    (["zonal", "--k", "2", "--z", _Z2], 0,
+     "425de72bfc34a1b73c79392dc918ff36aff0c3bf44439e5b15e11e8610972950"),
+    (["zonal", "--k", "3,1", "--z-file", "{zfile}"], 0,
+     "7de742283508cb066706d9d5f9f69594a1227b9be26a3b3039ea24a61b2e2847"),
+    (["hyper", "--num", "1.0,1.0", "--den", "2.0", "--eigs", "0.5",
+      "--kmax", "25"], 0,
+     "721df25b680882e30c5b04c1a397bf1ee218c752a996c0d2d9dbf6105925398c"),
+    (["hyper", "--num", "0.5", "--z", "[[0.3,0.1],[0.1,0.2]]",
+      "--kmax", "10"], 0,
+     "638c764ea16b7ff68c589902ce07568b16dace9c60efe34faa748704f07b1723"),
+    (["fracint-power", "--r", "1", "--alpha", "1.0", "--z", "[[2.0]]"], 0,
+     "139aa42d454d4e72707fa01e49a5878f7b4a3d8fe0c56c155250c2e793bc663d"),
+    (["fracint-power", "--r", "3", "--alpha", "1.5", "--eta", "0.3",
+      "--z-file", "{zfile}", "--weight-a", _WA, "--weight-b", _WB], 0,
+     "a54c4deccc592ce527413938fad62be3afd5fce88a06e0030af767e758f6d715"),
+    (["fracint-zonal", "--r", "2", "--alpha", "1.5", "--k", "2,1",
+      "--z", _Z2, "--weight-a", _WA], 0,
+     "f3b98849c1b479cec986527be2cb25d41633c965baacb097bb6b96e5f4e35fc7"),
+    (["saigo", "--r", "2", "--alpha", "1.5", "--a", "0.0", "--b", "0.4",
+      "--c", "2.5", "--z", _Z2], 0,
+     "7e04121827b24be3283eaa0beb618c4e9ec1be1475d4b8c396a45defe478cbe0"),
+    (["saigo", "--r", "3", "--alpha", "1.0", "--a", "0.3", "--b", "0.2",
+      "--c", "2.0", "--eta", "0.5", "--kmax", "12", "--z", _Z2,
+      "--weight-b", _WB], 0,
+     "8b1cb8ff4c65ef6d45034f71e979aeb2f2ee53c607632fd2f404c6791dfacd59"),
+    (["pathway", "--q", "1.01", "--eigs", "1.0,0.5"], 0,
+     "229d204b6f76a7087e719671b0edc0d5870acda293a102624aa07f39c1455d59"),
+    (["pathway", "--q", "2.0", "--k", "2,1"], 0,
+     "d129f005004c260f9baea5ad0eb14371feef7ea96ac668e6107096045aa54cbd"),
+    # domain errors
+    (["gamma", "--p", "3", "--alpha", "0.5"], 2,
+     "3d76772cea6659348c0f36df3fda46d29fae4731d80b9dafe41658158592b239"),
+    (["fracint-power", "--r", "1", "--alpha", "1.0", "--z", "[[-1.0]]"], 2,
+     "877a7d406737ffda40f0977b8d3a87d519f8a98738b5e102c5bd955a0b7a3fe0"),
+    (["fracint-power", "--r", "1", "--alpha", "2.0", "--z", "[[1e300]]"], 2,
+     "b4b76b916aa3973cfcd39b0261175938c12756933673a802cd14efdae6b8ff05"),
+    (["fracint-zonal", "--r", "1", "--alpha", "1.0", "--k", "1",
+      "--z", _Z2], 2,
+     "d2ec9cacd3410b23e9070fb3a6eed76afcdc17ddb5298f7527ce337fddc384db"),
+    (["saigo", "--r", "1", "--alpha", "1.0", "--a", "1.0", "--b", "0.2",
+      "--c", "nan", "--z", "[[0.5]]"], 2,
+     "1baac61263bc247763319fae3f291d759d20eaf0d0f57eaf91a810ed108dec60"),
+    (["hyper", "--num", "1.0", "--den", "nan", "--eigs", "0.5"], 2,
+     "9b393de4cc38534a8f7a0ecafaeafb838c30a78e45d28dd58d9dac61bf84f424"),
+    (["pochhammer", "--a", "1.0", "--k", "1,2"], 2,
+     "5c6f92430201dcdf989c3e4f5e056c365f0ec783c445ebfae0580eeffda7b020"),
+    (["pathway", "--q", "0.5", "--k", "2"], 2,
+     "8d88e5cd9dbb54de5c881b1ba299d0b49d469bb4911c7ecaa035b124da5f81ef"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", _EVAL_DIGESTS,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _, _)
+                              in enumerate(_EVAL_DIGESTS)])
+def test_eval_output_pinned(capsys, monkeypatch, tmp_path, argv, code,
+                            digest):
+    # a fresh process starts with no zonal tables; a wider cached table
+    # changes zonal values in the last bit
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    zfile = tmp_path / "z.json"
+    zfile.write_text("[[1.2,-0.3],[-0.3,0.9]]")
+    capsys.readouterr()
+    assert _main(["eval", *(a.replace("{zfile}", str(zfile))
+                            for a in argv)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "gamma", "--p", "2"],
+    ["eval", "beta", "--p", "two", "--alpha", "1", "--beta", "1"],
+    ["eval", "no-such-op"],
+    ["eval", "pochhammer", "--a", "1", "--k", "1,x"],
+    ["eval", "zonal", "--k", "1"],
+    ["eval", "hyper", "--num", "1", "--eigs", "0.5", "--z", "[[0.5]]"],
+    ["eval", "fracint-power", "--r", "1", "--alpha", "1", "--z", "{"],
+    ["eval", "fracint-zonal", "--r", "1", "--alpha", "1", "--z", "[[1]]"],
+    ["eval", "saigo", "--r", "1", "--alpha", "1", "--a", "0", "--b", "0",
+     "--z", "[[0.5]]"],
+    ["eval", "pathway", "--q", "1.01"],
+    ["eval", "pathway", "--q", "1.01", "--eigs", "1.0", "--k", "2"],
+], ids=lambda argv: "-".join(argv[1:3]))
+def test_eval_usage_errors_are_64(capsys, argv):
+    capsys.readouterr()
+    code = _main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+_SUBCOMMANDS = [["eval", name] for name in (
+    "gamma", "beta", "pochhammer", "zonal", "hyper", "fracint-power",
+    "fracint-zonal", "saigo", "pathway")] + [["verify"], ["sample"]]
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=lambda c: c[-1])
+def test_every_subcommand_help_renders(capsys, command):
+    # argparse %-formats help strings only when --help prints them
+    capsys.readouterr()
+    assert _main([*command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: mvfrac {' '.join(command)}")
+    assert "--output OUTPUT" in out
+
+
 # SHA-256 of `verify` stdout at seed 7 and small sizes, computed when each
 # suite wrote its own pass records and the sum-density check lived with
 # the samplers
@@ -262,8 +395,11 @@ def test_eval_overflowing_value_is_domain_error():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("payload", ['[["a"]]', "[[1,2],[3]]", '{"a":1}'],
-                         ids=["string", "ragged", "object"])
+@pytest.mark.parametrize("payload", [
+    '[["a"]]', "[[1,2],[3]]", '{"a":1}', '[["1.5"]]', "[[true]]", "[[null]]",
+    "[[1" + "0" * 400 + "]]"],
+    ids=["string", "ragged", "object", "numeric-string", "bool", "null",
+         "huge-int"])
 @pytest.mark.parametrize("flag", ["--z", "--z-file", "--weight-a",
                                   "--weight-b"])
 def test_malformed_matrix_is_dimension_error(capsys, tmp_path, flag, payload):
@@ -588,6 +724,41 @@ def test_config_file_defaults_and_precedence(tmp_path):
     flags = run("sample", "matrix-gamma", "--p", "2", "--shape", "2.5",
                 "--n", "4", "--seed", "11")
     assert base.stdout == flags.stdout
+
+
+@pytest.mark.parametrize("line", ["func=x", "sample=5"])
+def test_config_unknown_key_is_usage_error(capsys, tmp_path, line):
+    # only a flag of some subcommand may be set; the error names the key
+    # and its line
+    cfg = tmp_path / "defaults.conf"
+    cfg.write_text(f"# defaults\nseed=11\n{line}\n")
+    capsys.readouterr()
+    code = _main(["--config", str(cfg), "eval", "gamma", "--p", "2",
+                  "--alpha", "3.0"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"{cfg}:3:" in captured.err
+    assert repr(line.partition("=")[0]) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", [
+    ["eval", "gamma", "--p", "2", "--alpha", "3.0"],
+    ["verify", "--suite", "pathway"],
+    ["sample", "uniform-unit-cone", "--p", "2", "--n", "3"],
+], ids=["eval", "verify", "sample"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, command, target):
+    path = tmp_path / "no-such-dir" / "x.json" if target == "missing-dir" \
+        else tmp_path
+    capsys.readouterr()
+    code = _main([*command, "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"cannot write {path}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_config_file_malformed():

@@ -199,8 +199,6 @@ def test_denominator_pochhammer_zero_rejected():
 def test_truncation_validation():
     with pytest.raises(ParameterDomainError):
         Truncation(k_max=-1)
-    with pytest.raises(ParameterDomainError):
-        Truncation(k_max=5, tail_tol=-1e-3)
 
 
 # ---------------------------------------------------------------------------

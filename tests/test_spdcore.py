@@ -263,3 +263,16 @@ def test_matrix_from_json_rejects_ragged():
         matrix_from_json("[[1.0, 2.0], [3.0]]")
     with pytest.raises(DimensionError):
         matrix_from_json("[1.0, 2.0]")
+
+
+@pytest.mark.parametrize("text", [
+    '[["1.5"]]', "[[true]]", "[[null]]", "[[1" + "0" * 400 + "]]",
+    "[" * 100_000 + "]" * 100_000],
+    ids=["numeric-string", "bool", "null", "huge-int", "deep"])
+def test_matrix_from_json_accepts_only_numbers(text):
+    # entries must be JSON numbers in the float range, and nesting too deep
+    # to decode is the same error, not a RecursionError
+    with pytest.raises(DimensionError, match="equal-length rows of numbers"):
+        matrix_from_json(text)
+    assert_allclose(matrix_from_json("[[1, 2.5], [-3, 0]]"),
+                    [[1.0, 2.5], [-3.0, 0.0]])
