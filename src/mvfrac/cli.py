@@ -11,6 +11,7 @@ any flag; explicit flags always win.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -394,13 +395,23 @@ def _apply_config(path, commands):
                 action.required = False
 
 
-def main(argv=None):
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+@functools.cache
+def _shared_parsers():
+    """The --config pre-parser and the parser, built on the first main call
+    and reused by every later one.  A call that names a config file builds
+    its own parser, because _apply_config changes defaults and required
+    flags in place and they must not carry over to the next call."""
+    pre = _Parser(prog="mvfrac", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
+    return pre, _build_parser()[0]
+
+
+def main(argv=None):
+    pre, parser = _shared_parsers()
     known, _ = pre.parse_known_args(argv)
     try:
-        parser, commands = _build_parser()
         if known.config:
+            parser, commands = _build_parser()
             _apply_config(known.config, commands)
         args = parser.parse_args(argv)
         # a non-finite result is reported as a DegenerateInputError record,

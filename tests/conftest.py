@@ -17,13 +17,18 @@ import mvfrac
 _PACKAGE_ROOT = str(pathlib.Path(mvfrac.__file__).resolve().parents[1])
 
 
-def run_cli(*args):
-    """Run ``python -m mvfrac.cli *args`` and capture its text output."""
+def run_python(*args):
+    """Run a fresh ``python *args`` and capture its text output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "mvfrac.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """Run ``python -m mvfrac.cli *args`` and capture its text output."""
+    return run_python("-m", "mvfrac.cli", *args)
 
 
 def brute_monomial(mu, eigs):

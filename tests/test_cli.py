@@ -29,6 +29,7 @@ from mvfrac import (
 from mvfrac.verify import SUITES
 
 from conftest import run_cli as run
+from conftest import run_python
 
 
 def records(proc):
@@ -169,6 +170,45 @@ def test_verify_byte_identical_across_runs():
             "--seed", "7")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# In a fresh interpreter: importing the CLI loads no scipy module, and with
+# scipy blocked (any later import of it raises ImportError) an eval and the
+# sum-density suite, whose p = 1 case runs the Kolmogorov-Smirnov test,
+# still succeed.  The report goes to stderr, the records to stdout.
+_WITHOUT_SCIPY = """
+import json, sys
+import mvfrac.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None
+codes = [mvfrac.cli.main(["eval", "gamma", "--p", "2", "--alpha", "3"]),
+         mvfrac.cli.main(["verify", "--suite", "sumdensity",
+                          "--samples", "2000"])]
+sys.stderr.write(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_cli_runs_without_scipy():
+    proc = run_python("-c", _WITHOUT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == {"loaded": [], "codes": [0, 0]}
+    gamma, report = records(proc)
+    assert gamma["op"] == "gamma"
+    assert [c["name"] for c in report["cases"][0]["cases"]][-1] \
+        == "ks-distribution"
+
+
+def test_verify_sumdensity_half_integer_shape(capsys):
+    # orders 1 and 2 give the matrix gamma shape 3/2, whose distribution
+    # test starts from erf
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "sumdensity", "--p", "1",
+                     "--r1", "1", "--r2", "2"]) == 0
+    (rec,) = strict_records(capsys.readouterr().out)
+    (case,) = rec["cases"]
+    assert case["orders"] == [1, 2]
+    ks = case["cases"][-1]
+    assert ks["name"] == "ks-distribution" and ks["pass"]
 
 
 @pytest.mark.parametrize("suite", ["beta", "euler", "fracpower", "fraczonal",
@@ -759,6 +799,63 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, command, target):
     assert captured.out == ""
     assert f"cannot write {path}" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_parser_reuse_keeps_configs_apart(capsys, tmp_path):
+    # each in-process call prints what a fresh process prints: neither
+    # config's defaults nor its lifted required flags reach a later call
+    cfg_a, cfg_b = tmp_path / "a.conf", tmp_path / "b.conf"
+    cfg_a.write_text("seed=11\nn=4\n")
+    cfg_b.write_text("p=3\nalpha=2.5\nshape=1.5\n")
+    gamma_sample = ["sample", "matrix-gamma", "--p", "2", "--shape", "2.5"]
+    calls = [
+        ["--config", str(cfg_a), *gamma_sample],
+        ["--config", str(cfg_b), "eval", "gamma"],
+        ["--config", str(cfg_b), "sample", "matrix-gamma", "--n", "2"],
+        gamma_sample,                                   # --n is required
+        [*gamma_sample, "--n", "4"],                    # seed 42, not 11
+        ["eval", "gamma"],                              # --p, --alpha required
+        ["eval", "gamma", "--p", "2", "--alpha", "3"],
+        ["--config", str(cfg_a), *gamma_sample],
+    ]
+    for argv in calls:
+        capsys.readouterr()
+        code = _main(argv)
+        out = capsys.readouterr().out
+        fresh = run(*argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+@pytest.fixture
+def fresh_shared_parser():
+    cli._shared_parsers.cache_clear()
+    yield
+    cli._shared_parsers.cache_clear()
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys,
+                                       fresh_shared_parser):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    real_build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    for argv in (["eval", "gamma", "--p", "2", "--alpha", "3"],
+                 ["eval", "beta", "--p", "2", "--alpha", "3", "--beta", "2"],
+                 ["verify", "--suite", "pathway"],
+                 ["sample", "uniform-unit-cone", "--p", "2", "--n", "3"],
+                 ["eval", "gamma", "--p", "2"]):
+        _main(argv)
+    assert len(built) == 1
+
+
+def test_config_flag_without_value_is_usage_error():
+    proc = run("eval", "gamma", "--p", "2", "--alpha", "3", "--config")
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("mvfrac: error:")
 
 
 def test_config_file_malformed():

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from mvfrac import (
@@ -40,6 +41,7 @@ from mvfrac.matsample import (
     _cone_raw,
 )
 from mvfrac.rng import derive_key, uniforms
+from mvfrac.verify import _gamma_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,15 @@ def test_sum_density_order_invariance():
     b = verify_sum_density(c2, c1, 50_000, 9)
     assert a["pass"] and b["pass"]
     assert a["orders"] == [3, 4] and b["orders"] == [4, 3]
+
+
+@pytest.mark.parametrize("a", np.arange(0.5, 8.5, 0.5))
+def test_gamma_cdf_matches_scipy(a):
+    # the elementary form behind the sum-density KS test, against scipy's
+    # incomplete gamma function on small and large arguments
+    x = np.union1d(np.geomspace(1e-8, 1.0, 200), np.linspace(1.0, 80.0, 400))
+    err = np.abs(_gamma_cdf(a, x) - scipy.special.gammainc(a, x))
+    assert err.max() <= 1e-14
 
 
 def test_sum_density_needs_two_samples():
