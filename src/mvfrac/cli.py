@@ -254,15 +254,38 @@ def _cmd_sample(args):
             RectConfig.with_identity_weights(args.p, args.r), args.n, seed)
     else:
         stack = sample_uniform_spd_unit(args.p, args.n, seed)
-    # The records are {"entries", "index", "kind", "schema", "seed"} in
-    # sorted key order.  One encoder pass over the whole stack, cut where
-    # one matrix ends and the next begins ("]],[[", which no number
-    # contains), gives each record's entries as encoding it alone would.
-    entries = _dumps(stack.tolist())[3:-3].split("]],[[")
-    rest = _dumps({"kind": args.kind, "schema": _SCHEMA, "seed": seed})[1:]
-    _write([f'{{"entries":[[{e}]],"index":{i},{rest}'
-            for i, e in enumerate(entries)], args.output)
+    # each sampler has refused non-finite entries (check_spd,
+    # check_full_rank) before this point, as _sample_lines requires
+    _write(_sample_lines(stack, args.kind, seed), args.output)
     return 0
+
+
+def _sample_lines(stack, kind, seed):
+    """The records of an (n, p, r) stack of finite floats, one JSON line
+    each: {"entries", "index", "kind", "schema", "seed"}, the same bytes as
+    _dumps of each record alone.
+
+    json writes a finite float as its repr, so each distinct entry is
+    formatted once and placed into one template for the shape.  The
+    entries must be finite, because repr writes nan and inf where _dumps
+    refuses them.  A square stack equal to its transpose bit for bit (every
+    matrix-gamma and cone draw) formats only its upper triangle; bits,
+    because -0.0 == 0.0 would let a mirrored zero lose its sign.
+    """
+    n, p, r = stack.shape
+    cells = np.arange(p * r).reshape(p, r)
+    bits = stack.view(np.uint64)
+    if p == r and np.array_equal(bits, bits.transpose(0, 2, 1)):
+        cells = np.minimum(cells, cells.T)
+    distinct, slot = np.unique(cells.ravel(), return_inverse=True)
+    m = distinct.size
+    rows = "],[".join(",".join(f"{{{k}}}" for k in row)
+                      for row in slot.reshape(p, r).tolist())
+    rest = _dumps({"kind": kind, "schema": _SCHEMA, "seed": seed})[1:]
+    fill = ('{{"entries":[[' + rows + ']],"index":{' + str(m) + '},'
+            + rest.replace("{", "{{").replace("}", "}}")).format
+    text = list(map(repr, stack.reshape(n, -1)[:, distinct].ravel().tolist()))
+    return [fill(*text[k * m:k * m + m], k) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

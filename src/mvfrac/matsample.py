@@ -109,6 +109,9 @@ class MatrixGammaSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterDomainError(f"dimension must be positive, got {self.dim}")
+        if not math.isfinite(self.shape):
+            raise ParameterDomainError(
+                f"matrix gamma shape must be finite, got {self.shape}")
         if not self.shape > 0.5 * (self.dim - 1):
             raise ParameterDomainError(
                 f"matrix gamma shape must exceed (dim-1)/2 = "
@@ -225,7 +228,9 @@ def _cone_raw(p, n, seed):
     """
     n = _check_count(n)
     p = int(p)
-    if p not in (1, 2, 3):
+    if p < 1:
+        raise ParameterDomainError(f"dimension must be positive, got {p}")
+    if p > 3:
         raise ParameterDomainError(
             f"rejection sampling is limited to dimensions 1..3, got {p}; "
             f"higher dimensions need the beta importance sampler")

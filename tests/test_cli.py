@@ -648,7 +648,13 @@ def test_sample_output_pinned(capsys, flags, digest):
                                      50, 7), (50, 2, 3)),
     (["uniform-unit-cone", "--p", "3"],
      lambda: sample_uniform_spd_unit(3, 50, 7), (50, 3, 3)),
-], ids=["matrix-gamma", "rect-exponential", "uniform-unit-cone"])
+    (["matrix-gamma", "--p", "5", "--shape", "3.5"],
+     lambda: sample_matrix_gamma(MatrixGammaSpec(5, 3.5), 50, 7), (50, 5, 5)),
+    (["rect-exponential", "--p", "3", "--r", "5"],
+     lambda: sample_rect_exponential(RectConfig.with_identity_weights(3, 5),
+                                     50, 7), (50, 3, 5)),
+], ids=["matrix-gamma", "rect-exponential", "uniform-unit-cone",
+        "matrix-gamma-p5", "rect-exponential-p3-r5"])
 def test_sample_records_match_library_samplers(capsys, flags, draw, shape):
     # the CLI prints exactly the public sampler's array, one record per row
     capsys.readouterr()
@@ -657,6 +663,69 @@ def test_sample_records_match_library_samplers(capsys, flags, draw, shape):
     stack = draw()
     assert isinstance(stack, np.ndarray) and stack.shape == shape
     assert np.array_equal(np.array([r["entries"] for r in recs]), stack)
+
+
+# finite floats, with the signed zero, subnormals and extremes spelled out
+_ENTRIES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([-0.0, 5e-324, 1e-310, 2.0, 1e300]))
+
+
+@st.composite
+def _entry_stack(draw):
+    """A symmetric (n, p, p) stack, as every SPD draw is, or a rectangular
+    (n, p, r) one with r >= p.  A mirrored zero may differ in sign."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    p = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        r = draw(st.integers(min_value=p, max_value=6))
+        values = draw(st.lists(_ENTRIES, min_size=n * p * r,
+                               max_size=n * p * r))
+        return np.array(values).reshape(n, p, r)
+    i, j = np.triu_indices(p)
+    upper = np.array(draw(st.lists(_ENTRIES, min_size=n * i.size,
+                                   max_size=n * i.size))).reshape(n, -1)
+    flip = np.array(draw(st.lists(st.booleans(), min_size=upper.size,
+                                  max_size=upper.size))).reshape(n, -1)
+    stack = np.empty((n, p, p))
+    stack[:, i, j] = upper
+    stack[:, j, i] = np.where(flip & (upper == 0.0), -upper, upper)
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_entry_stack(),
+       kind=st.sampled_from(["matrix-gamma", "rect-exponential",
+                             "uniform-unit-cone"]),
+       seed=st.integers(min_value=-2**63, max_value=2**64))
+@example(stack=np.array([[[1.0, 0.0], [-0.0, 1.0]]]), kind="matrix-gamma",
+         seed=42)
+def test_sample_lines_match_records_encoded_alone(stack, kind, seed):
+    # the README's promise: each record is the same bytes as encoding it
+    # alone with sorted keys
+    want = [cli._dumps({"entries": m.tolist(), "index": k, "kind": kind,
+                        "schema": "mvfrac/1", "seed": seed})
+            for k, m in enumerate(stack)]
+    assert cli._sample_lines(stack, kind, seed) == want
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["matrix-gamma", "--p", "2", "--shape", "inf"],
+     "matrix gamma shape must be finite, got inf"),
+    (["matrix-gamma", "--p", "2", "--shape", "nan"],
+     "matrix gamma shape must be finite, got nan"),
+    (["uniform-unit-cone", "--p", "0"], "dimension must be positive, got 0"),
+    (["uniform-unit-cone", "--p", "-2"], "dimension must be positive, got -2"),
+    (["uniform-unit-cone", "--p", "4"],
+     "rejection sampling is limited to dimensions 1..3, got 4; "
+     "higher dimensions need the beta importance sampler"),
+])
+def test_sample_domain_messages(capsys, flags, message):
+    # refused before any draw, with a message that names the bad value
+    capsys.readouterr()
+    assert cli.main(["sample", *flags, "--n", "3"]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "ParameterDomainError"
+    assert rec["message"] == message
 
 
 @st.composite

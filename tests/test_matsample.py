@@ -79,6 +79,12 @@ def test_matrix_gamma_shape_domain():
         MatrixGammaSpec(3, 1.0)  # needs a > (p-1)/2
 
 
+@pytest.mark.parametrize("shape", [math.inf, -math.inf, math.nan])
+def test_matrix_gamma_shape_must_be_finite(shape):
+    with pytest.raises(ParameterDomainError, match="shape must be finite"):
+        MatrixGammaSpec(2, shape)
+
+
 def test_matrix_gamma_determinism():
     a = sample_matrix_gamma(MatrixGammaSpec(2, 2.0), 3, 5)
     b = sample_matrix_gamma(MatrixGammaSpec(2, 2.0), 3, 5)
