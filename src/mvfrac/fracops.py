@@ -145,7 +145,7 @@ def frac_integral_power_closed(order, Z, eta=0.0):
                      det_exponent=det_exponent)
 
 
-def frac_integral_zonal_closed(order, Z, K, table=None):
+def frac_integral_zonal_closed(order, Z, K):
     """Exact operator value on a zonal polynomial operand.
 
     The cone average of a zonal polynomial against the beta weight scales it
@@ -161,9 +161,7 @@ def frac_integral_zonal_closed(order, Z, K, table=None):
     _check_argument(order, Z)
     cfg = order.config
     K = Partition.coerce(K)
-    if table is None:
-        table = fetch_table(K.weight, Z.dim)
-    cz = zonal_eval(K, Z, table)
+    cz = zonal_eval(K, Z, fetch_table(K.weight, Z.dim))
     num_log, num_sign = signed_log_gen_pochhammer(0.5 * cfg.r, K)
     den_log, den_sign = signed_log_gen_pochhammer(order.alpha + 0.5 * cfg.r, K)
     if den_sign == 0:
@@ -185,7 +183,7 @@ def frac_integral_zonal_closed(order, Z, K, table=None):
                      det_exponent=det_exponent)
 
 
-def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None, table=None):
+def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None):
     """Operator value on |X|^eta when the kernel carries the extra Gauss
     factor 2F1(a, b; c; I - Z^(-1/2) X Z^(-1/2)).
 
@@ -207,7 +205,7 @@ def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None, table=None):
     shifted = 0.5 * cfg.r + eta
     params = HyperParams((saigo.a, saigo.b, order.alpha),
                          (saigo.c, order.alpha + shifted))
-    series = hyper_pfq_at_identity(params, cfg.p, trunc=trunc, table=table)
+    series = hyper_pfq_at_identity(params, cfg.p, trunc=trunc)
     f = series.value
     det_exponent = order.alpha + 0.5 * cfg.r + eta - 0.5 * (cfg.p + 1)
     base = (det_exponent * Z.log_det

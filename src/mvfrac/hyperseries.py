@@ -102,23 +102,20 @@ class SeriesResult(NamedTuple):
 _GROWTH_LIMIT = 5
 
 
-def _zonal_series(num, den, eigenvalues, trunc, table):
-    p_dim = len(eigenvalues)
+def _zonal_series(num, den, eigenvalues, trunc):
+    table = fetch_table(trunc.k_max, len(eigenvalues))
     m = table.monomials(eigenvalues, trunc.k_max)
-    # one Pochhammer factor per partition, for the box its parent lacks;
-    # only boxes of partitions up to trunc.k_max with at most p_dim rows are
-    # evaluated, which are the ones check_denominators vetted, and longer
-    # partitions get a zero ratio
+    # one Pochhammer factor per nonempty partition, for the box its parent
+    # lacks; only boxes of partitions up to trunc.k_max are evaluated, and
+    # the table holds no partition with more rows than the argument, so
+    # these are the ones check_denominators vetted
     size = len(m)
-    live = np.flatnonzero(table.lengths[1:size] <= p_dim) + 1
-    shift = table.box_shift[live]
-    factor = np.ones(len(live))
+    shift = table.box_shift[1:size]
+    box = np.ones(size)
     for a in num:
-        factor *= a + shift
+        box[1:] *= a + shift
     for b in den:
-        factor /= b + shift
-    box = np.zeros(size)
-    box[live] = factor
+        box[1:] /= b + shift
     poch = np.ones(size)
     value = 0.0
     comp = 0.0  # Kahan carry
@@ -165,7 +162,7 @@ def _zonal_series(num, den, eigenvalues, trunc, table):
                         ratio=ratio)
 
 
-def hyper_pfq(params, Z, trunc=None, table=None):
+def hyper_pfq(params, Z, trunc=None):
     """Hypergeometric pFq of the SPD matrix argument Z, truncated by weight.
 
     For a balanced-plus-one series (one more numerator than denominator
@@ -175,12 +172,6 @@ def hyper_pfq(params, Z, trunc=None, table=None):
     """
     if trunc is None:
         trunc = Truncation()
-    if table is None:
-        table = fetch_table(trunc.k_max, Z.dim)
-    if Z.dim > table.p or trunc.k_max > table.k_max:
-        raise DimensionError(
-            f"table covers (k_max={table.k_max}, p={table.p}); "
-            f"need (k_max={trunc.k_max}, p={Z.dim})")
     params.check_denominators(Z.dim, trunc.k_max)
     if len(params.numerator) == len(params.denominator) + 1:
         radius = float(Z.eigenvalues[0])
@@ -188,10 +179,10 @@ def hyper_pfq(params, Z, trunc=None, table=None):
             raise ParameterDomainError(
                 f"spectral radius must be < 1 for this series, got {radius}")
     return _zonal_series(params.numerator, params.denominator,
-                         Z.eigenvalues.tolist(), trunc, table)
+                         Z.eigenvalues.tolist(), trunc)
 
 
-def hyper_pfq_at_identity(params, p, trunc=None, table=None):
+def hyper_pfq_at_identity(params, p, trunc=None):
     """pFq at the p-dimensional identity argument.
 
     The identity sits on the boundary of the convergence domain, so instead
@@ -201,15 +192,9 @@ def hyper_pfq_at_identity(params, p, trunc=None, table=None):
     """
     if trunc is None:
         trunc = Truncation()
-    if table is None:
-        table = fetch_table(trunc.k_max, p)
-    if p > table.p or trunc.k_max > table.k_max:
-        raise DimensionError(
-            f"table covers (k_max={table.k_max}, p={table.p}); "
-            f"need (k_max={trunc.k_max}, p={p})")
     params.check_denominators(p, trunc.k_max)
     result = _zonal_series(params.numerator, params.denominator,
-                           [1.0] * p, trunc, table)
+                           [1.0] * p, trunc)
     if not result.ratio < 0.95:
         raise NonConvergenceError(
             f"weight-sum ratio {result.ratio:.4f} >= 0.95 at the identity "
@@ -217,7 +202,7 @@ def hyper_pfq_at_identity(params, p, trunc=None, table=None):
     return result
 
 
-def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None, table=None):
+def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
     """Gauss series with the rectangular half-shift applied to its first and
     third parameters: 2F1(a + r/2, b; c + r/2; Z_Y).
 
@@ -238,7 +223,7 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None, table=None):
     if not ordering_lt(Z_Y, SpdMatrix.identity(p)):
         raise ParameterDomainError("Z_Y must satisfy O < Z_Y < I")
     params = HyperParams((a + 0.5 * r, b), (c + 0.5 * r,))
-    return hyper_pfq(params, Z_Y, trunc, table).value
+    return hyper_pfq(params, Z_Y, trunc).value
 
 
 def pathway_det_limit(q, Z):

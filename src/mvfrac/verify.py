@@ -252,13 +252,13 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
     """Closed zonal form against the Monte Carlo operator on C_K over the
     grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5}, K in {(1),(2)}; plus the
     exact reduction of the empty partition to the power form."""
-    table = fetch_table(2, 2)
     cases = []
     idx = 0
     for pp, r, alpha, z, order in _grid(p):
+        table = fetch_table(2, pp)
         for K in ((1,), (2,)):
             part = Partition.coerce(K)
-            closed = frac_integral_zonal_closed(order, z, part, table).value()
+            closed = frac_integral_zonal_closed(order, z, part).value()
             est = frac_integral_numeric(
                 order, z, lambda x: zonal_eval(part, x, table),
                 samples, seed + idx)
@@ -269,7 +269,7 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
     for pp, r, alpha, z, order in _grid(p):
         cases.append(_rel_check(
             f"empty-K-p{pp}-r{r}-a{alpha}", "zonal_form",
-            frac_integral_zonal_closed(order, z, (), table).value(),
+            frac_integral_zonal_closed(order, z, ()).value(),
             frac_integral_power_closed(order, z, 0.0).value(),
             dimension=pp, r=r, alpha=alpha))
     return _report("fraczonal", seed, {"samples": int(samples)}, cases)
@@ -300,9 +300,8 @@ def suite_saigo(samples=400_000, seed=42):
     alpha, eta = 1.0, 0.5
     z, order = _operator_at(pp, r, alpha)
     trunc = Truncation(k_max=25)
-    table = fetch_table(trunc.k_max, pp)
     closed = saigo_power_closed(order, z, SaigoParams(aa, bb, cc), eta=eta,
-                                trunc=trunc, table=table).value()
+                                trunc=trunc).value()
 
     # dimension 1: the truncated Gauss kernel of I - Z^(-1/2) X Z^(-1/2) is
     # a plain polynomial in 1 - x / z, so precompute its coefficients once

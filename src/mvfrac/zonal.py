@@ -12,7 +12,9 @@ C_kappa(I_p) (Muirhead 1982, section 7.2), an exact integer ratio, against
 the monomials at the identity; that sum has no negative terms, so nothing
 cancels, and the polynomials of a weight then sum to (trace)**k.
 Coefficients are dimension-stable, so a table built for p variables
-restricts correctly to any argument of dimension <= p.
+restricts correctly to any argument of dimension <= p, but its float values
+there differ in the last bits from those of the table built for that
+dimension; the cache therefore keeps one table per dimension.
 """
 
 import math
@@ -126,10 +128,10 @@ class ZonalTable:
     ``[:offsets[k + 1]]``.  ``coeffs[k]`` is the dense coefficient matrix of
     weight k (rows kappa, columns mu), and the only store of coefficients;
     it is upper triangular because that order refines dominance.  For each
-    partition, ``lengths`` holds its number of parts, and ``parent`` and
-    ``box_shift`` the partition left by removing the last box of its last
-    row and that box's content (column - row / 2, both from 0), from which
-    the Pochhammer products follow box by box.
+    partition, ``parent`` and ``box_shift`` hold the partition left by
+    removing the last box of its last row and that box's content
+    (column - row / 2, both from 0), from which the Pochhammer products
+    follow box by box.
     """
 
     def __init__(self, p, weights, coeffs):
@@ -141,7 +143,6 @@ class ZonalTable:
         self._index = {kappa: i for i, kappa in enumerate(flat)}
         self.offsets = np.cumsum([0] + [len(plist) for plist in weights]
                                  ).tolist()
-        self.lengths = np.array([len(kappa) for kappa in flat])
         self.parent = np.array([0] + [
             self._index[kappa[:-1] + (kappa[-1] - 1,) * (kappa[-1] > 1)]
             for kappa in flat[1:]])
@@ -238,18 +239,11 @@ class ZonalTable:
         return self.monomials(eigenvalues, mu.weight)[self._position(mu)]
 
 
-_table_cache = {}
+_table_cache = {}  # p -> the table built for exactly p variables
 _table_lock = threading.Lock()
 
 
-def build_zonal_table(k_max, p):
-    """Build (or fetch cached) zonal coefficients up to weight k_max for
-    arguments of dimension <= p.
-
-    Refuses k_max above the configured ceiling (default 30, overridable via
-    the MVFRAC_KMAX_CEILING environment variable): table size and float
-    dynamic range both degrade beyond it.
-    """
+def _check_request(k_max, p):
     if not isinstance(k_max, int) or k_max < 0:
         raise ParameterDomainError(f"k_max must be a non-negative integer, got {k_max!r}")
     if not isinstance(p, int) or p < 1:
@@ -259,27 +253,44 @@ def build_zonal_table(k_max, p):
         raise ResourceLimitError(
             f"k_max={k_max} exceeds the table ceiling {ceiling} "
             f"(set {_KMAX_CEILING_ENV} to raise it)")
-    key = (k_max, p)
-    with _table_lock:
-        table = _table_cache.get(key)
-    if table is not None:
-        return table
-    weights = _partition_lists(k_max, p)
-    table = ZonalTable(p, weights,
-                       [_build_weight(plist, p) for plist in weights])
-    with _table_lock:
-        # idempotent: concurrent builders produce identical coefficients
-        table = _table_cache.setdefault(key, table)
+
+
+def build_zonal_table(k_max, p):
+    """Ready the cached zonal tables up to weight k_max for arguments of
+    every dimension d <= p, and return the one for p.
+
+    Refuses k_max above the configured ceiling (default 30, overridable via
+    the MVFRAC_KMAX_CEILING environment variable): table size and float
+    dynamic range both degrade beyond it.
+    """
+    _check_request(k_max, p)
+    for d in range(1, p + 1):
+        table = fetch_table(k_max, d)
     return table
 
 
 def fetch_table(k_max, p):
-    """A cached table covering (k_max, p), reusing any superset already built."""
+    """The cached table built for exactly p variables, holding at least
+    weight k_max.
+
+    A cached table of less weight is replaced by a fresh (k_max, p) build;
+    each weight block depends only on (k, p), so no value moves.
+    """
     with _table_lock:
-        for (km, tp), table in _table_cache.items():
-            if km >= k_max and tp >= p:
-                return table
-    return build_zonal_table(k_max, p)
+        table = _table_cache.get(p)
+    if table is not None and table.k_max >= k_max:
+        return table
+    _check_request(k_max, p)
+    weights = _partition_lists(k_max, p)
+    built = ZonalTable(p, weights,
+                       [_build_weight(plist, p) for plist in weights])
+    with _table_lock:
+        # a concurrent builder may have grown p further meanwhile; a
+        # narrower table never replaces a wider one
+        table = _table_cache.get(p)
+        if table is None or table.k_max < k_max:
+            table = _table_cache[p] = built
+    return table
 
 
 def zonal_eval(K, Z, table):
@@ -288,15 +299,15 @@ def zonal_eval(K, Z, table):
     Z is an SpdMatrix, giving a float, or an (n, p, p) array stack of
     symmetric matrices, giving the n values as an array.  The value is a
     symmetric function of the eigenvalues of Z.  If K has more nonzero parts
-    than Z has rows the value is identically zero, which falls out of the
-    monomial basis with no special casing.
+    than Z has rows the value is identically zero, whatever the table holds.
     """
+    K = Partition.coerce(K)
     stack = isinstance(Z, np.ndarray)
+    rows = Z.shape[-1] if stack else Z.dim
+    if len(K) > rows:
+        return np.zeros(len(Z)) if stack else 0.0
     eigs = np.linalg.eigvalsh(Z)[:, ::-1] if stack else Z.eigenvalues
-    if eigs.shape[-1] > table.p:
-        raise DimensionError(f"argument dimension {eigs.shape[-1]} exceeds "
-                             f"table dimension {table.p}")
-    value = table.value(Partition.coerce(K), eigs)
+    value = table.value(K, eigs)
     return value if stack else float(value)
 
 
@@ -304,9 +315,10 @@ def zonal_at_identity(K, p, table):
     """Zonal polynomial value at the p-dimensional identity."""
     if not isinstance(p, int) or p < 1:
         raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
-    if p > table.p:
-        raise DimensionError(f"dimension {p} exceeds table dimension {table.p}")
-    return float(table.value(Partition.coerce(K), np.ones(p)))
+    K = Partition.coerce(K)
+    if len(K) > p:
+        return 0.0
+    return float(table.value(K, np.ones(p)))
 
 
 # ---------------------------------------------------------------------------

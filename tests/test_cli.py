@@ -24,7 +24,6 @@ from mvfrac import (
     sample_matrix_gamma,
     sample_rect_exponential,
     sample_uniform_spd_unit,
-    zonal,
 )
 from mvfrac.verify import SUITES
 
@@ -308,17 +307,19 @@ _EVAL_DIGESTS = [
      "5c6f92430201dcdf989c3e4f5e056c365f0ec783c445ebfae0580eeffda7b020"),
     (["pathway", "--q", "0.5", "--k", "2"], 2,
      "8d88e5cd9dbb54de5c881b1ba299d0b49d469bb4911c7ecaa035b124da5f81ef"),
+    # a partition longer than the argument's dimension gives exactly 0
+    (["zonal", "--k", "2,1", "--eigs", "0.5"], 0,
+     "ef9765e03ab17b0b7d51d0c1ca724a07e450e5700cb202d74edbecf154ccc653"),
+    (["fracint-zonal", "--r", "1", "--alpha", "1.0", "--k", "1,1",
+      "--z", "[[2.0]]"], 0,
+     "155ee67618ff4d0217dd7c4404d877628cd50294dc35d4e0cc3cde1c74f868d0"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", _EVAL_DIGESTS,
                          ids=[f"{i}-{argv[0]}" for i, (argv, _, _)
                               in enumerate(_EVAL_DIGESTS)])
-def test_eval_output_pinned(capsys, monkeypatch, tmp_path, argv, code,
-                            digest):
-    # a fresh process starts with no zonal tables; a wider cached table
-    # changes zonal values in the last bit
-    monkeypatch.setattr(zonal, "_table_cache", {})
+def test_eval_output_pinned(capsys, tmp_path, argv, code, digest):
     zfile = tmp_path / "z.json"
     zfile.write_text("[[1.2,-0.3],[-0.3,0.9]]")
     capsys.readouterr()

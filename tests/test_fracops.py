@@ -179,7 +179,7 @@ def test_numeric_matches_zonal_closed():
     order = FracOrder(1.5, _cfg(2, 2))
     table = fetch_table(1, 2)
     part = Partition.coerce((1,))
-    closed = frac_integral_zonal_closed(order, z, part, table).value()
+    closed = frac_integral_zonal_closed(order, z, part).value()
 
     def g(x):
         return zonal_eval(part, x, table)

@@ -146,15 +146,14 @@ def test_matches_per_row_reference(p, k_max, num, den, eigs):
 
 @pytest.mark.parametrize("b", [-6.0, 0.5])
 def test_truncation_below_table_weight(b):
-    # a wider cached table must not evaluate Pochhammer factors beyond
-    # trunc.k_max or below the argument's rows: the denominator -6 vanishes
-    # only at weight 7, and 0.5 only in the second row
-    table = fetch_table(30, 3)
+    # a cached table grown past trunc.k_max must not evaluate Pochhammer
+    # factors beyond it or below the argument's rows: the denominator -6
+    # vanishes only at weight 7, and 0.5 only in the second row
+    fetch_table(30, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = hyper_pfq(HyperParams((1.0,), (b,)),
-                        SpdMatrix(np.array([[0.3]])), Truncation(k_max=5),
-                        table)
+                        SpdMatrix(np.array([[0.3]])), Truncation(k_max=5))
     want = _scalar_pfq((1.0,), (b,), 0.3, 5)
     assert got.value == pytest.approx(want, rel=1e-12)
 

@@ -10,6 +10,8 @@ table and a hook-length form of C_kappa(I) complete the picture.
 """
 
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -22,15 +24,20 @@ from hypothesis import strategies as st
 
 from mvfrac import (
     DimensionError,
+    HyperParams,
     MissingTableEntryError,
     Partition,
     ResourceLimitError,
     SpdMatrix,
+    Truncation,
     build_zonal_table,
+    cli,
     fetch_table,
+    hyper_pfq,
     partitions_of,
     table_from_records,
     table_to_records,
+    zonal,
     zonal_at_identity,
     zonal_eval,
 )
@@ -96,13 +103,25 @@ def test_permutation_symmetry():
 
 
 def test_long_partition_vanishes_on_small_argument():
-    # table holds length-3 rows; a 2x2 argument kills every m with 3 slots
+    # the table holds length-3 rows, but a 2x2 argument has no 3 parts
     table = fetch_table(3, 3)
     z = SpdMatrix.diagonal((0.9, 1.4))
     assert zonal_eval((1, 1, 1), z, table) == 0.0
 
 
+def test_long_partition_is_zero_before_lookup():
+    # no p = 1 table holds (2, 1), and none is needed
+    table = fetch_table(1, 1)
+    z = SpdMatrix(np.array([[0.5]]))
+    assert zonal_eval((2, 1), z, table) == 0.0
+    stack = np.stack([z.entries] * 3)
+    np.testing.assert_array_equal(zonal_eval((2, 1), stack, table),
+                                  np.zeros(3))
+    assert zonal_at_identity((2, 1), 1, table) == 0.0
+
+
 def test_superset_table_reuse():
+    # an explicit wider table reads a smaller argument to rounding
     small = fetch_table(3, 2)
     large = fetch_table(5, 3)
     z = SpdMatrix.diagonal((1.2, 0.4))
@@ -120,13 +139,13 @@ def test_at_identity_matches_eval():
 
 
 def test_missing_entry_errors():
-    # build directly: fetch_table may hand back a wider cached table
-    table = build_zonal_table(3, 2)
+    # the cached table may hold more weight than asked for
+    table = fetch_table(3, 2)
     z = SpdMatrix.diagonal((1.0, 1.0))
     with pytest.raises(MissingTableEntryError):
-        zonal_eval((4,), z, table)  # weight above k_max
-    with pytest.raises(MissingTableEntryError):
-        zonal_eval((1, 1, 1), z, table)  # more parts than table dimension
+        zonal_eval((table.k_max + 1,), z, table)  # weight above k_max
+    # more parts than the argument's dimension: zero, before any lookup
+    assert zonal_eval((1, 1, 1), z, table) == 0.0
     with pytest.raises(DimensionError):
         zonal_eval((2,), SpdMatrix.identity(3), table)
 
@@ -171,9 +190,8 @@ def test_empty_partition_is_constant_one():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_stack_matches_per_matrix(p):
     # an (n, p, p) stack gives the n per-matrix values, including the
-    # constant empty partition and partitions longer than p; built directly
-    # because fetch_table may hand back a wider cached table
-    table = build_zonal_table(3, 3)
+    # constant empty partition and partitions longer than p
+    table = fetch_table(3, 3)
     mats = [spd_from_eigs(np.linspace(0.2, 1.7, p) + 0.1 * i, seed=i)
             for i in range(6)]
     stack = np.stack([m.entries for m in mats])
@@ -297,3 +315,100 @@ def test_incomplete_records_raise():
     # a record set is complete up to its largest weight only
     assert table_from_records(
         [rec for rec in records if rec["k"] <= 3], p=2).k_max == 3
+
+
+def _fixed_values(capsys):
+    """Zonal values at 1-, 2- and 3-dimensional arguments, hyper_pfq at
+    p <= 3 and one CLI record, as float hex strings and stdout."""
+    values = []
+    for d in (1, 2, 3):
+        z = spd_from_eigs(tuple(np.linspace(0.15, 0.8, d)), seed=d)
+        for k in range(6):
+            table = fetch_table(k, d)
+            values += [zonal_eval(K, z, table) for K in partitions_of(k, d)]
+        for num, den in (((), ()), ((0.7,), ()), ((1.5, 0.4), (2.2,))):
+            for k_max in (4, 12, 25):
+                values += hyper_pfq(HyperParams(num, den), z,
+                                    Truncation(k_max=k_max))
+    capsys.readouterr()
+    assert cli.main(["eval", "zonal", "--k", "2,1", "--eigs", "0.5,1.5"]) == 0
+    return [float(v).hex() for v in values], capsys.readouterr().out
+
+
+def test_values_do_not_depend_on_tables_built_before(capsys, monkeypatch):
+    # each run starts from an empty cache, as a fresh process does
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    fresh = _fixed_values(capsys)
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    build_zonal_table(30, 5)
+    build_zonal_table(10, 4)
+    assert _fixed_values(capsys) == fresh
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_growing_a_table_moves_no_value(monkeypatch, p):
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    z = spd_from_eigs(tuple(np.linspace(0.2, 0.9, p)), seed=p)
+    params = HyperParams((0.7, 1.1), (1.9,))
+
+    def values():
+        table = fetch_table(2, p)
+        out = [zonal_eval(K, z, table)
+               for k in range(3) for K in partitions_of(k, p)]
+        out += hyper_pfq(params, z, Truncation(k_max=2))
+        return [float(v).hex() for v in out], table.k_max
+
+    before, k_small = values()
+    fetch_table(25, p)
+    after, k_large = values()
+    assert (k_small, k_large) == (2, 25)
+    assert after == before
+
+
+@pytest.mark.parametrize("late", ["narrow", "wide"])
+def test_concurrent_growth_keeps_the_wider_table(monkeypatch, late):
+    # the thread named `late` is held inside its build until the other has
+    # cached its table, so both orders of finishing are exercised
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    building = threading.Event()
+    release = threading.Event()
+    build_weight = zonal._build_weight
+
+    def gated(plist, p):
+        if threading.current_thread().name == late:
+            building.set()
+            release.wait(30)
+        return build_weight(plist, p)
+
+    monkeypatch.setattr(zonal, "_build_weight", gated)
+    threads = {name: threading.Thread(target=fetch_table, args=(k_max, 1),
+                                      name=name)
+               for name, k_max in (("narrow", 4), ("wide", 12))}
+    early = "wide" if late == "narrow" else "narrow"
+    threads[late].start()
+    assert building.wait(30)
+    threads[early].start()
+    threads[early].join(30)
+    release.set()
+    threads[late].join(30)
+    assert not any(t.is_alive() for t in threads.values())
+    assert zonal._table_cache[1].k_max == 12
+    assert fetch_table(4, 1) is zonal._table_cache[1]
+
+
+def test_many_growers_keep_the_widest_table(monkeypatch):
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch_table, args=(k_max, p))
+                   for k_max in (3, 9, 6, 12) for p in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert {p: t.k_max for p, t in zonal._table_cache.items()} == {1: 12,
+                                                                   2: 12}
