@@ -254,8 +254,8 @@ def _cmd_sample(args):
             RectConfig.with_identity_weights(args.p, args.r), args.n, seed)
     else:
         stack = sample_uniform_spd_unit(args.p, args.n, seed)
-    # each sampler has refused non-finite entries (check_spd,
-    # check_full_rank) before this point, as _sample_lines requires
+    # entries are finite by construction or refused before this point (the
+    # matrix gamma factor check, check_full_rank), as _sample_lines requires
     _write(_sample_lines(stack, args.kind, seed), args.output)
     return 0
 

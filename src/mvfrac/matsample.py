@@ -19,8 +19,8 @@ that set: rejected proposals count as zero-valued integrand samples, so the
 box volume times the mean over all proposals estimates the integral.  Every
 sampler is a pure function of (seed, counter), so equal seeds reproduce equal
 output regardless of batch sizes.  The public samplers return their draws as
-one float array, validated in one call with the rules SpdMatrix and
-RectMatrix apply to a single matrix.
+one float array: positive definite by construction, or for the rectangular
+sampler checked in one call with the rule RectMatrix applies to one matrix.
 """
 
 import math
@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms_at
-from .spdcore import check_full_rank, check_spd
+from .spdcore import check_full_rank
 
 __all__ = [
     "McEstimate",
@@ -58,7 +58,8 @@ _TAG_BETA_SECOND = 0x500
 
 # proposals this close to the boundary of the positivity set are discarded;
 # the shaved layer has volume of the same order, far below Monte Carlo
-# resolution, and keeps every accepted matrix safely inside the SPD checks
+# resolution.  Clearing it on every leading minor of W and I - W makes both
+# positive definite with eigenvalues in (1e-10, 1), so SpdMatrix accepts them
 _EDGE = 1e-10
 
 # proposals per rejection block, sized so that a block's uniforms, counter
@@ -119,7 +120,9 @@ class MatrixGammaSpec:
 
 
 def _matrix_gamma_raw(p, shape, n, seed, tag_base):
-    """n matrix gamma draws as an (n, p, p) array, W = T T'."""
+    """n matrix gamma draws as an (n, p, p) array, W = T T', positive
+    definite because the triangular T has a positive diagonal; a stack with
+    a variate that underflowed to zero, or a non-finite W, is refused."""
     n = _check_count(n)
     t = np.zeros((n, p, p))
     for j in range(p):
@@ -130,15 +133,17 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
         key = derive_key(seed, tag_base + 0xF0)
         t[:, i, j] = normals(key, 0, n * i.size).reshape(n, -1) * math.sqrt(0.5)
     w = t @ t.transpose(0, 2, 1)
-    return 0.5 * (w + w.transpose(0, 2, 1))
+    w = 0.5 * (w + w.transpose(0, 2, 1))
+    if not (np.isfinite(w).all() and (t[:, range(p), range(p)] > 0.0).all()):
+        raise DegenerateInputError(
+            f"matrix gamma variate underflowed or overflowed (shape={shape})")
+    return w
 
 
 def sample_matrix_gamma(spec, n, seed):
-    """n independent matrix gamma draws for the given spec, as one validated
-    (n, p, p) array."""
-    w = _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
-    check_spd(w)
-    return w
+    """n independent matrix gamma draws for the given spec, as one
+    (n, p, p) array certified positive definite by construction."""
+    return _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
 
 
 def _rect_raw(cfg, n, seed, stream=0):
@@ -256,11 +261,9 @@ def _cone_raw(p, n, seed):
 
 
 def sample_uniform_spd_unit(p, n, seed):
-    """n uniform draws from {W : W > 0, I - W > 0}, as one validated
-    (n, p, p) array."""
-    w = _cone_raw(p, n, seed)[0]
-    check_spd(w)
-    return w
+    """n uniform draws from {W : W > 0, I - W > 0}, as one (n, p, p) array
+    certified by the _EDGE margin on every leading minor."""
+    return _cone_raw(p, n, seed)[0]
 
 
 def cone_acceptance_report(p, n, seed):
@@ -309,25 +312,17 @@ def mc_integrate_unit_cone(g, p, n, seed):
                                n, seed)
 
 
-def _batch_sym_inv_sqrt(s):
-    vals, vecs = np.linalg.eigh(s)
-    if not np.all(vals > 0.0):
-        raise DegenerateInputError("matrix sum is not positive definite")
-    scaled = vecs / np.sqrt(vals)[:, None, :]
-    return scaled @ vecs.transpose(0, 2, 1)
-
-
 def sample_type1_beta(p, a1, a2, n, seed):
-    """n draws of (W1+W2)^{-1/2} W1 (W1+W2)^{-1/2} for independent matrix
-    gamma W1, W2 with shapes a1, a2, as one validated (n, p, p) array; the
-    draws have the type-1 matrix beta density with parameters (a1, a2)."""
+    """n draws of U = L^{-1} W1 L'^{-1}, with L L' = W1 + W2, for independent
+    matrix gamma W1, W2 with shapes a1, a2, as one (n, p, p) array; the
+    draws have the type-1 matrix beta density with parameters (a1, a2)
+    (Muirhead 1982, Thm 3.3.1).  W1 and W2 come certified positive definite,
+    and so U and I - U = L^{-1} W2 L'^{-1} are."""
     n = _check_count(n)
     MatrixGammaSpec(p, a1)
     MatrixGammaSpec(p, a2)
     w1 = _matrix_gamma_raw(p, a1, n, seed, _TAG_BETA_FIRST)
     w2 = _matrix_gamma_raw(p, a2, n, seed, _TAG_BETA_SECOND)
-    e = _batch_sym_inv_sqrt(w1 + w2)
-    b = e @ w1 @ e
-    b = 0.5 * (b + b.transpose(0, 2, 1))
-    check_spd(b)
-    return b
+    low = np.linalg.cholesky(w1 + w2)
+    u = np.linalg.solve(low, np.linalg.solve(low, w1).transpose(0, 2, 1))
+    return 0.5 * (u + u.transpose(0, 2, 1))

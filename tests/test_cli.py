@@ -630,6 +630,8 @@ _SAMPLE_DIGESTS = [
      "bed6c02b292d54df0af3751f5d91fa0229946a1910661a2f21499e3266e91188"),
     (["rect-exponential", "--p", "2", "--r", "3"],
      "18336c4fa2751ee434bb28a42f6aba69c435a2ebd85b95c03f5c4ad240ac746c"),
+    (["matrix-gamma", "--p", "2", "--shape", "0.75"],
+     "6647cbbe070061ebf4534f1e983da7aa47132fccc23c78fccadb2fb3f3b9be0f"),
 ]
 
 
@@ -727,6 +729,22 @@ def test_sample_domain_messages(capsys, flags, message):
     (rec,) = strict_records(capsys.readouterr().out)
     assert rec["error"] == "ParameterDomainError"
     assert rec["message"] == message
+
+
+@pytest.mark.parametrize("shape,n,code", [("0.75", 1000, 0),
+                                          ("0.51", 20_000, 2)])
+def test_sample_matrix_gamma_near_boundary(capsys, shape, n, code):
+    # a valid shape just above (p-1)/2 prints all its draws; a shape whose
+    # gamma variate underflows is one DegenerateInputError record
+    capsys.readouterr()
+    assert cli.main(["sample", "matrix-gamma", "--p", "2", "--shape", shape,
+                     "--n", str(n), "--seed", "1"]) == code
+    recs = strict_records(capsys.readouterr().out)
+    if code == 0:
+        assert [r["index"] for r in recs] == list(range(n))
+    else:
+        (rec,) = recs
+        assert rec["error"] == "DegenerateInputError"
 
 
 @st.composite

@@ -41,6 +41,7 @@ from mvfrac.matsample import (
     _cone_raw,
 )
 from mvfrac.rng import derive_key, uniforms
+from mvfrac.spdcore import check_spd
 from mvfrac.verify import _gamma_cdf
 
 
@@ -56,7 +57,12 @@ def test_matrix_gamma_p1_is_scalar_gamma():
     assert stat < 1.6276 / math.sqrt(len(x))  # 1% level
 
 
-@pytest.mark.parametrize("p,a", [(2, 3.5), (3, 2.6)])
+# shapes just above (p-1)/2 put mass next to singular matrices, and every
+# draw there is still valid
+_GAMMA_SHAPES = [(2, 3.5), (3, 2.6), (2, 0.55), (2, 0.75), (3, 1.1)]
+
+
+@pytest.mark.parametrize("p,a", _GAMMA_SHAPES)
 def test_matrix_gamma_trace_moment(p, a):
     mats = sample_matrix_gamma(MatrixGammaSpec(p, a), 40_000, 17)
     tr = np.trace(mats, axis1=1, axis2=2)
@@ -64,7 +70,7 @@ def test_matrix_gamma_trace_moment(p, a):
     assert abs(tr.mean() - p * a) < 4 * se
 
 
-@pytest.mark.parametrize("p,a", [(2, 3.5), (3, 2.6)])
+@pytest.mark.parametrize("p,a", _GAMMA_SHAPES)
 def test_matrix_gamma_determinant_moment(p, a):
     # E|W| is the ratio of consecutive matrix gamma values
     mats = sample_matrix_gamma(MatrixGammaSpec(p, a), 40_000, 29)
@@ -72,6 +78,23 @@ def test_matrix_gamma_determinant_moment(p, a):
     want = math.exp(log_matrix_gamma(p, a + 1) - log_matrix_gamma(p, a))
     se = dt.std() / math.sqrt(len(dt))
     assert abs(dt.mean() - want) < 4 * se
+
+
+@pytest.mark.parametrize("p,a", [(1, 1e-300), (2, 0.51), (1, 1e308)])
+def test_matrix_gamma_refuses_underflow_and_overflow(p, a):
+    # a diagonal variate that underflows to zero leaves T T' singular, and
+    # at 1e308 W itself overflows; neither has a draw to return
+    with pytest.raises(DegenerateInputError, match="underflowed or overflowed"):
+        sample_matrix_gamma(MatrixGammaSpec(p, a), 20_000, 3)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_matrix_gamma_draws_pass_spd_check(p):
+    # from shape (p+1)/2 on the density stays bounded at the boundary, and
+    # the construction's draws also meet SpdMatrix's eigenvalue rule
+    for a in (0.5 * (p + 1), p + 1.0):
+        for seed in range(3):
+            check_spd(sample_matrix_gamma(MatrixGammaSpec(p, a), 20_000, seed))
 
 
 def test_matrix_gamma_shape_domain():
@@ -137,6 +160,16 @@ def test_cone_samples_inside_cone():
     eye = SpdMatrix.identity(2)
     for m in sample_uniform_spd_unit(2, 200, 21):
         assert ordering_lt(SpdMatrix(m), eye)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cone_draws_pass_spd_check(p):
+    # the _EDGE margin on the leading minors certifies W and I - W for
+    # SpdMatrix's eigenvalue rule, which the sampler does not re-check
+    for seed in range(4):
+        w = sample_uniform_spd_unit(p, 20_000, seed)
+        check_spd(w)
+        check_spd(np.eye(p) - w)
 
 
 def test_cone_acceptance_report_fields():
@@ -317,6 +350,34 @@ def test_type1_beta_inside_cone():
     eye = SpdMatrix.identity(2)
     for m in sample_type1_beta(2, 2.0, 2.0, 100, 23):
         assert ordering_lt(SpdMatrix(m), eye)
+
+
+@pytest.mark.parametrize("seed", [13, 18, 20])
+def test_type1_beta_near_singular_draws(seed):
+    # Beta_2(1, 1) puts mass next to singular matrices; an eigenvalue
+    # re-check with a 1e-12 relative rule refused a valid draw at these seeds
+    assert sample_type1_beta(2, 1.0, 1.0, 200_000, seed).shape == (200_000, 2, 2)
+
+
+@pytest.mark.parametrize("p,a1,a2", [(2, 0.6, 0.7), (3, 1.3, 2.2)])
+def test_type1_beta_moments(p, a1, a2):
+    # E|U| and E|I-U| are ratios of matrix beta functions; E U = a1/(a1+a2) I
+    n = 100_000
+    u = sample_type1_beta(p, a1, a2, n, 43)
+    base = log_matrix_beta(p, a1, a2)
+    for x, mean in (
+            (_batch_det(u), math.exp(log_matrix_beta(p, a1 + 1, a2) - base)),
+            (_batch_det(np.eye(p) - u),
+             math.exp(log_matrix_beta(p, a1, a2 + 1) - base)),
+            (u[:, 0, 0], a1 / (a1 + a2))):
+        assert abs(x.mean() - mean) < 4 * x.std() / math.sqrt(n)
+
+
+def test_type1_beta_p1_is_scalar_beta():
+    a1, a2 = 0.7, 1.6
+    x = sample_type1_beta(1, a1, a2, 100_000, 47)[:, 0, 0]
+    stat = scipy.stats.kstest(x, "beta", args=(a1, a2)).statistic
+    assert stat < 1.6276 / math.sqrt(len(x))  # 1% level
 
 
 # ---------------------------------------------------------------------------
