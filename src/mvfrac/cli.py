@@ -42,7 +42,7 @@ from .matsample import (
 )
 from .spdcore import RectConfig, SpdMatrix, matrix_from_rows
 from .verify import _SCHEMA, SUITES, run_suite
-from .zonal import fetch_table, zonal_eval
+from .zonal import zonal_eval
 
 
 class _UsageError(Exception):
@@ -173,10 +173,9 @@ def _pochhammer(args):
 def _zonal(args):
     part = Partition.coerce(args.k)
     z = _spd_from_args(args, args.eigs)
-    table = fetch_table(part.weight, z.dim)
     return {"partition": list(part.parts),
             "eigenvalues": z.eigenvalues.tolist(),
-            "value": zonal_eval(part, z, table)}
+            "value": zonal_eval(part, z)}
 
 
 def _hyper(args):

@@ -32,7 +32,7 @@ from .gammacalc import (
 from .hyperseries import HyperParams, hyper_pfq_at_identity
 from .matsample import McEstimate, _batch_det, _cone_raw, _indicator_estimate
 from .spdcore import RectConfig, spd_sqrt, stiefel_constant
-from .zonal import fetch_table, zonal_eval
+from .zonal import zonal_eval
 
 __all__ = [
     "FracOrder",
@@ -124,6 +124,17 @@ def _operand_exponent_check(cfg, eta):
             f"need r/2 + eta > (p-1)/2: r={cfg.r}, eta={eta}, p={cfg.p}")
 
 
+def _signed(log_base, det_exponent, factor=1.0):
+    """The closed-form value exp(log_base) * factor; a zero factor gives
+    sign 0 and log magnitude -inf."""
+    if factor == 0.0:
+        return FracValue(log_magnitude=float("-inf"), sign=0,
+                         det_exponent=det_exponent)
+    return FracValue(log_magnitude=log_base + math.log(abs(factor)),
+                     sign=1 if factor > 0.0 else -1,
+                     det_exponent=det_exponent)
+
+
 def frac_integral_power_closed(order, Z, eta=0.0):
     """Exact operator value on the operand |X|^eta.
 
@@ -136,13 +147,12 @@ def frac_integral_power_closed(order, Z, eta=0.0):
     eta = float(eta)
     _operand_exponent_check(cfg, eta)
     det_exponent = order.alpha + 0.5 * cfg.r + eta - 0.5 * (cfg.p + 1)
-    log_magnitude = (det_exponent * Z.log_det
-                     + stiefel_constant(cfg.p, cfg.r)
-                     - cfg.log_weight_factor
-                     + log_matrix_gamma(cfg.p, 0.5 * cfg.r + eta)
-                     - log_matrix_gamma(cfg.p, order.alpha + 0.5 * cfg.r + eta))
-    return FracValue(log_magnitude=log_magnitude, sign=1,
-                     det_exponent=det_exponent)
+    return _signed(det_exponent * Z.log_det
+                   + stiefel_constant(cfg.p, cfg.r)
+                   - cfg.log_weight_factor
+                   + log_matrix_gamma(cfg.p, 0.5 * cfg.r + eta)
+                   - log_matrix_gamma(cfg.p, order.alpha + 0.5 * cfg.r + eta),
+                   det_exponent)
 
 
 def frac_integral_zonal_closed(order, Z, K):
@@ -161,7 +171,7 @@ def frac_integral_zonal_closed(order, Z, K):
     _check_argument(order, Z)
     cfg = order.config
     K = Partition.coerce(K)
-    cz = zonal_eval(K, Z, fetch_table(K.weight, Z.dim))
+    cz = zonal_eval(K, Z)
     num_log, num_sign = signed_log_gen_pochhammer(0.5 * cfg.r, K)
     den_log, den_sign = signed_log_gen_pochhammer(order.alpha + 0.5 * cfg.r, K)
     if den_sign == 0:
@@ -169,18 +179,12 @@ def frac_integral_zonal_closed(order, Z, K):
             f"partition Pochhammer of alpha + r/2 = {order.alpha + 0.5 * cfg.r} "
             f"vanishes at {K.parts}")
     det_exponent = order.alpha + 0.5 * cfg.r - 0.5 * (cfg.p + 1)
-    sign = num_sign * den_sign * (1 if cz > 0.0 else (0 if cz == 0.0 else -1))
-    if sign == 0:
-        return FracValue(log_magnitude=float("-inf"), sign=0,
-                         det_exponent=det_exponent)
-    log_magnitude = (det_exponent * Z.log_det
-                     + 0.5 * cfg.r * cfg.p * math.log(math.pi)
-                     - cfg.log_weight_factor
-                     - log_matrix_gamma(cfg.p, order.alpha + 0.5 * cfg.r)
-                     + num_log - den_log
-                     + math.log(abs(cz)))
-    return FracValue(log_magnitude=log_magnitude, sign=sign,
-                     det_exponent=det_exponent)
+    return _signed(det_exponent * Z.log_det
+                   + 0.5 * cfg.r * cfg.p * math.log(math.pi)
+                   - cfg.log_weight_factor
+                   - log_matrix_gamma(cfg.p, order.alpha + 0.5 * cfg.r)
+                   + num_log - den_log,
+                   det_exponent, num_sign * den_sign * cz)
 
 
 def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None):
@@ -190,35 +194,17 @@ def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None):
     Expanding the kernel and integrating term by term turns each Gauss term
     into a beta average that contributes a partition Pochhammer of the order,
     so the cone integral collapses to a one-higher series at the identity:
+    the value is the power form frac_integral_power_closed(order, Z, eta)
+    times 3F2(a, b, alpha; c, alpha+eta+r/2; I).
 
-        value = |Z|^(alpha+eta+r/2-(p+1)/2) * pi^(rp/2) Gamma_p(r/2+eta) /
-                (|A|^(r/2) |B|^(p/2) Gamma_p(r/2) Gamma_p(alpha+eta+r/2))
-                * 3F2(a, b, alpha; c, alpha+eta+r/2; I).
-
-    With a = 0 the Gauss factor is identically one and the value reduces to
-    the plain power form, bit for bit.
+    With a = 0 the Gauss factor is identically one and the value is the
+    plain power form, bit for bit.
     """
-    _check_argument(order, Z)
-    cfg = order.config
-    eta = float(eta)
-    _operand_exponent_check(cfg, eta)
-    shifted = 0.5 * cfg.r + eta
+    power = frac_integral_power_closed(order, Z, eta)
     params = HyperParams((saigo.a, saigo.b, order.alpha),
-                         (saigo.c, order.alpha + shifted))
-    series = hyper_pfq_at_identity(params, cfg.p, trunc=trunc)
-    f = series.value
-    det_exponent = order.alpha + 0.5 * cfg.r + eta - 0.5 * (cfg.p + 1)
-    base = (det_exponent * Z.log_det
-            + stiefel_constant(cfg.p, cfg.r)
-            - cfg.log_weight_factor
-            + log_matrix_gamma(cfg.p, 0.5 * cfg.r + eta)
-            - log_matrix_gamma(cfg.p, order.alpha + 0.5 * cfg.r + eta))
-    if f == 0.0:
-        return FracValue(log_magnitude=float("-inf"), sign=0,
-                         det_exponent=det_exponent)
-    sign = 1 if f > 0.0 else -1
-    return FracValue(log_magnitude=base + math.log(abs(f)), sign=sign,
-                     det_exponent=det_exponent)
+                         (saigo.c, order.alpha + (0.5 * order.config.r + eta)))
+    series = hyper_pfq_at_identity(params, order.config.p, trunc=trunc)
+    return _signed(power.log_magnitude, power.det_exponent, series.value)
 
 
 def frac_integral_numeric(order, Z, operand, n, seed):

@@ -132,8 +132,9 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     if i.size:
         key = derive_key(seed, tag_base + 0xF0)
         t[:, i, j] = normals(key, 0, n * i.size).reshape(n, -1) * math.sqrt(0.5)
-    w = t @ t.transpose(0, 2, 1)
-    w = 0.5 * (w + w.transpose(0, 2, 1))
+    with np.errstate(over="ignore"):  # an overflowed W is refused below
+        w = t @ t.transpose(0, 2, 1)
+        w = 0.5 * (w + w.transpose(0, 2, 1))
     if not (np.isfinite(w).all() and (t[:, range(p), range(p)] > 0.0).all()):
         raise DegenerateInputError(
             f"matrix gamma variate underflowed or overflowed (shape={shape})")

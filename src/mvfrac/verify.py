@@ -50,7 +50,7 @@ from .matsample import (
 )
 from .rng import derive_key, normals, uniforms
 from .spdcore import RectConfig, SpdMatrix, rect_transform
-from .zonal import fetch_table, zonal_eval
+from .zonal import zonal_eval
 
 __all__ = [
     "suite_euler",
@@ -255,12 +255,11 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
     cases = []
     idx = 0
     for pp, r, alpha, z, order in _grid(p):
-        table = fetch_table(2, pp)
         for K in ((1,), (2,)):
             part = Partition.coerce(K)
             closed = frac_integral_zonal_closed(order, z, part).value()
             est = frac_integral_numeric(
-                order, z, lambda x: zonal_eval(part, x, table),
+                order, z, lambda x: zonal_eval(part, x),
                 samples, seed + idx)
             cases.append(_mc_check(
                 f"p{pp}-r{r}-a{alpha}-K{list(part.parts)}", closed, est,

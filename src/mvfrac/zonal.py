@@ -182,10 +182,6 @@ class ZonalTable:
         row = self.coeffs[k][i - self.offsets[k]].tolist()
         return {mu: c for mu, c in zip(self._weights[k], row) if c}
 
-    def coefficients(self, K):
-        """Monomial coefficients of the polynomial for K, keyed by Partition."""
-        return {Partition(mu): c for mu, c in self.row(K).items()}
-
     def weight_partitions(self, k):
         return self._weights[k]
 
@@ -293,13 +289,14 @@ def fetch_table(k_max, p):
     return table
 
 
-def zonal_eval(K, Z, table):
+def zonal_eval(K, Z):
     """Evaluate the zonal polynomial for partition K at the SPD matrix Z.
 
     Z is an SpdMatrix, giving a float, or an (n, p, p) array stack of
     symmetric matrices, giving the n values as an array.  The value is a
-    symmetric function of the eigenvalues of Z.  If K has more nonzero parts
-    than Z has rows the value is identically zero, whatever the table holds.
+    symmetric function of the eigenvalues of Z, read from the cached table
+    for Z's dimension.  If K has more nonzero parts than Z has rows the
+    value is identically zero, and no table is needed.
     """
     K = Partition.coerce(K)
     stack = isinstance(Z, np.ndarray)
@@ -307,18 +304,19 @@ def zonal_eval(K, Z, table):
     if len(K) > rows:
         return np.zeros(len(Z)) if stack else 0.0
     eigs = np.linalg.eigvalsh(Z)[:, ::-1] if stack else Z.eigenvalues
-    value = table.value(K, eigs)
+    value = fetch_table(K.weight, rows).value(K, eigs)
     return value if stack else float(value)
 
 
-def zonal_at_identity(K, p, table):
-    """Zonal polynomial value at the p-dimensional identity."""
+def zonal_at_identity(K, p):
+    """Zonal polynomial value at the p-dimensional identity, read from the
+    cached table for p."""
     if not isinstance(p, int) or p < 1:
         raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
     K = Partition.coerce(K)
     if len(K) > p:
         return 0.0
-    return float(table.value(K, np.ones(p)))
+    return float(fetch_table(K.weight, p).value(K, np.ones(p)))
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,10 @@ _EVAL_DIGESTS = [
     (["fracint-zonal", "--r", "1", "--alpha", "1.0", "--k", "1,1",
       "--z", "[[2.0]]"], 0,
      "155ee67618ff4d0217dd7c4404d877628cd50294dc35d4e0cc3cde1c74f868d0"),
+    # ... and needs no table, even for a weight above the table ceiling
+    (["fracint-zonal", "--r", "2", "--alpha", "1.5", "--k", "30,1,1",
+      "--z", "[[1.1,0.3],[0.3,0.8]]"], 0,
+     "3d05268ae57eac87f90c3e7a55b80228e2ab9246159ce36320d7a050fe0bd538"),
 ]
 
 

@@ -46,96 +46,103 @@ from conftest import brute_monomial, spd_from_eigs
 
 
 def test_weight_one_is_trace():
-    table = fetch_table(1, 3)
     z = spd_from_eigs((0.5, 1.5, 2.0))
-    assert zonal_eval((1,), z, table) == pytest.approx(z.trace, rel=1e-12)
+    assert zonal_eval((1,), z) == pytest.approx(z.trace, rel=1e-12)
 
 
 def test_weight_two_frozen_table():
     # weight-2 monomial table: row (2) is m2 + (2/3)m11, row (1,1) is (4/3)m11
-    table = fetch_table(2, 2)
     z = SpdMatrix.diagonal((1.0, 2.0))
-    assert zonal_eval((2,), z, table) == pytest.approx(1 + 4 + (2 / 3) * 2,
-                                                       rel=1e-12)
-    assert zonal_eval((1, 1), z, table) == pytest.approx((4 / 3) * 2, rel=1e-12)
+    assert zonal_eval((2,), z) == pytest.approx(1 + 4 + (2 / 3) * 2, rel=1e-12)
+    assert zonal_eval((1, 1), z) == pytest.approx((4 / 3) * 2, rel=1e-12)
 
 
 def test_weight_two_at_identity():
-    table = fetch_table(2, 2)
-    assert zonal_at_identity((2,), 2, table) == pytest.approx(8 / 3, rel=1e-12)
-    assert zonal_at_identity((1, 1), 2, table) == pytest.approx(4 / 3, rel=1e-12)
+    assert zonal_at_identity((2,), 2) == pytest.approx(8 / 3, rel=1e-12)
+    assert zonal_at_identity((1, 1), 2) == pytest.approx(4 / 3, rel=1e-12)
 
 
 def test_dimension_one_is_power():
-    table = fetch_table(6, 1)
     z = SpdMatrix(np.array([[0.7]]))
     for k in range(7):
         part = (k,) if k else ()
-        assert zonal_eval(part, z, table) == pytest.approx(0.7 ** k, rel=1e-12)
+        assert zonal_eval(part, z) == pytest.approx(0.7 ** k, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 5), (4, 6)])
 def test_normalization_identity(p, k):
-    table = fetch_table(k, p)
     z = spd_from_eigs(tuple(0.4 + 0.3 * i for i in range(p)), seed=p * 10 + k)
-    total = sum(zonal_eval(K, z, table) for K in partitions_of(k, p))
+    total = sum(zonal_eval(K, z) for K in partitions_of(k, p))
     assert total == pytest.approx(z.trace ** k, rel=1e-11)
 
 
 @given(st.floats(min_value=0.1, max_value=3.0))
 @settings(max_examples=30, deadline=None)
 def test_homogeneity(c):
-    table = fetch_table(3, 2)
     z = SpdMatrix.diagonal((0.8, 1.7))
     zc = SpdMatrix.diagonal((0.8 * c, 1.7 * c))
     for parts in ((3,), (2, 1)):
-        assert zonal_eval(parts, zc, table) == pytest.approx(
-            c ** 3 * zonal_eval(parts, z, table), rel=1e-10)
+        assert zonal_eval(parts, zc) == pytest.approx(
+            c ** 3 * zonal_eval(parts, z), rel=1e-10)
 
 
 def test_permutation_symmetry():
-    table = fetch_table(4, 3)
     a = SpdMatrix.diagonal((0.5, 1.0, 2.5))
     b = SpdMatrix.diagonal((2.5, 0.5, 1.0))
     for K in partitions_of(4, 3):
-        assert zonal_eval(K, a, table) == pytest.approx(
-            zonal_eval(K, b, table), rel=1e-12)
+        assert zonal_eval(K, a) == pytest.approx(zonal_eval(K, b), rel=1e-12)
 
 
 def test_long_partition_vanishes_on_small_argument():
-    # the table holds length-3 rows, but a 2x2 argument has no 3 parts
-    table = fetch_table(3, 3)
+    # a 2x2 argument has no 3 parts, whatever tables hold length-3 rows
+    fetch_table(3, 3)
     z = SpdMatrix.diagonal((0.9, 1.4))
-    assert zonal_eval((1, 1, 1), z, table) == 0.0
+    assert zonal_eval((1, 1, 1), z) == 0.0
 
 
 def test_long_partition_is_zero_before_lookup():
-    # no p = 1 table holds (2, 1), and none is needed
-    table = fetch_table(1, 1)
+    # no p = 1 table holds (2, 1), and none is read
     z = SpdMatrix(np.array([[0.5]]))
-    assert zonal_eval((2, 1), z, table) == 0.0
+    assert zonal_eval((2, 1), z) == 0.0
     stack = np.stack([z.entries] * 3)
-    np.testing.assert_array_equal(zonal_eval((2, 1), stack, table),
+    np.testing.assert_array_equal(zonal_eval((2, 1), stack),
                                   np.zeros(3))
-    assert zonal_at_identity((2, 1), 1, table) == 0.0
+    assert zonal_at_identity((2, 1), 1) == 0.0
 
 
 def test_superset_table_reuse():
     # an explicit wider table reads a smaller argument to rounding
     small = fetch_table(3, 2)
     large = fetch_table(5, 3)
-    z = SpdMatrix.diagonal((1.2, 0.4))
+    eigs = SpdMatrix.diagonal((1.2, 0.4)).eigenvalues
     for K in partitions_of(3, 2):
-        assert zonal_eval(K, z, small) == pytest.approx(
-            zonal_eval(K, z, large), rel=1e-13)
+        assert small.value(K, eigs) == pytest.approx(large.value(K, eigs),
+                                                     rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_eval_reads_the_table_for_its_dimension(d):
+    # a wider table reads a d-dimensional argument only to rounding, so
+    # whatever tables exist, zonal_eval gives the bits of the (k, d) table
+    fetch_table(8, 5)
+    mats = [spd_from_eigs(tuple(np.linspace(0.3, 1.6, d) + 0.1 * i), seed=i)
+            for i in range(3)]
+    stack = np.stack([m.entries for m in mats])
+    eigs = np.linalg.eigvalsh(stack)[:, ::-1]
+    for k in range(9):
+        table = fetch_table(k, d)
+        for K in partitions_of(k, d):
+            assert zonal_eval(K, mats[0]) == table.value(
+                K, mats[0].eigenvalues)
+            np.testing.assert_array_equal(zonal_eval(K, stack),
+                                          table.value(K, eigs))
 
 
 def test_at_identity_matches_eval():
-    table = fetch_table(4, 3)
     eye = SpdMatrix.identity(3)
     for K in partitions_of(4, 3):
-        assert zonal_at_identity(K, 3, table) == pytest.approx(
-            zonal_eval(K, eye, table), rel=1e-12)
+        assert zonal_at_identity(K, 3) == pytest.approx(zonal_eval(K, eye),
+                                                        rel=1e-12)
 
 
 def test_missing_entry_errors():
@@ -143,11 +150,12 @@ def test_missing_entry_errors():
     table = fetch_table(3, 2)
     z = SpdMatrix.diagonal((1.0, 1.0))
     with pytest.raises(MissingTableEntryError):
-        zonal_eval((table.k_max + 1,), z, table)  # weight above k_max
+        # weight above k_max
+        table.value(Partition((table.k_max + 1,)), z.eigenvalues)
     # more parts than the argument's dimension: zero, before any lookup
-    assert zonal_eval((1, 1, 1), z, table) == 0.0
+    assert zonal_eval((1, 1, 1), z) == 0.0
     with pytest.raises(DimensionError):
-        zonal_eval((2,), SpdMatrix.identity(3), table)
+        table.value(Partition((2,)), np.ones(3))
 
 
 def test_build_ceiling(monkeypatch):
@@ -177,14 +185,13 @@ def test_records_round_trip():
     back = table_from_records(records)
     z = SpdMatrix.diagonal((0.6, 1.9))
     for K in partitions_of(4, 2):
-        assert zonal_eval(K, z, back) == zonal_eval(K, z, table)
+        assert back.value(K, z.eigenvalues) == table.value(K, z.eigenvalues)
 
 
 def test_empty_partition_is_constant_one():
-    table = fetch_table(2, 2)
     z = SpdMatrix.diagonal((0.3, 5.0))
-    assert zonal_eval((), z, table) == 1.0
-    assert zonal_at_identity(Partition.coerce(()), 2, table) == 1.0
+    assert zonal_eval((), z) == 1.0
+    assert zonal_at_identity(Partition.coerce(()), 2) == 1.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -197,12 +204,12 @@ def test_stack_matches_per_matrix(p):
     stack = np.stack([m.entries for m in mats])
     for k in range(4):
         for K in partitions_of(k, 3):
-            got = zonal_eval(K, stack, table)
-            want = [zonal_eval(K, m, table) for m in mats]
+            got = zonal_eval(K, stack)
+            want = [zonal_eval(K, m) for m in mats]
             assert got.shape == (len(mats),)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     with pytest.raises(DimensionError):
-        zonal_eval((1,), np.stack([np.eye(4)] * 2), table)
+        table.value(Partition((1,)), np.ones((2, 4)))
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +302,7 @@ def test_trace_identity_and_identity_values(k_max, p):
             assert total == pytest.approx(eigs.sum() ** k, rel=1e-12)
     top = table.weight_partitions(k_max)
     for kappa in top[::7] + top[-3:]:
-        assert zonal_at_identity(kappa, p, table) == pytest.approx(
+        assert zonal_at_identity(kappa, p) == pytest.approx(
             _hook_identity_value(kappa, p), rel=1e-12)
     ones = table.monomials(np.ones(p), k_max)
     values = np.concatenate([table.coeffs[k] @ ones[table.offsets[k]:
@@ -324,8 +331,7 @@ def _fixed_values(capsys):
     for d in (1, 2, 3):
         z = spd_from_eigs(tuple(np.linspace(0.15, 0.8, d)), seed=d)
         for k in range(6):
-            table = fetch_table(k, d)
-            values += [zonal_eval(K, z, table) for K in partitions_of(k, d)]
+            values += [zonal_eval(K, z) for K in partitions_of(k, d)]
         for num, den in (((), ()), ((0.7,), ()), ((1.5, 0.4), (2.2,))):
             for k_max in (4, 12, 25):
                 values += hyper_pfq(HyperParams(num, den), z,
@@ -353,8 +359,7 @@ def test_growing_a_table_moves_no_value(monkeypatch, p):
 
     def values():
         table = fetch_table(2, p)
-        out = [zonal_eval(K, z, table)
-               for k in range(3) for K in partitions_of(k, p)]
+        out = [zonal_eval(K, z) for k in range(3) for K in partitions_of(k, p)]
         out += hyper_pfq(params, z, Truncation(k_max=2))
         return [float(v).hex() for v in out], table.k_max
 
