@@ -226,8 +226,7 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     root = np.asarray(spd_sqrt(Z).entries)
     x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
     kernel = det_v ** (alpha - half) * det_w ** (0.5 * cfg.r - half)
-    raw = _indicator_estimate(operand(x), n_proposals,
-                              2.0 ** (p * (p - 1) // 2), n, seed, kernel)
+    raw = _indicator_estimate(operand(x), n_proposals, p, n, seed, kernel)
     scale = math.exp(stiefel_constant(p, cfg.r)
                      - cfg.log_weight_factor
                      - log_matrix_gamma(p, alpha)

@@ -47,23 +47,6 @@ class HyperParams:
                     raise ParameterDomainError(
                         f"{name} parameter {i} must be finite, got {v}")
 
-    def check_denominators(self, p, k_max):
-        """Reject denominator parameters whose Pochhammer product vanishes at
-        a partition reachable within (p, k_max)."""
-        for b in self.denominator:
-            for j in range(p):
-                v = b - 0.5 * j
-                nearest = round(v)
-                if abs(v - nearest) > 1e-12 or nearest > 0:
-                    continue
-                # factor hits zero at box (row j+1, column -nearest+1); the
-                # smallest partition containing that box has weight
-                # (j+1)(-nearest+1)
-                if (j + 1) * (1 - nearest) <= k_max:
-                    raise ParameterDomainError(
-                        f"denominator parameter {b} hits a Pochhammer zero at "
-                        f"row {j + 1} within k_max={k_max}")
-
 
 @dataclass(frozen=True)
 class Truncation:
@@ -106,16 +89,21 @@ def _zonal_series(num, den, eigenvalues, trunc):
     table = fetch_table(trunc.k_max, len(eigenvalues))
     m = table.monomials(eigenvalues, trunc.k_max)
     # one Pochhammer factor per nonempty partition, for the box its parent
-    # lacks; only boxes of partitions up to trunc.k_max are evaluated, and
-    # the table holds no partition with more rows than the argument, so
-    # these are the ones check_denominators vetted
+    # lacks; these are the boxes of every partition the series sums (weight
+    # <= trunc.k_max, no more rows than the argument), so a denominator is
+    # refused exactly when one of its factors here vanishes
     size = len(m)
     shift = table.box_shift[1:size]
     box = np.ones(size)
     for a in num:
         box[1:] *= a + shift
     for b in den:
-        box[1:] /= b + shift
+        factor = b + shift
+        if (np.abs(factor) <= 1e-12).any():
+            raise ParameterDomainError(
+                f"denominator parameter {b} hits a Pochhammer zero within "
+                f"k_max={trunc.k_max}")
+        box[1:] /= factor
     poch = np.ones(size)
     value = 0.0
     comp = 0.0  # Kahan carry
@@ -172,7 +160,6 @@ def hyper_pfq(params, Z, trunc=None):
     """
     if trunc is None:
         trunc = Truncation()
-    params.check_denominators(Z.dim, trunc.k_max)
     if len(params.numerator) == len(params.denominator) + 1:
         radius = float(Z.eigenvalues[0])
         if not radius < 1.0:
@@ -190,9 +177,10 @@ def hyper_pfq_at_identity(params, p, trunc=None):
     out below 0.95; otherwise the truncated value is not trustworthy and a
     non-convergence error is raised.
     """
+    if not isinstance(p, int) or p < 1:
+        raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
     if trunc is None:
         trunc = Truncation()
-    params.check_denominators(p, trunc.k_max)
     result = _zonal_series(params.numerator, params.denominator,
                            [1.0] * p, trunc)
     if not result.ratio < 0.95:

@@ -280,11 +280,12 @@ def cone_acceptance_report(p, n, seed):
     }
 
 
-def _indicator_estimate(h, n_proposals, box_volume, n, seed, kernel=1.0):
+def _indicator_estimate(h, n_proposals, p, n, seed, kernel=1.0):
     """Hit-or-miss estimate from the integrand values h, one per accepted
     draw and finite once multiplied by kernel; rejected proposals enter the
-    mean and variance as exact zeros."""
+    mean and variance as exact zeros, over the p-dimensional proposal box."""
     _check_count(n, 2)
+    box_volume = 2.0 ** (p * (p - 1) // 2)
     h = np.asarray(h, dtype=float)
     if h.shape != (n,):
         raise DimensionError(
@@ -309,8 +310,7 @@ def mc_integrate_unit_cone(g, p, n, seed):
     values; the standard error needs n >= 2.
     """
     w, _, _, n_proposals = _cone_raw(p, n, seed)
-    return _indicator_estimate(g(w), n_proposals, 2.0 ** (p * (p - 1) // 2),
-                               n, seed)
+    return _indicator_estimate(g(w), n_proposals, p, n, seed)
 
 
 def sample_type1_beta(p, a1, a2, n, seed):

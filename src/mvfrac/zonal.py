@@ -269,8 +269,9 @@ def fetch_table(k_max, p):
     """The cached table built for exactly p variables, holding at least
     weight k_max.
 
-    A cached table of less weight is replaced by a fresh (k_max, p) build;
-    each weight block depends only on (k, p), so no value moves.
+    A cached table of less weight is grown to k_max: the new table keeps
+    its weight blocks and builds only the weights above them.  Each block
+    depends only on (k, p), so no value moves.
     """
     with _table_lock:
         table = _table_cache.get(p)
@@ -278,8 +279,9 @@ def fetch_table(k_max, p):
         return table
     _check_request(k_max, p)
     weights = _partition_lists(k_max, p)
-    built = ZonalTable(p, weights,
-                       [_build_weight(plist, p) for plist in weights])
+    kept = table.coeffs if table is not None else []
+    built = ZonalTable(p, weights, kept + [_build_weight(plist, p)
+                                           for plist in weights[len(kept):]])
     with _table_lock:
         # a concurrent builder may have grown p further meanwhile; a
         # narrower table never replaces a wider one
@@ -309,14 +311,12 @@ def zonal_eval(K, Z):
 
 
 def zonal_at_identity(K, p):
-    """Zonal polynomial value at the p-dimensional identity, read from the
-    cached table for p."""
+    """Zonal polynomial value at the p-dimensional identity, from its closed
+    form; no table is read, so any weight is allowed.  A partition with more
+    than p parts gives exactly 0."""
     if not isinstance(p, int) or p < 1:
         raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
-    K = Partition.coerce(K)
-    if len(K) > p:
-        return 0.0
-    return float(fetch_table(K.weight, p).value(K, np.ones(p)))
+    return _at_identity(Partition.coerce(K).parts, p)
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,41 @@ def test_convergent_series_with_rising_weight_sums():
     assert res.ratio < 1.0
 
 
-def test_denominator_pochhammer_zero_rejected():
-    with pytest.raises(ParameterDomainError):
-        hyper_pfq(HyperParams((1.0,), (-2.0,)), SpdMatrix(np.array([[0.3]])),
-                  Truncation(k_max=10))
+@pytest.mark.parametrize("b,p,k_max,refused,at_identity", [
+    (-2.0, 1, 10, True, False),
+    (-2.0, 1, 2, False, False),
+    (-2.0, 1, 3, True, False),
+    (0.5, 2, 1, False, False),
+    (0.5, 2, 2, True, False),  # the zero is at row 2, column 1
+    (-2.0 + 1e-13, 1, 3, True, False),
+    (-2.0 + 2e-12, 1, 3, False, False),
+    (-1.0, 2, 4, True, True),
+])
+def test_denominator_pochhammer_zero_rejected(b, p, k_max, refused,
+                                              at_identity):
+    # refused exactly when a factor b + column - row/2 on a box of a summed
+    # partition is within 1e-12 of zero, and before any division by it
+    params = HyperParams((1.0,), (b,))
+
+    def series():
+        if at_identity:
+            return hyper_pfq_at_identity(params, p, Truncation(k_max))
+        return hyper_pfq(params, SpdMatrix.diagonal((0.3,) * p),
+                         Truncation(k_max))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(ParameterDomainError, match="Pochhammer zero"):
+                series()
+        else:
+            assert math.isfinite(series().value)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 2.0, "2"])
+def test_at_identity_validates_dimension(p):
+    with pytest.raises(ParameterDomainError, match=f"got {p!r}"):
+        hyper_pfq_at_identity(HyperParams((0.3, 0.2), (2.0,)), p)
 
 
 def test_truncation_validation():

@@ -35,6 +35,7 @@ from mvfrac import (
     fetch_table,
     hyper_pfq,
     partitions_of,
+    run_suite,
     table_from_records,
     table_to_records,
     zonal,
@@ -361,13 +362,40 @@ def test_growing_a_table_moves_no_value(monkeypatch, p):
         table = fetch_table(2, p)
         out = [zonal_eval(K, z) for k in range(3) for K in partitions_of(k, p)]
         out += hyper_pfq(params, z, Truncation(k_max=2))
-        return [float(v).hex() for v in out], table.k_max
+        return [float(v).hex() for v in out], table
 
-    before, k_small = values()
+    before, small = values()
     fetch_table(25, p)
-    after, k_large = values()
-    assert (k_small, k_large) == (2, 25)
+    after, large = values()
+    assert (small.k_max, large.k_max) == (2, 25)
     assert after == before
+    # the grown table keeps the blocks it had
+    assert all(large.coeffs[k] is small.coeffs[k] for k in range(3))
+
+
+def test_growth_builds_each_weight_once(monkeypatch):
+    # fraczonal asks for K = (1,) before (2,) at p = 1 and 2, so both tables
+    # grow from weight 1 to 2; each of weights 0-2 builds once per p
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    calls = []
+    build_weight = zonal._build_weight
+
+    def counted(plist, p):
+        calls.append((sum(plist[0]), p))
+        return build_weight(plist, p)
+
+    monkeypatch.setattr(zonal, "_build_weight", counted)
+    run_suite("fraczonal", samples=2000, seed=1)
+    assert calls == [(k, p) for p in (1, 2) for k in range(3)]
+
+
+def test_identity_value_needs_no_table(monkeypatch):
+    # the closed form holds above the table ceiling and builds nothing
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    for kappa, p in (((31,), 2), ((20, 11), 3)):
+        assert zonal_at_identity(kappa, p) == pytest.approx(
+            _hook_identity_value(kappa, p), rel=1e-12)
+    assert zonal._table_cache == {}
 
 
 @pytest.mark.parametrize("late", ["narrow", "wide"])
