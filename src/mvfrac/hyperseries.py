@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, ParameterDomainError
 from .spdcore import SpdMatrix, ordering_lt
-from .zonal import fetch_table
+from .zonal import _check_dimension, _check_k_max, fetch_table
 
 __all__ = [
     "HyperParams",
@@ -57,9 +57,7 @@ class Truncation:
     k_max: int = 25
 
     def __post_init__(self):
-        if not isinstance(self.k_max, int) or self.k_max < 0:
-            raise ParameterDomainError(
-                f"k_max must be a non-negative integer, got {self.k_max!r}")
+        _check_k_max(self.k_max)
 
 
 class SeriesResult(NamedTuple):
@@ -177,8 +175,7 @@ def hyper_pfq_at_identity(params, p, trunc=None):
     out below 0.95; otherwise the truncated value is not trustworthy and a
     non-convergence error is raised.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
+    _check_dimension(p)
     if trunc is None:
         trunc = Truncation()
     result = _zonal_series(params.numerator, params.denominator,

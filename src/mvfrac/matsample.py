@@ -34,7 +34,7 @@ from .errors import (
     ParameterDomainError,
     ResourceLimitError,
 )
-from .rng import derive_key, gamma_variates, normals, uniforms_at
+from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
 from .spdcore import check_full_rank
 
 __all__ = [
@@ -64,8 +64,15 @@ _EDGE = 1e-10
 
 # proposals per rejection block, sized so that a block's uniforms, counter
 # offsets and minor temporaries stay in a core's L2 cache; proposal i owns
-# the counter slots i*width.., so the block size changes no draw
+# the counter slots i*width.., so the block size changes no draw.  The
+# sum-density check draws its samples in blocks of the same size
 _CONE_BLOCK = 1 << 14
+
+# the counter slot of each entry of a cone proposal W: the diagonal takes
+# slots 0..p-1 and the strict lower triangle, in row order, the rest, each
+# off-diagonal entry being 2u - 1 for its slot's uniform u
+_CONE_SLOTS = {2: np.array([[0, 2], [2, 1]]),
+               3: np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])}
 
 
 def _check_count(n, least=1):
@@ -147,11 +154,13 @@ def sample_matrix_gamma(spec, n, seed):
     return _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
 
 
-def _rect_raw(cfg, n, seed, stream=0):
-    """n rectangular exponential-weight draws as an (n, p, r) array."""
+def _rect_raw(cfg, n, seed, stream=0, first=0):
+    """n rectangular exponential-weight draws as an (n, p, r) array, the
+    draws first..first+n-1 of the stream."""
     n = _check_count(n)
     key = derive_key(seed, _TAG_RECT + stream)
-    g = normals(key, 0, n * cfg.p * cfg.r).reshape(n, cfg.p, cfg.r)
+    size = cfg.p * cfg.r
+    g = normals(key, first * size, n * size).reshape(n, cfg.p, cfg.r)
     g *= math.sqrt(0.5)
     return (cfg.A.matrix_power(-0.5).entries @ g
             @ cfg.B.matrix_power(-0.5).entries)
@@ -188,41 +197,53 @@ def _cone_block(key, p, cols, first, limit):
     block, as (block offsets, W, det W, det(I - W)).
 
     A proposal is accepted when every leading principal minor of W and of
-    I - W clears the edge margin.  cols[:, i] holds the counter offsets of
-    proposal i's head slots (diagonal 0 and 1, off-diagonal p), enough for
-    the 1x1 and 2x2 minors, formed as _batch_det forms them ((-v)*(-v) is
-    v*v exactly).  Only proposals that pass draw their other slots.
+    I - W clears the edge margin.  Proposal i owns the counter slots
+    (first + i)*width.., W's entries sitting at the slots _CONE_SLOTS gives;
+    cols holds the block's offsets of slot p, that of w01 (p > 1).
+
+    An accepted W has |w_ij| < 1/2 off the diagonal: W and I - W are
+    positive definite, so both 2x2 principal minors on rows {i, j} are
+    positive, and their leading terms multiply to at most 1/16; the edge
+    margin is far wider than any rounding.  So w01 is drawn first, w00 and
+    w11 only where |w01| < 1/2, and at p = 3 the other three slots only
+    where both 2x2 minors pass; only those with |w02|, |w12| < 1/2 go on to
+    the 3x3 determinants.  The minors are formed as _batch_det forms them
+    ((-v)*(-v) is v*v exactly).
     """
+    if p == 1:
+        u = uniforms(key, first, _CONE_BLOCK)
+        hits = np.flatnonzero((u > _EDGE) & (1.0 - u > _EDGE))[:limit]
+        u = u[hits]
+        return hits, u[:, None, None], u, 1.0 - u
     width = p + p * (p - 1) // 2
-    head = uniforms_at(key, cols + np.uint64(first * width))
-    det_w = head[0]
-    det_v = 1.0 - det_w
-    ok = (det_w > _EDGE) & (det_v > _EDGE)
-    if p > 1:
-        v = 2.0 * head[2] - 1.0
-        vv = v * v
-        det_w = det_w * head[1] - vv
-        det_v = det_v * (1.0 - head[1]) - vv
-        ok &= (det_w > _EDGE) & (det_v > _EDGE)
+    u01 = uniforms_at(key, cols + np.uint64(first * width))
+    near = np.flatnonzero((u01 > 0.25) & (u01 < 0.75))  # |2 u01 - 1| < 1/2
+    at = (first + near) * width  # slot 0 of each proposal kept
+    ent = np.empty((width, near.size))  # W's entries, one row per slot
+    ent[:2] = uniforms_at(key, at + np.arange(2)[:, None])
+    ent[p] = 2.0 * u01[near] - 1.0
+    vv = ent[p] * ent[p]
+    det_v = 1.0 - ent[0]
+    ok = (ent[0] > _EDGE) & (det_v > _EDGE)
+    det_w = ent[0] * ent[1] - vv
+    det_v = det_v * (1.0 - ent[1]) - vv
+    ok &= (det_w > _EDGE) & (det_v > _EDGE)
     hits = np.flatnonzero(ok)
-    if p < 3:
+    if p == 2:
         hits = hits[:limit]
-    sel = np.empty((width, hits.size))
-    sel[cols[:, 0]] = head[:, hits]
+    ent = ent.take(hits, axis=1)
     if p == 3:
-        tail = np.array((2, 4, 5))
-        sel[tail] = uniforms_at(key, tail[:, None] + (first + hits) * width)
-    w = np.empty((p, p, hits.size))
-    i, j = np.tril_indices(p, -1)
-    w[range(p), range(p)] = sel[:p]
-    w[i, j] = w[j, i] = 2.0 * sel[p:] - 1.0
-    w = w.transpose(2, 0, 1)
-    if p < 3:
-        return hits, w, det_w[hits], det_v[hits]
+        ent[[2, 4, 5]] = uniforms_at(key, at[hits] + np.array((2, 4, 5))[:, None])
+        ent[4:] = 2.0 * ent[4:] - 1.0
+        small = np.flatnonzero((np.abs(ent[4:]) < 0.5).all(axis=0))
+        hits, ent = hits[small], ent.take(small, axis=1)
+    w = ent[_CONE_SLOTS[p]].transpose(2, 0, 1)
+    if p == 2:
+        return near[hits], w, det_w[hits], det_v[hits]
     det_w = _batch_det(w)
     det_v = _batch_det(np.eye(p) - w)
     keep = np.flatnonzero((det_w > _EDGE) & (det_v > _EDGE))[:limit]
-    return hits[keep], w[keep], det_w[keep], det_v[keep]
+    return near[hits[keep]], w[keep], det_w[keep], det_v[keep]
 
 
 def _cone_raw(p, n, seed):
@@ -242,8 +263,7 @@ def _cone_raw(p, n, seed):
             f"higher dimensions need the beta importance sampler")
     key = derive_key(seed, _TAG_CONE)
     width = p + p * (p - 1) // 2
-    slots = np.array((0, 1, p)[:width], dtype=np.uint64)
-    cols = slots[:, None] + np.arange(_CONE_BLOCK, dtype=np.uint64) * np.uint64(width)
+    cols = np.arange(_CONE_BLOCK, dtype=np.uint64) * np.uint64(width) + np.uint64(p)
 
     out = np.empty((n, p, p)), np.empty(n), np.empty(n)
     accepted = first = 0

@@ -239,11 +239,19 @@ _table_cache = {}  # p -> the table built for exactly p variables
 _table_lock = threading.Lock()
 
 
-def _check_request(k_max, p):
+def _check_k_max(k_max):
     if not isinstance(k_max, int) or k_max < 0:
         raise ParameterDomainError(f"k_max must be a non-negative integer, got {k_max!r}")
+
+
+def _check_dimension(p):
     if not isinstance(p, int) or p < 1:
         raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
+
+
+def _check_request(k_max, p):
+    _check_k_max(k_max)
+    _check_dimension(p)
     ceiling = _kmax_ceiling()
     if k_max > ceiling:
         raise ResourceLimitError(
@@ -314,8 +322,7 @@ def zonal_at_identity(K, p):
     """Zonal polynomial value at the p-dimensional identity, from its closed
     form; no table is read, so any weight is allowed.  A partition with more
     than p parts gives exactly 0."""
-    if not isinstance(p, int) or p < 1:
-        raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
+    _check_dimension(p)
     return _at_identity(Partition.coerce(K).parts, p)
 
 

@@ -8,6 +8,7 @@ sample itself.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,9 +40,10 @@ from mvfrac.matsample import (
     _TAG_CONE,
     _batch_det,
     _cone_raw,
+    _rect_raw,
 )
 from mvfrac.rng import derive_key, uniforms
-from mvfrac.spdcore import check_spd
+from mvfrac.spdcore import check_spd, rect_transform
 from mvfrac.verify import _gamma_cdf
 
 
@@ -244,6 +246,17 @@ def test_cone_blocks_match_one_pass_reference(p, seed):
         assert np.array_equal(got_dv, det_v[:n])
 
 
+@pytest.mark.parametrize("p,seed", [(2, 2), (3, 185)])
+def test_cone_draws_have_small_off_diagonal(p, seed):
+    # the sampler drops proposals with |w01| >= 1/2 before drawing their
+    # diagonal, and at p = 3 those with |w02| or |w12| >= 1/2 before their
+    # 3x3 determinants; no accepted draw of the one-pass reference is lost
+    _, w, _, _ = _cone_reference(p, seed, 5 * _CONE_BLOCK)
+    i, j = np.triu_indices(p, 1)
+    assert len(w) > 1000
+    assert np.abs(w[:, i, j]).max() < 0.5
+
+
 def test_cone_dimension_frontier():
     # rejection filling is only viable in low dimension
     with pytest.raises(ParameterDomainError):
@@ -398,6 +411,50 @@ def test_sum_density_order_invariance():
     b = verify_sum_density(c2, c1, 50_000, 9)
     assert a["pass"] and b["pass"]
     assert a["orders"] == [3, 4] and b["orders"] == [4, 3]
+
+
+@pytest.mark.parametrize("p,r1,r2", [(1, 1, 1), (2, 3, 4)])
+def test_sum_density_blocks_match_whole_stack(p, r1, r2):
+    # the check runs its draws block by block; over three and a half
+    # blocks every reported number equals the one-stack computation's
+    n, seed = 3 * _CONE_BLOCK + _CONE_BLOCK // 2, 7
+    c1 = RectConfig.with_identity_weights(p, r1)
+    c2 = RectConfig.with_identity_weights(p, r2)
+    rep = verify_sum_density(c1, c2, n, seed)
+    u = (rect_transform(_rect_raw(c1, n, seed, 1), c1)
+         + rect_transform(_rect_raw(c2, n, seed, 2), c2))
+    moments = rep["cases"][:2]
+    for case, xs in zip(moments, (np.trace(u, axis1=1, axis2=2),
+                                  _batch_det(u))):
+        observed = float(np.mean(xs))
+        se = float(np.std(xs, ddof=1) / math.sqrt(n))
+        assert case["observed"] == observed
+        assert case["z"] == (observed - case["expected"]) / se
+    if p == 1:
+        xs = np.sort(u[:, 0, 0])
+        cdf = _gamma_cdf(0.5 * (r1 + r2), xs)
+        grid = np.arange(1, n + 1) / n
+        stat = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
+        assert rep["cases"][2]["statistic"] == stat
+    else:
+        assert len(rep["cases"]) == 2
+
+
+def test_sum_density_memory_stays_below_one_stack():
+    # one block of draws at a time plus n traces, n determinants and the
+    # standard deviation's n-float temporary; the whole-stack version held
+    # four (n, 2, 4) stacks at its peak
+    n = 200_000
+    c1 = RectConfig.with_identity_weights(2, 3)
+    c2 = RectConfig.with_identity_weights(2, 4)
+    verify_sum_density(c1, c2, 100, 1)  # cached square roots, imports
+    tracemalloc.start()
+    try:
+        verify_sum_density(c1, c2, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 2 * 4 * 8
 
 
 @pytest.mark.parametrize("a", np.arange(0.5, 8.5, 0.5))
