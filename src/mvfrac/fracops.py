@@ -232,4 +232,4 @@ def frac_integral_numeric(order, Z, operand, n, seed):
                      - log_matrix_gamma(p, alpha)
                      + (alpha + 0.5 * cfg.r - half) * Z.log_det)
     return McEstimate(value=raw.value * scale, stderr=raw.stderr * scale,
-                      n=n, seed=int(seed), n_proposals=n_proposals)
+                      n=raw.n, seed=raw.seed, n_proposals=n_proposals)

@@ -9,7 +9,7 @@ floats, with a signed log variant where callers need the split.
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, as_int
 
 __all__ = [
     "Partition",
@@ -78,25 +78,20 @@ class Partition:
     parts: tuple = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple([as_int(p, "partition part") for p in self.parts])
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ParameterDomainError(
                     f"partition parts must be non-increasing, got {parts}")
-        if parts and parts[-1] < 0:
-            raise ParameterDomainError(
-                f"partition parts must be non-negative, got {parts}")
         object.__setattr__(self, "parts", parts)
 
     @classmethod
     def coerce(cls, obj):
         if isinstance(obj, cls):
             return obj
-        if isinstance(obj, int):
-            return cls((obj,)) if obj else cls(())
-        return cls(tuple(obj))
+        return cls(tuple(obj) if hasattr(obj, "__iter__") else (obj,))
 
     @property
     def weight(self):
@@ -121,11 +116,8 @@ def partitions_of(k, max_parts):
     Reverse-lexicographic means (k) first and the flattest partition last;
     this refines dominance order, which the zonal recurrence relies on.
     """
-    if k < 0:
-        raise ParameterDomainError(f"partitions_of requires k >= 0, got {k}")
-    if max_parts < 1:
-        raise ParameterDomainError(
-            f"partitions_of requires max_parts >= 1, got {max_parts}")
+    k = as_int(k, "k")
+    max_parts = as_int(max_parts, "max_parts", 1)
     out = []
     prefix = []
 
@@ -151,11 +143,6 @@ def partitions_of(k, max_parts):
 # matrix-variate gamma and friends
 # ---------------------------------------------------------------------------
 
-def _check_dim(p):
-    if not isinstance(p, int) or p < 1:
-        raise ParameterDomainError(f"dimension p must be a positive integer, got {p!r}")
-
-
 def log_matrix_gamma(p, alpha):
     """log of the matrix-variate gamma function of dimension p at alpha.
 
@@ -163,7 +150,7 @@ def log_matrix_gamma(p, alpha):
     over j = 1..p, so the argument must satisfy alpha > (p-1)/2 or the last
     factor hits a pole.
     """
-    _check_dim(p)
+    p = as_int(p, "dimension", 1)
     if not alpha > (p - 1) / 2.0:
         raise ParameterDomainError(
             f"log_matrix_gamma requires alpha > (p-1)/2: alpha={alpha}, p={p}")
@@ -210,7 +197,7 @@ def log_matrix_gamma_partition(p, b, K):
 
     Requires (b)_K > 0; use signed_log_gen_pochhammer for the general case.
     """
-    _check_dim(p)
+    p = as_int(p, "dimension", 1)
     K = Partition.coerce(K)
     if len(K) > p:
         raise ParameterDomainError(

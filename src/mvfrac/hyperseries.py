@@ -14,9 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError, ParameterDomainError
+from .errors import (DimensionError, NonConvergenceError, ParameterDomainError,
+                     as_int)
 from .spdcore import SpdMatrix, ordering_lt
-from .zonal import _check_dimension, _check_k_max, fetch_table
+from .zonal import fetch_table
 
 __all__ = [
     "HyperParams",
@@ -57,7 +58,7 @@ class Truncation:
     k_max: int = 25
 
     def __post_init__(self):
-        _check_k_max(self.k_max)
+        object.__setattr__(self, "k_max", as_int(self.k_max, "k_max"))
 
 
 class SeriesResult(NamedTuple):
@@ -175,7 +176,7 @@ def hyper_pfq_at_identity(params, p, trunc=None):
     out below 0.95; otherwise the truncated value is not trustworthy and a
     non-convergence error is raised.
     """
-    _check_dimension(p)
+    p = as_int(p, "dimension", 1)
     if trunc is None:
         trunc = Truncation()
     result = _zonal_series(params.numerator, params.denominator,

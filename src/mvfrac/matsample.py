@@ -33,6 +33,7 @@ from .errors import (
     DimensionError,
     ParameterDomainError,
     ResourceLimitError,
+    as_int,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
 from .spdcore import check_full_rank
@@ -74,13 +75,8 @@ _CONE_BLOCK = 1 << 14
 _CONE_SLOTS = {2: np.array([[0, 2], [2, 1]]),
                3: np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])}
 
-
-def _check_count(n, least=1):
-    n = int(n)
-    if n < least:
-        raise ParameterDomainError(
-            f"sample count must be at least {least}, got {n}")
-    return n
+# the proposal box: p diagonal entries in (0, 1), p(p-1)/2 off it in (-1, 1)
+_BOX_VOLUME = {p: 2.0 ** (p * (p - 1) // 2) for p in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,7 @@ class McEstimate:
             raise DegenerateInputError("Monte Carlo estimate is not finite")
         if self.stderr < 0.0:
             raise DegenerateInputError("negative standard error")
-        if self.n < 1:
-            raise ParameterDomainError("sample count must be at least 1")
+        object.__setattr__(self, "n", as_int(self.n, "sample count", 1))
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,7 @@ class MatrixGammaSpec:
     shape: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterDomainError(f"dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", as_int(self.dim, "dimension", 1))
         if not math.isfinite(self.shape):
             raise ParameterDomainError(
                 f"matrix gamma shape must be finite, got {self.shape}")
@@ -130,7 +124,7 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     """n matrix gamma draws as an (n, p, p) array, W = T T', positive
     definite because the triangular T has a positive diagonal; a stack with
     a variate that underflowed to zero, or a non-finite W, is refused."""
-    n = _check_count(n)
+    n = as_int(n, "sample count", 1)
     t = np.zeros((n, p, p))
     for j in range(p):
         key = derive_key(seed, tag_base + j)
@@ -157,7 +151,7 @@ def sample_matrix_gamma(spec, n, seed):
 def _rect_raw(cfg, n, seed, stream=0, first=0):
     """n rectangular exponential-weight draws as an (n, p, r) array, the
     draws first..first+n-1 of the stream."""
-    n = _check_count(n)
+    n = as_int(n, "sample count", 1)
     key = derive_key(seed, _TAG_RECT + stream)
     size = cfg.p * cfg.r
     g = normals(key, first * size, n * size).reshape(n, cfg.p, cfg.r)
@@ -253,10 +247,8 @@ def _cone_raw(p, n, seed):
     proposal up to and including the one that produced the n-th acceptance, as
     the hit-or-miss estimator requires.
     """
-    n = _check_count(n)
-    p = int(p)
-    if p < 1:
-        raise ParameterDomainError(f"dimension must be positive, got {p}")
+    n = as_int(n, "sample count", 1)
+    p = as_int(p, "dimension", 1)
     if p > 3:
         raise ParameterDomainError(
             f"rejection sampling is limited to dimensions 1..3, got {p}; "
@@ -289,13 +281,14 @@ def sample_uniform_spd_unit(p, n, seed):
 
 def cone_acceptance_report(p, n, seed):
     """Acceptance statistics of the rejection sampler, for sizing runs."""
-    _, _, _, n_proposals = _cone_raw(p, n, seed)
+    w, _, _, n_proposals = _cone_raw(p, n, seed)
+    n, p, _ = w.shape
     return {
-        "dimension": int(p),
-        "accepted": int(n),
+        "dimension": p,
+        "accepted": n,
         "proposals": int(n_proposals),
         "acceptance_rate": n / n_proposals,
-        "box_volume": 2.0 ** (p * (p - 1) // 2),
+        "box_volume": _BOX_VOLUME[p],
         "seed": int(seed),
     }
 
@@ -304,8 +297,8 @@ def _indicator_estimate(h, n_proposals, p, n, seed, kernel=1.0):
     """Hit-or-miss estimate from the integrand values h, one per accepted
     draw and finite once multiplied by kernel; rejected proposals enter the
     mean and variance as exact zeros, over the p-dimensional proposal box."""
-    _check_count(n, 2)
-    box_volume = 2.0 ** (p * (p - 1) // 2)
+    n = as_int(n, "sample count", 2)
+    box_volume = _BOX_VOLUME[p]
     h = np.asarray(h, dtype=float)
     if h.shape != (n,):
         raise DimensionError(
@@ -339,8 +332,7 @@ def sample_type1_beta(p, a1, a2, n, seed):
     draws have the type-1 matrix beta density with parameters (a1, a2)
     (Muirhead 1982, Thm 3.3.1).  W1 and W2 come certified positive definite,
     and so U and I - U = L^{-1} W2 L'^{-1} are."""
-    n = _check_count(n)
-    MatrixGammaSpec(p, a1)
+    p = MatrixGammaSpec(p, a1).dim
     MatrixGammaSpec(p, a2)
     w1 = _matrix_gamma_raw(p, a1, n, seed, _TAG_BETA_FIRST)
     w2 = _matrix_gamma_raw(p, a2, n, seed, _TAG_BETA_SECOND)

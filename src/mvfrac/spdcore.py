@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, ParameterDomainError
+from .errors import (DegenerateInputError, DimensionError, ParameterDomainError,
+                     as_int)
 from .gammacalc import log_matrix_gamma
 
 __all__ = [
@@ -115,9 +116,7 @@ class SpdMatrix:
 
     @classmethod
     def identity(cls, p):
-        if not p >= 1:
-            raise DimensionError(f"dimension must be at least 1, got {p}")
-        return cls(np.eye(p))
+        return cls(np.eye(as_int(p, "dimension", 1)))
 
     @classmethod
     def diagonal(cls, values):
@@ -246,9 +245,9 @@ class RectConfig:
     B: SpdMatrix
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.r, int)):
-            raise ParameterDomainError("p and r must be integers")
-        if self.p < 1 or self.r < self.p:
+        object.__setattr__(self, "p", as_int(self.p, "dimension", 1))
+        object.__setattr__(self, "r", as_int(self.r, "r", 1))
+        if self.r < self.p:
             raise DimensionError(f"need r >= p >= 1, got p={self.p}, r={self.r}")
         if self.A.dim != self.p:
             raise DimensionError(f"A must be {self.p}x{self.p}, got {self.A.dim}")
@@ -303,8 +302,7 @@ def spd_sqrt(S):
 def stiefel_constant(p, r):
     """log of pi^(rp/2) / Gamma_p(r/2), the surface constant of the r-frame
     reduction that converts rectangular integrals to cone integrals."""
-    if not (isinstance(p, int) and isinstance(r, int)) or p < 1:
-        raise ParameterDomainError(f"p and r must be positive integers, got {p!r}, {r!r}")
+    p, r = as_int(p, "dimension", 1), as_int(r, "r", 1)
     if r < p:
         raise ParameterDomainError(f"stiefel_constant requires r >= p, got r={r} < p={p}")
     return 0.5 * r * p * math.log(math.pi) - log_matrix_gamma(p, 0.5 * r)

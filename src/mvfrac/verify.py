@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterDomainError
+from .errors import DimensionError, ParameterDomainError, as_int
 from .fracops import (
     DetPowerOperand,
     FracOrder,
@@ -45,7 +45,6 @@ from .hyperseries import (
 from .matsample import (
     _CONE_BLOCK,
     _batch_det,
-    _check_count,
     _rect_raw,
     mc_integrate_unit_cone,
 )
@@ -375,7 +374,7 @@ def verify_sum_density(cfg1, cfg2, n, seed):
     their traces and determinants are kept, so memory is O(block) plus n
     floats.
     """
-    n = _check_count(n, 2)
+    n = as_int(n, "sample count", 2)
     if cfg1.p != cfg2.p:
         raise DimensionError(
             f"configurations disagree on dimension: {cfg1.p} vs {cfg2.p}")

@@ -24,7 +24,7 @@ import threading
 import numpy as np
 
 from .errors import (DimensionError, MissingTableEntryError,
-                     ParameterDomainError, ResourceLimitError)
+                     ParameterDomainError, ResourceLimitError, as_int)
 from .gammacalc import Partition, partitions_of
 
 __all__ = [
@@ -176,8 +176,7 @@ class ZonalTable:
     def row(self, K):
         """Nonzero monomial coefficients of the polynomial for K, keyed by
         part tuples."""
-        K = Partition.coerce(K)
-        i = self._position(K)
+        K, i = self._position(K)
         k = K.weight
         row = self.coeffs[k][i - self.offsets[k]].tolist()
         return {mu: c for mu, c in zip(self._weights[k], row) if c}
@@ -186,12 +185,14 @@ class ZonalTable:
         return self._weights[k]
 
     def _position(self, K):
+        """(K as a Partition, its index in table order)."""
+        K = Partition.coerce(K)
         i = self._index.get(K.parts)
         if i is None:
             raise MissingTableEntryError(
                 f"partition {K.parts} outside table range "
                 f"(k_max={self.k_max}, p={self.p})")
-        return i
+        return K, i
 
     def monomials(self, eigenvalues, k_max):
         """Every monomial symmetric polynomial of weight <= k_max at the
@@ -223,7 +224,7 @@ class ZonalTable:
     def value(self, K, eigenvalues):
         """Zonal polynomial for the partition K at eigenvalues of shape (d,)
         or (n, d)."""
-        i = self._position(K)
+        K, i = self._position(K)
         lo = self.offsets[K.weight]
         m = self.monomials(eigenvalues, K.weight)
         return self.coeffs[K.weight][i - lo] @ m[lo:]
@@ -231,27 +232,15 @@ class ZonalTable:
     def monomial_value(self, mu, eigenvalues):
         """Monomial symmetric polynomial for mu at eigenvalues of shape (d,)
         or (n, d)."""
-        mu = Partition.coerce(mu)
-        return self.monomials(eigenvalues, mu.weight)[self._position(mu)]
+        mu, i = self._position(mu)
+        return self.monomials(eigenvalues, mu.weight)[i]
 
 
 _table_cache = {}  # p -> the table built for exactly p variables
 _table_lock = threading.Lock()
 
 
-def _check_k_max(k_max):
-    if not isinstance(k_max, int) or k_max < 0:
-        raise ParameterDomainError(f"k_max must be a non-negative integer, got {k_max!r}")
-
-
-def _check_dimension(p):
-    if not isinstance(p, int) or p < 1:
-        raise ParameterDomainError(f"p must be a positive integer, got {p!r}")
-
-
-def _check_request(k_max, p):
-    _check_k_max(k_max)
-    _check_dimension(p)
+def _check_ceiling(k_max):
     ceiling = _kmax_ceiling()
     if k_max > ceiling:
         raise ResourceLimitError(
@@ -267,8 +256,8 @@ def build_zonal_table(k_max, p):
     the MVFRAC_KMAX_CEILING environment variable): table size and float
     dynamic range both degrade beyond it.
     """
-    _check_request(k_max, p)
-    for d in range(1, p + 1):
+    _check_ceiling(as_int(k_max, "k_max"))
+    for d in range(1, as_int(p, "dimension", 1) + 1):
         table = fetch_table(k_max, d)
     return table
 
@@ -281,11 +270,12 @@ def fetch_table(k_max, p):
     its weight blocks and builds only the weights above them.  Each block
     depends only on (k, p), so no value moves.
     """
+    k_max, p = as_int(k_max, "k_max"), as_int(p, "dimension", 1)
     with _table_lock:
         table = _table_cache.get(p)
     if table is not None and table.k_max >= k_max:
         return table
-    _check_request(k_max, p)
+    _check_ceiling(k_max)
     weights = _partition_lists(k_max, p)
     kept = table.coeffs if table is not None else []
     built = ZonalTable(p, weights, kept + [_build_weight(plist, p)
@@ -322,8 +312,7 @@ def zonal_at_identity(K, p):
     """Zonal polynomial value at the p-dimensional identity, from its closed
     form; no table is read, so any weight is allowed.  A partition with more
     than p parts gives exactly 0."""
-    _check_dimension(p)
-    return _at_identity(Partition.coerce(K).parts, p)
+    return _at_identity(Partition.coerce(K).parts, as_int(p, "dimension", 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ identity, which is an independent closed form.
 """
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -17,16 +18,30 @@ from hypothesis import strategies as st
 from mvfrac import (
     DimensionError,
     HyperParams,
+    MatrixGammaSpec,
     NonConvergenceError,
     ParameterDomainError,
+    Partition,
     RectConfig,
     SpdMatrix,
     Truncation,
+    build_zonal_table,
+    cone_acceptance_report,
     fetch_table,
     gauss_2f1_rect,
     hyper_pfq,
     hyper_pfq_at_identity,
+    log_matrix_gamma,
+    mc_integrate_unit_cone,
+    partitions_of,
     pathway_det_limit,
+    sample_matrix_gamma,
+    sample_rect_exponential,
+    sample_type1_beta,
+    sample_uniform_spd_unit,
+    stiefel_constant,
+    zonal_at_identity,
+    zonal_eval,
 )
 
 from conftest import brute_monomial, spd_from_eigs
@@ -220,10 +235,91 @@ def test_denominator_pochhammer_zero_rejected(b, p, k_max, refused,
             assert math.isfinite(series().value)
 
 
-@pytest.mark.parametrize("p", [-1, 0, 2.0, "2"])
+def _traces(w):
+    return np.trace(w, axis1=1, axis2=2)
+
+
+# Every public entry that takes an integer argument, as a call of that
+# argument alone, by kind of argument.  One rule decides them all.
+_INTEGER_ENTRIES = {
+    "dimension": {
+        "log_matrix_gamma": lambda p: log_matrix_gamma(p, 3.0),
+        "partitions_of": lambda p: partitions_of(3, p),
+        "zonal_at_identity": lambda p: zonal_at_identity((2, 1), p),
+        "hyper_pfq_at_identity": lambda p: hyper_pfq_at_identity(
+            HyperParams((0.3, 0.2), (2.0,)), p),
+        "build_zonal_table": lambda p: build_zonal_table(3, p),
+        "fetch_table": lambda p: fetch_table(3, p),
+        "MatrixGammaSpec": lambda p: MatrixGammaSpec(p, 2.5),
+        "sample_uniform_spd_unit": lambda p: sample_uniform_spd_unit(p, 3, 7),
+        "mc_integrate_unit_cone": lambda p: mc_integrate_unit_cone(
+            _traces, p, 3, 7),
+        "cone_acceptance_report": lambda p: cone_acceptance_report(p, 3, 7),
+        "sample_type1_beta": lambda p: sample_type1_beta(p, 2.5, 3.0, 3, 7),
+        "SpdMatrix.identity": lambda p: SpdMatrix.identity(p).entries,
+        "RectConfig.with_identity_weights":
+            lambda p: RectConfig.with_identity_weights(p, 3),
+        "stiefel_constant": lambda p: stiefel_constant(p, 3),
+    },
+    "sample count": {
+        "sample_matrix_gamma": lambda n: sample_matrix_gamma(
+            MatrixGammaSpec(2, 2.5), n, 7),
+        "sample_rect_exponential": lambda n: sample_rect_exponential(
+            RectConfig.with_identity_weights(2, 3), n, 7),
+        "sample_uniform_spd_unit": lambda n: sample_uniform_spd_unit(2, n, 7),
+        "sample_type1_beta": lambda n: sample_type1_beta(2, 2.5, 3.0, n, 7),
+        "mc_integrate_unit_cone": lambda n: mc_integrate_unit_cone(
+            _traces, 2, n, 7),
+    },
+    "k_max": {"Truncation": lambda k: Truncation(k_max=k)},
+    "partition part": {
+        "Partition": lambda k: Partition((k,)),
+        "Partition.coerce": Partition.coerce,
+        "zonal_eval": lambda k: zonal_eval(
+            (k,), SpdMatrix([[1.2, -0.3], [-0.3, 0.9]])),
+    },
+}
+# a valid value of each kind, given as a numpy integer in the last test
+_VALID = {"dimension": 2, "sample count": 3, "k_max": 5, "partition part": 2}
+
+
+def _not_refusing(kind, value):
+    """The entries that do not refuse value with a ParameterDomainError
+    ending "got {value!r}"; a traceback of another type is a miss too."""
+    missed = []
+    for name, call in _INTEGER_ENTRIES[kind].items():
+        try:
+            call(value)
+        except Exception as exc:
+            if (isinstance(exc, ParameterDomainError)
+                    and str(exc).endswith(f"got {value!r}")):
+                continue
+        missed.append(name)
+    return missed
+
+
+@pytest.mark.parametrize("p", [-1, 0, 2.0, "2", 2.5, True])
 def test_at_identity_validates_dimension(p):
-    with pytest.raises(ParameterDomainError, match=f"got {p!r}"):
-        hyper_pfq_at_identity(HyperParams((0.3, 0.2), (2.0,)), p)
+    # floats are refused, not truncated, and bools are not integers
+    assert _not_refusing("dimension", p) == []
+
+
+@pytest.mark.parametrize("kind,value", [
+    *[("sample count", n) for n in (0, 2.7, 2.0, True)],
+    *[("k_max", k) for k in (-1, 2.0, 2.5, True, "2")],
+    *[("partition part", k) for k in (-1, 2.0, 2.5, True, "2")],
+])
+def test_integer_arguments_refuse_non_integers(kind, value):
+    assert _not_refusing(kind, value) == []
+
+
+@pytest.mark.parametrize("kind", list(_INTEGER_ENTRIES))
+def test_integer_arguments_accept_numpy_integers(kind):
+    # the same bits and the same plain types as the Python int gives
+    value = _VALID[kind]
+    for name, call in _INTEGER_ENTRIES[kind].items():
+        assert (pickle.dumps(call(np.int64(value)))
+                == pickle.dumps(call(value))), name
 
 
 def test_truncation_validation():

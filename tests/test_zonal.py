@@ -189,6 +189,20 @@ def test_records_round_trip():
         assert back.value(K, z.eigenvalues) == table.value(K, z.eigenvalues)
 
 
+def test_table_methods_take_every_partition_form():
+    # value, row and monomial_value read a tuple, a list or a Partition
+    # alike, for one argument and for a stack
+    table = fetch_table(3, 2)
+    eigs = np.array([[0.7, 0.2], [1.5, 0.4], [0.3, 0.3]])
+    for K in partitions_of(3, 2):
+        for x in (eigs[0], eigs):
+            for method in (table.value, table.monomial_value):
+                want = np.asarray(method(K, x)).tobytes()
+                for form in (K.parts, list(K.parts)):
+                    assert np.asarray(method(form, x)).tobytes() == want
+        assert table.row(K.parts) == table.row(K)
+
+
 def test_empty_partition_is_constant_one():
     z = SpdMatrix.diagonal((0.3, 5.0))
     assert zonal_eval((), z) == 1.0
