@@ -10,7 +10,6 @@ Monte Carlo cross-checks for every closed form.
 from .errors import (
     DegenerateInputError,
     DimensionError,
-    MissingTableEntryError,
     MvfracError,
     NonConvergenceError,
     ParameterDomainError,
@@ -59,13 +58,9 @@ from .matsample import (
 from .rng import derive_key, gamma_variates, normals, uniforms
 from .spdcore import (
     RectConfig,
-    RectMatrix,
     SpdMatrix,
-    matrix_from_json,
-    matrix_to_json,
     ordering_lt,
     rect_transform,
-    spd_sqrt,
     stiefel_constant,
 )
 from .verify import SUITES, run_suite, verify_sum_density
@@ -73,8 +68,6 @@ from .zonal import (
     ZonalTable,
     build_zonal_table,
     fetch_table,
-    table_from_records,
-    table_to_records,
     zonal_at_identity,
     zonal_eval,
 )
@@ -90,13 +83,11 @@ __all__ = [
     "HyperParams",
     "MatrixGammaSpec",
     "McEstimate",
-    "MissingTableEntryError",
     "MvfracError",
     "NonConvergenceError",
     "ParameterDomainError",
     "Partition",
     "RectConfig",
-    "RectMatrix",
     "ResourceLimitError",
     "SUITES",
     "SaigoParams",
@@ -120,8 +111,6 @@ __all__ = [
     "log_matrix_beta",
     "log_matrix_gamma",
     "log_matrix_gamma_partition",
-    "matrix_from_json",
-    "matrix_to_json",
     "mc_integrate_unit_cone",
     "normals",
     "ordering_lt",
@@ -135,10 +124,7 @@ __all__ = [
     "sample_rect_exponential",
     "sample_type1_beta",
     "sample_uniform_spd_unit",
-    "spd_sqrt",
     "stiefel_constant",
-    "table_from_records",
-    "table_to_records",
     "uniforms",
     "verify_sum_density",
     "zonal_at_identity",

@@ -49,7 +49,3 @@ class NonConvergenceError(MvfracError):
 
 class ResourceLimitError(MvfracError):
     """A configured resource ceiling (table size, rejection budget) was hit."""
-
-
-class MissingTableEntryError(MvfracError):
-    """A zonal table lookup asked for a partition outside the table range."""

@@ -31,7 +31,7 @@ from .gammacalc import (
 )
 from .hyperseries import HyperParams, hyper_pfq_at_identity
 from .matsample import McEstimate, _batch_det, _cone_raw, _indicator_estimate
-from .spdcore import RectConfig, spd_sqrt, stiefel_constant
+from .spdcore import RectConfig, stiefel_constant
 from .zonal import zonal_eval
 
 __all__ = [
@@ -223,7 +223,7 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     half = 0.5 * (p + 1)
     alpha = order.alpha
     w, det_w, det_v, n_proposals = _cone_raw(p, n, seed)
-    root = np.asarray(spd_sqrt(Z).entries)
+    root = Z.matrix_power(0.5).entries
     x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
     kernel = det_v ** (alpha - half) * det_w ** (0.5 * cfg.r - half)
     raw = _indicator_estimate(operand(x), n_proposals, p, n, seed, kernel)

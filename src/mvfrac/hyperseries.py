@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (DimensionError, NonConvergenceError, ParameterDomainError,
                      as_int)
-from .spdcore import SpdMatrix, ordering_lt
 from .zonal import fetch_table
 
 __all__ = [
@@ -192,9 +191,11 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
     """Gauss series with the rectangular half-shift applied to its first and
     third parameters: 2F1(a + r/2, b; c + r/2; Z_Y).
 
-    Z_Y must sit strictly between the zero matrix and the identity, and the
-    parameters must satisfy c - a > (p-1)/2 and a > -r/2 + (p-1)/2 for the
-    underlying integral representation to exist.
+    Z_Y must sit strictly between the zero matrix and the identity: it is
+    positive definite as an SpdMatrix, and hyper_pfq refuses a spectral
+    radius of one or more.  The parameters must satisfy c - a > (p-1)/2
+    and a > -r/2 + (p-1)/2 for the underlying integral representation to
+    exist.
     """
     p = cfg.p
     r = cfg.r
@@ -206,8 +207,6 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
     if not a > -0.5 * r + (p - 1) / 2.0:
         raise ParameterDomainError(
             f"need a > -r/2 + (p-1)/2: a={a}, r={r}, p={p}")
-    if not ordering_lt(Z_Y, SpdMatrix.identity(p)):
-        raise ParameterDomainError("Z_Y must satisfy O < Z_Y < I")
     params = HyperParams((a + 0.5 * r, b), (c + 0.5 * r,))
     return hyper_pfq(params, Z_Y, trunc).value
 
@@ -215,21 +214,18 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
 def pathway_det_limit(q, Z):
     """|I + (q-1) Z|**(-1/(q-1)), the pathway deformation of exp(-trace Z).
 
-    Accepts an SpdMatrix or a bare iterable of non-negative eigenvalues (the
+    Takes the non-negative eigenvalues of Z as a 1-d array (the
     zero-spectrum limit case is a legitimate input and gives exactly 1).
     Evaluated through log1p on the eigenvalues so q near 1 stays accurate.
     """
     if not q > 1.0:
         raise ParameterDomainError(f"pathway requires q > 1, got q={q}")
-    if isinstance(Z, SpdMatrix):
-        eigs = Z.eigenvalues
-    else:
-        eigs = np.asarray(Z, dtype=float)
-        if eigs.ndim != 1:
-            raise DimensionError("expected an SpdMatrix or a 1-d eigenvalue array")
-        if np.any(eigs < 0.0):
-            raise ParameterDomainError(
-                f"eigenvalues must be non-negative, got {eigs.tolist()}")
+    eigs = np.asarray(Z, dtype=float)
+    if eigs.ndim != 1:
+        raise DimensionError("expected a 1-d eigenvalue array")
+    if np.any(eigs < 0.0):
+        raise ParameterDomainError(
+            f"eigenvalues must be non-negative, got {eigs.tolist()}")
     eps = q - 1.0
     acc = 0.0
     for lam in eigs:

@@ -20,7 +20,7 @@ box volume times the mean over all proposals estimates the integral.  Every
 sampler is a pure function of (seed, counter), so equal seeds reproduce equal
 output regardless of batch sizes.  The public samplers return their draws as
 one float array: positive definite by construction, or for the rectangular
-sampler checked in one call with the rule RectMatrix applies to one matrix.
+sampler checked for full row rank in one call to check_full_rank.
 """
 
 import math

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterDomainError, ResourceLimitError
+from .errors import ParameterDomainError, ResourceLimitError, as_int
 
 __all__ = [
     "derive_key",
@@ -81,12 +81,13 @@ def _unit(key, z, t):
 def uniforms(key, start, n):
     """n uniforms in the open interval (0,1) at counter positions
     start..start+n-1."""
-    out = np.empty(int(n))
+    start = as_int(start, "counter position")
+    out = np.empty(as_int(n, "count"))
     step = np.arange(min(out.size, _CHUNK), dtype=np.uint64)
     t = np.empty_like(step)
     for lo in range(0, out.size, _CHUNK):
         z = out[lo:lo + _CHUNK].view(np.uint64)
-        np.add(step[:z.size], np.uint64(int(start) + lo + 1), out=z)
+        np.add(step[:z.size], np.uint64(start + lo + 1), out=z)
         _unit(key, z, t[:z.size])
     return out
 
@@ -106,8 +107,9 @@ def normals(key, first, n):
     any contiguous block of positions is reproducible in isolation.  Each
     pair is transformed once and yields both branches.
     """
-    first = int(first)
-    z = np.empty((((first + int(n) + 1) >> 1) - (first >> 1), 2))
+    first = as_int(first, "counter position")
+    n = as_int(n, "count")
+    z = np.empty((((first + n + 1) >> 1) - (first >> 1), 2))
     for lo in range(0, len(z), _CHUNK // 2):
         zc = z[lo:lo + _CHUNK // 2]
         u = uniforms(key, (first & ~1) + 2 * lo, zc.size).reshape(-1, 2)
@@ -115,7 +117,7 @@ def normals(key, first, n):
         angle = _TWO_PI * u[:, 1]
         np.multiply(radius, np.cos(angle), out=zc[:, 0])
         np.multiply(radius, np.sin(angle), out=zc[:, 1])
-    return z.reshape(-1)[first & 1:(first & 1) + int(n)]
+    return z.reshape(-1)[first & 1:(first & 1) + n]
 
 
 def gamma_variates(key, shape, n, first=0):
@@ -130,14 +132,14 @@ def gamma_variates(key, shape, n, first=0):
     """
     if not shape > 0.0:
         raise ParameterDomainError(f"gamma shape must be positive, got {shape}")
-    n = int(n)
+    n = as_int(n, "count")
+    base_first = as_int(first, "counter position")
     boosted = shape < 1.0
     a = shape + 1.0 if boosted else float(shape)
     d = a - 1.0 / 3.0
     c = 1.0 / (3.0 * math.sqrt(d))
     out = np.empty(n, dtype=np.float64)
     pending = np.arange(n, dtype=np.int64)
-    base_first = int(first)
     for attempt in range(_GAMMA_MAX_ATTEMPTS):
         if pending.size == 0:
             break

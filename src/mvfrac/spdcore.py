@@ -7,7 +7,6 @@ computed once per matrix and cached.  The checks take one matrix or an
 with the same rules SpdMatrix applies to one.
 """
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,16 +20,12 @@ from .gammacalc import log_matrix_gamma
 
 __all__ = [
     "SpdMatrix",
-    "RectMatrix",
     "RectConfig",
     "rect_transform",
-    "spd_sqrt",
     "stiefel_constant",
     "ordering_lt",
     "check_spd",
     "check_full_rank",
-    "matrix_to_json",
-    "matrix_from_json",
     "matrix_from_rows",
 ]
 
@@ -74,11 +69,15 @@ def check_spd(entries):
 
 
 def check_full_rank(entries):
-    """Validate a p x r matrix with r >= p, or an (n, p, r) stack, as
-    RectMatrix does: finite entries and a smallest singular value above
-    1e-10 times the largest, which also refuses the zero matrix."""
-    if 0 in np.shape(entries)[-2:]:
-        raise DimensionError(f"expected a non-empty matrix, got shape {np.shape(entries)}")
+    """Validate a p x r matrix, or an (n, p, r) stack, as of full row rank:
+    r >= p, finite entries and a smallest singular value above 1e-10 times
+    the largest, which also refuses the zero matrix."""
+    shape = np.shape(entries)
+    if 0 in shape[-2:]:
+        raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
+    if shape[-1] < shape[-2]:
+        raise DimensionError(
+            f"need at least as many columns as rows, got shape {shape}")
     if not np.isfinite(entries).all():
         raise DegenerateInputError("matrix entries must be finite")
     sv = np.linalg.svd(entries, compute_uv=False)
@@ -121,12 +120,6 @@ class SpdMatrix:
     @classmethod
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
-    def from_symmetrized(cls, entries):
-        """Build from a nearly-symmetric array by averaging with its transpose."""
-        arr = np.asarray(entries, dtype=float)
-        return cls(0.5 * (arr + arr.T))
 
     # -- views and cached spectra -----------------------------------------
 
@@ -189,48 +182,6 @@ class SpdMatrix:
         return hash(self._entries.tobytes())
 
 
-class RectMatrix:
-    """A p x r real matrix with r >= p and full row rank.
-
-    Rank is checked through the singular values: the smallest must exceed
-    1e-10 times the largest.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got shape {arr.shape}")
-        p, r = arr.shape
-        if r < p:
-            raise DimensionError(f"need at least as many columns as rows, got {p}x{r}")
-        check_full_rank(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "_entries", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RectMatrix is immutable")
-
-    @property
-    def entries(self):
-        return self._entries
-
-    @property
-    def rows(self):
-        return self._entries.shape[0]
-
-    @property
-    def cols(self):
-        return self._entries.shape[1]
-
-    def to_lists(self):
-        return self._entries.tolist()
-
-    def __repr__(self):
-        return f"RectMatrix({self.to_lists()!r})"
-
-
 @dataclass(frozen=True)
 class RectConfig:
     """Shape and weights (p, r, A, B) of the rectangular quadratic transform.
@@ -269,34 +220,21 @@ class RectConfig:
 
 
 def rect_transform(X, cfg):
-    """A^(1/2) X B X' A^(1/2) for one p x r matrix or an (n, p, r) stack.
+    """A^(1/2) X B X' A^(1/2) for each matrix of an (n, p, r) stack.
 
-    One full-rank X of shape (cfg.p, cfg.r) maps to a positive definite
-    p x p SpdMatrix.  A stack maps to the plain (n, p, p) array of
-    transforms, left to the caller to validate.  Products are symmetrized to
-    scrub float asymmetry.
+    Returns the plain (n, p, p) array of transforms, left to the caller to
+    validate; check_full_rank refuses rank-deficient X.  Products are
+    symmetrized to scrub float asymmetry.
     """
-    single = not (isinstance(X, np.ndarray) and X.ndim == 3)
-    if single:
-        if not isinstance(X, RectMatrix):
-            X = RectMatrix(X)
-        X = X.entries[None]
-    if X.shape[1:] != (cfg.p, cfg.r):
+    if X.ndim != 3 or X.shape[1:] != (cfg.p, cfg.r):
         raise DimensionError(
-            f"X has shape {X.shape[-2]}x{X.shape[-1]}, "
-            f"config expects {cfg.p}x{cfg.r}")
+            f"X has shape {X.shape}, config expects (n, {cfg.p}, {cfg.r})")
     ax = cfg._sqrt_A.entries @ X
     # the last product stays an einsum: a BLAS matmul rounds its sums
     # differently (fused multiply-adds), which changes the output bytes
     # even at identity weights
     z = np.einsum("nik,njk->nij", ax @ cfg.B.entries, ax)
-    z = 0.5 * (z + z.transpose(0, 2, 1))
-    return SpdMatrix(z[0]) if single else z
-
-
-def spd_sqrt(S):
-    """Symmetric positive definite square root of S."""
-    return S.matrix_power(0.5)
+    return 0.5 * (z + z.transpose(0, 2, 1))
 
 
 def stiefel_constant(p, r):
@@ -321,17 +259,8 @@ def ordering_lt(S1, S2):
 
 
 # ---------------------------------------------------------------------------
-# JSON matrix exchange: arrays of row arrays, dimensions inferred from shape
+# JSON matrices: arrays of row arrays, dimensions inferred from shape
 # ---------------------------------------------------------------------------
-
-def matrix_to_json(m):
-    """Serialize a matrix (SpdMatrix, RectMatrix or array) to a JSON string."""
-    if isinstance(m, (SpdMatrix, RectMatrix)):
-        payload = m.to_lists()
-    else:
-        payload = np.asarray(m, dtype=float).tolist()
-    return json.dumps(payload)
-
 
 def matrix_from_rows(rows):
     """A parsed JSON array of row arrays as a float ndarray.  Ragged rows,
@@ -349,13 +278,3 @@ def matrix_from_rows(rows):
             raise DimensionError(f"expected equal-length rows of numbers: "
                                  f"{x!r} is not a number")
     return arr
-
-
-def matrix_from_json(text):
-    """Parse a JSON array-of-arrays into a float ndarray, validating shape."""
-    try:
-        rows = json.loads(text)
-    except RecursionError:
-        raise DimensionError("expected equal-length rows of numbers: "
-                             "nested too deeply to decode") from None
-    return matrix_from_rows(rows)

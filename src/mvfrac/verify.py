@@ -459,7 +459,7 @@ def suite_pathway(seed=42):
     factor_errs = [abs(pathway_factor(q, part) - 1.0) for q in qs]
     z = SpdMatrix.diagonal((1.0, 0.4))
     det_target = math.exp(-z.trace)
-    det_errs = [abs(pathway_det_limit(q, z) - det_target) / det_target
+    det_errs = [abs(pathway_det_limit(q, z.eigenvalues) - det_target) / det_target
                 for q in qs]
 
     for label, errs in (("factor", factor_errs), ("determinant", det_errs)):

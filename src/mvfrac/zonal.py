@@ -23,8 +23,8 @@ import threading
 
 import numpy as np
 
-from .errors import (DimensionError, MissingTableEntryError,
-                     ParameterDomainError, ResourceLimitError, as_int)
+from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
+                     as_int)
 from .gammacalc import Partition, partitions_of
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "build_zonal_table",
     "zonal_eval",
     "zonal_at_identity",
-    "table_to_records",
-    "table_from_records",
 ]
 
 _DEFAULT_KMAX_CEILING = 30
@@ -189,7 +187,7 @@ class ZonalTable:
         K = Partition.coerce(K)
         i = self._index.get(K.parts)
         if i is None:
-            raise MissingTableEntryError(
+            raise ParameterDomainError(
                 f"partition {K.parts} outside table range "
                 f"(k_max={self.k_max}, p={self.p})")
         return K, i
@@ -314,48 +312,3 @@ def zonal_at_identity(K, p):
     than p parts gives exactly 0."""
     return _at_identity(Partition.coerce(K).parts, as_int(p, "dimension", 1))
 
-
-# ---------------------------------------------------------------------------
-# JSON exchange
-# ---------------------------------------------------------------------------
-
-def table_to_records(table):
-    """Flatten a table to {k, partition, monomial, coefficient} records."""
-    records = []
-    for k, plist in enumerate(table._weights):
-        for kappa, row in zip(plist, table.coeffs[k].tolist()):
-            records.extend({"k": k, "partition": list(kappa),
-                            "monomial": list(mu), "coefficient": c}
-                           for mu, c in zip(plist, row) if c)
-    return records
-
-
-def table_from_records(records, p=None):
-    """Rebuild a table from records produced by table_to_records.
-
-    The dimension bound cannot be recovered from the records alone when it
-    exceeds every partition length, so callers may pass p explicitly.
-    Every partition up to the largest weight with at most p parts needs a
-    record, or MissingTableEntryError is raised.
-    """
-    k_max = max((int(rec["k"]) for rec in records), default=0)
-    if p is None:
-        p = max([1] + [len(rec[key]) for rec in records
-                       for key in ("partition", "monomial")])
-    weights = _partition_lists(k_max, p)
-    index = {kappa: i for plist in weights for i, kappa in enumerate(plist)}
-    coeffs = [np.zeros((len(plist), len(plist))) for plist in weights]
-    seen = set()
-    for rec in records:
-        kappa = tuple(rec["partition"])
-        mu = tuple(rec["monomial"])
-        seen.add(kappa)
-        if kappa in index and mu in index:  # else more than p parts
-            coeffs[sum(kappa)][index[kappa], index[mu]] = float(
-                rec["coefficient"])
-    for kappa in index:
-        if kappa not in seen:
-            raise MissingTableEntryError(
-                f"no table entry for partition {kappa} "
-                f"(k_max={k_max}, p={p})")
-    return ZonalTable(p, weights, coeffs)

@@ -27,12 +27,15 @@ from mvfrac import (
     Truncation,
     build_zonal_table,
     cone_acceptance_report,
+    derive_key,
     fetch_table,
+    gamma_variates,
     gauss_2f1_rect,
     hyper_pfq,
     hyper_pfq_at_identity,
     log_matrix_gamma,
     mc_integrate_unit_cone,
+    normals,
     partitions_of,
     pathway_det_limit,
     sample_matrix_gamma,
@@ -40,6 +43,7 @@ from mvfrac import (
     sample_type1_beta,
     sample_uniform_spd_unit,
     stiefel_constant,
+    uniforms,
     zonal_at_identity,
     zonal_eval,
 )
@@ -271,6 +275,17 @@ _INTEGER_ENTRIES = {
         "mc_integrate_unit_cone": lambda n: mc_integrate_unit_cone(
             _traces, 2, n, 7),
     },
+    "count": {
+        "uniforms": lambda n: uniforms(derive_key(1, 2), 0, n),
+        "normals": lambda n: normals(derive_key(1, 2), 0, n),
+        "gamma_variates": lambda n: gamma_variates(derive_key(1, 2), 2.5, n),
+    },
+    "counter position": {
+        "uniforms": lambda i: uniforms(derive_key(1, 2), i, 3),
+        "normals": lambda i: normals(derive_key(1, 2), i, 3),
+        "gamma_variates": lambda i: gamma_variates(derive_key(1, 2), 2.5, 3,
+                                                   i),
+    },
     "k_max": {"Truncation": lambda k: Truncation(k_max=k)},
     "partition part": {
         "Partition": lambda k: Partition((k,)),
@@ -280,7 +295,8 @@ _INTEGER_ENTRIES = {
     },
 }
 # a valid value of each kind, given as a numpy integer in the last test
-_VALID = {"dimension": 2, "sample count": 3, "k_max": 5, "partition part": 2}
+_VALID = {"dimension": 2, "sample count": 3, "count": 3,
+          "counter position": 5, "k_max": 5, "partition part": 2}
 
 
 def _not_refusing(kind, value):
@@ -306,6 +322,8 @@ def test_at_identity_validates_dimension(p):
 
 @pytest.mark.parametrize("kind,value", [
     *[("sample count", n) for n in (0, 2.7, 2.0, True)],
+    *[(kind, n) for kind in ("count", "counter position")
+      for n in (-1, 2.7, 2.0, True, "2")],
     *[("k_max", k) for k in (-1, 2.0, 2.5, True, "2")],
     *[("partition part", k) for k in (-1, 2.0, 2.5, True, "2")],
 ])
@@ -375,6 +393,16 @@ def test_gauss_rect_preconditions():
         gauss_2f1_rect(1.0, 0.5, 3.0, SpdMatrix(np.array([[0.3]])), cfg)
 
 
+def test_gauss_rect_and_hyper_pfq_agree_near_the_identity():
+    # O < Z_Y < I is the spectral-radius check hyper_pfq makes, so an
+    # argument just inside it is one verdict for both
+    cfg = RectConfig.with_identity_weights(2, 2)
+    y = SpdMatrix.diagonal((1.0 - 1e-13, 0.1))
+    want = hyper_pfq(HyperParams((2.0, 0.5), (4.0,)), y).value
+    assert want == pytest.approx(1.63168, rel=1e-5)
+    assert gauss_2f1_rect(1.0, 0.5, 3.0, y, cfg) == want
+
+
 # ---------------------------------------------------------------------------
 # pathway determinant limit
 
@@ -382,13 +410,6 @@ def test_pathway_det_limit_frozen():
     # (1 + (q-1) tr)^(-1/(q-1)) at q = 1.01, single eigenvalue 1: 1.01^{-100}
     got = pathway_det_limit(1.01, np.array([1.0]))
     assert got == pytest.approx(1.01 ** (-100), rel=1e-12)
-
-
-def test_pathway_det_limit_accepts_spd():
-    z = SpdMatrix.diagonal((0.5, 0.25))
-    got = pathway_det_limit(1.001, z)
-    want = (1 + 0.001 * 0.5) ** (-1000) * (1 + 0.001 * 0.25) ** (-1000)
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_pathway_det_limit_zero_spectrum_exact():

@@ -25,6 +25,9 @@ def test_uniforms_batch_split_invariance():
     whole = uniforms(key, 0, 1000)
     pieces = np.concatenate([uniforms(key, 0, 313), uniforms(key, 313, 687)])
     assert np.array_equal(whole, pieces)
+    # an empty request is valid and draws nothing
+    assert (uniforms(key, 0, 0).size == normals(key, 0, 0).size
+            == gamma_variates(key, 2.5, 0).size == 0)
 
 
 def test_stream_words_pinned():

@@ -10,18 +10,14 @@ from mvfrac import (
     DegenerateInputError,
     DimensionError,
     RectConfig,
-    RectMatrix,
     SpdMatrix,
     log_matrix_gamma,
-    matrix_from_json,
-    matrix_to_json,
     ordering_lt,
     rect_transform,
-    spd_sqrt,
     stiefel_constant,
 )
 from mvfrac.errors import ParameterDomainError
-from mvfrac.spdcore import check_full_rank, check_spd
+from mvfrac.spdcore import check_full_rank, check_spd, matrix_from_rows
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -91,11 +87,10 @@ def test_stack_rank_check_applies_the_constructor_rule():
     x[0, 1, 1] = 2e-10
     x[1, 1, 2] = 5e-11
     check_full_rank(x[:1])
-    RectMatrix(x[0])
     with pytest.raises(DegenerateInputError, match=r"5e-11\]"):
         check_full_rank(x)
     with pytest.raises(DegenerateInputError, match="rank deficient"):
-        RectMatrix(x[1])
+        check_full_rank(x[1:])
     with pytest.raises(DegenerateInputError, match="finite"):
         check_full_rank(np.where(x == 1.0, np.inf, x))
 
@@ -124,7 +119,7 @@ def test_matrix_power_inverse():
 def test_spd_sqrt_squares_back():
     rng = np.random.default_rng(4)
     m = _random_spd(rng, 4)
-    r = spd_sqrt(m)
+    r = m.matrix_power(0.5)
     assert_allclose(r.entries @ r.entries, m.entries, rtol=1e-10, atol=1e-12)
 
 
@@ -136,25 +131,19 @@ def test_identity_and_diagonal():
         SpdMatrix.diagonal((1.0, 0.0))
 
 
-def test_from_symmetrized():
-    a = np.array([[1.0, 0.3], [0.5, 2.0]])
-    m = SpdMatrix.from_symmetrized(a)
-    assert_allclose(m.entries, 0.5 * (a + a.T))
-
-
 # ---------------------------------------------------------------------------
 # rectangular matrices and weighted configurations
 
 def test_rect_matrix_shape_rule():
     # p x r with r >= p
-    RectMatrix(np.ones((2, 3)) + np.eye(2, 3))
-    with pytest.raises(DimensionError):
-        RectMatrix(np.ones((3, 2)))
+    check_full_rank((np.ones((2, 3)) + np.eye(2, 3))[None])
+    with pytest.raises(DimensionError, match="columns"):
+        check_full_rank(np.eye(3, 2)[None])
 
 
 @pytest.mark.parametrize("check,shape", [
-    (RectMatrix, (0, 2)),
-    (RectMatrix, (0, 0)),
+    (check_full_rank, (1, 2, 0)),
+    (check_full_rank, (1, 0, 0)),
     (check_full_rank, (3, 0, 2)),
     (check_spd, (3, 0, 0)),
 ])
@@ -166,7 +155,7 @@ def test_zero_sized_matrices_are_dimension_errors(check, shape):
 
 def test_rect_matrix_rank():
     with pytest.raises(DegenerateInputError):
-        RectMatrix(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
+        check_full_rank(np.array([[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]]))
 
 
 def test_rect_transform_oracle():
@@ -175,29 +164,19 @@ def test_rect_transform_oracle():
     a = _random_spd(rng, 2)
     b = _random_spd(rng, 3)
     cfg = RectConfig(2, 3, a, b)
-    x = RectMatrix(rng.standard_normal((2, 3)))
-    ra = spd_sqrt(a).entries
-    direct = ra @ x.entries @ b.entries @ x.entries.T @ ra
-    assert_allclose(rect_transform(x, cfg).entries, 0.5 * (direct + direct.T),
-                    rtol=1e-10)
+    x = rng.standard_normal((2, 3))
+    ra = a.matrix_power(0.5).entries
+    direct = ra @ x @ b.entries @ x.T @ ra
+    assert_allclose(rect_transform(x[None], cfg)[0],
+                    0.5 * (direct + direct.T), rtol=1e-10)
 
 
-def test_rect_transform_stack_matches_single_calls():
-    # the stack path agrees with one call per matrix under non-identity
-    # weights, and returns the plain (n, p, p) array
-    rng = np.random.default_rng(6)
-    cfg = RectConfig(2, 3, _random_spd(rng, 2), _random_spd(rng, 3))
-    xs = rng.standard_normal((20, 2, 3))
-    stack = rect_transform(xs, cfg)
-    assert isinstance(stack, np.ndarray) and stack.shape == (20, 2, 2)
-    single = np.stack([rect_transform(x, cfg).entries for x in xs])
-    assert_allclose(stack, single, rtol=1e-12)
-
-
-@pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 2), (4, 3, 2), (2, 2)])
+@pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 2), (4, 3, 2), (2, 2),
+                                   (2, 3)])
 def test_rect_transform_rejects_mismatched_shape(shape):
-    # a stack or matrix that does not fit the configuration is a dimension
-    # error, not a numpy broadcasting failure
+    # a stack that does not fit the configuration, or a lone matrix even of
+    # the configured shape, is a dimension error, not a numpy broadcasting
+    # failure
     cfg = RectConfig.with_identity_weights(2, 3)
     x = np.broadcast_to(np.eye(*shape[-2:]), shape).copy()
     with pytest.raises(DimensionError):
@@ -250,29 +229,10 @@ def test_ordering_needs_strict_gap():
 
 
 # ---------------------------------------------------------------------------
-# JSON round trips
+# JSON rows
 
-def test_matrix_json_round_trip():
-    m = SpdMatrix(np.array([[1.5, 0.25], [0.25, 0.75]]))
-    back = matrix_from_json(matrix_to_json(m))
-    assert_allclose(back, m.entries)
-
-
-def test_matrix_from_json_rejects_ragged():
+def test_matrix_from_rows_rejects_non_matrix():
     with pytest.raises(DimensionError):
-        matrix_from_json("[[1.0, 2.0], [3.0]]")
+        matrix_from_rows([[1.0, 2.0], [3.0]])
     with pytest.raises(DimensionError):
-        matrix_from_json("[1.0, 2.0]")
-
-
-@pytest.mark.parametrize("text", [
-    '[["1.5"]]', "[[true]]", "[[null]]", "[[1" + "0" * 400 + "]]",
-    "[" * 100_000 + "]" * 100_000],
-    ids=["numeric-string", "bool", "null", "huge-int", "deep"])
-def test_matrix_from_json_accepts_only_numbers(text):
-    # entries must be JSON numbers in the float range, and nesting too deep
-    # to decode is the same error, not a RecursionError
-    with pytest.raises(DimensionError, match="equal-length rows of numbers"):
-        matrix_from_json(text)
-    assert_allclose(matrix_from_json("[[1, 2.5], [-3, 0]]"),
-                    [[1.0, 2.5], [-3.0, 0.0]])
+        matrix_from_rows([1.0, 2.0])

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mvfrac import (
     DimensionError,
     HyperParams,
-    MissingTableEntryError,
+    ParameterDomainError,
     Partition,
     ResourceLimitError,
     SpdMatrix,
@@ -36,8 +36,6 @@ from mvfrac import (
     hyper_pfq,
     partitions_of,
     run_suite,
-    table_from_records,
-    table_to_records,
     zonal,
     zonal_at_identity,
     zonal_eval,
@@ -150,7 +148,7 @@ def test_missing_entry_errors():
     # the cached table may hold more weight than asked for
     table = fetch_table(3, 2)
     z = SpdMatrix.diagonal((1.0, 1.0))
-    with pytest.raises(MissingTableEntryError):
+    with pytest.raises(ParameterDomainError, match="outside table range"):
         # weight above k_max
         table.value(Partition((table.k_max + 1,)), z.eigenvalues)
     # more parts than the argument's dimension: zero, before any lookup
@@ -178,15 +176,6 @@ def test_monomial_value_matches_permutation_sum(d):
                                        rtol=1e-12)
             assert table.monomial_value(mu, eigs[0]) == pytest.approx(
                 want[0], rel=1e-12)
-
-
-def test_records_round_trip():
-    table = fetch_table(4, 2)
-    records = table_to_records(table)
-    back = table_from_records(records)
-    z = SpdMatrix.diagonal((0.6, 1.9))
-    for K in partitions_of(4, 2):
-        assert back.value(K, z.eigenvalues) == table.value(K, z.eigenvalues)
 
 
 def test_table_methods_take_every_partition_form():
@@ -326,17 +315,6 @@ def test_trace_identity_and_identity_values(k_max, p):
     want = [_hook_identity_value(kappa, p)
             for k in range(k_max + 1) for kappa in table.weight_partitions(k)]
     np.testing.assert_allclose(values, want, rtol=1e-12)
-
-
-def test_incomplete_records_raise():
-    records = table_to_records(fetch_table(4, 2))
-    for gone in ((2, 2), (1,), ()):
-        kept = [rec for rec in records if tuple(rec["partition"]) != gone]
-        with pytest.raises(MissingTableEntryError):
-            table_from_records(kept, p=2)
-    # a record set is complete up to its largest weight only
-    assert table_from_records(
-        [rec for rec in records if rec["k"] <= 3], p=2).k_max == 3
 
 
 def _fixed_values(capsys):
