@@ -182,13 +182,15 @@ def _hyper(args):
     z = _spd_from_args(args, args.eigs)
     params = HyperParams(args.num, args.den)
     res = hyper_pfq(params, z, Truncation(k_max=args.kmax))
+    tail, ratio = (v if np.isfinite(v) else None  # null: no decay seen
+                   for v in (res.tail_estimate, res.ratio))
     return {"numerator": list(params.numerator),
             "denominator": list(params.denominator),
             "eigenvalues": z.eigenvalues.tolist(),
             "k_max": args.kmax,
             "value": res.value,
-            "tail_estimate": res.tail_estimate,
-            "ratio": res.ratio}
+            "tail_estimate": tail,
+            "ratio": ratio}
 
 
 def _fracint_power(args):

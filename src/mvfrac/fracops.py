@@ -10,16 +10,16 @@ acts on a scalar function f of a symmetric positive definite matrix as
 the rectangular-variable average with weight exp(-tr(A X B X')) already
 reduced to the cone through the r-frame surface constant.  Closed forms are
 available when f is a determinant power or a zonal polynomial; everything
-else goes through the Monte Carlo route, which substitutes X = Z^(1/2) W
-Z^(1/2) and integrates uniformly over {W : O < W < I}; its operands map the
-(n, p, p) stack of X values to n values.
+else goes through the Monte Carlo route: X = Z^(1/2) W Z^(1/2) turns the
+integral into matsample's weighted cone estimator with shapes (r/2, alpha),
+whose operands map the (n, p, p) stack of X values to n values.
 
 Values are carried in log-magnitude plus sign form since gamma ratios
 overflow quickly as the dimension grows.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .gammacalc import (
     signed_log_gen_pochhammer,
 )
 from .hyperseries import HyperParams, hyper_pfq_at_identity
-from .matsample import McEstimate, _batch_det, _cone_raw, _indicator_estimate
+from .matsample import _batch_det, _cone_raw, _indicator_estimate
 from .spdcore import RectConfig, stiefel_constant
 from .zonal import zonal_eval
 
@@ -220,16 +220,14 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     if isinstance(operand, DetPowerOperand):
         _operand_exponent_check(cfg, operand.exponent)
     p = cfg.p
-    half = 0.5 * (p + 1)
     alpha = order.alpha
-    w, det_w, det_v, n_proposals = _cone_raw(p, n, seed)
+    cone = _cone_raw(p, n, seed)
+    w = cone[0]
     root = Z.matrix_power(0.5).entries
     x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
-    kernel = det_v ** (alpha - half) * det_w ** (0.5 * cfg.r - half)
-    raw = _indicator_estimate(operand(x), n_proposals, p, n, seed, kernel)
+    raw = _indicator_estimate(cone, operand(x), seed, (0.5 * cfg.r, alpha))
     scale = math.exp(stiefel_constant(p, cfg.r)
                      - cfg.log_weight_factor
                      - log_matrix_gamma(p, alpha)
-                     + (alpha + 0.5 * cfg.r - half) * Z.log_det)
-    return McEstimate(value=raw.value * scale, stderr=raw.stderr * scale,
-                      n=raw.n, seed=raw.seed, n_proposals=n_proposals)
+                     + (alpha + 0.5 * cfg.r - 0.5 * (p + 1)) * Z.log_det)
+    return replace(raw, value=raw.value * scale, stderr=raw.stderr * scale)

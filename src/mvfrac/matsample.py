@@ -16,10 +16,13 @@ Three families back the verification suites:
 
 The rejection sampler also powers a hit-or-miss Monte Carlo integrator over
 that set: rejected proposals count as zero-valued integrand samples, so the
-box volume times the mean over all proposals estimates the integral.  Every
-sampler is a pure function of (seed, counter), so equal seeds reproduce equal
-output regardless of batch sizes.  The public samplers return their draws as
-one float array: positive definite by construction, or for the rectangular
+box volume times the mean over all proposals estimates the integral.  Given
+shapes (s, t), this weighted estimator multiplies each draw by the type-1
+matrix beta weight |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2), which the fractional
+operator, the Euler integral and the beta check share.  Every sampler is a
+pure function of (seed, counter), so equal seeds reproduce equal output
+regardless of batch sizes.  The public samplers return their draws as one
+float array: positive definite by construction, or for the rectangular
 sampler checked for full row rank in one call to check_full_rank.
 """
 
@@ -84,15 +87,14 @@ class McEstimate:
     """A Monte Carlo value with its standard error and provenance.
 
     n counts the accepted (evaluated) samples; n_proposals additionally
-    counts rejected proposals when the estimate came from the rejection
-    sampler, and is zero otherwise.
+    counts the rejected proposals of the cone sampler.
     """
 
     value: float
     stderr: float
     n: int
     seed: int
-    n_proposals: int = 0
+    n_proposals: int
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and math.isfinite(self.stderr)):
@@ -293,37 +295,41 @@ def cone_acceptance_report(p, n, seed):
     }
 
 
-def _indicator_estimate(h, n_proposals, p, n, seed, kernel=1.0):
-    """Hit-or-miss estimate from the integrand values h, one per accepted
-    draw and finite once multiplied by kernel; rejected proposals enter the
+def _indicator_estimate(cone, h, seed, shapes=None):
+    """Hit-or-miss estimate from _cone_raw's (W, det W, det(I - W),
+    n_proposals) and the values h, one per accepted draw, finite once
+    weighted as mc_integrate_unit_cone says; rejected proposals enter the
     mean and variance as exact zeros, over the p-dimensional proposal box."""
+    w, det_w, det_v, m = cone
+    n, p, _ = w.shape
     n = as_int(n, "sample count", 2)
-    box_volume = _BOX_VOLUME[p]
     h = np.asarray(h, dtype=float)
     if h.shape != (n,):
         raise DimensionError(
             f"integrand must return shape ({n},), got {h.shape}")
-    h = kernel * h
+    if shapes is not None:
+        e_w, e_v = (shape - 0.5 * (p + 1) for shape in shapes)
+        h = det_v ** e_v * det_w ** e_w * h
     if not np.all(np.isfinite(h)):
         raise DegenerateInputError("integrand returned a non-finite value")
     total = float(np.sum(h))
     total_sq = float(np.sum(np.square(h)))
-    m = n_proposals
-    value = box_volume * total / m
+    value = _BOX_VOLUME[p] * total / m
     var = (total_sq - total * total / m) / (m - 1)
-    stderr = box_volume * math.sqrt(max(var, 0.0) / m)
+    stderr = _BOX_VOLUME[p] * math.sqrt(max(var, 0.0) / m)
     return McEstimate(value=value, stderr=stderr, n=n,
                       seed=int(seed), n_proposals=m)
 
 
-def mc_integrate_unit_cone(g, p, n, seed):
-    """Monte Carlo integral of g over {W : W > 0, I - W > 0}.
+def mc_integrate_unit_cone(g, p, n, seed, shapes=None):
+    """Monte Carlo integral of g over {W : W > 0, I - W > 0}, weighted by
+    |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2) when shapes = (s, t) is given.
 
     g takes the (n, p, p) stack of accepted draws and returns their n
     values; the standard error needs n >= 2.
     """
-    w, _, _, n_proposals = _cone_raw(p, n, seed)
-    return _indicator_estimate(g(w), n_proposals, p, n, seed)
+    cone = _cone_raw(p, n, seed)
+    return _indicator_estimate(cone, g(cone[0]), seed, shapes)
 
 
 def sample_type1_beta(p, a1, a2, n, seed):

@@ -212,16 +212,13 @@ def suite_euler(samples=1_000_000, seed=42):
     cfg = RectConfig.with_identity_weights(p, r)
     series = gauss_2f1_rect(a, b, c, zy, cfg)
 
-    eye = np.eye(p)
     root = np.asarray(zy.matrix_power(0.5).entries)
-    e_v = a + 0.5 * r - 0.5 * (p + 1)
-    e_rest = c - a - 0.5 * (p + 1)
 
     def g(v):
-        return (_batch_det(v) ** e_v * _batch_det(eye - v) ** e_rest
-                * _batch_det(eye - root @ v @ root) ** -b)
+        return _batch_det(np.eye(p) - root @ v @ root) ** -b
 
-    mc = mc_integrate_unit_cone(g, p, samples, seed)
+    mc = mc_integrate_unit_cone(g, p, samples, seed,
+                                shapes=(a + 0.5 * r, c - a))
     const = math.exp(log_matrix_gamma(p, c + 0.5 * r)
                      - log_matrix_gamma(p, a + 0.5 * r)
                      - log_matrix_gamma(p, c - a))
@@ -327,7 +324,7 @@ def suite_saigo(samples=400_000, seed=42):
 def suite_beta(samples=200_000, seed=42):
     """Type-1 and type-2 beta integrals against exp(log of the beta value).
 
-    Type-1 integrates the density kernel over the unit cone directly.  The
+    Type-1 is the cone estimator's own beta weight on the constant 1.  The
     type-2 integral lives on the whole cone, so it is pulled back through
     S = W (I - W)^(-1), whose Jacobian contributes |I - W|^(-(p+1)); the
     check exercises the type-2 integrand code at genuinely unbounded S.
@@ -339,10 +336,6 @@ def suite_beta(samples=200_000, seed=42):
     for i, (al, be) in enumerate(((2.0, 2.0), (1.5, 2.5))):
         target = math.exp(log_matrix_beta(p, al, be))
 
-        def g_type1(w, al=al, be=be):
-            return (_batch_det(w) ** (al - half)
-                    * _batch_det(eye - w) ** (be - half))
-
         def g_type2(w, al=al, be=be):
             rest = eye - w
             s_mat = w @ np.linalg.inv(rest)
@@ -350,9 +343,10 @@ def suite_beta(samples=200_000, seed=42):
                     * _batch_det(eye + s_mat) ** -(al + be)
                     * _batch_det(rest) ** -(p + 1.0))
 
-        for kind, g, stream in (("type1", g_type1, seed + i),
-                                ("type2", g_type2, seed + 100 + i)):
-            est = mc_integrate_unit_cone(g, p, samples, stream)
+        for kind, g, shapes, stream in (
+                ("type1", lambda w: np.ones(len(w)), (al, be), seed + i),
+                ("type2", g_type2, None, seed + 100 + i)):
+            est = mc_integrate_unit_cone(g, p, samples, stream, shapes)
             cases.append(_mc_check(f"{kind}-a{al}-b{be}", target, est,
                                    ref="target", alpha=al, beta=be))
     return _report("beta", seed, {"samples": int(samples), "dimension": p},

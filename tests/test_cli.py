@@ -80,6 +80,22 @@ def test_eval_hyper():
     assert rec["value"] == pytest.approx(2 * math.log(2), rel=1e-6)
 
 
+@pytest.mark.parametrize("argv,value,ratio", [
+    (["--num", "1", "--eigs", "0.5", "--kmax", "0"], 1.0, None),
+    (["--num", "3,3", "--den", "1", "--eigs", "0.9", "--kmax", "5"],
+     519.18859, pytest.approx(1.764, rel=1e-12)),
+], ids=["kmax0", "no-decay"])
+def test_eval_hyper_without_decay_writes_null(argv, value, ratio):
+    # a series whose weight sums show no decay has an infinite tail
+    # estimate; the finite value is still written, the diagnostic as null
+    proc = run("eval", "hyper", *argv)
+    assert proc.returncode == 0
+    (rec,) = strict_records(proc.stdout)
+    assert rec["value"] == pytest.approx(value, rel=1e-12)
+    assert rec["tail_estimate"] is None
+    assert rec["ratio"] == ratio
+
+
 def test_eval_fracint_power_inline_matrix():
     proc = run("eval", "fracint-power", "--r", "1", "--alpha", "1.0",
                "--z", "[[2.0]]")

@@ -266,11 +266,37 @@ def test_cone_dimension_frontier():
 # ---------------------------------------------------------------------------
 # plain Monte Carlo over the unit cone
 
-def test_mc_volume_p2():
-    # volume of the p=2 unit cone is Gamma_2(3/2)^2 / Gamma_2(3) = pi/6
-    est = mc_integrate_unit_cone(lambda w: np.ones(len(w)), 2, 100_000, 9)
-    vol = math.exp(2 * log_matrix_gamma(2, 1.5) - log_matrix_gamma(2, 3.0))
-    assert abs(est.value - vol) < 3 * est.stderr
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_mc_volume(p):
+    # the hit rate times the box volume is the volume of the unit cone,
+    # the beta value B_p((p+1)/2, (p+1)/2): pi/6 at p = 2.  At p = 1 every
+    # proposal hits, so the standard error is 0 and the exact-identity
+    # tolerance 1e-12 covers the beta value's rounding
+    est = mc_integrate_unit_cone(lambda w: np.ones(len(w)), p, 100_000, 9)
+    vol = math.exp(log_matrix_beta(p, 0.5 * (p + 1), 0.5 * (p + 1)))
+    assert est.value == pytest.approx(vol, rel=1e-12, abs=3 * est.stderr)
+
+
+@pytest.mark.parametrize("p,s,t", [(1, 1.5, 2.0), (2, 2.0, 2.5),
+                                   (3, 2.5, 3.0)])
+def test_mc_beta_weight(p, s, t):
+    # with shapes (s, t) the estimator weights each draw by the type-1 beta
+    # density kernel, so the constant 1 integrates to B_p(s, t); shapes of
+    # at least (p+1)/2 keep the weight bounded
+    est = mc_integrate_unit_cone(lambda w: np.ones(len(w)), p, 50_000, 21,
+                                 shapes=(s, t))
+    want = math.exp(log_matrix_beta(p, s, t))
+    assert abs(est.value - want) < 3 * est.stderr
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_mc_unit_weight_is_unweighted(p):
+    # at shapes ((p+1)/2, (p+1)/2) both weight exponents are 0, so every
+    # weight is exactly 1 and the estimate keeps every bit
+    g = lambda w: np.trace(w, axis1=1, axis2=2)
+    half = 0.5 * (p + 1)
+    assert (mc_integrate_unit_cone(g, p, 2_000, 5, shapes=(half, half))
+            == mc_integrate_unit_cone(g, p, 2_000, 5))
 
 
 def test_mc_monomial_p1():
@@ -341,11 +367,12 @@ def test_batch_det_matches_linalg(p, symmetric):
 
 def test_mc_estimate_validation():
     with pytest.raises(DegenerateInputError):
-        McEstimate(value=1.0, stderr=-0.1, n=10, seed=1)
+        McEstimate(value=1.0, stderr=-0.1, n=10, seed=1, n_proposals=20)
     with pytest.raises(DegenerateInputError):
-        McEstimate(value=float("inf"), stderr=0.1, n=10, seed=1)
+        McEstimate(value=float("inf"), stderr=0.1, n=10, seed=1,
+                   n_proposals=20)
     with pytest.raises(ParameterDomainError):
-        McEstimate(value=1.0, stderr=0.1, n=0, seed=1)
+        McEstimate(value=1.0, stderr=0.1, n=0, seed=1, n_proposals=20)
 
 
 # ---------------------------------------------------------------------------
