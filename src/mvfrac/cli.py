@@ -304,7 +304,7 @@ _A = ("--a", dict(type=float, required=True))
 _ALPHA = ("--alpha", dict(type=float, required=True))
 _K = ("--k", dict(type=_csv_partition, required=True))
 _EIGS = ("--eigs", dict(type=_csv_floats))
-_KMAX = ("--kmax", dict(type=int, default=25))
+_KMAX = ("--kmax", dict(type=int, default=Truncation.k_max))
 _ETA = ("--eta", dict(type=float, default=0.0))
 _MATRIX = (("--z", dict(type=_inline_matrix,
                         help="matrix as inline JSON rows")),

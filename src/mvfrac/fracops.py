@@ -30,8 +30,8 @@ from .gammacalc import (
     signed_log_gen_pochhammer,
 )
 from .hyperseries import HyperParams, hyper_pfq_at_identity
-from .matsample import _batch_det, _cone_raw, _indicator_estimate
-from .spdcore import RectConfig, stiefel_constant
+from .matsample import _cone_raw, _indicator_estimate
+from .spdcore import RectConfig, _batch_det, stiefel_constant
 from .zonal import zonal_eval
 
 __all__ = [
@@ -223,7 +223,7 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     alpha = order.alpha
     cone = _cone_raw(p, n, seed)
     w = cone[0]
-    root = Z.matrix_power(0.5).entries
+    root = Z.matrix_power(0.5)
     x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
     raw = _indicator_estimate(cone, operand(x), seed, (0.5 * cfg.r, alpha))
     scale = math.exp(stiefel_constant(p, cfg.r)

@@ -39,7 +39,7 @@ from .errors import (
     as_int,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
-from .spdcore import check_full_rank
+from .spdcore import _batch_det, check_full_rank
 
 __all__ = [
     "McEstimate",
@@ -158,8 +158,8 @@ def _rect_raw(cfg, n, seed, stream=0, first=0):
     size = cfg.p * cfg.r
     g = normals(key, first * size, n * size).reshape(n, cfg.p, cfg.r)
     g *= math.sqrt(0.5)
-    return (cfg.A.matrix_power(-0.5).entries @ g
-            @ cfg.B.matrix_power(-0.5).entries)
+    _, a_inv, b_inv = cfg._roots
+    return a_inv @ g @ b_inv
 
 
 def sample_rect_exponential(cfg, n, seed, stream=0):
@@ -171,21 +171,6 @@ def sample_rect_exponential(cfg, n, seed, stream=0):
     x = _rect_raw(cfg, n, seed, stream)
     check_full_rank(x)
     return x
-
-
-def _batch_det(m):
-    """Determinants of an (n, p, p) stack: cofactor expansion for p <= 3,
-    LU factorization beyond."""
-    p = m.shape[-1]
-    if p == 1:
-        return m[:, 0, 0].copy()
-    if p == 2:
-        (a, b), (c, d) = m.transpose(1, 2, 0)
-        return a * d - b * c
-    if p == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(m)
 
 
 def _cone_block(key, p, cols, first, limit):

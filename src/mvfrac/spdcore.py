@@ -1,10 +1,14 @@
 """Symmetric positive definite matrices and the rectangular transform.
 
-The eigendecomposition is the single linear-algebra primitive here: the
-determinant, square root and positivity checks all come from it, and it is
-computed once per matrix and cached.  The checks take one matrix or an
-(n, p, p) stack, so a sampler validates a whole batch of draws in one call
-with the same rules SpdMatrix applies to one.
+This is the one linear-algebra layer.  SpdMatrix validates a matrix that
+comes from outside: exact symmetry, and positive definiteness by the
+eigenvalue rule of _pd_spectrum (every eigenvalue above 1e-12 times the
+largest), which check_spd applies to one matrix or an (n, p, p) stack.
+check_full_rank applies the SVD rank rule to rectangular draws (smallest
+singular value above 1e-10 times the largest).  _batch_det gives the
+determinants of a stack, by cofactors up to p = 3 and by LU beyond.
+Matrices derived inside the program are not validated again: matrix_power
+returns a plain array, and RectConfig decomposes its weights once.
 """
 
 import math
@@ -46,6 +50,21 @@ def _pd_spectrum(m):
     """
     eig = np.linalg.eigvalsh(m)[..., ::-1]
     return eig, eig[..., -1] > _PD_RTOL * eig[..., 0]
+
+
+def _batch_det(m):
+    """Determinants of an (n, p, p) stack: cofactor expansion for p <= 3,
+    LU factorization beyond."""
+    p = m.shape[-1]
+    if p == 1:
+        return m[:, 0, 0].copy()
+    if p == 2:
+        (a, b), (c, d) = m.transpose(1, 2, 0)
+        return a * d - b * c
+    if p == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(m)
 
 
 def check_spd(entries):
@@ -96,7 +115,7 @@ class SpdMatrix:
     the spectral radius).  Entries are copied and frozen.
     """
 
-    __slots__ = ("_entries", "_eigenvalues", "_eig_full", "__weakref__")
+    __slots__ = ("_entries", "_eigenvalues", "__weakref__")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=float)
@@ -106,7 +125,6 @@ class SpdMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
         object.__setattr__(self, "_eigenvalues", eig)
-        object.__setattr__(self, "_eig_full", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpdMatrix is immutable")
@@ -136,15 +154,6 @@ class SpdMatrix:
         """Eigenvalues in descending order (all strictly positive)."""
         return self._eigenvalues
 
-    def _eigh(self):
-        # full decomposition, only materialized when vectors are needed
-        full = self._eig_full
-        if full is None:
-            w, v = np.linalg.eigh(self._entries)
-            full = (w[::-1].copy(), v[:, ::-1].copy())
-            object.__setattr__(self, "_eig_full", full)
-        return full
-
     # -- scalar functionals ------------------------------------------------
 
     @property
@@ -152,18 +161,16 @@ class SpdMatrix:
         return float(np.sum(np.log(self._eigenvalues)))
 
     @property
-    def det(self):
-        return float(np.prod(self._eigenvalues))
-
-    @property
     def trace(self):
         return float(np.trace(self._entries))
 
     def matrix_power(self, t):
-        """S**t through the eigendecomposition, for any real exponent t."""
-        w, v = self._eigh()
+        """S**t through the eigendecomposition, for any real exponent t, as
+        a plain symmetrized (p, p) array."""
+        w, v = np.linalg.eigh(self._entries)
+        w, v = w[::-1].copy(), v[:, ::-1].copy()
         powered = (v * np.power(w, t)) @ v.T
-        return SpdMatrix(0.5 * (powered + powered.T))
+        return 0.5 * (powered + powered.T)
 
     # -- misc ----------------------------------------------------------------
 
@@ -210,8 +217,11 @@ class RectConfig:
         return cls(p=p, r=r, A=SpdMatrix.identity(p), B=SpdMatrix.identity(r))
 
     @cached_property
-    def _sqrt_A(self):
-        return self.A.matrix_power(0.5)
+    def _roots(self):
+        """A^(1/2), A^(-1/2) and B^(-1/2), the arrays the transform and the
+        exponential-weight sampler apply."""
+        return (self.A.matrix_power(0.5), self.A.matrix_power(-0.5),
+                self.B.matrix_power(-0.5))
 
     @cached_property
     def log_weight_factor(self):
@@ -229,7 +239,7 @@ def rect_transform(X, cfg):
     if X.ndim != 3 or X.shape[1:] != (cfg.p, cfg.r):
         raise DimensionError(
             f"X has shape {X.shape}, config expects (n, {cfg.p}, {cfg.r})")
-    ax = cfg._sqrt_A.entries @ X
+    ax = cfg._roots[0] @ X
     # the last product stays an einsum: a BLAS matmul rounds its sums
     # differently (fused multiply-adds), which changes the output bytes
     # even at identity weights

@@ -42,14 +42,9 @@ from .hyperseries import (
     hyper_pfq,
     pathway_det_limit,
 )
-from .matsample import (
-    _CONE_BLOCK,
-    _batch_det,
-    _rect_raw,
-    mc_integrate_unit_cone,
-)
+from .matsample import _CONE_BLOCK, _rect_raw, mc_integrate_unit_cone
 from .rng import derive_key, normals, uniforms
-from .spdcore import RectConfig, SpdMatrix, rect_transform
+from .spdcore import RectConfig, SpdMatrix, _batch_det, rect_transform
 from .zonal import zonal_eval
 
 __all__ = [
@@ -161,7 +156,7 @@ def _random_spd(seed, tag, p, lo, hi):
     return SpdMatrix(0.5 * (m + m.T))
 
 
-def suite_binomial(k_max=25, seed=42):
+def suite_binomial(k_max=Truncation.k_max, seed=42):
     """Weighted zonal sums against the determinant power |I - Z|^(-b).
 
     Arguments are rotated random matrices with spectrum inside [0.05, 0.3],
@@ -212,7 +207,7 @@ def suite_euler(samples=1_000_000, seed=42):
     cfg = RectConfig.with_identity_weights(p, r)
     series = gauss_2f1_rect(a, b, c, zy, cfg)
 
-    root = np.asarray(zy.matrix_power(0.5).entries)
+    root = zy.matrix_power(0.5)
 
     def g(v):
         return _batch_det(np.eye(p) - root @ v @ root) ** -b
@@ -295,7 +290,7 @@ def suite_saigo(samples=400_000, seed=42):
     aa, bb, cc = 0.3, 0.2, 2.0
     alpha, eta = 1.0, 0.5
     z, order = _operator_at(pp, r, alpha)
-    trunc = Truncation(k_max=25)
+    trunc = Truncation()
     closed = saigo_power_closed(order, z, SaigoParams(aa, bb, cc), eta=eta,
                                 trunc=trunc).value()
 

@@ -17,13 +17,16 @@ import scipy.stats
 
 from mvfrac import (
     DegenerateInputError,
+    DetPowerOperand,
     DimensionError,
+    FracOrder,
     MatrixGammaSpec,
     McEstimate,
     ParameterDomainError,
     RectConfig,
     SpdMatrix,
     cone_acceptance_report,
+    frac_integral_numeric,
     log_matrix_beta,
     log_matrix_gamma,
     mc_integrate_unit_cone,
@@ -34,16 +37,9 @@ from mvfrac import (
     sample_uniform_spd_unit,
     verify_sum_density,
 )
-from mvfrac.matsample import (
-    _CONE_BLOCK,
-    _EDGE,
-    _TAG_CONE,
-    _batch_det,
-    _cone_raw,
-    _rect_raw,
-)
+from mvfrac.matsample import _CONE_BLOCK, _EDGE, _TAG_CONE, _cone_raw, _rect_raw
 from mvfrac.rng import derive_key, uniforms
-from mvfrac.spdcore import check_spd, rect_transform
+from mvfrac.spdcore import _batch_det, check_spd, rect_transform
 from mvfrac.verify import _gamma_cdf
 
 
@@ -482,6 +478,32 @@ def test_sum_density_memory_stays_below_one_stack():
     finally:
         tracemalloc.stop()
     assert peak < n * 2 * 4 * 8
+
+
+@pytest.mark.parametrize("run", [
+    lambda c1, c2, z: verify_sum_density(c1, c2, 1 << 14, 5),
+    lambda c1, c2, z: verify_sum_density(c1, c2, (1 << 16) + 1, 5),
+    lambda c1, c2, z: frac_integral_numeric(
+        FracOrder(1.5, c1), z, DetPowerOperand(1.0), 1000, 5),
+], ids=["sumdensity-2^14", "sumdensity-2^16+1", "numeric"])
+def test_derived_matrices_are_not_revalidated(run, monkeypatch):
+    # validation is for matrices from outside: once the configurations and
+    # the argument are built, the weight roots, the block draws and Z^(1/2)
+    # are plain arrays, so the hot paths construct no SpdMatrix
+    a = SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    c1 = RectConfig(2, 3, a, SpdMatrix.diagonal((1.0, 2.0, 0.5)))
+    c2 = RectConfig(2, 4, a, SpdMatrix.identity(4))
+    z = SpdMatrix(np.array([[1.1, 0.3], [0.3, 0.8]]))
+    built = []
+    init = SpdMatrix.__init__
+
+    def counting(self, entries):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(SpdMatrix, "__init__", counting)
+    run(c1, c2, z)
+    assert built == []
 
 
 @pytest.mark.parametrize("a", np.arange(0.5, 8.5, 0.5))

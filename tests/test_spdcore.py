@@ -97,7 +97,6 @@ def test_stack_rank_check_applies_the_constructor_rule():
 
 def test_det_trace_logdet():
     m = SpdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))  # eigenvalues 3, 1
-    assert m.det == pytest.approx(3.0, rel=1e-12)
     assert m.trace == pytest.approx(4.0)
     assert m.log_det == pytest.approx(math.log(3.0), rel=1e-12)
 
@@ -105,14 +104,15 @@ def test_det_trace_logdet():
 def test_matrix_power_square_is_product():
     rng = np.random.default_rng(2)
     m = _random_spd(rng, 3)
-    assert_allclose(m.matrix_power(2.0).entries, m.entries @ m.entries,
-                    rtol=1e-10)
+    sq = m.matrix_power(2.0)
+    assert isinstance(sq, np.ndarray)
+    assert_allclose(sq, m.entries @ m.entries, rtol=1e-10)
 
 
 def test_matrix_power_inverse():
     rng = np.random.default_rng(3)
     m = _random_spd(rng, 3)
-    assert_allclose(m.matrix_power(-1.0).entries @ m.entries, np.eye(3),
+    assert_allclose(m.matrix_power(-1.0) @ m.entries, np.eye(3),
                     atol=1e-10)
 
 
@@ -120,13 +120,13 @@ def test_spd_sqrt_squares_back():
     rng = np.random.default_rng(4)
     m = _random_spd(rng, 4)
     r = m.matrix_power(0.5)
-    assert_allclose(r.entries @ r.entries, m.entries, rtol=1e-10, atol=1e-12)
+    assert_allclose(r @ r, m.entries, rtol=1e-10, atol=1e-12)
 
 
 def test_identity_and_diagonal():
     assert_allclose(SpdMatrix.identity(3).entries, np.eye(3))
     d = SpdMatrix.diagonal((1.0, 4.0))
-    assert d.det == pytest.approx(4.0)
+    assert d.log_det == pytest.approx(math.log(4.0))
     with pytest.raises(DegenerateInputError):
         SpdMatrix.diagonal((1.0, 0.0))
 
@@ -165,7 +165,7 @@ def test_rect_transform_oracle():
     b = _random_spd(rng, 3)
     cfg = RectConfig(2, 3, a, b)
     x = rng.standard_normal((2, 3))
-    ra = a.matrix_power(0.5).entries
+    ra = a.matrix_power(0.5)
     direct = ra @ x @ b.entries @ x.T @ ra
     assert_allclose(rect_transform(x[None], cfg)[0],
                     0.5 * (direct + direct.T), rtol=1e-10)
