@@ -159,7 +159,7 @@ def _rect_raw(cfg, n, seed, stream=0, first=0):
     g = normals(key, first * size, n * size).reshape(n, cfg.p, cfg.r)
     g *= math.sqrt(0.5)
     _, a_inv, b_inv = cfg._roots
-    return a_inv @ g @ b_inv
+    return np.matmul(a_inv @ g, b_inv, out=g)
 
 
 def sample_rect_exponential(cfg, n, seed, stream=0):

@@ -244,7 +244,9 @@ def rect_transform(X, cfg):
     # differently (fused multiply-adds), which changes the output bytes
     # even at identity weights
     z = np.einsum("nik,njk->nij", ax @ cfg.B.entries, ax)
-    return 0.5 * (z + z.transpose(0, 2, 1))
+    z += z.transpose(0, 2, 1)
+    z *= 0.5
+    return z
 
 
 def stiefel_constant(p, r):

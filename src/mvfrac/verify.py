@@ -6,10 +6,13 @@ exact beta value, or a limit law.  Suites return JSON-ready dicts and are
 pure functions of their arguments, so a repeated run with the same seed
 serializes to identical bytes.
 
-The record helpers below are the one place that turns numbers into pass
-flags.  Monte Carlo comparisons report z = (closed - estimate) / stderr and
-pass at |z| <= 3; moment checks inside the sum-density report use 4
-standard errors; exact identities pass at relative error 1e-12.
+_check writes each case's pass flag and _group each report's (all of its
+cases).  A Monte Carlo case reports z = (closed - estimate) / stderr and
+passes at |z| <= 3, a sum-density moment at |z| <= 4, an exact identity at
+relative error 1e-12, a binomial sum at absolute error 1e-8, the sum-density
+distribution at the one-percent Kolmogorov-Smirnov quantile, and a pathway
+limit when each tenfold step of q - 1 cuts its error by a ratio in (5, 20),
+its final error is below 1e-3 and its degenerate cases are exact.
 """
 
 import dataclasses
@@ -94,16 +97,20 @@ def _gamma_cdf(a, x):
     return cdf
 
 
+def _check(name, passed, **fields):
+    return {"name": name, **fields, "pass": bool(passed)}
+
+
+def _group(cases, **fields):
+    return {**fields, "cases": cases, "pass": all(c["pass"] for c in cases)}
+
+
 def _report(suite, seed, extra, cases):
-    rep = {"schema": _SCHEMA, "suite": suite, "seed": int(seed)}
-    rep.update(extra)
-    rep["cases"] = cases
-    rep["pass"] = all(c["pass"] for c in cases)
-    return rep
+    return _group(cases, schema=_SCHEMA, suite=suite, seed=int(seed), **extra)
 
 
 def _z_check(name, z, limit, **fields):
-    return {"name": name, **fields, "z": z, "pass": bool(abs(z) <= limit)}
+    return _check(name, abs(z) <= limit, **fields, z=z)
 
 
 def _mc_check(name, closed, est, ref="closed", **fields):
@@ -124,8 +131,8 @@ def _rel_check(name, key, value, power, **fields):
     """Exact-identity record: value, stored under key, against the power
     form at relative error 1e-12."""
     rel = abs(value - power) / abs(power)
-    return {"name": name, **fields, key: value, "power_form": power,
-            "rel_error": rel, "pass": bool(rel <= 1e-12)}
+    return _check(name, rel <= 1e-12, **fields, **{key: value},
+                  power_form=power, rel_error=rel)
 
 
 def _operator_at(p, r, alpha):
@@ -175,16 +182,10 @@ def suite_binomial(k_max=Truncation.k_max, seed=42):
             rest = SpdMatrix(np.eye(p) - z.entries)
             direct = math.exp(-b * rest.log_det)
             err = abs(series - direct)
-            cases.append({
-                "name": f"p{p}-b{b}",
-                "dimension": p,
-                "power": b,
-                "spectral_radius": float(z.eigenvalues[0]),
-                "series": series,
-                "direct": direct,
-                "abs_error": err,
-                "pass": bool(err < tol),
-            })
+            cases.append(_check(
+                f"p{p}-b{b}", err < tol, dimension=p, power=b,
+                spectral_radius=float(z.eigenvalues[0]), series=series,
+                direct=direct, abs_error=err))
     return _report("binomial", seed, {"k_max": int(k_max), "tolerance": tol},
                    cases)
 
@@ -228,15 +229,13 @@ def suite_fracpower(p=None, samples=1_000_000, seed=42):
     """Closed power form against the Monte Carlo operator on |X|^eta over the
     grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5}, eta in {0,1}."""
     cases = []
-    idx = 0
     for pp, r, alpha, z, order in _grid(p):
         for eta in (0.0, 1.0):
             closed = frac_integral_power_closed(order, z, eta).value()
             est = frac_integral_numeric(order, z, DetPowerOperand(eta),
-                                        samples, seed + idx)
+                                        samples, seed + len(cases))
             cases.append(_mc_check(f"p{pp}-r{r}-a{alpha}-e{eta}", closed, est,
                                    dimension=pp, r=r, alpha=alpha, eta=eta))
-            idx += 1
     return _report("fracpower", seed, {"samples": int(samples)}, cases)
 
 
@@ -244,26 +243,24 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
     """Closed zonal form against the Monte Carlo operator on C_K over the
     grid p in {1,2}, r in {p,p+1}, alpha in {1,1.5}, K in {(1),(2)}; plus the
     exact reduction of the empty partition to the power form."""
-    cases = []
-    idx = 0
+    cases, collapses = [], []
     for pp, r, alpha, z, order in _grid(p):
         for K in ((1,), (2,)):
             part = Partition.coerce(K)
             closed = frac_integral_zonal_closed(order, z, part).value()
             est = frac_integral_numeric(
                 order, z, lambda x: zonal_eval(part, x),
-                samples, seed + idx)
+                samples, seed + len(cases))
             cases.append(_mc_check(
                 f"p{pp}-r{r}-a{alpha}-K{list(part.parts)}", closed, est,
                 dimension=pp, r=r, alpha=alpha, partition=list(part.parts)))
-            idx += 1
-    for pp, r, alpha, z, order in _grid(p):
-        cases.append(_rel_check(
+        collapses.append(_rel_check(
             f"empty-K-p{pp}-r{r}-a{alpha}", "zonal_form",
             frac_integral_zonal_closed(order, z, ()).value(),
             frac_integral_power_closed(order, z, 0.0).value(),
             dimension=pp, r=r, alpha=alpha))
-    return _report("fraczonal", seed, {"samples": int(samples)}, cases)
+    return _report("fraczonal", seed, {"samples": int(samples)},
+                   cases + collapses)
 
 
 def suite_saigo(samples=400_000, seed=42):
@@ -371,8 +368,8 @@ def verify_sum_density(cfg1, cfg2, n, seed):
     traces, dets = np.empty(n), np.empty(n)
     for lo in range(0, n, _CONE_BLOCK):
         m = min(_CONE_BLOCK, n - lo)
-        u = (rect_transform(_rect_raw(cfg1, m, seed, 1, lo), cfg1)
-             + rect_transform(_rect_raw(cfg2, m, seed, 2, lo), cfg2))
+        u = rect_transform(_rect_raw(cfg1, m, seed, 1, lo), cfg1)
+        u += rect_transform(_rect_raw(cfg2, m, seed, 2, lo), cfg2)
         traces[lo:lo + m] = np.trace(u, axis1=1, axis2=2)
         dets[lo:lo + m] = _batch_det(u)
     a = 0.5 * (cfg1.r + cfg2.r)
@@ -393,22 +390,11 @@ def verify_sum_density(cfg1, cfg2, n, seed):
         grid = np.arange(1, n + 1) / n
         stat = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
         crit = _KS_CRIT_1PCT / math.sqrt(n)
-        cases.append({
-            "name": "ks-distribution",
-            "statistic": stat,
-            "critical": crit,
-            "pass": bool(stat < crit),
-        })
+        cases.append(_check("ks-distribution", stat < crit, statistic=stat,
+                            critical=crit))
 
-    return {
-        "check": "sum-density",
-        "dimension": int(p),
-        "orders": [int(cfg1.r), int(cfg2.r)],
-        "samples": n,
-        "seed": int(seed),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
+    return _group(cases, check="sum-density", dimension=int(p),
+                  orders=[int(cfg1.r), int(cfg2.r)], samples=n, seed=int(seed))
 
 
 def suite_sumdensity(p=None, r1=None, r2=None, samples=100_000, seed=42):
@@ -455,23 +441,14 @@ def suite_pathway(seed=42):
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         ok = (all(5.0 < rho < 20.0 for rho in ratios)
               and errs[-1] < 1e-3)
-        cases.append({
-            "name": f"{label}-decay",
-            "q": list(qs),
-            "errors": errs,
-            "ratios": ratios,
-            "final_error": errs[-1],
-            "pass": bool(ok),
-        })
+        cases.append(_check(f"{label}-decay", ok, q=list(qs), errors=errs,
+                            ratios=ratios, final_error=errs[-1]))
 
     exact_factor = pathway_factor(1.01, Partition.coerce(()))
     exact_det = pathway_det_limit(1.01, [0.0, 0.0])
-    cases.append({
-        "name": "degenerate-exact",
-        "empty_partition_factor": exact_factor,
-        "zero_spectrum_limit": exact_det,
-        "pass": bool(exact_factor == 1.0 and exact_det == 1.0),
-    })
+    cases.append(_check(
+        "degenerate-exact", exact_factor == 1.0 and exact_det == 1.0,
+        empty_partition_factor=exact_factor, zero_spectrum_limit=exact_det))
     return _report("pathway", seed, {"q_ladder": list(qs)}, cases)
 
 

@@ -1,0 +1,65 @@
+"""Every verification record's pass flag follows from its own numbers.
+
+Walks the cases of each suite at the pinned CLI flags and re-derives each
+flag from the fields the record prints, so a record can never pass on a
+number that says it fails, or the other way round.
+"""
+
+import json
+
+import pytest
+
+from mvfrac import cli
+from mvfrac.verify import suite_binomial
+
+from test_cli import _VERIFY_DIGESTS
+
+
+def _leaf_passes(leaf, group, report):
+    """The pass flag the leaf's printed numbers imply."""
+    if "z" in leaf:
+        limit = 4.0 if group.get("check") == "sum-density" else 3.0
+        return abs(leaf["z"]) <= limit
+    if "rel_error" in leaf:
+        return leaf["rel_error"] <= 1e-12
+    if "statistic" in leaf:
+        return leaf["statistic"] < leaf["critical"]
+    if "abs_error" in leaf:
+        return leaf["abs_error"] < report["tolerance"]
+    if leaf["name"].endswith("-decay"):
+        return (all(5.0 < r < 20.0 for r in leaf["ratios"])
+                and leaf["final_error"] < 1e-3)
+    if leaf["name"] == "degenerate-exact":
+        return (leaf["empty_partition_factor"] == 1.0
+                and leaf["zero_spectrum_limit"] == 1.0)
+    raise AssertionError(f"no rule for case {leaf['name']!r}")
+
+
+def _check_flags(group, report):
+    """Assert every flag under group; return its leaves' flags."""
+    flags = []
+    for case in group["cases"]:
+        if "cases" in case:
+            flags += _check_flags(case, report)
+        else:
+            assert case["pass"] == _leaf_passes(case, group, report), case
+            flags.append(case["pass"])
+    assert group["pass"] == all(c["pass"] for c in group["cases"])
+    return flags
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_DIGESTS))
+def test_pass_flags_follow_numbers_pinned(capsys, suite):
+    flags, _ = _VERIFY_DIGESTS[suite]
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", suite, *flags, "--seed", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(_check_flags(report, report))
+
+
+def test_pass_flags_follow_numbers_short_binomial():
+    # at k_max = 12 the truncation error exceeds the tolerance at the larger
+    # powers, so the flags of failing cases are checked too
+    report = suite_binomial(k_max=12, seed=7)
+    assert sorted(_check_flags(report, report)) == [False] * 4 + [True] * 2
+    assert not report["pass"]
