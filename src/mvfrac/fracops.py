@@ -12,7 +12,7 @@ reduced to the cone through the r-frame surface constant.  Closed forms are
 available when f is a determinant power or a zonal polynomial; everything
 else goes through the Monte Carlo route: X = Z^(1/2) W Z^(1/2) turns the
 integral into matsample's weighted cone estimator with shapes (r/2, alpha),
-whose operands map the (n, p, p) stack of X values to n values.
+whose operands map each block's (k, p, p) stack of X values to its k values.
 
 Values are carried in log-magnitude plus sign form since gamma ratios
 overflow quickly as the dimension grows.
@@ -30,7 +30,7 @@ from .gammacalc import (
     signed_log_gen_pochhammer,
 )
 from .hyperseries import HyperParams, hyper_pfq_at_identity
-from .matsample import _cone_raw, _indicator_estimate
+from .matsample import _cone_raw, _indicator_estimate, _weighted
 from .spdcore import RectConfig, _batch_det, stiefel_constant
 from .zonal import zonal_eval
 
@@ -80,7 +80,7 @@ class SaigoParams:
 @dataclass(frozen=True)
 class DetPowerOperand:
     """The operand f(X) = |X|^exponent, eligible for closed forms; called on
-    an (n, p, p) stack it returns the n determinant powers."""
+    a (k, p, p) stack it returns the k determinant powers."""
 
     exponent: float
 
@@ -210,10 +210,11 @@ def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None):
 def frac_integral_numeric(order, Z, operand, n, seed):
     """Monte Carlo operator value on an arbitrary operand.
 
-    The operand takes the (n, p, p) stack X = Z^(1/2) W Z^(1/2) over the
-    accepted cone draws W and returns their n values; DetPowerOperand is one
-    such operand.  Returns the estimate on the absolute scale together with
-    its standard error.
+    The operand is called once per block of accepted cone draws W with the
+    block's (k, p, p) stack X = Z^(1/2) W Z^(1/2) and returns their k
+    values, so it must map every X to its value on its own; DetPowerOperand
+    is one such operand.  Returns the estimate on the absolute scale
+    together with its standard error.
     """
     _check_argument(order, Z)
     cfg = order.config
@@ -221,11 +222,14 @@ def frac_integral_numeric(order, Z, operand, n, seed):
         _operand_exponent_check(cfg, operand.exponent)
     p = cfg.p
     alpha = order.alpha
-    cone = _cone_raw(p, n, seed)
-    w = cone[0]
     root = Z.matrix_power(0.5)
-    x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
-    raw = _indicator_estimate(cone, operand(x), seed, (0.5 * cfg.r, alpha))
+    kron_t = np.kron(root, root).T
+
+    def at_x(w):
+        return operand((w.reshape(-1, p * p) @ kron_t).reshape(w.shape))
+
+    cone = _cone_raw(p, n, seed, _weighted(at_x, p, (0.5 * cfg.r, alpha)))
+    raw = _indicator_estimate(cone, p, seed)
     scale = math.exp(stiefel_constant(p, cfg.r)
                      - cfg.log_weight_factor
                      - log_matrix_gamma(p, alpha)

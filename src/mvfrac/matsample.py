@@ -19,13 +19,17 @@ that set: rejected proposals count as zero-valued integrand samples, so the
 box volume times the mean over all proposals estimates the integral.  Given
 shapes (s, t), this weighted estimator multiplies each draw by the type-1
 matrix beta weight |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2), which the fractional
-operator, the Euler integral and the beta check share.  Every sampler is a
-pure function of (seed, counter), so equal seeds reproduce equal output
-regardless of batch sizes.  The public samplers return their draws as one
-float array: positive definite by construction, or for the rectangular
-sampler checked for full row rank in one call to check_full_rank.
+operator, the Euler integral and the beta check share.  The estimator
+streams: each block of accepted draws is turned into its weighted values
+while it is still in cache, and only those n values are kept.  Every
+sampler is a pure function of (seed, counter), so equal seeds reproduce
+equal output regardless of batch sizes.  The public samplers return their
+draws as one float array: positive definite by construction, or for the
+rectangular sampler checked for full row rank in one call to
+check_full_rank.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,11 +70,16 @@ _TAG_BETA_SECOND = 0x500
 # positive definite with eigenvalues in (1e-10, 1), so SpdMatrix accepts them
 _EDGE = 1e-10
 
-# proposals per rejection block, sized so that a block's uniforms, counter
-# offsets and minor temporaries stay in a core's L2 cache; proposal i owns
-# the counter slots i*width.., so the block size changes no draw.  The
-# sum-density check draws its samples in blocks of the same size
+# the most proposals in one rejection block, so that a block's uniforms,
+# counter offsets, minor temporaries and the integrand's work on its
+# accepted draws stay in a core's L2 cache.  Below that, a block asks for
+# _CONE_SLACK times the proposals that the acceptances still needed take at
+# the exact rate, so it seldom falls short, and one that does is followed
+# by one sized for the rest.  Proposal i owns the counter slots i*width..,
+# so the block size changes no draw.  The sum-density check draws its
+# samples in blocks of _CONE_BLOCK
 _CONE_BLOCK = 1 << 14
+_CONE_SLACK = 1.1
 
 # the counter slot of each entry of a cone proposal W: the diagonal takes
 # slots 0..p-1 and the strict lower triangle, in row order, the rest, each
@@ -80,6 +89,10 @@ _CONE_SLOTS = {2: np.array([[0, 2], [2, 1]]),
 
 # the proposal box: p diagonal entries in (0, 1), p(p-1)/2 off it in (-1, 1)
 _BOX_VOLUME = {p: 2.0 ** (p * (p - 1) // 2) for p in (1, 2, 3)}
+
+# the exact acceptance rate B_p((p+1)/2, (p+1)/2) / box volume; the _EDGE
+# layer lowers it by far less than block sizing can see
+_CONE_RATE = {1: 1.0, 2: math.pi / 12, 3: math.pi ** 2 / 720}
 
 
 @dataclass(frozen=True)
@@ -173,6 +186,14 @@ def sample_rect_exponential(cfg, n, seed, stream=0):
     return x
 
 
+@functools.cache
+def _cone_cols(p):
+    """The counter offsets of slot p for the proposals of a block that
+    starts at proposal 0, built once for each p."""
+    width = p + p * (p - 1) // 2
+    return np.arange(_CONE_BLOCK, dtype=np.uint64) * np.uint64(width) + np.uint64(p)
+
+
 def _cone_block(key, p, cols, first, limit):
     """The first `limit` accepted proposals among proposals first.. of one
     block, as (block offsets, W, det W, det(I - W)).
@@ -192,7 +213,7 @@ def _cone_block(key, p, cols, first, limit):
     ((-v)*(-v) is v*v exactly).
     """
     if p == 1:
-        u = uniforms(key, first, _CONE_BLOCK)
+        u = uniforms(key, first, cols.size)
         hits = np.flatnonzero((u > _EDGE) & (1.0 - u > _EDGE))[:limit]
         u = u[hits]
         return hits, u[:, None, None], u, 1.0 - u
@@ -227,12 +248,15 @@ def _cone_block(key, p, cols, first, limit):
     return near[hits[keep]], w[keep], det_w[keep], det_v[keep]
 
 
-def _cone_raw(p, n, seed):
+def _cone_raw(p, n, seed, each=None):
     """Accept exactly n uniform draws from {W : W > 0, I - W > 0}.
 
     Returns (W, det W, det(I - W), n_proposals) where n_proposals counts every
     proposal up to and including the one that produced the n-th acceptance, as
-    the hit-or-miss estimator requires.
+    the hit-or-miss estimator requires.  Given each, a function of one
+    block's (W, det W, det(I - W)) that returns one value per draw, returns
+    (values, None, None, n_proposals) instead: each block's draws go to each
+    while they are in cache, and only the n values are kept.
     """
     n = as_int(n, "sample count", 1)
     p = as_int(p, "dimension", 1)
@@ -241,20 +265,26 @@ def _cone_raw(p, n, seed):
             f"rejection sampling is limited to dimensions 1..3, got {p}; "
             f"higher dimensions need the beta importance sampler")
     key = derive_key(seed, _TAG_CONE)
-    width = p + p * (p - 1) // 2
-    cols = np.arange(_CONE_BLOCK, dtype=np.uint64) * np.uint64(width) + np.uint64(p)
+    cols = _cone_cols(p)
 
-    out = np.empty((n, p, p)), np.empty(n), np.empty(n)
+    out = ((np.empty((n, p, p)), np.empty(n), np.empty(n)) if each is None
+           else (np.empty(n), None, None))
     accepted = first = 0
     while True:
-        hits, *block = _cone_block(key, p, cols, first, n - accepted)
-        for o, b in zip(out, block):
-            o[accepted:accepted + hits.size] = b
-        accepted += hits.size
+        size = min(_CONE_BLOCK,
+                   math.ceil(_CONE_SLACK * (n - accepted) / _CONE_RATE[p]))
+        hits, *block = _cone_block(key, p, cols[:size], first, n - accepted)
+        if hits.size:
+            if each is not None:
+                block = (each(*block),)
+            for o, b in zip(out, block):
+                o[accepted:accepted + hits.size] = b
+            accepted += hits.size
         if accepted == n:
             return (*out, first + int(hits[-1]) + 1)
-        first += _CONE_BLOCK
-        if accepted < 1e-4 * first:
+        first += size
+        # judged from a full block on: a short block can miss by chance
+        if first >= _CONE_BLOCK and accepted < 1e-4 * first:
             raise ResourceLimitError(
                 f"cone rejection rate below 1e-4 for dimension {p} "
                 f"({accepted} acceptances in {first} proposals)")
@@ -280,23 +310,32 @@ def cone_acceptance_report(p, n, seed):
     }
 
 
-def _indicator_estimate(cone, h, seed, shapes=None):
-    """Hit-or-miss estimate from _cone_raw's (W, det W, det(I - W),
-    n_proposals) and the values h, one per accepted draw, finite once
-    weighted as mc_integrate_unit_cone says; rejected proposals enter the
-    mean and variance as exact zeros, over the p-dimensional proposal box."""
-    w, det_w, det_v, m = cone
-    n, p, _ = w.shape
-    n = as_int(n, "sample count", 2)
-    h = np.asarray(h, dtype=float)
-    if h.shape != (n,):
-        raise DimensionError(
-            f"integrand must return shape ({n},), got {h.shape}")
+def _weighted(f, p, shapes):
+    """The each function of _cone_raw that maps a block of draws to
+    f(W stack) times the weight mc_integrate_unit_cone describes; f must
+    return one finite value per draw once weighted."""
     if shapes is not None:
         e_w, e_v = (shape - 0.5 * (p + 1) for shape in shapes)
-        h = det_v ** e_v * det_w ** e_w * h
-    if not np.all(np.isfinite(h)):
-        raise DegenerateInputError("integrand returned a non-finite value")
+
+    def each(w, det_w, det_v):
+        h = np.asarray(f(w), dtype=float)
+        if h.shape != det_w.shape:
+            raise DimensionError(
+                f"integrand must return shape {det_w.shape}, got {h.shape}")
+        if shapes is not None:
+            h = det_v ** e_v * det_w ** e_w * h
+        if not np.all(np.isfinite(h)):
+            raise DegenerateInputError("integrand returned a non-finite value")
+        return h
+    return each
+
+
+def _indicator_estimate(cone, p, seed):
+    """Hit-or-miss estimate from _cone_raw's (values, _, _, n_proposals),
+    one value per accepted draw; rejected proposals enter the mean and
+    variance as exact zeros, over the p-dimensional proposal box."""
+    h, _, _, m = cone
+    n = as_int(h.size, "sample count", 2)
     total = float(np.sum(h))
     total_sq = float(np.sum(np.square(h)))
     value = _BOX_VOLUME[p] * total / m
@@ -310,11 +349,12 @@ def mc_integrate_unit_cone(g, p, n, seed, shapes=None):
     """Monte Carlo integral of g over {W : W > 0, I - W > 0}, weighted by
     |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2) when shapes = (s, t) is given.
 
-    g takes the (n, p, p) stack of accepted draws and returns their n
-    values; the standard error needs n >= 2.
+    g is called once per block of accepted draws with that block's (k, p, p)
+    stack and returns their k values, so it must map every draw to its
+    value on its own; the standard error needs n >= 2.
     """
-    cone = _cone_raw(p, n, seed)
-    return _indicator_estimate(cone, g(cone[0]), seed, shapes)
+    cone = _cone_raw(p, n, seed, _weighted(g, p, shapes))
+    return _indicator_estimate(cone, p, seed)
 
 
 def sample_type1_beta(p, a1, a2, n, seed):

@@ -300,12 +300,12 @@ def suite_saigo(samples=400_000, seed=42):
         part = Partition.coerce((k,) if k else ())
         coeffs.append(gen_pochhammer(aa, part) * gen_pochhammer(bb, part)
                       / (gen_pochhammer(cc, part) * math.factorial(k)))
-    poly = np.polynomial.Polynomial(coeffs)
+    poly = np.array(coeffs[::-1])  # np.polyval takes the leading one first
     z11 = z.entries[0, 0]
 
     def operand(x):
         xx = x[:, 0, 0]
-        return xx ** eta * poly(1.0 - xx / z11)
+        return xx ** eta * np.polyval(poly, 1.0 - xx / z11)
 
     mc = frac_integral_numeric(order, z, operand, samples, seed)
     cases.append(_mc_check("mc-small-params", closed, mc, a=aa, b=bb, c=cc,

@@ -419,6 +419,28 @@ def test_verify_output_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the same at sizes that take the cone estimator through many blocks
+# (fracpower runs 12 at p = 2), computed when each block's draws were
+# gathered into one stack before the operand saw them
+_VERIFY_MULTIBLOCK_DIGESTS = {
+    "euler": (["--samples", "60000"],
+              "4ae2dbdff8a41619056aee58d8877bdcbc42377a32483885164f23fb2f1fd1a0"),
+    "fracpower": (["--samples", "50000"],
+                  "fb81aa9126c70d32dc653844373c91feb2e62b5a804a356697be0e16a7a1c141"),
+    "saigo": (["--samples", "60000"],
+              "58ae70217a8f55f58c1099fd33aa6423d1d24f4b70e7d892359fa919b7a9a88a"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_MULTIBLOCK_DIGESTS))
+def test_verify_multiblock_output_pinned(capsys, suite):
+    flags, digest = _VERIFY_MULTIBLOCK_DIGESTS[suite]
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", suite, *flags, "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _BAD_FLAGS = (["--bogus"], ["--samples", "ten"], ["--samples", "-3"],
               ["--p", "9"], ["--kmax", "-1"], ["--kmax", "99"],
               ["--suite", "nope"])

@@ -37,9 +37,17 @@ from mvfrac import (
     sample_uniform_spd_unit,
     verify_sum_density,
 )
-from mvfrac.matsample import _CONE_BLOCK, _EDGE, _TAG_CONE, _cone_raw, _rect_raw
+from mvfrac.matsample import (
+    _CONE_BLOCK,
+    _CONE_RATE,
+    _CONE_SLACK,
+    _EDGE,
+    _TAG_CONE,
+    _cone_raw,
+    _rect_raw,
+)
 from mvfrac.rng import derive_key, uniforms
-from mvfrac.spdcore import _batch_det, check_spd, rect_transform
+from mvfrac.spdcore import _batch_det, check_spd, rect_transform, stiefel_constant
 from mvfrac.verify import _gamma_cdf
 
 
@@ -226,15 +234,22 @@ def _cone_reference(p, seed, n_proposals):
 
 
 # seeds whose first five blocks hold an acceptance on a block's first
-# proposal (after block 0) and one on a block's last proposal
-@pytest.mark.parametrize("p,seed", [(1, 11), (2, 2), (3, 185)])
+# proposal (after block 0) and one on a block's last proposal; at (2, 7)
+# and (3, 185) some n below 200 also has a first block, sized for n draws,
+# that falls short and is finished by a second one.  At p = 1 only the
+# edge layer is rejected, so a first block never falls short
+@pytest.mark.parametrize("p,seed", [(1, 11), (2, 2), (2, 7), (3, 185)])
 def test_cone_blocks_match_one_pass_reference(p, seed):
     hits, w, det_w, det_v = _cone_reference(p, seed, 5 * _CONE_BLOCK)
     offset = hits % _CONE_BLOCK
     on_first = np.flatnonzero((offset == 0) & (hits >= _CONE_BLOCK))[0]
     on_last = np.flatnonzero(offset == _CONE_BLOCK - 1)[0]
     deep = np.searchsorted(hits, 4 * _CONE_BLOCK + _CONE_BLOCK // 2)
-    for n in (on_first + 1, on_last + 1, deep):
+    few = np.arange(1, 200)
+    first_block = [math.ceil(_CONE_SLACK * n / _CONE_RATE[p]) for n in few]
+    short = few[hits[:few.size] >= first_block]
+    assert (short.size > 0) == ((p, seed) in ((2, 7), (3, 185)))
+    for n in (2, on_first + 1, on_last + 1, deep, *short[-2:]):
         got_w, got_dw, got_dv, n_proposals = _cone_raw(p, n, seed)
         assert n_proposals == hits[n - 1] + 1
         assert np.array_equal(got_w, w[:n])
@@ -461,6 +476,66 @@ def test_sum_density_blocks_match_whole_stack(p, r1, r2):
         assert rep["cases"][2]["statistic"] == stat
     else:
         assert len(rep["cases"]) == 2
+
+
+def _one_stack_estimate(h, p, m, scale=1.0):
+    """(value, stderr) of the hit-or-miss estimate from the weighted values
+    h of one whole stack of draws, m proposals and an outside scale."""
+    box = 2.0 ** (p * (p - 1) // 2)
+    total = float(np.sum(h))
+    var = (float(np.sum(np.square(h))) - total * total / m) / (m - 1)
+    return (box * total / m * scale,
+            box * math.sqrt(max(var, 0.0) / m) * scale)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_streamed_estimators_match_whole_stack(p):
+    # the estimators weigh each block of draws as it is drawn and keep only
+    # the weighted values; over three and a half blocks every estimate
+    # equals the one computed from the whole (n, p, p) stack at once
+    n, seed = 3 * _CONE_BLOCK + _CONE_BLOCK // 2, 7
+    w, det_w, det_v, m = _cone_raw(p, n, seed)
+    half = 0.5 * (p + 1)
+    traces = lambda x: np.trace(x, axis1=1, axis2=2)
+
+    est = mc_integrate_unit_cone(traces, p, n, seed)
+    assert (est.value, est.stderr) == _one_stack_estimate(traces(w), p, m)
+    s, t = p + 0.5, p + 1.0
+    est = mc_integrate_unit_cone(traces, p, n, seed, shapes=(s, t))
+    h = det_v ** (t - half) * det_w ** (s - half) * traces(w)
+    assert (est.value, est.stderr) == _one_stack_estimate(h, p, m)
+    assert est.n == n and est.n_proposals == m
+
+    r, alpha, eta = p + 1, 1.5, 1.0
+    cfg = RectConfig.with_identity_weights(p, r)
+    z = SpdMatrix(np.array([[1.2, 0.3], [0.3, 0.8]])[:p, :p])
+    est = frac_integral_numeric(FracOrder(alpha, cfg), z, DetPowerOperand(eta),
+                                n, seed)
+    root = z.matrix_power(0.5)
+    x = (w.reshape(-1, p * p) @ np.kron(root, root).T).reshape(w.shape)
+    h = (det_v ** (alpha - half) * det_w ** (0.5 * r - half)
+         * _batch_det(x) ** eta)
+    scale = math.exp(stiefel_constant(p, r) - cfg.log_weight_factor
+                     - log_matrix_gamma(p, alpha)
+                     + (alpha + 0.5 * r - half) * z.log_det)
+    assert (est.value, est.stderr) == _one_stack_estimate(h, p, m, scale)
+    assert est.n == n and est.n_proposals == m
+
+
+def test_streamed_estimator_memory_stays_below_one_stack():
+    # the operator keeps n weighted values and one block of draws; the
+    # whole-stack version held the (n, 2, 2) W and X stacks at its peak
+    n = 100_000
+    order = FracOrder(1.5, RectConfig.with_identity_weights(2, 3))
+    z = SpdMatrix(np.array([[1.2, 0.3], [0.3, 0.8]]))
+    frac_integral_numeric(order, z, DetPowerOperand(1.0), 100, 1)  # imports
+    tracemalloc.start()
+    try:
+        frac_integral_numeric(order, z, DetPowerOperand(1.0), n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 2 * 2 * 8
 
 
 def test_sum_density_memory_stays_below_one_stack():
