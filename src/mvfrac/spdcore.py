@@ -232,21 +232,21 @@ class RectConfig:
 def rect_transform(X, cfg):
     """A^(1/2) X B X' A^(1/2) for each matrix of an (n, p, r) stack.
 
-    Returns the plain (n, p, p) array of transforms, left to the caller to
-    validate; check_full_rank refuses rank-deficient X.  Products are
-    symmetrized to scrub float asymmetry.
+    Returns the plain C-contiguous (n, p, p) array of transforms, left to
+    the caller to validate; check_full_rank refuses rank-deficient X.
+    Products are symmetrized to scrub float asymmetry.
     """
     if X.ndim != 3 or X.shape[1:] != (cfg.p, cfg.r):
         raise DimensionError(
             f"X has shape {X.shape}, config expects (n, {cfg.p}, {cfg.r})")
-    ax = cfg._roots[0] @ X
-    # the last product stays an einsum: a BLAS matmul rounds its sums
-    # differently (fused multiply-adds), which changes the output bytes
-    # even at identity weights
-    z = np.einsum("nik,njk->nij", ax @ cfg.B.entries, ax)
+    # (n, p, r) views of (p, n, r) buffers, where the einsum adds in the same
+    # order (a BLAS matmul would not) several times faster; see README
+    ax, axb = np.empty((2, cfg.p, len(X), cfg.r)).transpose(0, 2, 1, 3)
+    np.matmul(np.matmul(cfg._roots[0], X, out=ax), cfg.B.entries, out=axb)
+    z = np.einsum("nik,njk->nij", axb, ax)
     z += z.transpose(0, 2, 1)
     z *= 0.5
-    return z
+    return np.ascontiguousarray(z)
 
 
 def stiefel_constant(p, r):

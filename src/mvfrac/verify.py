@@ -402,13 +402,13 @@ def suite_sumdensity(p=None, r1=None, r2=None, samples=100_000, seed=42):
 
     With no dimension given, runs the two canonical instances: the scalar
     exponential case (p=1, orders 1 and 1, with the distribution test) and
-    the p=2 moment case with orders 3 and 4.
+    the p=2 moment case with orders 3 and 4, whose orders are fixed.
     """
-    if p is None:
-        instances = [(1, 1, 1), (2, 3, 4)]
-    else:
-        instances = [(p, r1 if r1 is not None else p,
-                      r2 if r2 is not None else p)]
+    if p is None and (r1, r2) != (None, None):
+        flag = "--r2" if r1 is None else "--r1"
+        raise ParameterDomainError(f"{flag} needs --p; canonical instances fix their orders")
+    instances = ([(1, 1, 1), (2, 3, 4)] if p is None else
+                 [(p, p if r1 is None else r1, p if r2 is None else r2)])
     cases = []
     for pp, rr1, rr2 in instances:
         rep = verify_sum_density(RectConfig.with_identity_weights(pp, rr1),

@@ -226,6 +226,20 @@ def test_verify_sumdensity_half_integer_shape(capsys):
     assert ks["name"] == "ks-distribution" and ks["pass"]
 
 
+@pytest.mark.parametrize("flags,flag", [(["--r1", "3"], "--r1"),
+                                        (["--r2", "4"], "--r2"),
+                                        (["--r1", "3", "--r2", "4"], "--r1")])
+def test_verify_sumdensity_orders_need_dimension(capsys, flags, flag):
+    # the canonical instances fix their own orders, so an order without
+    # --p is refused before any draw instead of being dropped
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "sumdensity", *flags,
+                     "--samples", "2000"]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "ParameterDomainError"
+    assert rec["message"].startswith(f"{flag} needs --p")
+
+
 @pytest.mark.parametrize("suite", ["beta", "euler", "fracpower", "fraczonal",
                                    "saigo", "sumdensity"])
 def test_verify_one_sample_is_domain_error(suite):
@@ -437,6 +451,27 @@ def test_verify_multiblock_output_pinned(capsys, suite):
     flags, digest = _VERIFY_MULTIBLOCK_DIGESTS[suite]
     capsys.readouterr()
     assert cli.main(["verify", "--suite", suite, *flags, "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sum-density bytes above p = 2, where the rectangular transform's last
+# product covers several rows and np.trace sums eight diagonal entries;
+# computed when that product was an einsum over (n, p, r) stacks
+_SUMDENSITY_DIGESTS = {
+    "p3-r3-r5": (["--p", "3", "--r1", "3", "--r2", "5"],
+                 "f429a3660829606f4682f6783269ff1574ad17100d089aabb6d968effeab340a"),
+    "p8-r8-r9": (["--p", "8", "--r1", "8", "--r2", "9"],
+                 "0b340baeb9f1229fa4996904aa76a9489e353d1a04d2a708fcba5b4fa59d1f47"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(_SUMDENSITY_DIGESTS))
+def test_verify_sumdensity_output_pinned(capsys, instance):
+    flags, digest = _SUMDENSITY_DIGESTS[instance]
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "sumdensity", *flags,
+                     "--samples", "4000", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -17,7 +17,7 @@ from mvfrac import (
     stiefel_constant,
 )
 from mvfrac.errors import ParameterDomainError
-from mvfrac.spdcore import check_full_rank, check_spd, matrix_from_rows
+from mvfrac.spdcore import _batch_det, check_full_rank, check_spd, matrix_from_rows
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -169,6 +169,57 @@ def test_rect_transform_oracle():
     direct = ra @ x @ b.entries @ x.T @ ra
     assert_allclose(rect_transform(x[None], cfg)[0],
                     0.5 * (direct + direct.T), rtol=1e-10)
+
+
+def _rect_transform_oracle(X, cfg):
+    # the transform as an einsum over (n, p, r) stacks, whose bytes the
+    # pinned sum-density outputs were computed from
+    ax = cfg._roots[0] @ X
+    z = np.einsum("nik,njk->nij", ax @ cfg.B.entries, ax)
+    z += z.transpose(0, 2, 1)
+    z *= 0.5
+    return z
+
+
+def _assert_same_bytes(x, cfg):
+    got, want = rect_transform(x, cfg), _rect_transform_oracle(x, cfg)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    return got, want
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_rect_transform_matches_oracle_bytes(p):
+    # identity weights, the sum-density suite's, at square, near-square and
+    # wide shapes; the transposed view is a stack BLAS cannot take as it is
+    rng = np.random.default_rng(100 + p)
+    for r in sorted({p, p + 1, p + 3, 17, 20}):
+        cfg = RectConfig.with_identity_weights(p, r)
+        x = rng.standard_normal((700, p, r))
+        _assert_same_bytes(x, cfg)
+        _assert_same_bytes(np.ascontiguousarray(x.transpose(0, 2, 1))
+                           .transpose(0, 2, 1), cfg)
+
+
+@pytest.mark.parametrize("p,r", [(1, 4), (3, 17)])
+def test_rect_transform_weighted_matches_oracle_bytes(p, r):
+    # shapes where one GEMM over a block of rows would round the weight
+    # product B differently from one call per matrix
+    rng = np.random.default_rng(10 * p + r)
+    cfg = RectConfig(p, r, _random_spd(rng, p), _random_spd(rng, r))
+    _assert_same_bytes(rng.standard_normal((700, p, r)), cfg)
+
+
+def test_rect_transform_trace_and_det_bytes_at_p8():
+    # np.trace sums the eight diagonal entries pairwise in C order but one
+    # by one over a (p, p, n) layout, so a result left in the einsum's own
+    # memory order changes the trace bytes
+    rng = np.random.default_rng(8)
+    got, want = _assert_same_bytes(rng.standard_normal((700, 8, 9)),
+                                   RectConfig.with_identity_weights(8, 9))
+    assert np.array_equal(np.trace(got, axis1=1, axis2=2),
+                          np.trace(want, axis1=1, axis2=2))
+    assert np.array_equal(_batch_det(got), _batch_det(want))
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 3), (4, 2, 2), (4, 3, 2), (2, 2),
