@@ -2,10 +2,12 @@
 
 The series is a sum over integer partitions: for each weight k every
 partition K contributes a ratio of generalized Pochhammer symbols times the
-zonal polynomial value over k factorial.  A weight's sum is one dot product
-of its Pochhammer ratios with the zonal values, and the weight sums are
-accumulated in fixed order (k ascending) with compensated summation so
-results are byte-reproducible.
+zonal polynomial value over k factorial.  Per weight the series runs one
+in-place product, each partition's Pochhammer ratio from its parent's times
+the factor of the box the parent lacks, and two BLAS products: the zonal
+values, coefficients times monomials, and their dot with the ratios.  The
+weight sums are accumulated in fixed order (k ascending) with compensated
+summation so results are byte-reproducible.
 """
 
 import math
@@ -111,11 +113,12 @@ def _zonal_series(num, den, eigenvalues, trunc):
     beyond_balanced = len(num) > len(den) + 1
     for k in range(trunc.k_max + 1):
         lo, hi = table.offsets[k], table.offsets[k + 1]
+        pk = poch[lo:hi]
         if k:
             inv_fact /= k
-            poch[lo:hi] = poch[table.parent[lo:hi]] * box[lo:hi]
-        wsum = float(poch[lo:hi] @ (table.coeffs[k] @ m[lo:hi])) * inv_fact
-        all_poch_zero = k > 0 and not poch[lo:hi].any()
+            # every parent sits in a lower weight, so nothing aliases
+            np.multiply(poch[table.parent[lo:hi]], box[lo:hi], out=pk)
+        wsum = float(pk @ (table.coeffs[k] @ m[lo:hi])) * inv_fact
         y = wsum - comp
         t = value + y
         comp = (t - value) - y
@@ -130,8 +133,9 @@ def _zonal_series(num, den, eigenvalues, trunc):
         else:
             growth = 0
         weight_sums.append(sk)
-        if all_poch_zero:
-            # a fully vanished weight stays vanished: the series terminated
+        # a fully vanished weight stays vanished: the series terminated;
+        # only a weight summing to 0 or NaN can be all zero
+        if k and not sk > 0.0 and np.count_nonzero(pk) == 0:
             break
     last = weight_sums[-1]
     prev = weight_sums[-2] if len(weight_sums) > 1 else 0.0

@@ -333,11 +333,13 @@ def _weighted(f, p, shapes):
 def _indicator_estimate(cone, p, seed):
     """Hit-or-miss estimate from _cone_raw's (values, _, _, n_proposals),
     one value per accepted draw; rejected proposals enter the mean and
-    variance as exact zeros, over the p-dimensional proposal box."""
+    variance as exact zeros, over the p-dimensional proposal box.  Squares
+    the values in place: a second n-vector freed at the heap top would trim
+    the heap, and the next call would fault its pages in again."""
     h, _, _, m = cone
     n = as_int(h.size, "sample count", 2)
     total = float(np.sum(h))
-    total_sq = float(np.sum(np.square(h)))
+    total_sq = float(np.sum(np.square(h, out=h)))
     value = _BOX_VOLUME[p] * total / m
     var = (total_sq - total * total / m) / (m - 1)
     stderr = _BOX_VOLUME[p] * math.sqrt(max(var, 0.0) / m)

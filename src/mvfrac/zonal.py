@@ -121,7 +121,7 @@ class ZonalTable:
     """Zonal coefficients for all partitions of weight <= k_max with at most
     p parts, and the arrays that evaluation runs on.
 
-    Partitions are numbered weight by weight in ``weight_partitions`` order
+    Partitions are numbered weight by weight in ``partitions_of`` order
     (``weights[k]``), so everything up to a weight k is the prefix
     ``[:offsets[k + 1]]``.  ``coeffs[k]`` is the dense coefficient matrix of
     weight k (rows kappa, columns mu), and the only store of coefficients;
@@ -130,12 +130,17 @@ class ZonalTable:
     removing the last box of its last row and that box's content
     (column - row / 2, both from 0), from which the Pochhammer products
     follow box by box.
+
+    ``monomials`` runs one pass per variable.  A pass stores its terms'
+    sources and exponents as (width, rows), a few terms per row, and sums
+    over the leading axis: numpy adds those slices in order, the same left
+    fold as along a short last axis, so each value keeps the bits of a
+    per-row sum over (rows, width) at a fraction of its cost.
     """
 
     def __init__(self, p, weights, coeffs):
         self.k_max = len(weights) - 1
         self.p = p
-        self._weights = weights
         self.coeffs = coeffs
         flat = [kappa for plist in weights for kappa in plist]
         self._index = {kappa: i for i, kappa in enumerate(flat)}
@@ -150,8 +155,8 @@ class ZonalTable:
         # = sum_e x_j**e m_{lam - e}(x_1..x_{j-1}) over the distinct parts
         # e of lam, plus e = 0 while lam has fewer than j parts.  Pass j > 1
         # holds the partitions with at most j parts, the number of them up
-        # to each weight, and their (source, e) terms as rows of equal
-        # width; the unused slots read source -1, which monomials keeps 0.
+        # to each weight, and their (source, e) terms as columns of equal
+        # height; the unused slots read source -1, which monomials keeps 0.
         self._one_part = np.array([0] + [self._index[(k,)]
                                          for k in range(1, self.k_max + 1)])
         removals = [[(self._index[kappa[:i] + kappa[i + 1:]], kappa[i])
@@ -165,22 +170,11 @@ class ZonalTable:
             terms = [([(i, 0)] if len(flat[i]) < j else []) + removals[i]
                      for i in targets]
             width = max(map(len, terms))
-            src = np.full((len(terms), width), -1, dtype=np.intp)
+            src = np.full((width, len(terms)), -1, dtype=np.intp)
             exps = np.zeros_like(src)
             for row, pairs in enumerate(terms):
-                src[row, :len(pairs)], exps[row, :len(pairs)] = zip(*pairs)
+                src[:len(pairs), row], exps[:len(pairs), row] = zip(*pairs)
             self._passes.append((np.array(targets), counts, src, exps))
-
-    def row(self, K):
-        """Nonzero monomial coefficients of the polynomial for K, keyed by
-        part tuples."""
-        K, i = self._position(K)
-        k = K.weight
-        row = self.coeffs[k][i - self.offsets[k]].tolist()
-        return {mu: c for mu, c in zip(self._weights[k], row) if c}
-
-    def weight_partitions(self, k):
-        return self._weights[k]
 
     def _position(self, K):
         """(K as a Partition, its index in table order)."""
@@ -214,9 +208,9 @@ class ZonalTable:
         for j, (targets, counts, src, exps) in enumerate(self._passes[:d - 1],
                                                          1):
             rows = counts[k_max]
-            terms = m[src[:rows]] * powers[j, exps[:rows]]
+            terms = m[src[:, :rows]] * powers[j, exps[:, :rows]]
             m = np.zeros_like(m)
-            m[targets[:rows]] = terms.sum(axis=1)
+            m[targets[:rows]] = terms.sum(axis=0)
         return m[:size]
 
     def value(self, K, eigenvalues):

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import functools
 import itertools
 import math
 import os
@@ -39,6 +40,55 @@ def brute_monomial(mu, eigs):
     exps = tuple(mu) + (0,) * (len(eigs) - len(mu))
     return sum(math.prod(x ** e for x, e in zip(eigs, perm))
                for perm in set(itertools.permutations(exps)))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_passes(k_max, p):
+    # the monomial passes in their original (rows, width) layout, built from
+    # the partitions in table order as ZonalTable numbers them
+    flat = [q.parts for k in range(k_max + 1)
+            for q in mvfrac.partitions_of(k, p)]
+    index = {kappa: i for i, kappa in enumerate(flat)}
+    offsets = list(itertools.accumulate(
+        [len(mvfrac.partitions_of(k, p)) for k in range(k_max + 1)],
+        initial=0))
+    one_part = np.array([0] + [index[(k,)] for k in range(1, k_max + 1)])
+    removals = [[(index[kappa[:i] + kappa[i + 1:]], kappa[i])
+                 for i in range(len(kappa))
+                 if i == 0 or kappa[i] != kappa[i - 1]]
+                for kappa in flat]
+    passes = []
+    for j in range(2, p + 1):
+        targets = [i for i, kappa in enumerate(flat) if len(kappa) <= j]
+        counts = np.searchsorted(targets, offsets[1:]).tolist()
+        terms = [([(i, 0)] if len(flat[i]) < j else []) + removals[i]
+                 for i in targets]
+        width = max(map(len, terms))
+        src = np.full((len(terms), width), -1, dtype=np.intp)
+        exps = np.zeros_like(src)
+        for row, pairs in enumerate(terms):
+            src[row, :len(pairs)], exps[row, :len(pairs)] = zip(*pairs)
+        passes.append((np.array(targets), counts, src, exps))
+    return offsets, one_part, passes
+
+
+def reference_monomials(table, eigenvalues, k_max):
+    """ZonalTable.monomials as one (rows, width) array per pass, each
+    summed over its rows' terms along axis 1: the layout the table used
+    before its passes were stored (width, rows)."""
+    offsets, one_part, passes = _reference_passes(table.k_max, table.p)
+    x = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float).T)
+    size = offsets[k_max + 1]
+    exponents = np.arange(k_max + 1).reshape((-1,) + (1,) * (x.ndim - 1))
+    powers = x[:, None] ** exponents
+    m = np.zeros((size + 1,) + x.shape[1:])
+    m[one_part[:k_max + 1]] = powers[0]
+    for j, (targets, counts, src, exps) in enumerate(passes[:len(x) - 1], 1):
+        rows = counts[k_max]
+        terms = m[src[:rows]] * powers[j, exps[:rows]]
+        m = np.zeros_like(m)
+        m[targets[:rows]] = terms.sum(axis=1)
+    return m[:size]
 
 
 def spd_from_eigs(eigs, seed=0):

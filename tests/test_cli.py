@@ -347,6 +347,15 @@ _EVAL_DIGESTS = [
     (["fracint-zonal", "--r", "2", "--alpha", "1.5", "--k", "30,1,1",
       "--z", "[[1.1,0.3],[0.3,0.8]]"], 0,
      "3d05268ae57eac87f90c3e7a55b80228e2ab9246159ce36320d7a050fe0bd538"),
+    # the series above p = 2, with several monomial passes per argument
+    (["hyper", "--num", "0.7,1.3", "--den", "1.9", "--eigs", "0.3,0.2,0.1",
+      "--kmax", "30"], 0,
+     "b1845e359459fe5c39b193fcf6ce6efbc6ea556705673c6293eac925107eec1d"),
+    (["hyper", "--num", "1.1", "--eigs", "0.3,0.2,0.1,0.05", "--kmax", "25"],
+     0, "90e455be6b0a03711b2b6011854fe189868a4d2d746d471ccf2c68eb61e38207"),
+    (["hyper", "--num", "0.8", "--den", "2.3", "--eigs",
+      "0.25,0.2,0.15,0.1,0.05", "--kmax", "20"], 0,
+     "d97fd313006cb9224183733fb3374975291a4742f3dc4b45839308b736dd99db"),
 ]
 
 

@@ -23,6 +23,7 @@ from mvfrac import (
     ParameterDomainError,
     Partition,
     RectConfig,
+    SeriesResult,
     SpdMatrix,
     Truncation,
     build_zonal_table,
@@ -48,7 +49,7 @@ from mvfrac import (
     zonal_eval,
 )
 
-from conftest import brute_monomial, spd_from_eigs
+from conftest import brute_monomial, reference_monomials, spd_from_eigs
 
 
 def _scalar_pfq(num, den, z, k_max):
@@ -129,7 +130,8 @@ def _per_row_series(num, den, eigs, k_max, table):
     # value row by row from brute-force monomials
     total = 0.0
     for k in range(k_max + 1):
-        for K in table.weight_partitions(k):
+        plist = [q.parts for q in partitions_of(k, table.p)]
+        for K, row in zip(plist, table.coeffs[k].tolist()):
             if len(K) > len(eigs):
                 continue
             ratio = 1.0
@@ -140,7 +142,7 @@ def _per_row_series(num, den, eigs, k_max, table):
                     for b in den:
                         ratio /= b + j - 0.5 * i
             cz = sum(c * brute_monomial(mu, eigs)
-                     for mu, c in table.row(K).items())
+                     for mu, c in zip(plist, row) if c)
             total += ratio * cz / math.factorial(k)
     return total
 
@@ -161,6 +163,127 @@ def test_matches_per_row_reference(p, k_max, num, den, eigs):
     want = _per_row_series(num, den, z.eigenvalues.tolist(), k_max,
                            fetch_table(k_max, p))
     assert got.value == pytest.approx(want, rel=1e-12)
+
+
+def _reference_series(num, den, eigenvalues, k_max):
+    """The series as one slice-assigned Pochhammer product and one any()
+    termination test per weight, on the (rows, width) monomial passes;
+    returns the SeriesResult and the last weight summed."""
+    table = fetch_table(k_max, len(eigenvalues))
+    m = reference_monomials(table, eigenvalues, k_max)
+    size = len(m)
+    shift = table.box_shift[1:size]
+    box = np.ones(size)
+    for a in num:
+        box[1:] *= a + shift
+    for b in den:
+        factor = b + shift
+        if (np.abs(factor) <= 1e-12).any():
+            raise ParameterDomainError(
+                f"denominator parameter {b} hits a Pochhammer zero within "
+                f"k_max={k_max}")
+        box[1:] /= factor
+    poch = np.ones(size)
+    value = comp = 0.0
+    inv_fact = 1.0
+    weight_sums = []
+    growth = 0
+    for k in range(k_max + 1):
+        lo, hi = table.offsets[k], table.offsets[k + 1]
+        if k:
+            inv_fact /= k
+            poch[lo:hi] = poch[table.parent[lo:hi]] * box[lo:hi]
+        wsum = float(poch[lo:hi] @ (table.coeffs[k] @ m[lo:hi])) * inv_fact
+        all_poch_zero = k > 0 and not poch[lo:hi].any()
+        y = wsum - comp
+        t = value + y
+        comp = (t - value) - y
+        value = t
+        sk = abs(wsum)
+        if weight_sums and sk > weight_sums[-1] > 0.0:
+            growth += 1
+            if len(num) > len(den) + 1 and growth >= 5:
+                raise NonConvergenceError(
+                    f"weight sums grew for 5 consecutive weights "
+                    f"(k={k}); the series is diverging")
+        else:
+            growth = 0
+        weight_sums.append(sk)
+        if all_poch_zero:
+            break
+    last = weight_sums[-1]
+    prev = weight_sums[-2] if len(weight_sums) > 1 else 0.0
+    if last == 0.0:
+        ratio = tail = 0.0
+    elif prev > 0.0:
+        ratio = last / prev
+        tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    else:
+        ratio = tail = math.inf
+    return SeriesResult(value, tail, last, ratio), k
+
+
+def _same_series(num, den, eigs, k_max):
+    """hyper_pfq at diag(eigs) against _reference_series: every field of
+    the result, or the error type and message, must agree exactly."""
+    z = SpdMatrix.diagonal(eigs)
+    try:
+        want, k_stop = _reference_series(num, den, z.eigenvalues.tolist(),
+                                         k_max)
+    except (NonConvergenceError, ParameterDomainError) as exc:
+        with pytest.raises(type(exc)) as got:
+            hyper_pfq(HyperParams(num, den), z, Truncation(k_max))
+        assert str(got.value) == str(exc)
+        return None
+    got = hyper_pfq(HyperParams(num, den), z, Truncation(k_max))
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+    return k_stop
+
+
+_BITWISE_PARAMS = [((), ()), ((0.7,), ()), ((0.7, 1.3), (1.9,)),
+                   ((1.5, 0.4), (2.2,)), ((-1.5,), (2.5, 0.3)),
+                   ((0.8,), (2.3,))]
+
+
+@pytest.mark.parametrize("p,k_max", [
+    (p, k_max) for p in range(1, 6) for k_max in (0, 1, 12, 20)
+] + [(p, 30) for p in range(1, 4)])
+def test_series_matches_reference_bitwise(p, k_max):
+    eigs = np.linspace(0.3, 0.05, p)
+    for num, den in _BITWISE_PARAMS:
+        assert _same_series(num, den, eigs, k_max) == k_max
+
+
+def test_terminating_series_match_reference_bitwise():
+    # (-1)_kappa vanishes once the first row reaches 2, so at p = 2 the
+    # series stops after weight 3; a zero numerator stops after weight 1
+    assert _same_series((-1.0,), (), (0.4, 0.2), 25) == 3
+    assert _same_series((0.0,), (1.5,), (0.4, 0.2, 0.1), 25) == 1
+    res = hyper_pfq(HyperParams((0.0,), (1.5,)),
+                    SpdMatrix.diagonal((0.4, 0.2, 0.1)), Truncation(25))
+    assert (res.value, res.tail_estimate, res.ratio) == (1.0, 0.0, 0.0)
+
+
+def test_divergence_and_domain_errors_match_reference():
+    # 2F0 diverges at the same weight with the same message, and a
+    # denominator on the Pochhammer lattice is refused alike
+    with pytest.raises(NonConvergenceError):
+        _reference_series((1.5, 2.0), (), [0.9, 0.5], 25)
+    assert _same_series((1.5, 2.0), (), (0.9, 0.5), 25) is None
+    with pytest.raises(ParameterDomainError):
+        _reference_series((1.0,), (0.5,), [0.3, 0.3], 2)
+    assert _same_series((1.0,), (0.5,), (0.3, 0.3), 2) is None
+
+
+def test_nan_weight_sums_match_reference():
+    # at an overflowing argument the weight sums turn NaN: with Pochhammer
+    # ratios of both signs the series runs on to k_max, and with all of a
+    # weight's ratios zero it stops there, as the reference does
+    with warnings.catch_warnings(), np.errstate(over="ignore",
+                                                invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _same_series((-0.5,), (1.5,), (1e200, 2e199), 8) == 8
+        assert _same_series((-1.0,), (1.5,), (1e200, 2e199), 8) == 3
 
 
 @pytest.mark.parametrize("b", [-6.0, 0.5])

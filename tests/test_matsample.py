@@ -44,6 +44,7 @@ from mvfrac.matsample import (
     _EDGE,
     _TAG_CONE,
     _cone_raw,
+    _indicator_estimate,
     _rect_raw,
 )
 from mvfrac.rng import derive_key, uniforms
@@ -536,6 +537,27 @@ def test_streamed_estimator_memory_stays_below_one_stack():
     finally:
         tracemalloc.stop()
     assert peak < n * 2 * 2 * 8
+
+
+def test_indicator_estimate_squares_in_place():
+    # the sum of squares reuses the values' buffer: a second n-vector of
+    # squares would double the estimator's footprint for one sum
+    n = 200_000
+    h = np.random.default_rng(5).uniform(0.0, 2.0, n)
+    want_sum, want_sq = math.fsum(h), math.fsum(h * h)
+    _indicator_estimate((h[:10].copy(), None, None, 20), 1, 1)  # imports
+    nbytes = h.nbytes
+    tracemalloc.start()
+    try:
+        est = _indicator_estimate((h, None, None, 2 * n), 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes / 2
+    assert est.n == n and est.n_proposals == 2 * n
+    assert est.value == pytest.approx(want_sum / (2 * n), rel=1e-12)
+    var = (want_sq - want_sum ** 2 / (2 * n)) / (2 * n - 1)
+    assert est.stderr == pytest.approx(math.sqrt(var / (2 * n)), rel=1e-9)
 
 
 def test_sum_density_memory_stays_below_one_stack():

@@ -41,7 +41,7 @@ from mvfrac import (
     zonal_eval,
 )
 
-from conftest import brute_monomial, spd_from_eigs
+from conftest import brute_monomial, reference_monomials, spd_from_eigs
 
 
 def test_weight_one_is_trace():
@@ -178,9 +178,31 @@ def test_monomial_value_matches_permutation_sum(d):
                 want[0], rel=1e-12)
 
 
+_SERIES_CASES = [(p, k_max) for p in range(1, 6) for k_max in (0, 1, 12, 20)
+                 ] + [(p, 30) for p in range(1, 4)]
+
+
+@pytest.mark.parametrize("p,k_max", _SERIES_CASES)
+def test_monomials_match_row_layout_bitwise(p, k_max):
+    # the passes sum over their leading (width) axis; numpy sums a short
+    # axis as a left fold either way, so every value keeps its bits
+    table = fetch_table(k_max, p)
+    rng = np.random.default_rng(100 * p + k_max)
+    for d in range(1, p + 1):
+        eigs = np.sort(rng.uniform(0.05, 0.9, d))[::-1]
+        want = reference_monomials(table, eigs, k_max)
+        assert table.monomials(eigs, k_max).tobytes() == want.tobytes()
+        if k_max <= 6:
+            stack = np.sort(rng.uniform(0.05, 2.0, (5, d)), axis=1)[:, ::-1]
+            want = reference_monomials(table, stack, k_max)
+            got = table.monomials(stack, k_max)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_table_methods_take_every_partition_form():
-    # value, row and monomial_value read a tuple, a list or a Partition
-    # alike, for one argument and for a stack
+    # value and monomial_value read a tuple, a list or a Partition alike,
+    # for one argument and for a stack
     table = fetch_table(3, 2)
     eigs = np.array([[0.7, 0.2], [1.5, 0.4], [0.3, 0.3]])
     for K in partitions_of(3, 2):
@@ -189,7 +211,6 @@ def test_table_methods_take_every_partition_form():
                 want = np.asarray(method(K, x)).tobytes()
                 for form in (K.parts, list(K.parts)):
                     assert np.asarray(method(form, x)).tobytes() == want
-        assert table.row(K.parts) == table.row(K)
 
 
 def test_empty_partition_is_constant_one():
@@ -265,10 +286,11 @@ def test_coefficients_match_exact_rationals():
         table = build_zonal_table(k_max, p)
         for k in range(k_max + 1):
             exact = _exact_weight(k, 5)
-            for kappa in table.weight_partitions(k):
+            plist = [q.parts for q in partitions_of(k, p)]
+            for kappa, row in zip(plist, table.coeffs[k].tolist()):
                 want = {mu: c for mu, c in exact[kappa].items()
                         if len(mu) <= p}
-                got = table.row(kappa)
+                got = {mu: c for mu, c in zip(plist, row) if c}
                 assert got.keys() == want.keys()
                 for mu, c in want.items():
                     assert abs(got[mu] - c) <= 1e-12 * c, (p, kappa, mu)
@@ -304,7 +326,7 @@ def test_trace_identity_and_identity_values(k_max, p):
             lo, hi = table.offsets[k], table.offsets[k + 1]
             total = (table.coeffs[k] @ m[lo:hi]).sum()
             assert total == pytest.approx(eigs.sum() ** k, rel=1e-12)
-    top = table.weight_partitions(k_max)
+    top = [q.parts for q in partitions_of(k_max, p)]
     for kappa in top[::7] + top[-3:]:
         assert zonal_at_identity(kappa, p) == pytest.approx(
             _hook_identity_value(kappa, p), rel=1e-12)
@@ -313,7 +335,7 @@ def test_trace_identity_and_identity_values(k_max, p):
                                                     table.offsets[k + 1]]
                              for k in range(k_max + 1)])
     want = [_hook_identity_value(kappa, p)
-            for k in range(k_max + 1) for kappa in table.weight_partitions(k)]
+            for k in range(k_max + 1) for kappa in partitions_of(k, p)]
     np.testing.assert_allclose(values, want, rtol=1e-12)
 
 
