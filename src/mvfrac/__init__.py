@@ -48,7 +48,6 @@ from .hyperseries import (
 from .matsample import (
     MatrixGammaSpec,
     McEstimate,
-    cone_acceptance_report,
     mc_integrate_unit_cone,
     sample_matrix_gamma,
     sample_rect_exponential,
@@ -59,7 +58,6 @@ from .rng import derive_key, gamma_variates, normals, uniforms
 from .spdcore import (
     RectConfig,
     SpdMatrix,
-    ordering_lt,
     rect_transform,
     stiefel_constant,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "Truncation",
     "ZonalTable",
     "build_zonal_table",
-    "cone_acceptance_report",
     "derive_key",
     "fetch_table",
     "frac_integral_numeric",
@@ -113,7 +110,6 @@ __all__ = [
     "log_matrix_gamma_partition",
     "mc_integrate_unit_cone",
     "normals",
-    "ordering_lt",
     "partitions_of",
     "pathway_det_limit",
     "pathway_factor",

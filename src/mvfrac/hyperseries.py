@@ -218,15 +218,16 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
 def pathway_det_limit(q, Z):
     """|I + (q-1) Z|**(-1/(q-1)), the pathway deformation of exp(-trace Z).
 
-    Takes the non-negative eigenvalues of Z as a 1-d array (the
+    Takes the non-negative eigenvalues of Z as a non-empty 1-d array (the
     zero-spectrum limit case is a legitimate input and gives exactly 1).
     Evaluated through log1p on the eigenvalues so q near 1 stays accurate.
     """
     if not q > 1.0:
         raise ParameterDomainError(f"pathway requires q > 1, got q={q}")
     eigs = np.asarray(Z, dtype=float)
-    if eigs.ndim != 1:
-        raise DimensionError("expected a 1-d eigenvalue array")
+    if eigs.ndim != 1 or eigs.size == 0:
+        raise DimensionError(
+            f"expected a non-empty 1-d eigenvalue array, got shape {eigs.shape}")
     if np.any(eigs < 0.0):
         raise ParameterDomainError(
             f"eigenvalues must be non-negative, got {eigs.tolist()}")

@@ -52,13 +52,14 @@ __all__ = [
     "sample_rect_exponential",
     "sample_uniform_spd_unit",
     "sample_type1_beta",
-    "cone_acceptance_report",
     "mc_integrate_unit_cone",
 ]
 
-# stream tags; diagonal gamma streams add the row index to the base
+# stream tags.  A matrix gamma stack keys row j's gamma variates with its
+# base + j and its off-diagonal normals with base + _GAMMA_OFF, so it has at
+# most _GAMMA_OFF rows
 _TAG_GAMMA_DIAG = 0x100
-_TAG_GAMMA_OFF = 0x1F0
+_GAMMA_OFF = 0xF0
 _TAG_RECT = 0x200
 _TAG_CONE = 0x300
 _TAG_BETA_FIRST = 0x400
@@ -139,6 +140,9 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     """n matrix gamma draws as an (n, p, p) array, W = T T', positive
     definite because the triangular T has a positive diagonal; a stack with
     a variate that underflowed to zero, or a non-finite W, is refused."""
+    if p > _GAMMA_OFF:
+        raise ParameterDomainError(
+            f"matrix gamma dimension must be at most {_GAMMA_OFF}, got {p}")
     n = as_int(n, "sample count", 1)
     t = np.zeros((n, p, p))
     for j in range(p):
@@ -146,7 +150,7 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
         t[:, j, j] = np.sqrt(gamma_variates(key, shape - 0.5 * j, n))
     i, j = np.tril_indices(p, -1)
     if i.size:
-        key = derive_key(seed, tag_base + 0xF0)
+        key = derive_key(seed, tag_base + _GAMMA_OFF)
         t[:, i, j] = normals(key, 0, n * i.size).reshape(n, -1) * math.sqrt(0.5)
     with np.errstate(over="ignore"):  # an overflowed W is refused below
         w = t @ t.transpose(0, 2, 1)
@@ -158,8 +162,9 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
 
 
 def sample_matrix_gamma(spec, n, seed):
-    """n independent matrix gamma draws for the given spec, as one
-    (n, p, p) array certified positive definite by construction."""
+    """n independent matrix gamma draws for the given spec, dimension at
+    most 240, as one (n, p, p) array certified positive definite by
+    construction."""
     return _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
 
 
@@ -294,20 +299,6 @@ def sample_uniform_spd_unit(p, n, seed):
     """n uniform draws from {W : W > 0, I - W > 0}, as one (n, p, p) array
     certified by the _EDGE margin on every leading minor."""
     return _cone_raw(p, n, seed)[0]
-
-
-def cone_acceptance_report(p, n, seed):
-    """Acceptance statistics of the rejection sampler, for sizing runs."""
-    w, _, _, n_proposals = _cone_raw(p, n, seed)
-    n, p, _ = w.shape
-    return {
-        "dimension": p,
-        "accepted": n,
-        "proposals": int(n_proposals),
-        "acceptance_rate": n / n_proposals,
-        "box_volume": _BOX_VOLUME[p],
-        "seed": int(seed),
-    }
 
 
 def _weighted(f, p, shapes):

@@ -1,9 +1,9 @@
 """Symmetric positive definite matrices and the rectangular transform.
 
 This is the one linear-algebra layer.  SpdMatrix validates a matrix that
-comes from outside: exact symmetry, and positive definiteness by the
-eigenvalue rule of _pd_spectrum (every eigenvalue above 1e-12 times the
-largest), which check_spd applies to one matrix or an (n, p, p) stack.
+comes from outside with check_spd: exact symmetry, and positive
+definiteness by the eigenvalue rule (every eigenvalue above 1e-12 times the
+largest), for one matrix or an (n, p, p) stack.
 check_full_rank applies the SVD rank rule to rectangular draws (smallest
 singular value above 1e-10 times the largest).  _batch_det gives the
 determinants of a stack, by cofactors up to p = 3 and by LU beyond.
@@ -27,29 +27,10 @@ __all__ = [
     "RectConfig",
     "rect_transform",
     "stiefel_constant",
-    "ordering_lt",
     "check_spd",
     "check_full_rank",
     "matrix_from_rows",
 ]
-
-# An eigenvalue counts as positive iff it exceeds this times the largest
-# absolute eigenvalue.  Scale-invariant, so S and 1e9*S agree on definiteness.
-_PD_RTOL = 1e-12
-
-
-def _pd_spectrum(m):
-    """(eigenvalues, positive definite) of a symmetric matrix or an (n, p, p)
-    stack: eigenvalues descending along the last axis, and per matrix
-    whether every one exceeds _PD_RTOL times the largest absolute one.
-    That holds exactly when the smallest exceeds _PD_RTOL times the largest,
-    since then all are positive.
-
-    LAPACK's symmetric solver scales extreme entries and does not cancel, so
-    diag(1.0, 1e-10) gives back 1e-10 and diag(1e308, 1e308) stays finite.
-    """
-    eig = np.linalg.eigvalsh(m)[..., ::-1]
-    return eig, eig[..., -1] > _PD_RTOL * eig[..., 0]
 
 
 def _batch_det(m):
@@ -71,7 +52,13 @@ def check_spd(entries):
     """Validate a square matrix, or an (n, p, p) stack, as SpdMatrix does:
     finite entries, exact symmetry and positive definiteness.  Returns the
     eigenvalues, descending along the last axis; the error names the first
-    matrix that fails."""
+    matrix that fails.
+
+    Positive definite means the smallest eigenvalue exceeds 1e-12 times the
+    largest, so S and 1e9*S agree.  LAPACK's symmetric solver scales extreme
+    entries and does not cancel: diag(1.0, 1e-10) gives back 1e-10 and
+    diag(1e308, 1e308) stays finite.
+    """
     if 0 in np.shape(entries)[-2:]:
         raise DimensionError(f"expected a non-empty matrix, got shape {np.shape(entries)}")
     if not np.isfinite(entries).all():
@@ -79,7 +66,8 @@ def check_spd(entries):
     if not (entries == np.swapaxes(entries, -1, -2)).all():
         raise DegenerateInputError(
             "matrix is not exactly symmetric; symmetrize before constructing")
-    eig, ok = _pd_spectrum(entries)
+    eig = np.linalg.eigvalsh(entries)[..., ::-1]
+    ok = eig[..., -1] > 1e-12 * eig[..., 0]
     if not ok.all():
         bad = eig if eig.ndim == 1 else eig[np.argmin(ok)]
         raise DegenerateInputError(
@@ -256,18 +244,6 @@ def stiefel_constant(p, r):
     if r < p:
         raise ParameterDomainError(f"stiefel_constant requires r >= p, got r={r} < p={p}")
     return 0.5 * r * p * math.log(math.pi) - log_matrix_gamma(p, 0.5 * r)
-
-
-def ordering_lt(S1, S2):
-    """True iff S2 - S1 is positive definite (Loewner strict order).
-
-    Irreflexive by construction: the zero difference has no positive
-    eigenvalues at any tolerance.
-    """
-    if S1.dim != S2.dim:
-        raise DimensionError(f"dimension mismatch: {S1.dim} vs {S2.dim}")
-    diff = S2.entries - S1.entries
-    return bool(_pd_spectrum(diff)[1])
 
 
 # ---------------------------------------------------------------------------

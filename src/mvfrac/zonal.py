@@ -30,6 +30,7 @@ from .gammacalc import Partition, partitions_of
 __all__ = [
     "ZonalTable",
     "build_zonal_table",
+    "fetch_table",
     "zonal_eval",
     "zonal_at_identity",
 ]

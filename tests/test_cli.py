@@ -580,6 +580,17 @@ def test_eigs_with_matrix_is_usage_error(capsys, command, matrix):
     assert "mutually exclusive" in captured.err
 
 
+@pytest.mark.parametrize("command", [["pathway", "--q", "1.5"],
+                                     ["zonal", "--k", "1"],
+                                     ["hyper", "--num", "1"]],
+                         ids=["pathway", "zonal", "hyper"])
+def test_empty_eigs_is_dimension_error(capsys, command):
+    capsys.readouterr()
+    assert cli.main(["eval", *command, "--eigs", ","]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "DimensionError"
+
+
 _EXTREME = st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308])
 _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _SCALAR = st.one_of(st.floats(min_value=-5.0, max_value=5.0), _NONFINITE)
@@ -807,6 +818,8 @@ def test_sample_lines_match_records_encoded_alone(stack, kind, seed):
     (["uniform-unit-cone", "--p", "4"],
      "rejection sampling is limited to dimensions 1..3, got 4; "
      "higher dimensions need the beta importance sampler"),
+    (["matrix-gamma", "--p", "241", "--shape", "130"],
+     "matrix gamma dimension must be at most 240, got 241"),
 ])
 def test_sample_domain_messages(capsys, flags, message):
     # refused before any draw, with a message that names the bad value

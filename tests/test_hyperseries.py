@@ -27,7 +27,6 @@ from mvfrac import (
     SpdMatrix,
     Truncation,
     build_zonal_table,
-    cone_acceptance_report,
     derive_key,
     fetch_table,
     gamma_variates,
@@ -381,7 +380,6 @@ _INTEGER_ENTRIES = {
         "sample_uniform_spd_unit": lambda p: sample_uniform_spd_unit(p, 3, 7),
         "mc_integrate_unit_cone": lambda p: mc_integrate_unit_cone(
             _traces, p, 3, 7),
-        "cone_acceptance_report": lambda p: cone_acceptance_report(p, 3, 7),
         "sample_type1_beta": lambda p: sample_type1_beta(p, 2.5, 3.0, 3, 7),
         "SpdMatrix.identity": lambda p: SpdMatrix.identity(p).entries,
         "RectConfig.with_identity_weights":
@@ -537,6 +535,12 @@ def test_pathway_det_limit_frozen():
 
 def test_pathway_det_limit_zero_spectrum_exact():
     assert pathway_det_limit(1.0001, np.zeros(3)) == 1.0
+
+
+def test_pathway_det_limit_refuses_empty_spectrum():
+    # an empty spectrum is a degenerate size, not the zero spectrum
+    with pytest.raises(DimensionError, match="non-empty"):
+        pathway_det_limit(1.5, np.array([]))
 
 
 def test_pathway_det_limit_approaches_exponential():

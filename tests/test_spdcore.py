@@ -1,4 +1,4 @@
-"""Symmetric positive definite wrappers, weighted configurations, ordering."""
+"""Symmetric positive definite wrappers and weighted configurations."""
 
 import math
 
@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 from mvfrac import (
     DegenerateInputError,
     DimensionError,
+    FracOrder,
     RectConfig,
     SpdMatrix,
     log_matrix_gamma,
-    ordering_lt,
     rect_transform,
     stiefel_constant,
 )
@@ -250,6 +250,19 @@ def test_rect_config_dimension_checks():
         RectConfig(2, 3, SpdMatrix.identity(3), SpdMatrix.identity(3))
 
 
+def test_configs_compare_by_weight_entries():
+    # the frozen dataclasses RectConfig and FracOrder take their equality and
+    # hash from SpdMatrix.__eq__ and __hash__, which compare entries
+    a = RectConfig(2, 3, SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
+    b = RectConfig.with_identity_weights(2, 3)
+    c = RectConfig(2, 3, SpdMatrix.diagonal((2.0, 1.0)), SpdMatrix(np.eye(3)))
+    assert a.A is not b.A and a.B is not b.B
+    for x, y, z in ((a, b, c), (FracOrder(1.5, a), FracOrder(1.5, b),
+                                FracOrder(1.5, c))):
+        assert x == y and hash(x) == hash(y)
+        assert x != z
+
+
 def test_stiefel_constant_frozen():
     # (rp/2) log pi - log Gamma_p(r/2); at p=r=1 this is exactly zero
     assert stiefel_constant(1, 1) == pytest.approx(0.0, abs=1e-12)
@@ -257,26 +270,6 @@ def test_stiefel_constant_frozen():
     assert stiefel_constant(2, 2) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ParameterDomainError):
         stiefel_constant(3, 2)
-
-
-# ---------------------------------------------------------------------------
-# Loewner ordering
-
-def test_ordering_basic():
-    small = SpdMatrix.diagonal((0.2, 0.5))
-    big = SpdMatrix.identity(2)
-    assert ordering_lt(small, big)
-    assert not ordering_lt(big, small)
-
-
-def test_ordering_rejects_mismatched_dims():
-    with pytest.raises(DimensionError):
-        ordering_lt(SpdMatrix.identity(2), SpdMatrix.identity(3))
-
-
-def test_ordering_needs_strict_gap():
-    m = SpdMatrix.diagonal((0.5, 1.0))
-    assert not ordering_lt(m, SpdMatrix.identity(2))  # shared eigenvalue 1
 
 
 # ---------------------------------------------------------------------------
