@@ -180,13 +180,10 @@ def _rect_raw(cfg, n, seed, stream=0, first=0):
     return np.matmul(a_inv @ g, b_inv, out=g)
 
 
-def sample_rect_exponential(cfg, n, seed, stream=0):
+def sample_rect_exponential(cfg, n, seed):
     """n independent draws with density exp(-tr(A X B X')) up to constant,
-    as one full-rank-checked (n, p, r) array.
-
-    Distinct stream values give independent sequences under the same seed.
-    """
-    x = _rect_raw(cfg, n, seed, stream)
+    as one full-rank-checked (n, p, r) array."""
+    x = _rect_raw(cfg, n, seed)
     check_full_rank(x)
     return x
 

@@ -103,7 +103,7 @@ class SpdMatrix:
     the spectral radius).  Entries are copied and frozen.
     """
 
-    __slots__ = ("_entries", "_eigenvalues", "__weakref__")
+    __slots__ = ("_entries", "_eigenvalues")
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=float)

@@ -18,7 +18,6 @@ dimension; the cache therefore keeps one table per dimension.
 """
 
 import math
-import os
 import threading
 
 import numpy as np
@@ -35,19 +34,8 @@ __all__ = [
     "zonal_at_identity",
 ]
 
-_DEFAULT_KMAX_CEILING = 30
-_KMAX_CEILING_ENV = "MVFRAC_KMAX_CEILING"
-
-
-def _kmax_ceiling():
-    raw = os.environ.get(_KMAX_CEILING_ENV)
-    if raw is None:
-        return _DEFAULT_KMAX_CEILING
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterDomainError(
-            f"{_KMAX_CEILING_ENV} must be an integer, got {raw!r}") from exc
+# table size and float dynamic range both degrade beyond this weight
+_KMAX_CEILING = 30
 
 
 def _eigen_weight(parts):
@@ -233,23 +221,14 @@ _table_cache = {}  # p -> the table built for exactly p variables
 _table_lock = threading.Lock()
 
 
-def _check_ceiling(k_max):
-    ceiling = _kmax_ceiling()
-    if k_max > ceiling:
-        raise ResourceLimitError(
-            f"k_max={k_max} exceeds the table ceiling {ceiling} "
-            f"(set {_KMAX_CEILING_ENV} to raise it)")
-
-
 def build_zonal_table(k_max, p):
     """Ready the cached zonal tables up to weight k_max for arguments of
     every dimension d <= p, and return the one for p.
 
-    Refuses k_max above the configured ceiling (default 30, overridable via
-    the MVFRAC_KMAX_CEILING environment variable): table size and float
-    dynamic range both degrade beyond it.
+    Refuses k_max above the fixed ceiling 30 before it builds anything,
+    through its first ``fetch_table``.
     """
-    _check_ceiling(as_int(k_max, "k_max"))
+    k_max = as_int(k_max, "k_max")
     for d in range(1, as_int(p, "dimension", 1) + 1):
         table = fetch_table(k_max, d)
     return table
@@ -261,14 +240,17 @@ def fetch_table(k_max, p):
 
     A cached table of less weight is grown to k_max: the new table keeps
     its weight blocks and builds only the weights above them.  Each block
-    depends only on (k, p), so no value moves.
+    depends only on (k, p), so no value moves.  Building above weight 30,
+    the fixed ceiling, raises ResourceLimitError.
     """
     k_max, p = as_int(k_max, "k_max"), as_int(p, "dimension", 1)
     with _table_lock:
         table = _table_cache.get(p)
     if table is not None and table.k_max >= k_max:
         return table
-    _check_ceiling(k_max)
+    if k_max > _KMAX_CEILING:
+        raise ResourceLimitError(
+            f"k_max={k_max} exceeds the table ceiling {_KMAX_CEILING}")
     weights = _partition_lists(k_max, p)
     kept = table.coeffs if table is not None else []
     built = ZonalTable(p, weights, kept + [_build_weight(plist, p)

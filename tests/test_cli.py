@@ -591,6 +591,18 @@ def test_empty_eigs_is_dimension_error(capsys, command):
     assert rec["error"] == "DimensionError"
 
 
+def test_kmax_above_ceiling_is_resource_error(monkeypatch):
+    # the table ceiling is the constant 30, which no environment variable
+    # moves, and the message names no override
+    monkeypatch.setenv("MVFRAC_KMAX_CEILING", "45")
+    proc = run("eval", "hyper", "--num", "1,1", "--den", "2", "--eigs", "0.5",
+               "--kmax", "31")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "ResourceLimitError"
+    assert "MVFRAC" not in rec["message"]
+
+
 _EXTREME = st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308])
 _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _SCALAR = st.one_of(st.floats(min_value=-5.0, max_value=5.0), _NONFINITE)

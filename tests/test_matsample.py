@@ -40,7 +40,12 @@ from mvfrac.matsample import (
     _CONE_RATE,
     _CONE_SLACK,
     _EDGE,
+    _GAMMA_OFF,
+    _TAG_BETA_FIRST,
+    _TAG_BETA_SECOND,
     _TAG_CONE,
+    _TAG_GAMMA_DIAG,
+    _TAG_RECT,
     _cone_raw,
     _indicator_estimate,
     _rect_raw,
@@ -113,6 +118,20 @@ def test_matrix_gamma_refuses_rows_past_its_stream_tags():
             draw()
 
 
+def test_stream_tags_give_distinct_keys():
+    # every tag the program draws under keys a stream of its own at one
+    # seed: matrix gamma rows and off-diagonal normals under each of their
+    # three bases, the rectangular streams of the sampler and the
+    # sum-density check, the cone, and suite_binomial's _random_spd pairs
+    tags = [base + j
+            for base in (_TAG_GAMMA_DIAG, _TAG_BETA_FIRST, _TAG_BETA_SECOND)
+            for j in [*range(_GAMMA_OFF), _GAMMA_OFF]]
+    tags += [_TAG_RECT + stream for stream in (0, 1, 2)]
+    tags += [_TAG_CONE, *range(0x700, 0x70C)]
+    keys = {int(derive_key(42, tag)) for tag in tags}
+    assert len(keys) == len(tags) == 3 * 241 + 16
+
+
 def test_matrix_gamma_shape_domain():
     with pytest.raises(ParameterDomainError):
         MatrixGammaSpec(3, 1.0)  # needs a > (p-1)/2
@@ -154,13 +173,6 @@ def test_rect_transform_mean():
     assert xs.shape == (30_000, 2, 3)
     acc = rect_transform(xs, cfg).mean(axis=0)
     assert np.max(np.abs(acc - 1.5 * np.eye(2))) < 0.05
-
-
-def test_rect_streams_differ():
-    cfg = RectConfig.with_identity_weights(2, 2)
-    a = sample_rect_exponential(cfg, 2, 5, stream=0)
-    b = sample_rect_exponential(cfg, 2, 5, stream=1)
-    assert not np.array_equal(a[0], b[0])
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,16 @@ def test_missing_entry_errors():
 
 
 def test_build_ceiling(monkeypatch):
-    monkeypatch.setenv("MVFRAC_KMAX_CEILING", "9")
-    with pytest.raises(ResourceLimitError):
-        build_zonal_table(10, 2)
-    monkeypatch.setenv("MVFRAC_KMAX_CEILING", "12")
-    build_zonal_table(10, 2)
+    # the ceiling is the constant 30, which no environment variable moves,
+    # and a refused build leaves nothing in the cache
+    monkeypatch.setenv("MVFRAC_KMAX_CEILING", "45")
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    with pytest.raises(ResourceLimitError,
+                       match=r"^k_max=31 exceeds the table ceiling 30$"):
+        build_zonal_table(31, 2)
+    assert zonal._table_cache == {}
+    assert build_zonal_table(30, 2).k_max == 30
+    assert max(t.k_max for t in zonal._table_cache.values()) == 30
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
