@@ -116,14 +116,19 @@ def partitions_of(k, max_parts):
     Reverse-lexicographic means (k) first and the flattest partition last;
     this refines dominance order, which the zonal recurrence relies on.
     """
-    k = as_int(k, "k")
-    max_parts = as_int(max_parts, "max_parts", 1)
+    return [Partition(parts) for parts in _partition_parts(
+        as_int(k, "k"), as_int(max_parts, "max_parts", 1))]
+
+
+def _partition_parts(k, max_parts):
+    """The parts of ``partitions_of(k, max_parts)`` as plain tuples, in the
+    same order, for callers that have validated k and max_parts."""
     out = []
     prefix = []
 
     def rec(remaining, cap):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         slots = max_parts - len(prefix)
         if slots == 0:

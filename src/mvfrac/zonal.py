@@ -10,7 +10,10 @@ matrix-vector product and one divide by the eigenvalue gaps.  The diagonal
 is 1.  Each row is then scaled so that it takes the closed-form value of
 C_kappa(I_p) (Muirhead 1982, section 7.2), an exact integer ratio, against
 the monomials at the identity; that sum has no negative terms, so nothing
-cancels, and the polynomials of a weight then sum to (trace)**k.
+cancels, and the polynomials of a weight then sum to (trace)**k.  What the
+columns need, their feeds, dominating rows and the row scales, is computed
+in arrays for all the weights a build adds, with partitions as zero-padded
+rows looked up by integer keys, so the column loop does only its products.
 Coefficients are dimension-stable, so a table built for p variables
 restricts correctly to any argument of dimension <= p, but its float values
 there differ in the last bits from those of the table built for that
@@ -18,13 +21,15 @@ dimension; the cache therefore keeps one table per dimension.
 """
 
 import math
+import operator
 import threading
+from itertools import accumulate, combinations, zip_longest
 
 import numpy as np
 
 from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
                      as_int)
-from .gammacalc import Partition, partitions_of
+from .gammacalc import Partition, _partition_parts
 
 __all__ = [
     "ZonalTable",
@@ -38,23 +43,56 @@ __all__ = [
 _KMAX_CEILING = 30
 
 
-def _eigen_weight(parts):
-    # spectrum label of the weight-k eigenfunction; strictly monotone in
-    # dominance order, which keeps every divisor below nonzero
-    return sum(ki * (ki - (i + 1)) for i, ki in enumerate(parts))
+def _parts_array(plist, width):
+    """The partitions in plist as the rows of an integer array of the given
+    width, zero-padded."""
+    columns = list(zip_longest(*plist, fillvalue=0))
+    parts = np.zeros((len(plist), width), dtype=np.intp)
+    parts[:, :len(columns)] = np.array(columns).T
+    return parts
 
 
-def _at_identity(kappa, p):
-    """C_kappa(I_p) in closed form (Muirhead 1982, section 7.2), in exact
-    integers up to one final division."""
-    num = 2 ** sum(kappa) * math.factorial(sum(kappa))
-    den = 1
-    for i, ki in enumerate(kappa):
-        num *= math.prod(range(p - i, p - i + 2 * ki, 2))
-        num *= math.prod(2 * (ki - kj) + j - i
-                         for j, kj in enumerate(kappa[i + 1:], i + 1))
-        den *= math.factorial(2 * ki + len(kappa) - i - 1)
-    return num / den
+def _key_strides(width, top):
+    """Strides that key zero-padded partitions of weight <= top with the
+    given number of parts: ``parts @ strides`` reads the parts as the digits
+    of a mixed radix, part c being at most top // (c + 1).  Keys are
+    distinct and follow the lexicographic order of the rows; at top 30 the
+    radix product is 4.7e15, so they cannot overflow."""
+    radix = [top // (c + 1) + 1 for c in range(1, width)]
+    return np.array(list(accumulate(radix[::-1], operator.mul, initial=1)
+                         )[::-1])
+
+
+def _at_identity(parts, p):
+    """C_kappa(I_p) in closed form (Muirhead 1982, section 7.2) for each
+    row kappa of parts, zero-padded, with at least one column:
+
+        2^k k! prod_i (p - i)(p - i + 2)...(p - i + 2 k_i - 2)
+        prod_{i<j<l} (2 (k_i - k_j) + j - i) / prod_i (2 k_i + l - i - 1)!
+
+    with rows i from 0 and l parts.  Numerator and denominator are exact
+    integers, so each value is one correctly rounded division; a row with
+    more than p parts has a factor p - p and gives 0.0."""
+    n, w = parts.shape
+    k = parts.sum(axis=1)
+    lens = (parts > 0).sum(axis=1, keepdims=True)
+    top = int(k.max(initial=0))
+    fact = np.array(list(accumulate(range(1, 2 * top + w), operator.mul,
+                                    initial=1)), dtype=object)
+    # row i's products over its first m boxes, for m = 0..top
+    boxes = np.array([list(accumulate(range(p - i, p - i + 2 * top, 2),
+                                      operator.mul, initial=1))
+                      for i in range(w)], dtype=object)
+    c = np.arange(w)
+    x = 2 * parts - c  # 2 k_i - i
+    i, j = np.array(list(combinations(range(w), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+    pairs = x[:, i] - x[:, j]
+    pairs[j >= lens] = 1
+    num = np.concatenate([(fact[k] << k)[:, None], boxes[c, parts], pairs],
+                         axis=1).prod(axis=1)
+    den = fact[np.where(c < lens, x + lens - 1, 0)].prod(axis=1)
+    return (num / den).astype(float)
 
 
 def _monomials_at_ones(mu, p):
@@ -66,44 +104,101 @@ def _monomials_at_ones(mu, p):
     return float(out)
 
 
-def _build_weight(plist, p):
-    """Dense coefficient block of the weight-k zonal polynomials: rows kappa
-    and columns mu, both in plist order."""
-    n = len(plist)
-    index = {lam: i for i, lam in enumerate(plist)}
-    parts = np.zeros((n, p), dtype=int)
-    for i, lam in enumerate(plist):
-        parts[i, :len(lam)] = lam
-    # zero-padded parts give partial sums padded with k, as dominance needs
-    sums = np.cumsum(parts, axis=1)
-    rho = np.array([_eigen_weight(lam) for lam in plist], dtype=float)
-    block = np.eye(n)
-    for pos in range(1, n):
-        # raising t units from part j to part i of lam gives mu with weight
-        # lam_i + t - (lam_j - t); these feeds are the same for every row
-        lam = plist[pos]
-        feeds = {}
-        for j in range(1, len(lam)):
-            for i in range(j):
-                for t in range(1, lam[j] + 1):
-                    mu = list(lam)
-                    mu[i] += t
-                    mu[j] -= t
-                    src = index[tuple(sorted(filter(None, mu), reverse=True))]
-                    feeds[src] = feeds.get(src, 0) + lam[i] - lam[j] + 2 * t
-        rows = np.flatnonzero((sums[:pos] >= sums[pos]).all(axis=1))
-        block[rows, pos] = (block[rows[:, None], list(feeds)]
-                            @ list(feeds.values()) / (rho[rows] - rho[pos]))
-    # scale each eigenfunction to its closed-form value at the identity; the
-    # row sums against m_mu(1^p) have no negative terms to cancel
-    ones = np.array([_monomials_at_ones(mu, p) for mu in plist])
-    ident = np.array([_at_identity(kappa, p) for kappa in plist])
-    block *= (ident / (block @ ones))[:, None]
-    return block
+def _feeds(parts):
+    """The terms that feed each column of the blocks whose partitions are
+    the rows of parts.
+
+    Raising t units from part j to part i of a column's partition lam gives
+    a source mu of the same weight, which feeds lam with the factor
+    lam_i - lam_j + 2 t.  The sources of each column are kept in the order
+    the loops over (j, i, t) first reach them, with the factors of a
+    repeated source summed.  All columns' terms are returned as flat
+    (sources, factors) arrays, sources as row indices of parts, with the
+    Python list of each column's first term, closed by the total.
+    """
+    n, p = parts.shape
+    top = int(parts.sum(axis=1).max())
+    strides = _key_strides(p, top)
+    keys = parts @ strides
+    # stable sorts here and below: numpy's merge sort, whose code adds
+    # about 0.5 MB less resident memory to a fresh process than its
+    # vectorized quicksort
+    by_key = keys.argsort(kind="stable")
+    i, j = np.array([(i, j) for j in range(1, p) for i in range(j)],
+                    dtype=np.intp).reshape(-1, 2).T
+    # every (column, j, i, t) in that order, t from 1 to part j
+    col, pair, t = (parts[:, j, None] > np.arange(top // 2)).nonzero()
+    t += 1
+    i, j = i[pair], j[pair]
+    mu = parts[col]
+    at = np.arange(len(col))
+    mu[at, i] += t
+    mu[at, j] -= t
+    mu.sort(axis=1, kind="stable")
+    src = by_key[keys[by_key].searchsorted(mu[:, ::-1] @ strides)]
+    feeds, first, repeat = np.unique(col * n + src, return_index=True,
+                                     return_inverse=True)
+    order = first.argsort(kind="stable")
+    factors = np.bincount(repeat, parts[col, i] - parts[col, j] + 2 * t)
+    feeds = feeds[order]
+    bounds = (feeds // n).searchsorted(np.arange(n + 1)).tolist()
+    return feeds % n, factors[order], bounds
+
+
+def _build_weights(weights, p):
+    """Dense coefficient blocks of the zonal polynomials of each weight in
+    weights, a list of its partitions: rows kappa and columns mu of a block
+    both in its list's order.
+
+    The recurrence's structure comes first, for every column of every block
+    at once: the feeds (``_feeds``), the spectrum labels and the scale at
+    the identity.  Each block then finds the rows that dominate its
+    columns, and its column loop does only its gather, one matrix-vector
+    product and one divide, with the operands, in their order, of a loop
+    that rebuilt each column's feeds itself, so every block is the same bit
+    for bit.  The structure's temporaries are freed before the first block
+    is allocated.
+    """
+    flat = [lam for plist in weights for lam in plist]
+    parts = _parts_array(flat, p)
+    sources, factors, bounds = _feeds(parts)
+    sizes = [len(plist) for plist in weights]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    # number each source within its own block, which is its column's
+    sources -= np.array(starts).repeat(sizes)[sources]
+    # spectrum label of each eigenfunction; strictly monotone in dominance
+    # order, which keeps every gap nonzero
+    rho = (parts * (parts - np.arange(1, p + 1))).sum(axis=1).astype(float)
+    ones = np.array([_monomials_at_ones(mu, p) for mu in flat])
+    ident = _at_identity(parts, p)
+    # zero-padded parts give partial sums padded with k, and the last sum is
+    # k for every row of a block
+    sums = parts[:, :-1].cumsum(axis=1)
+    blocks = []
+    for start, n in zip(starts, sizes):
+        span = slice(start, start + n)
+        # dominates[c, r]: row r dominates column c; the loop reads r < c
+        dominates = np.ones((n, n), dtype=bool)
+        for s in sums[span].T:
+            dominates &= s >= s[:, None]
+        label = rho[span]
+        block = np.eye(n)
+        for pos in range(1, n):
+            rows = dominates[pos, :pos].nonzero()[0]
+            lo, hi = bounds[start + pos], bounds[start + pos + 1]
+            block[rows, pos] = (block[rows[:, None], sources[lo:hi]]
+                                @ factors[lo:hi]
+                                / (label[rows] - label[pos]))
+        # scale each eigenfunction to its closed-form value at the
+        # identity; the row sums against m_mu(1^p) have no negative terms
+        # to cancel
+        block *= (ident[span] / (block @ ones[span]))[:, None]
+        blocks.append(block)
+    return blocks
 
 
 def _partition_lists(k_max, p):
-    return [[q.parts for q in partitions_of(k, p)] for k in range(k_max + 1)]
+    return [_partition_parts(k, p) for k in range(k_max + 1)]
 
 
 class ZonalTable:
@@ -135,35 +230,54 @@ class ZonalTable:
         self._index = {kappa: i for i, kappa in enumerate(flat)}
         self.offsets = np.cumsum([0] + [len(plist) for plist in weights]
                                  ).tolist()
-        self.parent = np.array([0] + [
-            self._index[kappa[:-1] + (kappa[-1] - 1,) * (kappa[-1] > 1)]
-            for kappa in flat[1:]])
-        self.box_shift = np.array([0.0] + [
-            kappa[-1] - 1 - 0.5 * (len(kappa) - 1) for kappa in flat[1:]])
+        parts = _parts_array(flat, p)
+        lens = (parts > 0).sum(axis=1)
+        strides = _key_strides(p, self.k_max)
+        keys = parts @ strides
+        by_key = keys.argsort(kind="stable")  # as in _feeds
+
+        def lookup(query):
+            return by_key[keys[by_key].searchsorted(query)]
+
+        # row 0 is the empty partition, its own parent; any other row loses
+        # one from its last part, whose digit has the stride strides[last]
+        at, last = np.arange(1, len(flat)), lens[1:] - 1
+        self.parent = np.concatenate([[0], lookup(keys[1:] - strides[last])])
+        self.box_shift = np.concatenate([[0.0],
+                                         parts[at, last] - 1 - 0.5 * last])
         # m_lam(x_1) = x_1**|lam| for at most one part, and m_lam(x_1..x_j)
         # = sum_e x_j**e m_{lam - e}(x_1..x_{j-1}) over the distinct parts
         # e of lam, plus e = 0 while lam has fewer than j parts.  Pass j > 1
         # holds the partitions with at most j parts, the number of them up
         # to each weight, and their (source, e) terms as columns of equal
-        # height; the unused slots read source -1, which monomials keeps 0.
+        # height: (i, 0) first where it applies, then one term per distinct
+        # part in part order.  The unused slots read source -1, which
+        # monomials keeps 0.
         self._one_part = np.array([0] + [self._index[(k,)]
                                          for k in range(1, self.k_max + 1)])
-        removals = [[(self._index[kappa[:i] + kappa[i + 1:]], kappa[i])
-                     for i in range(len(kappa))
-                     if i == 0 or kappa[i] != kappa[i - 1]]
-                    for kappa in flat]
+        distinct = np.arange(p) < lens[:, None]
+        distinct[:, 1:] &= parts[:, 1:] != parts[:, :-1]
+        # removing part c keeps the digits before it and moves each later
+        # one a place left, so column c of drop holds strides[x] for x < c,
+        # 0 at c and strides[x - 1] for x > c
+        drop = np.array([[strides[x] if x < c else strides[x - 1] if x > c
+                          else 0 for c in range(p)] for x in range(p)])
+        removed = np.where(distinct, lookup(parts @ drop), -1)
         self._passes = []
         for j in range(2, p + 1):
-            targets = [i for i, kappa in enumerate(flat) if len(kappa) <= j]
-            counts = np.searchsorted(targets, self.offsets[1:]).tolist()
-            terms = [([(i, 0)] if len(flat[i]) < j else []) + removals[i]
-                     for i in targets]
-            width = max(map(len, terms))
-            src = np.full((width, len(terms)), -1, dtype=np.intp)
+            targets = (lens <= j).nonzero()[0]
+            counts = targets.searchsorted(self.offsets[1:]).tolist()
+            first = lens[targets] < j
+            terms = distinct[targets]
+            slot = terms.cumsum(axis=1) - 1 + first[:, None]
+            width = (terms.sum(axis=1) + first).max()
+            src = np.full((width, len(targets)), -1, dtype=np.intp)
             exps = np.zeros_like(src)
-            for row, pairs in enumerate(terms):
-                src[:len(pairs), row], exps[:len(pairs), row] = zip(*pairs)
-            self._passes.append((np.array(targets), counts, src, exps))
+            src[0, first] = targets[first]
+            row, c = terms.nonzero()
+            src[slot[row, c], row] = removed[targets[row], c]
+            exps[slot[row, c], row] = parts[targets[row], c]
+            self._passes.append((targets, counts, src, exps))
 
     def _position(self, K):
         """(K as a Partition, its index in table order)."""
@@ -181,11 +295,19 @@ class ZonalTable:
 
         Eigenvalues of shape (d,) give shape (offsets[k_max + 1],), and an
         (n, d) array gives one column per argument.  Entries for
-        partitions with more than d parts are zero.
+        partitions with more than d parts are zero.  A k_max the table does
+        not hold or an empty argument is refused.
         """
+        k_max = as_int(k_max, "k_max")
+        if k_max > self.k_max:
+            raise ParameterDomainError(
+                f"k_max={k_max} outside table range "
+                f"(k_max={self.k_max}, p={self.p})")
         # contiguous rows keep numpy's vectorized pow loop
         x = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float).T)
         d = len(x)
+        if d == 0:
+            raise DimensionError("argument dimension must be positive")
         if d > self.p:
             raise DimensionError(
                 f"argument dimension {d} exceeds table dimension {self.p}")
@@ -253,8 +375,8 @@ def fetch_table(k_max, p):
             f"k_max={k_max} exceeds the table ceiling {_KMAX_CEILING}")
     weights = _partition_lists(k_max, p)
     kept = table.coeffs if table is not None else []
-    built = ZonalTable(p, weights, kept + [_build_weight(plist, p)
-                                           for plist in weights[len(kept):]])
+    built = ZonalTable(p, weights,
+                       kept + _build_weights(weights[len(kept):], p))
     with _table_lock:
         # a concurrent builder may have grown p further meanwhile; a
         # narrower table never replaces a wider one
@@ -287,5 +409,6 @@ def zonal_at_identity(K, p):
     """Zonal polynomial value at the p-dimensional identity, from its closed
     form; no table is read, so any weight is allowed.  A partition with more
     than p parts gives exactly 0."""
-    return _at_identity(Partition.coerce(K).parts, as_int(p, "dimension", 1))
+    K, p = Partition.coerce(K), as_int(p, "dimension", 1)
+    return float(_at_identity(_parts_array([K.parts], max(1, len(K))), p)[0])
 

@@ -91,6 +91,60 @@ def reference_monomials(table, eigenvalues, k_max):
     return m[:size]
 
 
+def _reference_identity(kappa, p):
+    # C_kappa(I_p) in closed form, one partition at a time
+    num = 2 ** sum(kappa) * math.factorial(sum(kappa))
+    den = 1
+    for i, ki in enumerate(kappa):
+        num *= math.prod(range(p - i, p - i + 2 * ki, 2))
+        num *= math.prod(2 * (ki - kj) + j - i
+                         for j, kj in enumerate(kappa[i + 1:], i + 1))
+        den *= math.factorial(2 * ki + len(kappa) - i - 1)
+    return num / den
+
+
+def _reference_ones(mu, p):
+    # m_mu(1, ..., 1) with p ones
+    out = math.factorial(p) // math.factorial(p - len(mu))
+    for part in set(mu):
+        out //= math.factorial(mu.count(part))
+    return float(out)
+
+
+def reference_build_weight(plist, p):
+    """One block of zonal._build_weights, as a column-by-column loop that
+    rebuilds each column's feeds and dominating rows from the partitions:
+    the form the library used before it computed that structure once per
+    table build."""
+    n = len(plist)
+    index = {lam: i for i, lam in enumerate(plist)}
+    parts = np.zeros((n, p), dtype=int)
+    for i, lam in enumerate(plist):
+        parts[i, :len(lam)] = lam
+    sums = np.cumsum(parts, axis=1)
+    rho = np.array([sum(ki * (ki - (i + 1)) for i, ki in enumerate(lam))
+                    for lam in plist], dtype=float)
+    block = np.eye(n)
+    for pos in range(1, n):
+        lam = plist[pos]
+        feeds = {}
+        for j in range(1, len(lam)):
+            for i in range(j):
+                for t in range(1, lam[j] + 1):
+                    mu = list(lam)
+                    mu[i] += t
+                    mu[j] -= t
+                    src = index[tuple(sorted(filter(None, mu), reverse=True))]
+                    feeds[src] = feeds.get(src, 0) + lam[i] - lam[j] + 2 * t
+        rows = np.flatnonzero((sums[:pos] >= sums[pos]).all(axis=1))
+        block[rows, pos] = (block[rows[:, None], list(feeds)]
+                            @ list(feeds.values()) / (rho[rows] - rho[pos]))
+    ones = np.array([_reference_ones(mu, p) for mu in plist])
+    ident = np.array([_reference_identity(kappa, p) for kappa in plist])
+    block *= (ident / (block @ ones))[:, None]
+    return block
+
+
 def spd_from_eigs(eigs, seed=0):
     """SPD matrix with the given eigenvalues in a seeded random basis."""
     p = len(eigs)

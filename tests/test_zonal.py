@@ -12,6 +12,7 @@ table and a hook-length form of C_kappa(I) complete the picture.
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +42,8 @@ from mvfrac import (
     zonal_eval,
 )
 
-from conftest import brute_monomial, reference_monomials, spd_from_eigs
+from conftest import (brute_monomial, reference_build_weight,
+                      reference_monomials, spd_from_eigs)
 
 
 def test_weight_one_is_trace():
@@ -344,6 +346,67 @@ def test_trace_identity_and_identity_values(k_max, p):
     np.testing.assert_allclose(values, want, rtol=1e-12)
 
 
+def test_identity_values_are_exact():
+    # every partition of weight <= 30 for p <= 5, in the batch form the
+    # build scales by and in the public one-partition form, to the last bit
+    for p in range(1, 6):
+        for k in range(31):
+            plist = [q.parts for q in partitions_of(k, p)]
+            want = [_hook_identity_value(kappa, p) for kappa in plist]
+            parts = zonal._parts_array(plist, p)
+            assert zonal._at_identity(parts, p).tolist() == want
+            assert [zonal_at_identity(kappa, p) for kappa in plist] == want
+
+
+# the perfbench series set-up tables, then gauss_2f1_rect's (25, 2)
+@pytest.mark.parametrize("k_max,p", [(30, 1), (30, 2), (30, 3), (25, 4),
+                                     (20, 5), (25, 2)])
+def test_weight_blocks_match_reference_bitwise(monkeypatch, k_max, p):
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    table = fetch_table(k_max, p)
+    for k in range(k_max + 1):
+        plist = [q.parts for q in partitions_of(k, p)]
+        want = reference_build_weight(plist, p)
+        assert table.coeffs[k].tobytes() == want.tobytes(), (k, p)
+
+
+def test_grown_table_matches_reference_bitwise(monkeypatch):
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    fetch_table(2, 3)
+    table = fetch_table(25, 3)
+    for k in range(26):
+        plist = [q.parts for q in partitions_of(k, 3)]
+        want = reference_build_weight(plist, 3)
+        assert table.coeffs[k].tobytes() == want.tobytes(), k
+
+
+def test_weight_build_memory_stays_near_its_block():
+    # the weight-30 block at p = 5 is 674 x 674; an (n, n, p) dominance
+    # temporary alone would be five times its size
+    plist = [q.parts for q in partitions_of(30, 5)]
+    tracemalloc.start()
+    try:
+        block, = zonal._build_weights([plist], 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (674, 674)
+    assert peak < 1.5 * block.nbytes
+
+
+@pytest.mark.parametrize("eigs,k_max,error,match", [
+    ([0.5, 0.2], 5, ParameterDomainError, "^k_max=5 outside table range"),
+    ([0.5, 0.2], -1, ParameterDomainError, "non-negative, got -1$"),
+    ([0.5, 0.2], 2.5, ParameterDomainError, "integer, got 2.5$"),
+    ([], 2, DimensionError, "positive"),
+])
+def test_monomials_refuse_bad_input(monkeypatch, eigs, k_max, error, match):
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    table = fetch_table(3, 2)
+    with pytest.raises(error, match=match):
+        table.monomials(np.array(eigs), k_max)
+
+
 def _fixed_values(capsys):
     """Zonal values at 1-, 2- and 3-dimensional arguments, hyper_pfq at
     p <= 3 and one CLI record, as float hex strings and stdout."""
@@ -397,13 +460,13 @@ def test_growth_builds_each_weight_once(monkeypatch):
     # grow from weight 1 to 2; each of weights 0-2 builds once per p
     monkeypatch.setattr(zonal, "_table_cache", {})
     calls = []
-    build_weight = zonal._build_weight
+    build_weights = zonal._build_weights
 
-    def counted(plist, p):
-        calls.append((sum(plist[0]), p))
-        return build_weight(plist, p)
+    def counted(weights, p):
+        calls.extend((sum(plist[0]), p) for plist in weights)
+        return build_weights(weights, p)
 
-    monkeypatch.setattr(zonal, "_build_weight", counted)
+    monkeypatch.setattr(zonal, "_build_weights", counted)
     run_suite("fraczonal", samples=2000, seed=1)
     assert calls == [(k, p) for p in (1, 2) for k in range(3)]
 
@@ -424,15 +487,15 @@ def test_concurrent_growth_keeps_the_wider_table(monkeypatch, late):
     monkeypatch.setattr(zonal, "_table_cache", {})
     building = threading.Event()
     release = threading.Event()
-    build_weight = zonal._build_weight
+    build_weights = zonal._build_weights
 
-    def gated(plist, p):
+    def gated(weights, p):
         if threading.current_thread().name == late:
             building.set()
             release.wait(30)
-        return build_weight(plist, p)
+        return build_weights(weights, p)
 
-    monkeypatch.setattr(zonal, "_build_weight", gated)
+    monkeypatch.setattr(zonal, "_build_weights", gated)
     threads = {name: threading.Thread(target=fetch_table, args=(k_max, 1),
                                       name=name)
                for name, k_max in (("narrow", 4), ("wide", 12))}
