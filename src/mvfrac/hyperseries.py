@@ -228,7 +228,7 @@ def pathway_det_limit(q, Z):
     if eigs.ndim != 1 or eigs.size == 0:
         raise DimensionError(
             f"expected a non-empty 1-d eigenvalue array, got shape {eigs.shape}")
-    if np.any(eigs < 0.0):
+    if not (eigs >= 0.0).all():  # NaN fails this comparison too
         raise ParameterDomainError(
             f"eigenvalues must be non-negative, got {eigs.tolist()}")
     eps = q - 1.0

@@ -318,8 +318,10 @@ def suite_beta(samples=200_000, seed=42):
 
     Type-1 is the cone estimator's own beta weight on the constant 1.  The
     type-2 integral lives on the whole cone, so it is pulled back through
-    S = W (I - W)^(-1), whose Jacobian contributes |I - W|^(-(p+1)); the
-    check exercises the type-2 integrand code at genuinely unbounded S.
+    S = W (I - W)^(-1), whose Jacobian contributes |I - W|^(-(p+1)).  In
+    exact arithmetic |S| = |W| / |I - W| and |I + S| = |I - W|^(-1), so
+    that integrand reduces to the type-1 weight: the case checks the
+    inversion code path on another stream, not a type-2 integral.
     """
     p = 2
     eye = np.eye(p)

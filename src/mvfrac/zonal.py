@@ -13,14 +13,13 @@ the monomials at the identity; that sum has no negative terms, so nothing
 cancels, and the polynomials of a weight then sum to (trace)**k.  What the
 columns need, their feeds, dominating rows and the row scales, is computed
 in arrays for all the weights a build adds, with partitions as zero-padded
-rows looked up by integer keys, so the column loop does only its products.
+rows looked up by the table's keys, so the column loop does only its products.
 Coefficients are dimension-stable, so a table built for p variables
 restricts correctly to any argument of dimension <= p, but its float values
 there differ in the last bits from those of the table built for that
 dimension; the cache therefore keeps one table per dimension.
 """
 
-import math
 import operator
 import threading
 from itertools import accumulate, combinations, zip_longest
@@ -39,7 +38,7 @@ __all__ = [
     "zonal_at_identity",
 ]
 
-# table size and float dynamic range both degrade beyond this weight
+# bounds table memory and build time; precision holds well beyond it
 _KMAX_CEILING = 30
 
 
@@ -95,39 +94,25 @@ def _at_identity(parts, p):
     return (num / den).astype(float)
 
 
-def _monomials_at_ones(mu, p):
-    """m_mu(1, ..., 1) with p ones: the distinct orderings of mu padded to
-    p entries."""
-    out = math.factorial(p) // math.factorial(p - len(mu))
-    for part in set(mu):
-        out //= math.factorial(mu.count(part))
-    return float(out)
-
-
-def _feeds(parts):
-    """The terms that feed each column of the blocks whose partitions are
-    the rows of parts.
+def _feeds(parts, base, strides, lookup):
+    """The terms that feed each column of a table from row base on: its
+    partitions are the rows of parts, keyed by strides and found by lookup.
 
     Raising t units from part j to part i of a column's partition lam gives
     a source mu of the same weight, which feeds lam with the factor
     lam_i - lam_j + 2 t.  The sources of each column are kept in the order
     the loops over (j, i, t) first reach them, with the factors of a
     repeated source summed.  All columns' terms are returned as flat
-    (sources, factors) arrays, sources as row indices of parts, with the
-    Python list of each column's first term, closed by the total.
+    (sources, factors) arrays, sources as table rows, with the Python list
+    of each row's first term, closed by the total.
     """
-    n, p = parts.shape
+    size, p = parts.shape
     top = int(parts.sum(axis=1).max())
-    strides = _key_strides(p, top)
-    keys = parts @ strides
-    # stable sorts here and below: numpy's merge sort, whose code adds
-    # about 0.5 MB less resident memory to a fresh process than its
-    # vectorized quicksort
-    by_key = keys.argsort(kind="stable")
     i, j = np.array([(i, j) for j in range(1, p) for i in range(j)],
                     dtype=np.intp).reshape(-1, 2).T
     # every (column, j, i, t) in that order, t from 1 to part j
-    col, pair, t = (parts[:, j, None] > np.arange(top // 2)).nonzero()
+    col, pair, t = (parts[base:, j, None] > np.arange(top // 2)).nonzero()
+    col += base
     t += 1
     i, j = i[pair], j[pair]
     mu = parts[col]
@@ -135,85 +120,72 @@ def _feeds(parts):
     mu[at, i] += t
     mu[at, j] -= t
     mu.sort(axis=1, kind="stable")
-    src = by_key[keys[by_key].searchsorted(mu[:, ::-1] @ strides)]
-    feeds, first, repeat = np.unique(col * n + src, return_index=True,
+    src = lookup(mu[:, ::-1] @ strides)
+    feeds, first, repeat = np.unique(col * size + src, return_index=True,
                                      return_inverse=True)
     order = first.argsort(kind="stable")
     factors = np.bincount(repeat, parts[col, i] - parts[col, j] + 2 * t)
     feeds = feeds[order]
-    bounds = (feeds // n).searchsorted(np.arange(n + 1)).tolist()
-    return feeds % n, factors[order], bounds
+    bounds = (feeds // size).searchsorted(np.arange(size + 1)).tolist()
+    return feeds % size, factors[order], bounds
 
 
-def _build_weights(weights, p):
-    """Dense coefficient blocks of the zonal polynomials of each weight in
-    weights, a list of its partitions: rows kappa and columns mu of a block
-    both in its list's order.
+def _build_weights(parts, offsets, start, strides, lookup):
+    """Unscaled dense coefficient blocks of the zonal polynomials of each
+    weight k from start up, whose partitions are the rows
+    ``offsets[k]:offsets[k + 1]`` of parts, keyed by strides and found by
+    lookup: rows kappa and columns mu of a block both in table order.
 
     The recurrence's structure comes first, for every column of every block
-    at once: the feeds (``_feeds``), the spectrum labels and the scale at
-    the identity.  Each block then finds the rows that dominate its
-    columns, and its column loop does only its gather, one matrix-vector
-    product and one divide, with the operands, in their order, of a loop
-    that rebuilt each column's feeds itself, so every block is the same bit
-    for bit.  The structure's temporaries are freed before the first block
-    is allocated.
+    at once: the feeds (``_feeds``) and the spectrum labels.  Each block
+    then finds the rows that dominate its columns, and its column loop does
+    only its gather, one matrix-vector product and one divide, with the
+    operands, in their order, of a loop that rebuilt each column's feeds
+    itself, so every block is the same bit for bit.  The structure's
+    temporaries are freed before the first block is allocated.
     """
-    flat = [lam for plist in weights for lam in plist]
-    parts = _parts_array(flat, p)
-    sources, factors, bounds = _feeds(parts)
-    sizes = [len(plist) for plist in weights]
-    starts = list(accumulate(sizes[:-1], initial=0))
+    sources, factors, bounds = _feeds(parts, offsets[start], strides, lookup)
     # number each source within its own block, which is its column's
-    sources -= np.array(starts).repeat(sizes)[sources]
+    sources -= np.array(offsets)[parts.sum(axis=1)[sources]]
     # spectrum label of each eigenfunction; strictly monotone in dominance
     # order, which keeps every gap nonzero
-    rho = (parts * (parts - np.arange(1, p + 1))).sum(axis=1).astype(float)
-    ones = np.array([_monomials_at_ones(mu, p) for mu in flat])
-    ident = _at_identity(parts, p)
+    rho = (parts * (parts - 1.0 - np.arange(parts.shape[1]))).sum(axis=1)
     # zero-padded parts give partial sums padded with k, and the last sum is
     # k for every row of a block
     sums = parts[:, :-1].cumsum(axis=1)
     blocks = []
-    for start, n in zip(starts, sizes):
-        span = slice(start, start + n)
+    for lo, hi in zip(offsets[start:-1], offsets[start + 1:]):
+        n = hi - lo
         # dominates[c, r]: row r dominates column c; the loop reads r < c
         dominates = np.ones((n, n), dtype=bool)
-        for s in sums[span].T:
+        for s in sums[lo:hi].T:
             dominates &= s >= s[:, None]
-        label = rho[span]
+        label = rho[lo:hi]
         block = np.eye(n)
         for pos in range(1, n):
             rows = dominates[pos, :pos].nonzero()[0]
-            lo, hi = bounds[start + pos], bounds[start + pos + 1]
-            block[rows, pos] = (block[rows[:, None], sources[lo:hi]]
-                                @ factors[lo:hi]
+            a, b = bounds[lo + pos], bounds[lo + pos + 1]
+            block[rows, pos] = (block[rows[:, None], sources[a:b]]
+                                @ factors[a:b]
                                 / (label[rows] - label[pos]))
-        # scale each eigenfunction to its closed-form value at the
-        # identity; the row sums against m_mu(1^p) have no negative terms
-        # to cancel
-        block *= (ident[span] / (block @ ones[span]))[:, None]
         blocks.append(block)
     return blocks
-
-
-def _partition_lists(k_max, p):
-    return [_partition_parts(k, p) for k in range(k_max + 1)]
 
 
 class ZonalTable:
     """Zonal coefficients for all partitions of weight <= k_max with at most
     p parts, and the arrays that evaluation runs on.
 
-    Partitions are numbered weight by weight in ``partitions_of`` order
-    (``weights[k]``), so everything up to a weight k is the prefix
-    ``[:offsets[k + 1]]``.  ``coeffs[k]`` is the dense coefficient matrix of
-    weight k (rows kappa, columns mu), and the only store of coefficients;
-    it is upper triangular because that order refines dominance.  For each
-    partition, ``parent`` and ``box_shift`` hold the partition left by
-    removing the last box of its last row and that box's content
-    (column - row / 2, both from 0), from which the Pochhammer products
-    follow box by box.
+    Partitions are numbered weight by weight in ``partitions_of`` order, so
+    everything up to a weight k is the prefix ``[:offsets[k + 1]]``.
+    ``coeffs[k]`` is the dense coefficient matrix of weight k (rows kappa,
+    columns mu), and the only store of coefficients; it is upper triangular
+    because that order refines dominance.  For each partition, ``parent``
+    and ``box_shift`` hold the partition left by removing the last box of
+    its last row and that box's content (column - row / 2, both from 0),
+    from which the Pochhammer products follow box by box.  The table keys
+    its partitions once, for the parents, the passes and the build of every
+    weight above those whose blocks it takes from kept.
 
     ``monomials`` runs one pass per variable.  A pass stores its terms'
     sources and exponents as (width, rows), a few terms per row, and sums
@@ -222,23 +194,31 @@ class ZonalTable:
     per-row sum over (rows, width) at a fraction of its cost.
     """
 
-    def __init__(self, p, weights, coeffs):
-        self.k_max = len(weights) - 1
+    def __init__(self, p, k_max, kept):
+        self.k_max = k_max
         self.p = p
-        self.coeffs = coeffs
+        weights = [_partition_parts(k, p) for k in range(k_max + 1)]
         flat = [kappa for plist in weights for kappa in plist]
-        self._index = {kappa: i for i, kappa in enumerate(flat)}
         self.offsets = np.cumsum([0] + [len(plist) for plist in weights]
                                  ).tolist()
         parts = _parts_array(flat, p)
-        lens = (parts > 0).sum(axis=1)
-        strides = _key_strides(p, self.k_max)
+        strides = _key_strides(p, k_max)
         keys = parts @ strides
-        by_key = keys.argsort(kind="stable")  # as in _feeds
+        # a stable sort, here and in _feeds: numpy's merge sort, whose code
+        # adds about 0.5 MB less resident memory to a fresh process than
+        # its vectorized quicksort
+        by_key = keys.argsort(kind="stable")
 
         def lookup(query):
             return by_key[keys[by_key].searchsorted(query)]
 
+        start, base = len(kept), self.offsets[len(kept)]
+        # the closed form's big-integer temporaries go before any block
+        ident = _at_identity(parts[base:], p)
+        self.coeffs = list(kept) + _build_weights(parts, self.offsets, start,
+                                                  strides, lookup)
+        self._index = {kappa: i for i, kappa in enumerate(flat)}
+        lens = (parts > 0).sum(axis=1)
         # row 0 is the empty partition, its own parent; any other row loses
         # one from its last part, whose digit has the stride strides[last]
         at, last = np.arange(1, len(flat)), lens[1:] - 1
@@ -253,8 +233,7 @@ class ZonalTable:
         # height: (i, 0) first where it applies, then one term per distinct
         # part in part order.  The unused slots read source -1, which
         # monomials keeps 0.
-        self._one_part = np.array([0] + [self._index[(k,)]
-                                         for k in range(1, self.k_max + 1)])
+        self._one_part = lookup(np.arange(k_max + 1) * strides[0])
         distinct = np.arange(p) < lens[:, None]
         distinct[:, 1:] &= parts[:, 1:] != parts[:, :-1]
         # removing part c keeps the digits before it and moves each later
@@ -278,6 +257,14 @@ class ZonalTable:
             src[slot[row, c], row] = removed[targets[row], c]
             exps[slot[row, c], row] = parts[targets[row], c]
             self._passes.append((targets, counts, src, exps))
+        # scale each new eigenfunction to its closed-form value at the
+        # identity; the row sums against m_mu(1^p), exact integers here,
+        # have no negative terms to cancel
+        ones = self.monomials(np.ones(p), k_max)[base:]
+        for k in range(start, k_max + 1):
+            span = slice(self.offsets[k] - base, self.offsets[k + 1] - base)
+            self.coeffs[k] *= (ident[span] / (self.coeffs[k] @ ones[span])
+                               )[:, None]
 
     def _position(self, K):
         """(K as a Partition, its index in table order)."""
@@ -373,10 +360,7 @@ def fetch_table(k_max, p):
     if k_max > _KMAX_CEILING:
         raise ResourceLimitError(
             f"k_max={k_max} exceeds the table ceiling {_KMAX_CEILING}")
-    weights = _partition_lists(k_max, p)
-    kept = table.coeffs if table is not None else []
-    built = ZonalTable(p, weights,
-                       kept + _build_weights(weights[len(kept):], p))
+    built = ZonalTable(p, k_max, table.coeffs if table is not None else ())
     with _table_lock:
         # a concurrent builder may have grown p further meanwhile; a
         # narrower table never replaces a wider one

@@ -112,7 +112,7 @@ def _reference_ones(mu, p):
 
 
 def reference_build_weight(plist, p):
-    """One block of zonal._build_weights, as a column-by-column loop that
+    """One weight's block of a zonal table, as a column-by-column loop that
     rebuilds each column's feeds and dominating rows from the partitions:
     the form the library used before it computed that structure once per
     table build."""

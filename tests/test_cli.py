@@ -165,6 +165,14 @@ def test_domain_errors_are_2():
     assert bad.returncode == 2
 
 
+def test_eval_pathway_nan_eigenvalue_is_domain_error():
+    proc = run("eval", "pathway", "--q", "2", "--eigs", "nan")
+    assert proc.returncode == 2
+    (rec,) = records(proc)
+    assert rec["error"] == "ParameterDomainError"
+    assert "non-negative" in rec["message"]
+
+
 def test_verify_suite_runs_and_passes():
     proc = run("verify", "--suite", "pathway")
     assert proc.returncode == 0

@@ -557,3 +557,10 @@ def test_pathway_det_limit_domain():
         pathway_det_limit(1.0, np.array([0.5]))
     with pytest.raises(ParameterDomainError):
         pathway_det_limit(1.01, np.array([-0.5]))
+
+
+def test_pathway_det_limit_refuses_nan_and_takes_inf():
+    # NaN compares false both ways, so it must fail the non-negative check
+    with pytest.raises(ParameterDomainError, match="non-negative"):
+        pathway_det_limit(2.0, np.array([0.5, math.nan]))
+    assert pathway_det_limit(2.0, np.array([math.inf])) == 0.0

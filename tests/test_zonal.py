@@ -42,7 +42,7 @@ from mvfrac import (
     zonal_eval,
 )
 
-from conftest import (brute_monomial, reference_build_weight,
+from conftest import (_reference_ones, brute_monomial, reference_build_weight,
                       reference_monomials, spd_from_eigs)
 
 
@@ -346,6 +346,18 @@ def test_trace_identity_and_identity_values(k_max, p):
     np.testing.assert_allclose(values, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k_max,p", [(30, 1), (30, 2), (30, 3), (25, 4),
+                                     (20, 5)])
+def test_monomials_at_ones_match_reference_bitwise(monkeypatch, k_max, p):
+    # the build scales each row by m_mu(1^p) from the table's own monomials;
+    # every value must be the exact integer count of mu's orderings
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    table = fetch_table(k_max, p)
+    want = [_reference_ones(q.parts, p)
+            for k in range(k_max + 1) for q in partitions_of(k, p)]
+    assert table.monomials(np.ones(p), k_max).tolist() == want
+
+
 def test_identity_values_are_exact():
     # every partition of weight <= 30 for p <= 5, in the batch form the
     # build scales by and in the public one-partition form, to the last bit
@@ -380,18 +392,29 @@ def test_grown_table_matches_reference_bitwise(monkeypatch):
         assert table.coeffs[k].tobytes() == want.tobytes(), k
 
 
-def test_weight_build_memory_stays_near_its_block():
-    # the weight-30 block at p = 5 is 674 x 674; an (n, n, p) dominance
-    # temporary alone would be five times its size
-    plist = [q.parts for q in partitions_of(30, 5)]
-    tracemalloc.start()
-    try:
-        block, = zonal._build_weights([plist], 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_weight_build_memory_stays_near_its_block(monkeypatch):
+    # growing the p = 5 table from weight 29 to 30 builds one 674 x 674
+    # block; an (n, n, p) dominance temporary alone would be five times its
+    # size.  Only what the build allocates is traced, not the table's index.
+    monkeypatch.setattr(zonal, "_table_cache", {})
+    kept = fetch_table(29, 5).coeffs
+    build_weights = zonal._build_weights
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            blocks = build_weights(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return blocks
+
+    monkeypatch.setattr(zonal, "_build_weights", traced)
+    block = zonal.ZonalTable(5, 30, kept).coeffs[30]
     assert block.shape == (674, 674)
-    assert peak < 1.5 * block.nbytes
+    assert len(peaks) == 1
+    assert peaks[0] < 1.5 * block.nbytes
 
 
 @pytest.mark.parametrize("eigs,k_max,error,match", [
@@ -462,9 +485,10 @@ def test_growth_builds_each_weight_once(monkeypatch):
     calls = []
     build_weights = zonal._build_weights
 
-    def counted(weights, p):
-        calls.extend((sum(plist[0]), p) for plist in weights)
-        return build_weights(weights, p)
+    def counted(parts, offsets, start, *args):
+        p = parts.shape[1]
+        calls.extend((k, p) for k in range(start, len(offsets) - 1))
+        return build_weights(parts, offsets, start, *args)
 
     monkeypatch.setattr(zonal, "_build_weights", counted)
     run_suite("fraczonal", samples=2000, seed=1)
@@ -489,11 +513,11 @@ def test_concurrent_growth_keeps_the_wider_table(monkeypatch, late):
     release = threading.Event()
     build_weights = zonal._build_weights
 
-    def gated(weights, p):
+    def gated(*args):
         if threading.current_thread().name == late:
             building.set()
             release.wait(30)
-        return build_weights(weights, p)
+        return build_weights(*args)
 
     monkeypatch.setattr(zonal, "_build_weights", gated)
     threads = {name: threading.Thread(target=fetch_table, args=(k_max, 1),
