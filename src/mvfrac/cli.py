@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import DegenerateInputError, MvfracError
+from .errors import DegenerateInputError, MvfracError, ParameterDomainError
 from .fracops import (
     FracOrder,
     SaigoParams,
@@ -218,8 +218,13 @@ def _pathway(args):
     if (args.eigs is None) == (args.k is None):
         raise _UsageError("exactly one of --eigs or --k is required")
     if args.eigs is not None:
+        eigs = np.array(args.eigs)
+        # the record echoes the eigenvalues, and strict JSON has no inf
+        if not np.isfinite(eigs).all():
+            raise ParameterDomainError("eigenvalues must be finite and "
+                                       f"non-negative, got {list(args.eigs)}")
         return {"q": args.q, "eigenvalues": list(args.eigs),
-                "value": pathway_det_limit(args.q, np.array(args.eigs))}
+                "value": pathway_det_limit(args.q, eigs)}
     part = Partition.coerce(args.k)
     return {"q": args.q, "partition": list(part.parts),
             "value": pathway_factor(args.q, part)}

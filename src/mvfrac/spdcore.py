@@ -7,6 +7,10 @@ largest), for one matrix or an (n, p, p) stack.
 check_full_rank applies the SVD rank rule to rectangular draws (smallest
 singular value above 1e-10 times the largest).  _batch_det gives the
 determinants of a stack, by cofactors up to p = 3 and by LU beyond.
+_batch_eigvalsh gives the eigenvalues of a stack, bit for bit those of
+np.linalg.eigvalsh: the entries at p = 1, LAPACK's own 2 x 2 arithmetic
+vectorised over the stack at p = 2 (inside the range where LAPACK does not
+rescale), and eigvalsh beyond.
 Matrices derived inside the program are not validated again: matrix_power
 returns a plain array, and RectConfig decomposes its weights once.
 """
@@ -46,6 +50,67 @@ def _batch_det(m):
         (a, b, c), (d, e, f), (g, h, i) = m.transpose(1, 2, 0)
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return np.linalg.det(m)
+
+
+# dsterf's relative machine precision, and a range of the largest entry of
+# a 2 x 2 matrix inside which neither dsyevd nor dsterf rescales it (they
+# do below about 2^-405 and above about 2^485)
+_EPS = 2.0 ** -53
+_UNSCALED = (2.0 ** -400, 2.0 ** 480)
+
+
+def _batch_eigvalsh(m):
+    """Eigenvalues of an (n, p, p) stack of symmetric matrices, descending
+    along the last axis, bit for bit those of np.linalg.eigvalsh (which
+    reads the lower triangle).
+
+    p = 1 gives the entries.  p = 2 runs, once over the whole stack, the
+    arithmetic LAPACK's dsyevd does for one 2 x 2 matrix: dsterf's two
+    split tests on the subdiagonal, its QL/QR choice, dlae2 on the
+    diagonal and sqrt(e*e), and dlasrt's ascending sort.  A matrix whose
+    largest entry lies outside _UNSCALED, or that is not finite, goes to
+    eigvalsh, as does every p >= 3 stack.
+    """
+    m = np.asarray(m, dtype=float)
+    p = m.shape[-1]
+    if p == 1:
+        return m[:, 0].copy()
+    if p != 2:
+        return np.linalg.eigvalsh(m)[:, ::-1]
+    d0, d1, e = m[:, 0, 0], m[:, 1, 1], m[:, 1, 0]
+    # split rows and out-of-range rows run the arithmetic too, and may
+    # divide zero by zero; their results are discarded
+    with np.errstate(all="ignore"):
+        a0, a1 = np.abs(d0), np.abs(d1)
+        ee = e * e
+        split = np.abs(e) <= np.sqrt(a0) * np.sqrt(a1) * _EPS
+        split |= ee <= _EPS * _EPS * np.abs(d0 * d1)
+        # dlae2(a, b, c) with (a, c) = (d0, d1) for QL, (d1, d0) for QR
+        # (QR when |d1| < |d0|): either way a is the smaller in magnitude
+        qr = a1 < a0
+        acmx, acmn = np.where(qr, d0, d1), np.where(qr, d1, d0)
+        b = np.sqrt(ee)
+        adf, ab = np.abs(d0 - d1), b + b
+        # dlae2's rt; its adf == ab branch, ab * sqrt(2), is this product
+        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+        ratio = small / big
+        rt = big * np.sqrt(1.0 + ratio * ratio)
+        sm = d0 + d1
+        rt1 = 0.5 * (sm + np.copysign(rt, sm))
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+        # a zero trace gives the pair rt / 2 and -rt / 2
+        rt2 = np.where(sm == 0.0, -rt1, rt2)
+        # dsterf leaves (d0, d1) after a split, else (rt1, rt2) for QL and
+        # (rt2, rt1) for QR, and dlasrt sorts the pair.  In range, rt1 is
+        # never zero and a split pair is never +0.0 and -0.0, so maximum
+        # and minimum give the same bits whatever the order
+        x0, x1 = np.where(split, d0, rt1), np.where(split, d1, rt2)
+        out = np.stack((np.maximum(x0, x1), np.minimum(x0, x1)), 1)
+        top = np.maximum(np.maximum(a0, a1), np.abs(e))
+        scaled = ~((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))
+    if scaled.any():
+        out[scaled] = np.linalg.eigvalsh(m[scaled])[:, ::-1]
+    return out
 
 
 def check_spd(entries):

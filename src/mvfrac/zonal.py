@@ -26,9 +26,10 @@ from itertools import accumulate, combinations, zip_longest
 
 import numpy as np
 
-from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
-                     as_int)
+from .errors import (DegenerateInputError, DimensionError, ParameterDomainError,
+                     ResourceLimitError, as_int)
 from .gammacalc import Partition, _partition_parts
+from .spdcore import _batch_eigvalsh
 
 __all__ = [
     "ZonalTable",
@@ -378,13 +379,24 @@ def zonal_eval(K, Z):
     symmetric function of the eigenvalues of Z, read from the cached table
     for Z's dimension.  If K has more nonzero parts than Z has rows the
     value is identically zero, and no table is needed.
+
+    A stack of any other shape, or with p = 0, is a DimensionError, and
+    one with a non-finite entry a DegenerateInputError, both raised before
+    any eigenvalue is computed; an empty (0, p, p) stack gives an empty
+    array.  The stack's eigenvalues come from spdcore._batch_eigvalsh.
     """
     K = Partition.coerce(K)
     stack = isinstance(Z, np.ndarray)
+    if stack:
+        if Z.ndim != 3 or Z.shape[1] != Z.shape[2] or Z.shape[1] == 0:
+            raise DimensionError(
+                f"expected an (n, p, p) stack with p >= 1, got shape {Z.shape}")
+        if not np.isfinite(Z).all():
+            raise DegenerateInputError("matrix entries must be finite")
     rows = Z.shape[-1] if stack else Z.dim
     if len(K) > rows:
         return np.zeros(len(Z)) if stack else 0.0
-    eigs = np.linalg.eigvalsh(Z)[:, ::-1] if stack else Z.eigenvalues
+    eigs = _batch_eigvalsh(Z) if stack else Z.eigenvalues
     value = fetch_table(K.weight, rows).value(K, eigs)
     return value if stack else float(value)
 

@@ -21,6 +21,7 @@ from mvfrac import (
     MatrixGammaSpec,
     RectConfig,
     cli,
+    pathway_det_limit,
     sample_matrix_gamma,
     sample_rect_exponential,
     sample_uniform_spd_unit,
@@ -171,6 +172,18 @@ def test_eval_pathway_nan_eigenvalue_is_domain_error():
     (rec,) = records(proc)
     assert rec["error"] == "ParameterDomainError"
     assert "non-negative" in rec["message"]
+
+
+def test_eval_pathway_infinite_eigenvalue_is_domain_error():
+    # pathway_det_limit gives 0.0 here, but the record would echo the inf,
+    # which used to be refused as "result is not finite"
+    proc = run("eval", "pathway", "--q", "2", "--eigs", "0.5,inf")
+    assert proc.returncode == 2
+    (rec,) = records(proc)
+    assert rec["error"] == "ParameterDomainError"
+    assert "eigenvalues must be finite" in rec["message"]
+    assert "[0.5, inf]" in rec["message"]
+    assert pathway_det_limit(2.0, np.array([0.5, np.inf])) == 0.0
 
 
 def test_verify_suite_runs_and_passes():

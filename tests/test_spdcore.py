@@ -14,10 +14,12 @@ from mvfrac import (
     SpdMatrix,
     log_matrix_gamma,
     rect_transform,
+    sample_uniform_spd_unit,
     stiefel_constant,
 )
 from mvfrac.errors import ParameterDomainError
-from mvfrac.spdcore import _batch_det, check_full_rank, check_spd, matrix_from_rows
+from mvfrac.spdcore import (_batch_det, _batch_eigvalsh, check_full_rank, check_spd,
+                            matrix_from_rows)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -270,6 +272,104 @@ def test_stiefel_constant_frozen():
     assert stiefel_constant(2, 2) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ParameterDomainError):
         stiefel_constant(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# stack eigenvalues
+
+def _diagonal_stack(d0, d1, e=0.0):
+    m = np.zeros((np.broadcast(d0, d1, e).size, 2, 2))
+    m[:, 0, 0], m[:, 1, 1] = d0, d1
+    m[:, 1, 0] = m[:, 0, 1] = e
+    return m
+
+
+def _cone_family():
+    w = sample_uniform_spd_unit(2, 4000, 11)
+    # Z^(1/2) W Z^(1/2) as the fraczonal operand sees it: not exactly symmetric
+    root = SpdMatrix(np.array([[1.3, 0.4], [0.4, 0.7]])).matrix_power(0.5)
+    z = (w.reshape(-1, 4) @ np.kron(root, root).T).reshape(w.shape)
+    return np.concatenate([w, z, sample_uniform_spd_unit(2, 2000, 12) * 1e-3])
+
+
+def _random_family():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((6000, 2, 2))
+    scale = np.exp(rng.uniform(-345.0, 345.0, 2000))[:, None, None]
+    return np.concatenate([x @ x.transpose(0, 2, 1), x + x.transpose(0, 2, 1),
+                           x, (x + x.transpose(0, 2, 1))[:2000] * scale])
+
+
+def _diagonal_family():
+    rng = np.random.default_rng(22)
+    d = rng.standard_normal((2, 2000)) * np.exp(rng.uniform(-8.0, 8.0, 2000))
+    zeros = np.array([0.0, -0.0])
+    signed = _diagonal_stack(np.repeat(zeros, 8), np.tile(np.repeat(zeros, 4), 2),
+                             np.tile([0.0, -0.0, 1.0, -1e-3], 4))
+    return np.concatenate([_diagonal_stack(*d), np.zeros((5, 2, 2)), signed])
+
+
+def _near_split_family():
+    # dsterf's first test, |e| <= sqrt|d0| sqrt|d1| eps, and its second,
+    # e^2 <= eps^2 |d0 d1|, each with e moved 0 to 3 ulps either way; and a
+    # zero diagonal entry with e^2 subnormal, where sqrt(e^2) is not |e|
+    rng = np.random.default_rng(23)
+    d0, d1 = rng.standard_normal((2, 1000)) * np.exp(rng.uniform(-5.0, 5.0, 1000))
+    eps = 2.0 ** -53
+    sign = rng.choice([-1.0, 1.0], 1000)
+    tiny = sign * rng.uniform(1.0, 2.0, 1000) * np.exp2(rng.integers(-537, -515, 1000))
+    out = [_diagonal_stack(d0, 0.0, tiny), _diagonal_stack(0.0, d1, tiny)]
+    for e in (np.sqrt(np.abs(d0)) * np.sqrt(np.abs(d1)) * eps,
+              np.sqrt(eps * eps * np.abs(d0 * d1))):
+        for toward in (0.0, np.inf):
+            for _ in range(4):
+                out.append(_diagonal_stack(d0, d1, sign * e))
+                e = np.nextafter(e, toward)
+    return np.concatenate(out)
+
+
+def _equal_diagonal_family():
+    # d0 = d1 and d0 = -d1 (a zero trace), with and without a coupling
+    rng = np.random.default_rng(24)
+    d = rng.standard_normal(2000) * np.exp(rng.uniform(-8.0, 8.0, 2000))
+    e = rng.standard_normal(2000) * rng.choice([0.0, 1e-9, 1.0], 2000)
+    return np.concatenate([_diagonal_stack(d, d, e), _diagonal_stack(d, -d, e),
+                           _diagonal_stack(-0.0 * d, -0.0 * d, e)])
+
+
+def _rescaled_family():
+    # largest entries outside 2^-400 .. 2^480, where LAPACK rescales and the
+    # stack falls back, and just inside both ends
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2000, 2, 2))
+    powers = [-1070, -1000, -600, -480, -420, -406, -399, 479, 486, 511,
+              600, 1000]
+    scale = np.exp2(rng.choice(powers, 2000))[:, None, None]
+    return (x + x.transpose(0, 2, 1)) * scale
+
+
+def _other_dimension_family(p):
+    rng = np.random.default_rng(26 + p)
+    x = rng.standard_normal((1000, p, p))
+    stack = np.concatenate([x + x.transpose(0, 2, 1), x @ x.transpose(0, 2, 1)])
+    stack[:4] = 0.0
+    stack[:2] *= -1.0
+    return stack
+
+
+@pytest.mark.parametrize("family", [
+    _cone_family, _random_family, _diagonal_family, _near_split_family,
+    _equal_diagonal_family, _rescaled_family,
+    lambda: _other_dimension_family(1), lambda: _other_dimension_family(3),
+], ids=["cone", "random", "diagonal", "near-split", "equal-diagonal",
+        "rescaled", "p1", "p3"])
+def test_batch_eigvalsh_matches_lapack_bitwise(family):
+    m = family()
+    got = _batch_eigvalsh(m)
+    want = np.linalg.eigvalsh(m)[:, ::-1]
+    assert got.shape == want.shape
+    differ = (got.view(np.uint64) != want.view(np.uint64)).any(axis=1)
+    assert not differ.any(), (m[differ][:3], got[differ][:3], want[differ][:3])
 
 
 # ---------------------------------------------------------------------------

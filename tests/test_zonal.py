@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfrac import (
+    DegenerateInputError,
     DimensionError,
     HyperParams,
     ParameterDomainError,
@@ -242,6 +243,31 @@ def test_stack_matches_per_matrix(p):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     with pytest.raises(DimensionError):
         table.value(Partition((1,)), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2), (3, 2, 2, 2), (3, 0, 0)])
+def test_stack_shape_is_checked_first(shape):
+    # these used to raise LinAlgError, IndexError or ValueError from inside
+    # the eigenvalue or table code; a K longer than p is refused as well
+    for K in ((2,), (1, 1, 1)):
+        with pytest.raises(DimensionError, match=r"\(n, p, p\)"):
+            zonal_eval(K, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stack_entries_must_be_finite(bad):
+    # a NaN corner used to give C_(2) = 0.1067 and an inf one gave nan
+    stack = np.array([np.eye(2), [[1.0, 0.2], [0.2, bad]]])
+    for K in ((2,), (1, 1, 1)):
+        with pytest.raises(DegenerateInputError, match="finite"):
+            zonal_eval(K, stack)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_empty_stack_gives_empty_values(p):
+    for K in ((), (2,), (1, 1, 1, 1)):
+        got = zonal_eval(K, np.zeros((0, p, p)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
 @lru_cache(maxsize=None)
