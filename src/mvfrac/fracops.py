@@ -165,26 +165,23 @@ def frac_integral_zonal_closed(order, Z, K):
         (|A|^(r/2) |B|^(p/2) Gamma_p(alpha+r/2))
         * [(r/2)_K / (alpha+r/2)_K] * C_K(Z).
 
-    The leading Pochhammer factor vanishes for some partitions when r/2 sits
-    on a half-integer ladder, in which case the value is exactly zero.
+    C_K(Z) = 0 for K with more than p parts gives exactly zero; otherwise
+    both Pochhammer symbols are positive, since r >= p and alpha > (p-1)/2.
     """
     _check_argument(order, Z)
     cfg = order.config
     K = Partition.coerce(K)
     cz = zonal_eval(K, Z)
-    num_log, num_sign = signed_log_gen_pochhammer(0.5 * cfg.r, K)
-    den_log, den_sign = signed_log_gen_pochhammer(order.alpha + 0.5 * cfg.r, K)
-    if den_sign == 0:
-        raise ParameterDomainError(
-            f"partition Pochhammer of alpha + r/2 = {order.alpha + 0.5 * cfg.r} "
-            f"vanishes at {K.parts}")
+    # a zero cz (K longer than p) gives sign 0; _signed reads no logs then
+    num_log = signed_log_gen_pochhammer(0.5 * cfg.r, K)[0]
+    den_log = signed_log_gen_pochhammer(order.alpha + 0.5 * cfg.r, K)[0]
     det_exponent = order.alpha + 0.5 * cfg.r - 0.5 * (cfg.p + 1)
     return _signed(det_exponent * Z.log_det
                    + 0.5 * cfg.r * cfg.p * math.log(math.pi)
                    - cfg.log_weight_factor
                    - log_matrix_gamma(cfg.p, order.alpha + 0.5 * cfg.r)
                    + num_log - den_log,
-                   det_exponent, num_sign * den_sign * cz)
+                   det_exponent, cz)
 
 
 def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None):

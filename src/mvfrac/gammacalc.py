@@ -165,35 +165,33 @@ def log_matrix_gamma(p, alpha):
     return acc
 
 
+def _box_factors(a, K):
+    """The factors (a - (j-1)/2) + (i-1) of (a)_K, box by box, row by row."""
+    for j, kj in enumerate(Partition.coerce(K).parts):
+        base = a - 0.5 * j
+        for i in range(kj):
+            yield base + i
+
+
 def gen_pochhammer(a, K):
     """Generalized rising factorial of a over the partition K.
 
     Product over parts k_j of the ordinary Pochhammer (a - (j-1)/2)_{k_j}.
     May be zero or negative; returned as a plain float.
     """
-    K = Partition.coerce(K)
-    out = 1.0
-    for j, kj in enumerate(K.parts):
-        base = a - 0.5 * j
-        for i in range(kj):
-            out *= base + i
-    return out
+    return math.prod(_box_factors(a, K), start=1.0)
 
 
 def signed_log_gen_pochhammer(a, K):
     """(log |(a)_K|, sign) with sign in {-1, 0, +1}."""
-    K = Partition.coerce(K)
     log_abs = 0.0
     sign = 1
-    for j, kj in enumerate(K.parts):
-        base = a - 0.5 * j
-        for i in range(kj):
-            f = base + i
-            if f == 0.0:
-                return float("-inf"), 0
-            if f < 0.0:
-                sign = -sign
-            log_abs += math.log(abs(f))
+    for f in _box_factors(a, K):
+        if f == 0.0:
+            return float("-inf"), 0
+        if f < 0.0:
+            sign = -sign
+        log_abs += math.log(abs(f))
     return log_abs, sign
 
 

@@ -2,9 +2,10 @@
 
 Every draw is a pure function of (key, counter index): the raw 64-bit output
 at index i is the splitmix finalizer applied to key + (i+1) * golden ratio.
-That makes all samplers reproducible bit-for-bit across platforms and numpy
-versions, and lets sub-streams be addressed by absolute index instead of by
-shared mutable state.
+The same seed gives the same draws bit for bit across reruns and batch sizes
+on one host (numpy's float kernels may round differently on another CPU),
+and sub-streams are addressed by absolute index instead of by shared mutable
+state.
 
 Uniforms are mapped to the open interval (0,1) as (x >> 11 + 0.5) * 2**-53,
 normals come from Box-Muller on consecutive uniform pairs (even index takes

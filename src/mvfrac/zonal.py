@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DegenerateInputError, DimensionError, ParameterDomainError,
                      ResourceLimitError, as_int)
 from .gammacalc import Partition, _partition_parts
-from .spdcore import _batch_eigvalsh
+from .spdcore import SpdMatrix, _batch_eigvalsh
 
 __all__ = [
     "ZonalTable",
@@ -374,31 +374,30 @@ def fetch_table(k_max, p):
 def zonal_eval(K, Z):
     """Evaluate the zonal polynomial for partition K at the SPD matrix Z.
 
-    Z is an SpdMatrix, giving a float, or an (n, p, p) array stack of
-    symmetric matrices, giving the n values as an array.  The value is a
-    symmetric function of the eigenvalues of Z, read from the cached table
-    for Z's dimension.  If K has more nonzero parts than Z has rows the
-    value is identically zero, and no table is needed.
+    Z is read as an (n, p, p) stack, giving the n values as an array: an
+    SpdMatrix is the stack of its one matrix and gives a float, anything
+    else goes through np.asarray.  The value is a symmetric function of the
+    eigenvalues from spdcore._batch_eigvalsh (an SpdMatrix's own, which its
+    check took there), read from the cached table for p; if K has more
+    nonzero parts than p it is zero, and no table or spectrum is read.
 
-    A stack of any other shape, or with p = 0, is a DimensionError, and
-    one with a non-finite entry a DegenerateInputError, both raised before
-    any eigenvalue is computed; an empty (0, p, p) stack gives an empty
-    array.  The stack's eigenvalues come from spdcore._batch_eigvalsh.
+    Any other shape, or p = 0, is a DimensionError and a non-finite entry
+    a DegenerateInputError, both raised before any eigenvalue is computed;
+    an empty (0, p, p) stack gives an empty array.
     """
     K = Partition.coerce(K)
-    stack = isinstance(Z, np.ndarray)
-    if stack:
-        if Z.ndim != 3 or Z.shape[1] != Z.shape[2] or Z.shape[1] == 0:
-            raise DimensionError(
-                f"expected an (n, p, p) stack with p >= 1, got shape {Z.shape}")
-        if not np.isfinite(Z).all():
-            raise DegenerateInputError("matrix entries must be finite")
-    rows = Z.shape[-1] if stack else Z.dim
-    if len(K) > rows:
-        return np.zeros(len(Z)) if stack else 0.0
-    eigs = _batch_eigvalsh(Z) if stack else Z.eigenvalues
-    value = fetch_table(K.weight, rows).value(K, eigs)
-    return value if stack else float(value)
+    single = isinstance(Z, SpdMatrix)
+    stack = np.asarray(Z.entries[None] if single else Z, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
+        raise DimensionError(
+            f"expected an (n, p, p) stack with p >= 1, got shape {stack.shape}")
+    n, p = stack.shape[:2]
+    if not np.isfinite(stack).all():
+        raise DegenerateInputError("matrix entries must be finite")
+    # an SpdMatrix keeps the spectrum _batch_eigvalsh gave its stack of one
+    values = np.zeros(n) if len(K) > p else fetch_table(K.weight, p).value(
+        K, Z.eigenvalues[None] if single else _batch_eigvalsh(stack))
+    return float(values[0]) if single else values
 
 
 def zonal_at_identity(K, p):

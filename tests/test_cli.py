@@ -113,6 +113,17 @@ def test_eval_fracint_zonal():
     assert rec["value"] == pytest.approx(2 / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("r, k, z", [("1", "1,1,1,1", "[[1.3]]"),
+                                     ("2", "1,1,1,1,1", "[[1.3,0.1],[0.1,0.8]]")])
+def test_eval_fracint_zonal_longer_than_p_is_zero(r, k, z):
+    # (alpha + r/2)_K has a zero factor at K's last row; C_K(Z) = 0 decides
+    proc = run("eval", "fracint-zonal", "--r", r, "--alpha", "1.0", "--k", k,
+               "--z", z)
+    assert proc.returncode == 0, proc.stdout
+    (rec,) = records(proc)
+    assert (rec["sign"], rec["value"], rec["log_magnitude"]) == (0, 0.0, None)
+
+
 def test_eval_saigo_collapse():
     base = ("eval", "saigo", "--r", "2", "--alpha", "1.5", "--b", "0.4",
             "--c", "2.5", "--z", "[[1.1,0.0],[0.0,0.7]]")

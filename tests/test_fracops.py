@@ -14,6 +14,7 @@ import scipy.special
 
 from mvfrac import (
     DetPowerOperand,
+    DimensionError,
     FracOrder,
     FracValue,
     ParameterDomainError,
@@ -108,6 +109,28 @@ def test_zonal_empty_partition_matches_power_form():
         a = frac_integral_zonal_closed(order, z, Partition.coerce(()))
         b = frac_integral_power_closed(order, z, eta=0.0)
         assert a.value() == pytest.approx(b.value(), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, r, parts", [(1, 1, (1, 1, 1, 1)),
+                                         (2, 2, (1, 1, 1, 1, 1))])
+def test_zonal_longer_than_p_is_exactly_zero(p, r, parts):
+    # alpha + r/2 puts a zero factor in (alpha + r/2)_K at K's last row, but
+    # C_K(Z) = 0 for K with more than p parts decides the value
+    order = FracOrder(1.0, _cfg(p, r))
+    fv = frac_integral_zonal_closed(order, SpdMatrix(1.3 * np.eye(p)), parts)
+    assert (fv.sign, fv.log_magnitude, fv.value()) == (0, -math.inf, 0.0)
+
+
+def test_argument_and_operand_refusals():
+    order = FracOrder(1.0, _cfg(2, 2))
+    with pytest.raises(DimensionError, match=r"argument dimension 1 does not "
+                                             r"match configuration dimension 2"):
+        frac_integral_power_closed(order, SpdMatrix.identity(1))
+    # r/2 + eta = 0.5 is not above (p-1)/2 = 0.5; refused before any draw
+    with pytest.raises(ParameterDomainError,
+                       match=r"need r/2 \+ eta > \(p-1\)/2: r=2, eta=-0\.5, p=2"):
+        frac_integral_numeric(order, SpdMatrix.identity(2),
+                              DetPowerOperand(-0.5), 1000, 1)
 
 
 def test_zonal_scalar_reduction_oracle():

@@ -178,6 +178,19 @@ def test_log_matrix_gamma_partition_shift():
         expected, rel=1e-12)
 
 
+def test_log_matrix_gamma_partition_refusals():
+    with pytest.raises(ParameterDomainError,
+                       match=r"partition has 2 parts but dimension is 1"):
+        log_matrix_gamma_partition(1, 3.0, (1, 1))
+    # the second row's factor is b - 1/2: zero at b = 1/2, negative below
+    with pytest.raises(ParameterDomainError,
+                       match=r"\(0\.5\)_\(1, 1\) vanishes; log form undefined"):
+        log_matrix_gamma_partition(2, 0.5, (1, 1))
+    with pytest.raises(ParameterDomainError,
+                       match=r"\(0\.25\)_\(1, 1\) is negative; use the signed"):
+        log_matrix_gamma_partition(2, 0.25, (1, 1))
+
+
 def test_log_matrix_beta_p1_frozen():
     # B(2,3) = 1/12
     assert log_matrix_beta(1, 2.0, 3.0) == pytest.approx(

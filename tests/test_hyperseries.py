@@ -512,6 +512,9 @@ def test_gauss_rect_preconditions():
         gauss_2f1_rect(1.0, 0.5, 3.0, SpdMatrix.diagonal((1.2, 0.1)), cfg)
     with pytest.raises(DimensionError):
         gauss_2f1_rect(1.0, 0.5, 3.0, SpdMatrix(np.array([[0.3]])), cfg)
+    with pytest.raises(ParameterDomainError,
+                       match=r"need a > -r/2 \+ \(p-1\)/2: a=-1\.0, r=2, p=2"):
+        gauss_2f1_rect(-1.0, 0.5, 1.0, y, cfg)  # -r/2 + (p-1)/2 = -1/2
 
 
 def test_gauss_rect_and_hyper_pfq_agree_near_the_identity():

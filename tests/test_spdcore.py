@@ -18,8 +18,8 @@ from mvfrac import (
     stiefel_constant,
 )
 from mvfrac.errors import ParameterDomainError
-from mvfrac.spdcore import (_batch_det, _batch_eigvalsh, check_full_rank, check_spd,
-                            matrix_from_rows)
+from mvfrac.spdcore import (_SHORT_STACK, _batch_det, _batch_eigvalsh,
+                            check_full_rank, check_spd, matrix_from_rows)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -246,10 +246,12 @@ def test_rect_config_weight_factor():
 
 
 def test_rect_config_dimension_checks():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"need r >= p >= 1, got p=2, r=1"):
         RectConfig(2, 1, SpdMatrix.identity(2), SpdMatrix.identity(1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"A must be 2x2, got 3"):
         RectConfig(2, 3, SpdMatrix.identity(3), SpdMatrix.identity(3))
+    with pytest.raises(DimensionError, match=r"B must be 3x3, got 2"):
+        RectConfig(2, 3, SpdMatrix.identity(2), SpdMatrix.identity(2))
 
 
 def test_configs_compare_by_weight_entries():
@@ -365,11 +367,27 @@ def _other_dimension_family(p):
         "rescaled", "p1", "p3"])
 def test_batch_eigvalsh_matches_lapack_bitwise(family):
     m = family()
+    # p = 2 families stay long enough to run the vectorised arithmetic
+    assert m.shape[-1] != 2 or len(m) >= _SHORT_STACK
     got = _batch_eigvalsh(m)
     want = np.linalg.eigvalsh(m)[:, ::-1]
     assert got.shape == want.shape
     differ = (got.view(np.uint64) != want.view(np.uint64)).any(axis=1)
     assert not differ.any(), (m[differ][:3], got[differ][:3], want[differ][:3])
+
+
+def test_short_stacks_match_lapack_bitwise():
+    # every p = 2 stack length up to twice the short-stack rule, on a shuffled
+    # mix of cone draws, indefinite matrices and rescaled ones, so both sides
+    # of the rule see in-range and out-of-range rows
+    pool = np.concatenate([_cone_family()[:2 * _SHORT_STACK],
+                           _random_family()[:2 * _SHORT_STACK],
+                           _rescaled_family()[:2 * _SHORT_STACK]])
+    pool = pool[np.random.default_rng(27).permutation(len(pool))]
+    for n in range(1, 2 * _SHORT_STACK + 1):
+        got = _batch_eigvalsh(pool[:n])
+        want = np.linalg.eigvalsh(pool[:n])[:, ::-1]
+        assert got.tobytes() == want.tobytes(), n
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,10 @@ def test_empty_partition_is_constant_one():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_stack_matches_per_matrix(p):
     # an (n, p, p) stack gives the n per-matrix values, including the
-    # constant empty partition and partitions longer than p
+    # constant empty partition and partitions longer than p.  The eigenvalues
+    # agree bit for bit; the table's product over the monomials is one BLAS
+    # call per stack, whose kernel may round an n-column product and a
+    # one-column product differently (2 ulp seen up to weight 6, p = 5)
     table = fetch_table(3, 3)
     mats = [spd_from_eigs(np.linspace(0.2, 1.7, p) + 0.1 * i, seed=i)
             for i in range(6)]
@@ -240,9 +243,36 @@ def test_stack_matches_per_matrix(p):
             got = zonal_eval(K, stack)
             want = [zonal_eval(K, m) for m in mats]
             assert got.shape == (len(mats),)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
     with pytest.raises(DimensionError):
         table.value(Partition((1,)), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_matrix_and_its_stack_of_one_agree_bitwise(p):
+    # an SpdMatrix is read as the stack of its one matrix, and the spectrum
+    # it keeps is the one _batch_eigvalsh gives that stack, so the float it
+    # gives is the stack's value, for partitions longer than p as well
+    for i in range(24):
+        z = spd_from_eigs(np.geomspace(0.05, 3.0, p) * (0.5 + 0.1 * i), seed=i)
+        stack = z.entries[None]
+        for k in range(7):
+            for K in partitions_of(k, k or 1):
+                got = zonal_eval(K, z)
+                want = zonal_eval(K, stack)
+                assert type(got) is float and want.shape == (1,)
+                assert np.float64(got).tobytes() == want.tobytes(), (K, i)
+
+
+def test_nested_lists_are_read_as_stacks():
+    z = [[[1.0, 0.2], [0.2, 0.5]], [[0.7, 0.0], [0.0, 0.3]]]
+    for K in ((2,), (1, 1), (2, 1), (1, 1, 1)):
+        assert zonal_eval(K, z).tobytes() == zonal_eval(K, np.array(z)).tobytes()
+    # one matrix as plain rows is refused as its ndarray is, not with a
+    # traceback from an attribute lookup
+    for rows in ([[1.0, 0.0], [0.0, 1.0]], np.eye(2)):
+        with pytest.raises(DimensionError, match=r"\(n, p, p\).*\(2, 2\)"):
+            zonal_eval((2,), rows)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2), (3, 2, 2, 2), (3, 0, 0)])
