@@ -40,7 +40,7 @@ from .matsample import (
     sample_rect_exponential,
     sample_uniform_spd_unit,
 )
-from .spdcore import RectConfig, SpdMatrix, matrix_from_rows
+from .spdcore import RectConfig, SpdMatrix
 from .verify import _SCHEMA, SUITES, run_suite
 from .zonal import zonal_eval
 
@@ -122,16 +122,16 @@ def _spd_from_args(args, eigs=None):
             raise _UsageError(f"{args.z_file} is not valid JSON: {exc}")
     elif rows is None:
         raise _UsageError("one of --z or --z-file is required")
-    return SpdMatrix(matrix_from_rows(rows))
+    return SpdMatrix(rows)
 
 
 def _operator(args):
     """Z and the FracOrder of fracint-power, fracint-zonal and saigo, from
     --z or --z-file, --r, --alpha and the weights (identity by default)."""
     z = _spd_from_args(args)
-    a = SpdMatrix(matrix_from_rows(args.weight_a)) \
+    a = SpdMatrix(args.weight_a) \
         if args.weight_a is not None else SpdMatrix.identity(z.dim)
-    b = SpdMatrix(matrix_from_rows(args.weight_b)) \
+    b = SpdMatrix(args.weight_b) \
         if args.weight_b is not None else SpdMatrix.identity(args.r)
     return z, FracOrder(args.alpha, RectConfig(z.dim, args.r, a, b))
 

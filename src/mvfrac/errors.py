@@ -2,9 +2,9 @@
 
 Every error raised on purpose derives from MvfracError, so callers can
 catch one type at the boundary (the CLI maps them to exit code 2).  Every
-integer argument (dimension, sample count, k_max, partition part) passes
-as_int: numpy integers are accepted, and floats, even integral ones, bools
-and strings are refused with ParameterDomainError, never truncated.
+integer argument (dimension, sample count, k_max, partition part, seed)
+passes as_int: numpy integers are accepted, and floats, even integral ones,
+bools and strings are refused with ParameterDomainError, never truncated.
 """
 
 import operator

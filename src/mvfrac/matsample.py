@@ -332,7 +332,7 @@ def _indicator_estimate(cone, p, seed):
     var = (total_sq - total * total / m) / (m - 1)
     stderr = _BOX_VOLUME[p] * math.sqrt(max(var, 0.0) / m)
     return McEstimate(value=value, stderr=stderr, n=n,
-                      seed=int(seed), n_proposals=m)
+                      seed=as_int(seed, "seed", -math.inf), n_proposals=m)
 
 
 def mc_integrate_unit_cone(g, p, n, seed, shapes=None):

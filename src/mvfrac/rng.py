@@ -49,7 +49,7 @@ _CHUNK = 1 << 15
 
 def derive_key(seed, tag=0):
     """A 64-bit stream key from a seed and a small stream tag."""
-    z = (int(seed) & _MASK64)
+    z = as_int(seed, "seed", -math.inf) & _MASK64
     z = (z * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & _MASK64
     z ^= ((int(tag) & _MASK64) * 0xC2B2AE3D27D4EB4F) & _MASK64
     z ^= z >> 30

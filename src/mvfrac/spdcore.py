@@ -1,22 +1,22 @@
 """Symmetric positive definite matrices and the rectangular transform.
 
-This is the one linear-algebra layer.  SpdMatrix validates a matrix that
-comes from outside with check_spd: exact symmetry, and positive
+This is the one linear-algebra layer.  read_matrix is the one reader of
+matrices from outside, for SpdMatrix, zonal_eval and the CLI alike, and
+SpdMatrix checks what it reads with check_spd: exact symmetry, and positive
 definiteness by the eigenvalue rule (every eigenvalue above 1e-12 times the
 largest), for one matrix or an (n, p, p) stack.
 check_full_rank applies the SVD rank rule to rectangular draws (smallest
 singular value above 1e-10 times the largest).  _batch_det gives the
 determinants of a stack, by cofactors up to p = 3 and by LU beyond.
 _batch_eigvalsh, the one eigenvalue call site, gives bit for bit
-np.linalg.eigvalsh: the entries at p = 1, LAPACK's 2 x 2 arithmetic
-vectorised over p = 2 stacks of _SHORT_STACK or more (where LAPACK does not
-rescale), and eigvalsh itself for shorter stacks and beyond.
+np.linalg.eigvalsh, with LAPACK's 2 x 2 arithmetic vectorised at p = 2.
 Matrices derived inside the program are not validated again: matrix_power
 returns a plain array, and RectConfig decomposes its weights once.
 """
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +33,7 @@ __all__ = [
     "stiefel_constant",
     "check_spd",
     "check_full_rank",
-    "matrix_from_rows",
+    "read_matrix",
 ]
 
 
@@ -117,8 +117,8 @@ def _batch_eigvalsh(m):
 
 
 def check_spd(entries):
-    """Validate a square matrix, or an (n, p, p) stack, as SpdMatrix does:
-    finite entries, exact symmetry and positive definiteness.  Returns the
+    """Validate a square matrix, or an (n, p, p) stack, read as read_matrix
+    reads it, for exact symmetry and positive definiteness.  Returns the
     eigenvalues from _batch_eigvalsh, descending along the last axis; the
     error names the first matrix that fails.
 
@@ -127,14 +127,10 @@ def check_spd(entries):
     entries and does not cancel: diag(1.0, 1e-10) gives back 1e-10 and
     diag(1e308, 1e308) stays finite.
     """
-    shape = np.shape(entries)
-    if 0 in shape[-2:]:
-        raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
-    if not np.isfinite(entries).all():
-        raise DegenerateInputError("matrix entries must be finite")
     if not (entries == np.swapaxes(entries, -1, -2)).all():
         raise DegenerateInputError(
             "matrix is not exactly symmetric; symmetrize before constructing")
+    shape = np.shape(entries)
     eig = _batch_eigvalsh(np.reshape(entries, (-1,) + shape[-2:]))
     eig = eig.reshape(shape[:-1])
     ok = eig[..., -1] > 1e-12 * eig[..., 0]
@@ -168,16 +164,15 @@ def check_full_rank(entries):
 class SpdMatrix:
     """Immutable symmetric positive definite matrix.
 
-    The constructor validates exact symmetry of the stored entries and
-    positive definiteness via the eigenvalues (relative tolerance 1e-12 on
-    the spectral radius).  Entries are copied and frozen.
+    The constructor reads its entries with read_matrix, which copies them,
+    validates them with check_spd and freezes them.
     """
 
     __slots__ = ("_entries", "_eigenvalues")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        arr = read_matrix(entries, 2)
+        if arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         eig = check_spd(arr)
         arr.setflags(write=False)
@@ -187,17 +182,13 @@ class SpdMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SpdMatrix is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def identity(cls, p):
         return cls(np.eye(as_int(p, "dimension", 1)))
 
     @classmethod
     def diagonal(cls, values):
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    # -- views and cached spectra -----------------------------------------
+        return cls(np.diag(read_matrix(values, 1)))
 
     @property
     def entries(self):
@@ -211,8 +202,6 @@ class SpdMatrix:
     def eigenvalues(self):
         """Eigenvalues in descending order (all strictly positive)."""
         return self._eigenvalues
-
-    # -- scalar functionals ------------------------------------------------
 
     @property
     def log_det(self):
@@ -230,8 +219,6 @@ class SpdMatrix:
         powered = (v * np.power(w, t)) @ v.T
         return 0.5 * (powered + powered.T)
 
-    # -- misc ----------------------------------------------------------------
-
     def to_lists(self):
         return self._entries.tolist()
 
@@ -244,7 +231,8 @@ class SpdMatrix:
         return np.array_equal(self._entries, other._entries)
 
     def __hash__(self):
-        return hash(self._entries.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which __eq__ does not tell apart
+        return hash((self._entries + 0.0).tobytes())
 
 
 @dataclass(frozen=True)
@@ -317,22 +305,34 @@ def stiefel_constant(p, r):
 
 
 # ---------------------------------------------------------------------------
-# JSON matrices: arrays of row arrays, dimensions inferred from shape
-# ---------------------------------------------------------------------------
+# the one reader of matrices from outside
 
-def matrix_from_rows(rows):
-    """A parsed JSON array of row arrays as a float ndarray.  Ragged rows,
-    entries that are not JSON numbers (strings, booleans, null) and integers
-    beyond the float range are DimensionErrors."""
+def _reals(data, depth):
+    """Whether data is a real number or an ndarray of a real dtype, bools
+    excluded, or a list or tuple of these nested at most depth deep."""
+    if isinstance(data, np.ndarray):
+        return data.dtype.kind in "fiu"
+    if isinstance(data, (list, tuple)):
+        return depth > 0 and all(_reals(x, depth - 1) for x in data)
+    return isinstance(data, numbers.Real) and not isinstance(data, bool)
+
+
+def read_matrix(data, ndim):
+    """data, an ndarray or nested lists of real numbers, as a new float
+    array of ndim axes: 1 for a diagonal, 2 for a matrix, 3 for a stack.
+    Strings, bools, None, complex values, ragged rows, integers beyond the
+    float range, another ndim and an empty matrix axis are DimensionErrors,
+    a non-finite entry a DegenerateInputError; an ndarray is converted
+    whole, never entry by entry, and an empty (0, p, p) stack is read."""
     try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionError(f"expected equal-length rows of numbers: {exc}")
-    if arr.ndim != 2:
-        raise DimensionError(
-            f"expected a JSON array of row arrays, got ndim={arr.ndim}")
-    for x in (x for row in rows for x in row):
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise DimensionError(f"expected equal-length rows of numbers: "
-                                 f"{x!r} is not a number")
+        arr = np.array(data, dtype=float) if _reals(data, ndim) else None
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim or 0 in arr.shape[-2:]:
+        got = reprlib.repr(data) if arr is None else f"shape {arr.shape}"
+        shape = ("(p,)", "(p, p)", "(n, p, p)")[ndim - 1]
+        raise DimensionError(f"expected equal-length rows of numbers of "
+                             f"shape {shape} with p >= 1, got {got}")
+    if not np.isfinite(arr).all():
+        raise DegenerateInputError("matrix entries must be finite")
     return arr

@@ -106,7 +106,8 @@ def _group(cases, **fields):
 
 
 def _report(suite, seed, extra, cases):
-    return _group(cases, schema=_SCHEMA, suite=suite, seed=int(seed), **extra)
+    return _group(cases, schema=_SCHEMA, suite=suite,
+                  seed=as_int(seed, "seed", -math.inf), **extra)
 
 
 def _z_check(name, z, limit, **fields):
@@ -137,7 +138,7 @@ def _rel_check(name, key, value, power, **fields):
 
 def _operator_at(p, r, alpha):
     """Grid argument Z and identity-weight order of one operator point."""
-    return (SpdMatrix(np.array(_GRID_Z[p])),
+    return (SpdMatrix(_GRID_Z[p]),
             FracOrder(alpha, RectConfig.with_identity_weights(p, r)))
 
 
@@ -396,7 +397,8 @@ def verify_sum_density(cfg1, cfg2, n, seed):
                             critical=crit))
 
     return _group(cases, check="sum-density", dimension=int(p),
-                  orders=[int(cfg1.r), int(cfg2.r)], samples=n, seed=int(seed))
+                  orders=[int(cfg1.r), int(cfg2.r)], samples=n,
+                  seed=as_int(seed, "seed", -math.inf))
 
 
 def suite_sumdensity(p=None, r1=None, r2=None, samples=100_000, seed=42):

@@ -26,10 +26,10 @@ from itertools import accumulate, combinations, zip_longest
 
 import numpy as np
 
-from .errors import (DegenerateInputError, DimensionError, ParameterDomainError,
-                     ResourceLimitError, as_int)
+from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
+                     as_int)
 from .gammacalc import Partition, _partition_parts
-from .spdcore import SpdMatrix, _batch_eigvalsh
+from .spdcore import SpdMatrix, _batch_eigvalsh, read_matrix
 
 __all__ = [
     "ZonalTable",
@@ -376,24 +376,20 @@ def zonal_eval(K, Z):
 
     Z is read as an (n, p, p) stack, giving the n values as an array: an
     SpdMatrix is the stack of its one matrix and gives a float, anything
-    else goes through np.asarray.  The value is a symmetric function of the
-    eigenvalues from spdcore._batch_eigvalsh (an SpdMatrix's own, which its
+    else goes through spdcore.read_matrix.  The value is a symmetric function
+    of the eigenvalues from _batch_eigvalsh (an SpdMatrix's own, which its
     check took there), read from the cached table for p; if K has more
     nonzero parts than p it is zero, and no table or spectrum is read.
 
-    Any other shape, or p = 0, is a DimensionError and a non-finite entry
-    a DegenerateInputError, both raised before any eigenvalue is computed;
-    an empty (0, p, p) stack gives an empty array.
+    What read_matrix refuses, and a stack that is not square, is refused
+    before any eigenvalue is computed; a (0, p, p) stack gives an empty array.
     """
     K = Partition.coerce(K)
     single = isinstance(Z, SpdMatrix)
-    stack = np.asarray(Z.entries[None] if single else Z, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
-        raise DimensionError(
-            f"expected an (n, p, p) stack with p >= 1, got shape {stack.shape}")
-    n, p = stack.shape[:2]
-    if not np.isfinite(stack).all():
-        raise DegenerateInputError("matrix entries must be finite")
+    stack = Z.entries[None] if single else read_matrix(Z, 3)
+    n, p, q = stack.shape
+    if p != q:
+        raise DimensionError(f"expected an (n, p, p) stack, got shape {stack.shape}")
     # an SpdMatrix keeps the spectrum _batch_eigvalsh gave its stack of one
     values = np.zeros(n) if len(K) > p else fetch_table(K.weight, p).value(
         K, Z.eigenvalues[None] if single else _batch_eigvalsh(stack))

@@ -578,6 +578,25 @@ def test_malformed_matrix_is_dimension_error(capsys, tmp_path, flag, payload):
     assert "equal-length rows of numbers" in rec["message"]
 
 
+@pytest.mark.parametrize("payload,error,message", [
+    ("[]", "DimensionError", "equal-length rows of numbers"),
+    ("[[]]", "DimensionError", "equal-length rows of numbers"),
+    ("[[NaN]]", "DegenerateInputError", "matrix entries must be finite"),
+    ("[[-Infinity]]", "DegenerateInputError", "matrix entries must be finite")],
+    ids=["empty", "empty-row", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--z", "--weight-a", "--weight-b"])
+def test_empty_or_non_finite_matrix_is_domain_error(capsys, flag, payload,
+                                                    error, message):
+    # the library's reader refuses these as it does for every entry point
+    flags = {"--z": "[[0.5]]", flag: payload}
+    capsys.readouterr()
+    code = cli.main(["eval", "fracint-power", "--r", "1", "--alpha", "1.0",
+                     *[x for kv in flags.items() for x in kv]])
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert code == 2
+    assert rec["error"] == error and message in rec["message"]
+
+
 @pytest.mark.parametrize("flag", ["--z", "--z-file"])
 def test_deeply_nested_matrix_is_usage_error(capsys, tmp_path, flag):
     # deeper than the JSON decoder recurses: refused like unparseable text

@@ -378,6 +378,19 @@ def test_mc_rejects_wrong_integrand_shape(g):
         mc_integrate_unit_cone(g, 2, 100, 1)
 
 
+@pytest.mark.parametrize("seed", [1.7, True])
+def test_mc_refuses_non_integer_seed(seed):
+    # 1.7 used to give seed 1's draws and report seed=1
+    with pytest.raises(ParameterDomainError, match="seed must be an integer"):
+        mc_integrate_unit_cone(lambda w: w[:, 0, 0], 2, 100, seed)
+
+
+def test_mc_reports_the_seed_as_a_plain_int():
+    est = mc_integrate_unit_cone(lambda w: w[:, 0, 0], 2, 100, np.int64(-3))
+    assert type(est.seed) is int and est.seed == -3
+    assert est == mc_integrate_unit_cone(lambda w: w[:, 0, 0], 2, 100, -3)
+
+
 def test_mc_needs_two_samples():
     # one draw leaves no standard error
     with pytest.raises(ParameterDomainError):

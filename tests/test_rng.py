@@ -96,6 +96,18 @@ def test_derive_key_is_total():
     derive_key(-5)
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, "1", None])
+def test_derive_key_refuses_non_integer_seeds(seed):
+    # seeds take the integer rule: 1.7 used to draw as seed 1, True as 1
+    with pytest.raises(ParameterDomainError, match="seed must be an integer"):
+        derive_key(seed)
+
+
+def test_derive_key_takes_numpy_and_negative_seeds():
+    assert derive_key(np.int64(7)) == derive_key(7)
+    assert derive_key(-1) == derive_key(2 ** 64 - 1)
+
+
 def test_uniforms_ks():
     u = uniforms(derive_key(99), 0, 50_000)
     stat = scipy.stats.kstest(u, "uniform").statistic

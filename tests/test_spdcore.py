@@ -4,22 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mvfrac import (
     DegenerateInputError,
     DimensionError,
     FracOrder,
+    MvfracError,
     RectConfig,
     SpdMatrix,
     log_matrix_gamma,
     rect_transform,
     sample_uniform_spd_unit,
     stiefel_constant,
+    zonal_eval,
 )
 from mvfrac.errors import ParameterDomainError
 from mvfrac.spdcore import (_SHORT_STACK, _batch_det, _batch_eigvalsh,
-                            check_full_rank, check_spd, matrix_from_rows)
+                            check_full_rank, check_spd, read_matrix)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -75,12 +79,14 @@ def test_stack_check_applies_the_constructor_rules():
     asym = np.eye(3)
     asym[0, 1] = 1e-3
     for bad, message in ((np.diag([1.0, 1.0, 5e-13]), r"5e-13\]"),
-                         (np.diag([1.0, np.nan, 1.0]), "finite"),
                          (asym, "symmetric")):
         with pytest.raises(DegenerateInputError, match=message):
             check_spd(np.stack([good[0], bad, good[1]]))
         with pytest.raises(DegenerateInputError, match=message):
             SpdMatrix(bad)
+    # finiteness is the reader's rule, which SpdMatrix applies first
+    with pytest.raises(DegenerateInputError, match="finite"):
+        SpdMatrix(np.diag([1.0, np.nan, 1.0]))
 
 
 def test_stack_rank_check_applies_the_constructor_rule():
@@ -147,7 +153,6 @@ def test_rect_matrix_shape_rule():
     (check_full_rank, (1, 2, 0)),
     (check_full_rank, (1, 0, 0)),
     (check_full_rank, (3, 0, 2)),
-    (check_spd, (3, 0, 0)),
 ])
 def test_zero_sized_matrices_are_dimension_errors(check, shape):
     # an empty singular-value or eigenvalue axis used to raise IndexError
@@ -265,6 +270,15 @@ def test_configs_compare_by_weight_entries():
                                 FracOrder(1.5, c))):
         assert x == y and hash(x) == hash(y)
         assert x != z
+    # -0.0 == 0.0, so weights that differ only in the sign of a zero are
+    # equal and must hash alike; the stored entries keep their sign
+    signed = SpdMatrix([[1.0, -0.0], [-0.0, 1.0]])
+    d = RectConfig(2, 2, signed, signed)
+    e = RectConfig.with_identity_weights(2, 2)
+    for x, y in ((signed, SpdMatrix(np.eye(2))), (d, e),
+                 (FracOrder(1.5, d), FracOrder(1.5, e))):
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert math.copysign(1.0, signed.entries[0, 1]) == -1.0
 
 
 def test_stiefel_constant_frozen():
@@ -391,10 +405,115 @@ def test_short_stacks_match_lapack_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# JSON rows
+# the reader of matrices from outside
 
-def test_matrix_from_rows_rejects_non_matrix():
+def test_read_matrix_rejects_non_matrix():
     with pytest.raises(DimensionError):
-        matrix_from_rows([[1.0, 2.0], [3.0]])
+        read_matrix([[1.0, 2.0], [3.0]], 2)
     with pytest.raises(DimensionError):
-        matrix_from_rows([1.0, 2.0])
+        read_matrix([1.0, 2.0], 2)
+    # an empty matrix axis is refused, an empty stack is not
+    with pytest.raises(DimensionError, match=r"\(n, p, p\) with p >= 1"):
+        read_matrix(np.ones((3, 0, 0)), 3)
+    assert read_matrix(np.ones((0, 2, 2)), 3).shape == (0, 2, 2)
+
+
+# the kinds of payload the CLI refuses as JSON matrices, parsed, plus an
+# empty one; the ragged rows raised numpy's ValueError from SpdMatrix and
+# zonal_eval
+_MALFORMED = {"string": [["a"]], "ragged": [[1.0, 0.0], [0.0]],
+              "object": {"a": 1},
+              "numeric-string": [["1.5"]], "bool": [[True]], "null": [[None]],
+              "huge-int": [[10 ** 400]], "empty": []}
+
+
+def _entry_points(rows):
+    """A call of each public entry point of an outside matrix on rows, a
+    matrix as nested lists, shaped for it: one row for the diagonal, a
+    stack of one for zonal_eval."""
+    diag = rows[0] if isinstance(rows, list) and len(rows) == 1 else rows
+    return [lambda: SpdMatrix(rows), lambda: SpdMatrix.diagonal(diag),
+            lambda: zonal_eval((1,), [rows])]
+
+
+@pytest.mark.parametrize("rows", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_entry_points_refuse_malformed_matrices_alike(rows):
+    for call in _entry_points(rows):
+        with pytest.raises(DimensionError, match="equal-length rows of numbers"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entry_points_refuse_non_finite_entries_alike(bad):
+    for call in _entry_points([[bad]]):
+        with pytest.raises(DegenerateInputError,
+                           match="^matrix entries must be finite$"):
+            call()
+
+
+def test_ndarrays_of_other_dtypes_are_refused():
+    for arr in (np.eye(2, dtype=bool), np.eye(2, dtype=complex),
+                np.eye(2).astype(str), np.eye(2).astype(object)):
+        with pytest.raises(DimensionError, match="equal-length rows"):
+            SpdMatrix(arr)
+        with pytest.raises(DimensionError, match="equal-length rows"):
+            zonal_eval((1,), arr[None])
+    for arr in (np.eye(2, dtype=np.int8), np.eye(2, dtype=np.uint16),
+                np.eye(2, dtype=np.float32)):
+        assert SpdMatrix(arr) == SpdMatrix(np.eye(2))
+
+
+def test_reader_copies_an_ndarray():
+    arr = np.eye(2)
+    m = SpdMatrix(arr)
+    arr[0, 0] = 5.0
+    assert m.entries[0, 0] == 1.0 and not m.entries.flags.writeable
+
+
+_LEAF = st.one_of(
+    st.floats(-4.0, 4.0), st.integers(-3, 3),
+    st.sampled_from([10 ** 400, -10 ** 400, "1.5", "a", True, False, None,
+                     math.inf, -math.inf, math.nan]))
+
+
+def _nested(depth):
+    """Lists depth deep, each of its own length, so rows may be ragged."""
+    tree = _LEAF
+    for _ in range(depth):
+        tree = st.lists(tree, max_size=3)
+    return tree
+
+
+@st.composite
+def _spd_rows(draw):
+    """A diagonally dominant symmetric matrix as nested lists of floats and
+    ints, depth 2; one row of it is a valid diagonal."""
+    p = draw(st.integers(1, 3))
+    x = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.integers(-1, 1)),
+                      min_size=p * p, max_size=p * p))
+    return [[x[min(i, j) * p + max(i, j)] + (2 * p if i == j else 0)
+             for j in range(p)] for i in range(p)]
+
+
+def _outcome(call, x):
+    """The bytes call(x) gives, or None where it refuses x with an
+    MvfracError; any other exception escapes."""
+    try:
+        got = call(x)
+    except MvfracError:
+        return None
+    return (got.entries if isinstance(got, SpdMatrix) else got).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 4).flatmap(_nested), _spd_rows(),
+                 _spd_rows().map(lambda rows: rows[0]),
+                 _spd_rows().map(lambda rows: [rows, rows])))
+def test_reader_boundary_property(x):
+    # nested structures of any mix of entries give an mvfrac error or a
+    # value, and a value is the one the same data gives as an ndarray
+    for call in (SpdMatrix, SpdMatrix.diagonal,
+                 lambda z: zonal_eval((2,), z)):
+        got = _outcome(call, x)
+        if got is not None:
+            assert got == _outcome(call, np.array(x))

@@ -7,10 +7,11 @@ number that says it fails, or the other way round.
 
 import json
 
+import numpy as np
 import pytest
 
-from mvfrac import cli
-from mvfrac.verify import suite_binomial
+from mvfrac import ParameterDomainError, RectConfig, cli
+from mvfrac.verify import run_suite, suite_binomial, verify_sum_density
 
 from test_cli import _VERIFY_DIGESTS
 
@@ -63,3 +64,20 @@ def test_pass_flags_follow_numbers_short_binomial():
     report = suite_binomial(k_max=12, seed=7)
     assert sorted(_check_flags(report, report)) == [False] * 4 + [True] * 2
     assert not report["pass"]
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True])
+def test_suites_refuse_non_integer_seeds(seed):
+    # the pathway suite draws nothing, and used to report int(seed)
+    with pytest.raises(ParameterDomainError, match="seed must be an integer"):
+        run_suite("pathway", seed=seed)
+    cfg = RectConfig.with_identity_weights(1, 1)
+    with pytest.raises(ParameterDomainError, match="seed must be an integer"):
+        verify_sum_density(cfg, cfg, 100, seed)
+
+
+def test_negative_and_numpy_seeds_are_reported_as_ints(capsys):
+    assert run_suite("pathway", seed=np.int64(-4))["seed"] == -4
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "pathway", "--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == -1
