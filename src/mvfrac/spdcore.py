@@ -118,19 +118,21 @@ def _batch_eigvalsh(m):
 
 def check_spd(entries):
     """Validate a square matrix, or an (n, p, p) stack, read as read_matrix
-    reads it, for exact symmetry and positive definiteness.  Returns the
-    eigenvalues from _batch_eigvalsh, descending along the last axis; the
-    error names the first matrix that fails.
+    reads it, for a non-empty matrix axis, exact symmetry and positive
+    definiteness.  Returns the eigenvalues from _batch_eigvalsh, descending
+    along the last axis; the error names the first matrix that fails.
 
     Positive definite means the smallest eigenvalue exceeds 1e-12 times the
     largest, so S and 1e9*S agree.  LAPACK's symmetric solver scales extreme
     entries and does not cancel: diag(1.0, 1e-10) gives back 1e-10 and
     diag(1e308, 1e308) stays finite.
     """
+    shape = np.shape(entries)
+    if 0 in shape[-2:]:
+        raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
     if not (entries == np.swapaxes(entries, -1, -2)).all():
         raise DegenerateInputError(
             "matrix is not exactly symmetric; symmetrize before constructing")
-    shape = np.shape(entries)
     eig = _batch_eigvalsh(np.reshape(entries, (-1,) + shape[-2:]))
     eig = eig.reshape(shape[:-1])
     ok = eig[..., -1] > 1e-12 * eig[..., 0]

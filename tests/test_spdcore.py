@@ -153,6 +153,7 @@ def test_rect_matrix_shape_rule():
     (check_full_rank, (1, 2, 0)),
     (check_full_rank, (1, 0, 0)),
     (check_full_rank, (3, 0, 2)),
+    (check_spd, (3, 0, 0)),
 ])
 def test_zero_sized_matrices_are_dimension_errors(check, shape):
     # an empty singular-value or eigenvalue axis used to raise IndexError
@@ -407,11 +408,15 @@ def test_short_stacks_match_lapack_bitwise():
 # ---------------------------------------------------------------------------
 # the reader of matrices from outside
 
-def test_read_matrix_rejects_non_matrix():
+def test_matrix_from_rows_rejects_non_matrix():
+    # parsed JSON rows, as the CLI hands them over
     with pytest.raises(DimensionError):
         read_matrix([[1.0, 2.0], [3.0]], 2)
     with pytest.raises(DimensionError):
         read_matrix([1.0, 2.0], 2)
+
+
+def test_read_matrix_rejects_non_matrix():
     # an empty matrix axis is refused, an empty stack is not
     with pytest.raises(DimensionError, match=r"\(n, p, p\) with p >= 1"):
         read_matrix(np.ones((3, 0, 0)), 3)
