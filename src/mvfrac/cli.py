@@ -129,10 +129,8 @@ def _operator(args):
     """Z and the FracOrder of fracint-power, fracint-zonal and saigo, from
     --z or --z-file, --r, --alpha and the weights (identity by default)."""
     z = _spd_from_args(args)
-    a = SpdMatrix(args.weight_a) \
-        if args.weight_a is not None else SpdMatrix.identity(z.dim)
-    b = SpdMatrix(args.weight_b) \
-        if args.weight_b is not None else SpdMatrix.identity(args.r)
+    a = SpdMatrix.identity(z.dim) if args.weight_a is None else args.weight_a
+    b = SpdMatrix.identity(args.r) if args.weight_b is None else args.weight_b
     return z, FracOrder(args.alpha, RectConfig(z.dim, args.r, a, b))
 
 

@@ -1,12 +1,14 @@
-"""Exception types shared across the package, and the integer rule.
+"""Exception types shared across the package, and the integer and real rules.
 
-Every error raised on purpose derives from MvfracError, so callers can
-catch one type at the boundary (the CLI maps them to exit code 2).  Every
-integer argument (dimension, sample count, k_max, partition part, seed)
-passes as_int: numpy integers are accepted, and floats, even integral ones,
-bools and strings are refused with ParameterDomainError, never truncated.
+Every error raised on purpose derives from MvfracError, so callers can catch
+one type at the boundary (the CLI maps them to exit code 2).  Integer
+arguments (dimension, count, k_max, partition part, seed) pass as_int, and
+real parameters (order, series parameter, shape, q) pass as_real.  Both
+refuse bools and strings; as_int refuses floats, as_real infinities and NaN.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -41,6 +43,16 @@ def as_int(value, name, least=0):
         bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
         raise ParameterDomainError(f"{name} must be {bound}, got {value!r}")
     return n
+
+
+def as_real(value, name):
+    """value as a finite float, or a ParameterDomainError ending "got ...".
+    Its numbers.Real test is an ABC check, too slow for per-draw paths."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ParameterDomainError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 class NonConvergenceError(MvfracError):

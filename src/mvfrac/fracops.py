@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, ParameterDomainError
+from .errors import DegenerateInputError, ParameterDomainError, as_real
 from .gammacalc import (
     Partition,
     log_matrix_gamma,
@@ -31,7 +31,7 @@ from .gammacalc import (
 )
 from .hyperseries import HyperParams, hyper_pfq_at_identity
 from .matsample import _cone_raw, _indicator_estimate, _weighted
-from .spdcore import RectConfig, _batch_det, stiefel_constant
+from .spdcore import RectConfig, _batch_det, _spd_argument, stiefel_constant
 from .zonal import zonal_eval
 
 __all__ = [
@@ -54,6 +54,7 @@ class FracOrder:
     config: RectConfig
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", as_real(self.alpha, "order"))
         if not self.alpha > 0.5 * (self.config.p - 1):
             raise ParameterDomainError(
                 f"order must exceed (p-1)/2 = {0.5 * (self.config.p - 1)}, "
@@ -71,10 +72,8 @@ class SaigoParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterDomainError(
-                    f"Saigo parameter {name} must be finite, "
-                    f"got {getattr(self, name)}")
+            object.__setattr__(self, name, as_real(getattr(self, name),
+                                                   f"Saigo parameter {name}"))
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,6 @@ class FracValue:
                 f"value exp({self.log_magnitude}) overflows a float") from exc
 
 
-def _check_argument(order, Z):
-    if Z.dim != order.config.p:
-        raise DimensionError(
-            f"argument dimension {Z.dim} does not match configuration "
-            f"dimension {order.config.p}")
-
-
 def _operand_exponent_check(cfg, eta):
     if not 0.5 * cfg.r + eta > 0.5 * (cfg.p - 1):
         raise ParameterDomainError(
@@ -142,9 +134,9 @@ def frac_integral_power_closed(order, Z, eta=0.0):
     |Z|^(alpha+r/2+eta-(p+1)/2) * pi^(rp/2) Gamma_p(r/2+eta) /
     (|A|^(r/2) |B|^(p/2) Gamma_p(r/2) Gamma_p(alpha+r/2+eta)).
     """
-    _check_argument(order, Z)
+    Z = _spd_argument(Z, "Z", order.config.p)
     cfg = order.config
-    eta = float(eta)
+    eta = as_real(eta, "eta")
     _operand_exponent_check(cfg, eta)
     det_exponent = order.alpha + 0.5 * cfg.r + eta - 0.5 * (cfg.p + 1)
     return _signed(det_exponent * Z.log_det
@@ -168,7 +160,7 @@ def frac_integral_zonal_closed(order, Z, K):
     C_K(Z) = 0 for K with more than p parts gives exactly zero; otherwise
     both Pochhammer symbols are positive, since r >= p and alpha > (p-1)/2.
     """
-    _check_argument(order, Z)
+    Z = _spd_argument(Z, "Z", order.config.p)
     cfg = order.config
     K = Partition.coerce(K)
     cz = zonal_eval(K, Z)
@@ -213,7 +205,7 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     is one such operand.  Returns the estimate on the absolute scale
     together with its standard error.
     """
-    _check_argument(order, Z)
+    Z = _spd_argument(Z, "Z", order.config.p)
     cfg = order.config
     if isinstance(operand, DetPowerOperand):
         _operand_exponent_check(cfg, operand.exponent)

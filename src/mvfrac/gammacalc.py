@@ -9,7 +9,7 @@ floats, with a signed log variant where callers need the split.
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, as_int
+from .errors import ParameterDomainError, as_int, as_real
 
 __all__ = [
     "Partition",
@@ -48,6 +48,7 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 def log_gamma(x):
     """Natural log of the scalar gamma function for x > 0."""
+    x = as_real(x, "gamma argument")
     if not x > 0.0:
         raise ParameterDomainError(
             f"log_gamma requires x > 0, got x={x!r} (pole or wrong sign)")
@@ -167,6 +168,7 @@ def log_matrix_gamma(p, alpha):
 
 def _box_factors(a, K):
     """The factors (a - (j-1)/2) + (i-1) of (a)_K, box by box, row by row."""
+    a = as_real(a, "Pochhammer parameter")
     for j, kj in enumerate(Partition.coerce(K).parts):
         base = a - 0.5 * j
         for i in range(kj):
@@ -228,6 +230,7 @@ def pathway_factor(q, K):
     evaluation stable as q -> 1+, where the naive split overflows.  The
     product tends to 1 in that limit.
     """
+    q = as_real(q, "q")
     if not q > 1.0:
         raise ParameterDomainError(f"pathway_factor requires q > 1, got q={q}")
     K = Partition.coerce(K)

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DimensionError, NonConvergenceError, ParameterDomainError,
-                     as_int)
+                     as_int, as_real)
+from .spdcore import _spd_argument
 from .zonal import fetch_table
 
 __all__ = [
@@ -39,15 +40,10 @@ class HyperParams:
     denominator: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator",
-                           tuple(float(a) for a in self.numerator))
-        object.__setattr__(self, "denominator",
-                           tuple(float(b) for b in self.denominator))
         for name in ("numerator", "denominator"):
-            for i, v in enumerate(getattr(self, name), 1):
-                if not math.isfinite(v):
-                    raise ParameterDomainError(
-                        f"{name} parameter {i} must be finite, got {v}")
+            object.__setattr__(self, name, tuple(
+                as_real(v, f"{name} parameter {i}")
+                for i, v in enumerate(getattr(self, name), 1)))
 
 
 @dataclass(frozen=True)
@@ -160,15 +156,14 @@ def hyper_pfq(params, Z, trunc=None):
     series are admitted only formally and trip the divergence detector as
     soon as the weight sums start growing.
     """
+    eigs = _spd_argument(Z, "Z").eigenvalues.tolist()
     if trunc is None:
         trunc = Truncation()
     if len(params.numerator) == len(params.denominator) + 1:
-        radius = float(Z.eigenvalues[0])
-        if not radius < 1.0:
+        if not eigs[0] < 1.0:
             raise ParameterDomainError(
-                f"spectral radius must be < 1 for this series, got {radius}")
-    return _zonal_series(params.numerator, params.denominator,
-                         Z.eigenvalues.tolist(), trunc)
+                f"spectral radius must be < 1 for this series, got {eigs[0]}")
+    return _zonal_series(params.numerator, params.denominator, eigs, trunc)
 
 
 def hyper_pfq_at_identity(params, p, trunc=None):
@@ -203,8 +198,7 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
     """
     p = cfg.p
     r = cfg.r
-    if Z_Y.dim != p:
-        raise DimensionError(f"Z_Y has dimension {Z_Y.dim}, config expects {p}")
+    Z_Y = _spd_argument(Z_Y, "Z_Y", p)
     if not (c - a) > (p - 1) / 2.0:
         raise ParameterDomainError(
             f"need c - a > (p-1)/2: c={c}, a={a}, p={p}")
@@ -222,6 +216,7 @@ def pathway_det_limit(q, Z):
     zero-spectrum limit case is a legitimate input and gives exactly 1).
     Evaluated through log1p on the eigenvalues so q near 1 stays accurate.
     """
+    q = as_real(q, "q")
     if not q > 1.0:
         raise ParameterDomainError(f"pathway requires q > 1, got q={q}")
     eigs = np.asarray(Z, dtype=float)

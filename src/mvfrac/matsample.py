@@ -41,6 +41,7 @@ from .errors import (
     ParameterDomainError,
     ResourceLimitError,
     as_int,
+    as_real,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
 from .spdcore import _batch_det, check_full_rank
@@ -127,9 +128,7 @@ class MatrixGammaSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", as_int(self.dim, "dimension", 1))
-        if not math.isfinite(self.shape):
-            raise ParameterDomainError(
-                f"matrix gamma shape must be finite, got {self.shape}")
+        object.__setattr__(self, "shape", as_real(self.shape, "matrix gamma shape"))
         if not self.shape > 0.5 * (self.dim - 1):
             raise ParameterDomainError(
                 f"matrix gamma shape must exceed (dim-1)/2 = "

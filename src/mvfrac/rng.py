@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterDomainError, ResourceLimitError, as_int
+from .errors import ParameterDomainError, ResourceLimitError, as_int, as_real
 
 __all__ = [
     "derive_key",
@@ -131,12 +131,13 @@ def gamma_variates(key, shape, n, first=0):
     own fixed counter block; the acceptance rate is high enough that running
     out of the 84-attempt budget is not a reachable event for valid shapes.
     """
+    shape = as_real(shape, "gamma shape")
     if not shape > 0.0:
         raise ParameterDomainError(f"gamma shape must be positive, got {shape}")
     n = as_int(n, "count")
     base_first = as_int(first, "counter position")
     boosted = shape < 1.0
-    a = shape + 1.0 if boosted else float(shape)
+    a = shape + 1.0 if boosted else shape
     d = a - 1.0 / 3.0
     c = 1.0 / (3.0 * math.sqrt(d))
     out = np.empty(n, dtype=np.float64)

@@ -4,14 +4,14 @@ This is the one linear-algebra layer.  read_matrix is the one reader of
 matrices from outside, for SpdMatrix, zonal_eval and the CLI alike, and
 SpdMatrix checks what it reads with check_spd: exact symmetry, and positive
 definiteness by the eigenvalue rule (every eigenvalue above 1e-12 times the
-largest), for one matrix or an (n, p, p) stack.
-check_full_rank applies the SVD rank rule to rectangular draws (smallest
-singular value above 1e-10 times the largest).  _batch_det gives the
-determinants of a stack, by cofactors up to p = 3 and by LU beyond.
-_batch_eigvalsh, the one eigenvalue call site, gives bit for bit
-np.linalg.eigvalsh, with LAPACK's 2 x 2 arithmetic vectorised at p = 2.
-Matrices derived inside the program are not validated again: matrix_power
-returns a plain array, and RectConfig decomposes its weights once.
+largest), for one matrix or an (n, p, p) stack.  The matrix arguments of the
+series, the operators and RectConfig pass _spd_argument: an SpdMatrix as is,
+anything else read into one, a given dimension checked.  check_full_rank
+refuses rectangular draws whose smallest singular value is at most 1e-10
+times the largest.  _batch_det gives stack determinants, by cofactors up to
+p = 3 and by LU beyond; _batch_eigvalsh, the one eigenvalue call, gives
+np.linalg.eigvalsh bit for bit.  Derived matrices are not checked again:
+matrix_power returns an array, and RectConfig decomposes its weights once.
 """
 
 import math
@@ -237,11 +237,19 @@ class SpdMatrix:
         return hash((self._entries + 0.0).tobytes())
 
 
+def _spd_argument(value, name, p=None):
+    """value as an SpdMatrix (one passes unchanged), p x p if p is given."""
+    z = value if isinstance(value, SpdMatrix) else SpdMatrix(value)
+    if p is not None and z.dim != p:
+        raise DimensionError(f"{name} must be {p}x{p}, got {z.dim}")
+    return z
+
+
 @dataclass(frozen=True)
 class RectConfig:
     """Shape and weights (p, r, A, B) of the rectangular quadratic transform.
 
-    A is p x p, B is r x r, both symmetric positive definite, and r >= p so
+    A (p x p) and B (r x r) are read as SpdMatrix arguments, and r >= p so
     the transform X -> A^(1/2) X B X' A^(1/2) lands on full-rank output.
     """
 
@@ -255,10 +263,8 @@ class RectConfig:
         object.__setattr__(self, "r", as_int(self.r, "r", 1))
         if self.r < self.p:
             raise DimensionError(f"need r >= p >= 1, got p={self.p}, r={self.r}")
-        if self.A.dim != self.p:
-            raise DimensionError(f"A must be {self.p}x{self.p}, got {self.A.dim}")
-        if self.B.dim != self.r:
-            raise DimensionError(f"B must be {self.r}x{self.r}, got {self.B.dim}")
+        object.__setattr__(self, "A", _spd_argument(self.A, "A", self.p))
+        object.__setattr__(self, "B", _spd_argument(self.B, "B", self.r))
 
     @classmethod
     def with_identity_weights(cls, p, r):

@@ -893,6 +893,25 @@ def test_sample_domain_messages(capsys, flags, message):
     assert rec["message"] == message
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["gamma", "--p", "2", "--alpha", "inf"],
+     "gamma argument must be finite, got inf"),
+    (["pochhammer", "--a", "nan", "--k", "2"],
+     "Pochhammer parameter must be finite, got nan"),
+    (["pathway", "--q", "inf", "--k", "1"], "q must be finite, got inf"),
+    (["fracint-power", "--r", "1", "--alpha", "inf", "--z", "[[1.0]]"],
+     "order must be finite, got inf"),
+], ids=["gamma", "pochhammer", "pathway", "fracint-power"])
+def test_eval_non_finite_parameters_are_named(capsys, flags, message):
+    # a non-finite real parameter is refused as that input, not reported as
+    # a result that is not finite
+    capsys.readouterr()
+    assert cli.main(["eval", *flags]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "ParameterDomainError"
+    assert rec["message"] == message
+
+
 @pytest.mark.parametrize("shape,n,code", [("0.75", 1000, 0),
                                           ("0.51", 20_000, 2)])
 def test_sample_matrix_gamma_near_boundary(capsys, shape, n, code):

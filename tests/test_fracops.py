@@ -123,8 +123,7 @@ def test_zonal_longer_than_p_is_exactly_zero(p, r, parts):
 
 def test_argument_and_operand_refusals():
     order = FracOrder(1.0, _cfg(2, 2))
-    with pytest.raises(DimensionError, match=r"argument dimension 1 does not "
-                                             r"match configuration dimension 2"):
+    with pytest.raises(DimensionError, match=r"Z must be 2x2, got 1"):
         frac_integral_power_closed(order, SpdMatrix.identity(1))
     # r/2 + eta = 0.5 is not above (p-1)/2 = 0.5; refused before any draw
     with pytest.raises(ParameterDomainError,

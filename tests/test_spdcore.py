@@ -10,14 +10,24 @@ from numpy.testing import assert_allclose
 
 from mvfrac import (
     DegenerateInputError,
+    DetPowerOperand,
     DimensionError,
     FracOrder,
+    HyperParams,
     MvfracError,
     RectConfig,
+    SaigoParams,
     SpdMatrix,
+    Truncation,
+    frac_integral_numeric,
+    frac_integral_power_closed,
+    frac_integral_zonal_closed,
+    gauss_2f1_rect,
+    hyper_pfq,
     log_matrix_gamma,
     rect_transform,
     sample_uniform_spd_unit,
+    saigo_power_closed,
     stiefel_constant,
     zonal_eval,
 )
@@ -432,13 +442,52 @@ _MALFORMED = {"string": [["a"]], "ragged": [[1.0, 0.0], [0.0]],
               "huge-int": [[10 ** 400]], "empty": []}
 
 
+def _matrix_arguments(p):
+    """The entry points that take a p x p matrix argument Z, each as a
+    function of Z alone; their other arguments are valid for p."""
+    eye = SpdMatrix.identity(p)
+    cfg = RectConfig(p, p, eye, eye)
+    order = FracOrder(1.5, cfg)
+    trunc = Truncation(8)
+    return {
+        "hyper_pfq": lambda z: hyper_pfq(HyperParams((0.7,), (1.9,)), z, trunc),
+        "gauss_2f1_rect": lambda z: gauss_2f1_rect(0.3, 0.4, 2.5, z, cfg, trunc),
+        "power_closed": lambda z: frac_integral_power_closed(order, z, 0.5),
+        "zonal_closed": lambda z: frac_integral_zonal_closed(order, z, (2, 1)),
+        "saigo_power_closed": lambda z: saigo_power_closed(
+            order, z, SaigoParams(0.2, 0.4, 2.5), eta=0.5),
+        "frac_integral_numeric": lambda z: frac_integral_numeric(
+            order, z, DetPowerOperand(0.5), 200, 7),
+        "RectConfig.A": lambda z: RectConfig(p, p + 1, z, np.eye(p + 1)),
+        "RectConfig.B": lambda z: RectConfig(p, p, eye, z),
+    }
+
+
 def _entry_points(rows):
     """A call of each public entry point of an outside matrix on rows, a
     matrix as nested lists, shaped for it: one row for the diagonal, a
-    stack of one for zonal_eval."""
+    stack of one for zonal_eval, and the matrix argument of the series,
+    the operators and the weights of a configuration at p = 1."""
     diag = rows[0] if isinstance(rows, list) and len(rows) == 1 else rows
     return [lambda: SpdMatrix(rows), lambda: SpdMatrix.diagonal(diag),
-            lambda: zonal_eval((1,), [rows])]
+            lambda: zonal_eval((1,), [rows]),
+            *(lambda f=f: f(rows) for f in _matrix_arguments(1).values())]
+
+
+@pytest.mark.parametrize("name", list(_matrix_arguments(2)))
+def test_matrix_arguments_read_rows_as_their_spd_matrix(name):
+    # nested lists, an ndarray and the SpdMatrix built from them give the
+    # same bits, and a matrix of another dimension is refused by its name
+    rows = [[0.5, 0.1], [0.1, 0.3]]
+    call = _matrix_arguments(2)[name]
+    want = repr(call(SpdMatrix(rows)))
+    assert repr(call(rows)) == want
+    assert repr(call(np.array(rows))) == want
+    if name != "hyper_pfq":  # the series takes any dimension
+        arg = {"gauss_2f1_rect": "Z_Y", "RectConfig.A": "A",
+               "RectConfig.B": "B"}.get(name, "Z")
+        with pytest.raises(DimensionError, match=f"^{arg} must be 2x2, got 1$"):
+            call([[0.5]])
 
 
 @pytest.mark.parametrize("rows", _MALFORMED.values(), ids=_MALFORMED.keys())
