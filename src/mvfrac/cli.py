@@ -40,7 +40,7 @@ from .matsample import (
     sample_rect_exponential,
     sample_uniform_spd_unit,
 )
-from .spdcore import RectConfig, SpdMatrix
+from .spdcore import RectConfig, SpdMatrix, _symmetric_spectrum
 from .verify import _SCHEMA, SUITES, run_suite
 from .zonal import zonal_eval
 
@@ -101,16 +101,16 @@ def _write(lines, output):
         raise _UsageError(f"cannot write {output}: {exc}")
 
 
-def _spd_from_args(args, eigs=None):
-    """Matrix argument from exactly one of --z inline JSON, --z-file path
-    and, for the commands that take it, --eigs (a diagonal matrix)."""
+def _matrix_from_args(args, eigs=None):
+    """Matrix argument, as parsed, from exactly one of --z inline JSON,
+    --z-file path and, where taken, --eigs (a diagonal matrix)."""
     given = [flag for flag, value in (("--z", args.z), ("--eigs", eigs),
                                       ("--z-file", args.z_file))
              if value is not None]
     if len(given) > 1:
         raise _UsageError(f"{' and '.join(given)} are mutually exclusive")
     if eigs is not None:
-        return SpdMatrix.diagonal(eigs)
+        return np.diag(eigs)
     rows = args.z
     if args.z_file is not None:
         try:
@@ -122,13 +122,13 @@ def _spd_from_args(args, eigs=None):
             raise _UsageError(f"{args.z_file} is not valid JSON: {exc}")
     elif rows is None:
         raise _UsageError("one of --z or --z-file is required")
-    return SpdMatrix(rows)
+    return rows
 
 
 def _operator(args):
     """Z and the FracOrder of fracint-power, fracint-zonal and saigo, from
     --z or --z-file, --r, --alpha and the weights (identity by default)."""
-    z = _spd_from_args(args)
+    z = SpdMatrix(_matrix_from_args(args))
     a = SpdMatrix.identity(z.dim) if args.weight_a is None else args.weight_a
     b = SpdMatrix.identity(args.r) if args.weight_b is None else args.weight_b
     return z, FracOrder(args.alpha, RectConfig(z.dim, args.r, a, b))
@@ -170,21 +170,21 @@ def _pochhammer(args):
 
 def _zonal(args):
     part = Partition.coerce(args.k)
-    z = _spd_from_args(args, args.eigs)
+    z = _matrix_from_args(args, args.eigs)
     return {"partition": list(part.parts),
-            "eigenvalues": z.eigenvalues.tolist(),
-            "value": zonal_eval(part, z)}
+            "eigenvalues": _symmetric_spectrum(z).tolist(),
+            "value": float(zonal_eval(part, [z])[0])}
 
 
 def _hyper(args):
-    z = _spd_from_args(args, args.eigs)
+    z = _matrix_from_args(args, args.eigs)
     params = HyperParams(args.num, args.den)
     res = hyper_pfq(params, z, Truncation(k_max=args.kmax))
     tail, ratio = (v if np.isfinite(v) else None  # null: no decay seen
                    for v in (res.tail_estimate, res.ratio))
     return {"numerator": list(params.numerator),
             "denominator": list(params.denominator),
-            "eigenvalues": z.eigenvalues.tolist(),
+            "eigenvalues": _symmetric_spectrum(z).tolist(),
             "k_max": args.kmax,
             "value": res.value,
             "tail_estimate": tail,

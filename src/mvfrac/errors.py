@@ -50,9 +50,13 @@ def as_real(value, name):
     Its numbers.Real test is an ABC check, too slow for per-draw paths."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ParameterDomainError(f"{name} must be finite, got {value}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ParameterDomainError(f"{name} must be finite, got {x}")
+    return x
 
 
 class NonConvergenceError(MvfracError):

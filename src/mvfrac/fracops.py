@@ -200,10 +200,10 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     """Monte Carlo operator value on an arbitrary operand.
 
     The operand is called once per block of accepted cone draws W with the
-    block's (k, p, p) stack X = Z^(1/2) W Z^(1/2) and returns their k
-    values, so it must map every X to its value on its own; DetPowerOperand
-    is one such operand.  Returns the estimate on the absolute scale
-    together with its standard error.
+    block's (k, p, p) stack of exactly symmetric X = Z^(1/2) W Z^(1/2) and
+    returns their k values, so it must map every X to its value on its own;
+    DetPowerOperand is one such operand.  Returns the estimate on the
+    absolute scale together with its standard error.
     """
     Z = _spd_argument(Z, "Z", order.config.p)
     cfg = order.config
@@ -213,9 +213,13 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     alpha = order.alpha
     root = Z.matrix_power(0.5)
     kron_t = np.kron(root, root).T
+    lower = [(i, j) for i in range(p) for j in range(i)]
 
     def at_x(w):
-        return operand((w.reshape(-1, p * p) @ kron_t).reshape(w.shape))
+        x = (w.reshape(-1, p * p) @ kron_t).reshape(w.shape)
+        for i, j in lower:  # the triangle eigvalsh reads, copied up
+            x[:, j, i] = x[:, i, j]
+        return operand(x)
 
     cone = _cone_raw(p, n, seed, _weighted(at_x, p, (0.5 * cfg.r, alpha)))
     raw = _indicator_estimate(cone, p, seed)

@@ -156,7 +156,7 @@ def log_matrix_gamma(p, alpha):
     over j = 1..p, so the argument must satisfy alpha > (p-1)/2 or the last
     factor hits a pole.
     """
-    p = as_int(p, "dimension", 1)
+    p, alpha = as_int(p, "dimension", 1), as_real(alpha, "gamma argument")
     if not alpha > (p - 1) / 2.0:
         raise ParameterDomainError(
             f"log_matrix_gamma requires alpha > (p-1)/2: alpha={alpha}, p={p}")
@@ -219,6 +219,7 @@ def log_matrix_gamma_partition(p, b, K):
 
 def log_matrix_beta(p, alpha, beta):
     """log of the matrix-variate beta function of dimension p."""
+    alpha, beta = as_real(alpha, "alpha"), as_real(beta, "beta")
     return (log_matrix_gamma(p, alpha) + log_matrix_gamma(p, beta)
             - log_matrix_gamma(p, alpha + beta))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonConvergenceError, ParameterDomainError,
                      as_int, as_real)
-from .spdcore import _spd_argument
+from .spdcore import _spd_argument, _symmetric_spectrum
 from .zonal import fetch_table
 
 __all__ = [
@@ -149,20 +149,22 @@ def _zonal_series(num, den, eigenvalues, trunc):
 
 
 def hyper_pfq(params, Z, trunc=None):
-    """Hypergeometric pFq of the SPD matrix argument Z, truncated by weight.
+    """Hypergeometric pFq of the symmetric matrix argument Z, of any sign,
+    truncated by weight.
 
-    For a balanced-plus-one series (one more numerator than denominator
-    parameter) the spectral radius of Z must be below one; beyond-balanced
-    series are admitted only formally and trip the divergence detector as
-    soon as the weight sums start growing.
+    A series with no more numerator than denominator parameters takes any
+    Z.  For a balanced-plus-one series the spectral radius max |lambda| of
+    Z must be below one; beyond-balanced series are admitted only formally
+    and trip the divergence detector as soon as the weight sums grow.
     """
-    eigs = _spd_argument(Z, "Z").eigenvalues.tolist()
+    eigs = _symmetric_spectrum(Z).tolist()
     if trunc is None:
         trunc = Truncation()
     if len(params.numerator) == len(params.denominator) + 1:
-        if not eigs[0] < 1.0:
+        radius = max(eigs[0], -eigs[-1])
+        if not radius < 1.0:
             raise ParameterDomainError(
-                f"spectral radius must be < 1 for this series, got {eigs[0]}")
+                f"spectral radius must be < 1 for this series, got {radius}")
     return _zonal_series(params.numerator, params.denominator, eigs, trunc)
 
 
@@ -198,6 +200,8 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
     """
     p = cfg.p
     r = cfg.r
+    a, b, c = (as_real(v, f"Gauss parameter {n}")
+               for v, n in zip((a, b, c), "abc"))
     Z_Y = _spd_argument(Z_Y, "Z_Y", p)
     if not (c - a) > (p - 1) / 2.0:
         raise ParameterDomainError(

@@ -302,7 +302,7 @@ def _weighted(f, p, shapes):
     f(W stack) times the weight mc_integrate_unit_cone describes; f must
     return one finite value per draw once weighted."""
     if shapes is not None:
-        e_w, e_v = (shape - 0.5 * (p + 1) for shape in shapes)
+        e_w, e_v = (as_real(s, "cone shape") - 0.5 * (p + 1) for s in shapes)
 
     def each(w, det_w, det_v):
         h = np.asarray(f(w), dtype=float)

@@ -1,17 +1,16 @@
 """Symmetric positive definite matrices and the rectangular transform.
 
 This is the one linear-algebra layer.  read_matrix is the one reader of
-matrices from outside, for SpdMatrix, zonal_eval and the CLI alike, and
-SpdMatrix checks what it reads with check_spd: exact symmetry, and positive
-definiteness by the eigenvalue rule (every eigenvalue above 1e-12 times the
-largest), for one matrix or an (n, p, p) stack.  The matrix arguments of the
-series, the operators and RectConfig pass _spd_argument: an SpdMatrix as is,
-anything else read into one, a given dimension checked.  check_full_rank
-refuses rectangular draws whose smallest singular value is at most 1e-10
-times the largest.  _batch_det gives stack determinants, by cofactors up to
-p = 3 and by LU beyond; _batch_eigvalsh, the one eigenvalue call, gives
-np.linalg.eigvalsh bit for bit.  Derived matrices are not checked again:
-matrix_power returns an array, and RectConfig decomposes its weights once.
+matrices from outside, square ones only.  A symmetric argument, the
+series' and the zonal polynomials', passes _symmetric_spectrum: an
+SpdMatrix gives the spectrum it keeps, anything else must equal its
+transpose exactly and gets its eigenvalues from _batch_eigvalsh, the one
+eigenvalue call (np.linalg.eigvalsh bit for bit).  check_spd, and so
+SpdMatrix, adds the sign rule: every eigenvalue above 1e-12 times the
+largest.  The operators and RectConfig, whose integrals need Z > O, read
+_spd_argument: an SpdMatrix as is, anything else read into one.
+check_full_rank refuses rectangular draws whose smallest singular value is
+at most 1e-10 times the largest.  Derived matrices are not checked again.
 """
 
 import math
@@ -116,6 +115,16 @@ def _batch_eigvalsh(m):
     return out
 
 
+def _eigenvalues(m):
+    """_batch_eigvalsh of matrices equal to their transposes, NaN refused."""
+    stack = np.reshape(m, (-1,) + np.shape(m)[-2:])
+    if not all((stack[:, i, j] == stack[:, j, i]).all()
+               for i in range(stack.shape[2]) for j in range(i + 1)):
+        raise DegenerateInputError(
+            "matrix is not exactly symmetric; symmetrize before constructing")
+    return _batch_eigvalsh(stack).reshape(np.shape(m)[:-1])
+
+
 def check_spd(entries):
     """Validate a square matrix, or an (n, p, p) stack, read as read_matrix
     reads it, for a non-empty matrix axis, exact symmetry and positive
@@ -130,11 +139,7 @@ def check_spd(entries):
     shape = np.shape(entries)
     if 0 in shape[-2:]:
         raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
-    if not (entries == np.swapaxes(entries, -1, -2)).all():
-        raise DegenerateInputError(
-            "matrix is not exactly symmetric; symmetrize before constructing")
-    eig = _batch_eigvalsh(np.reshape(entries, (-1,) + shape[-2:]))
-    eig = eig.reshape(shape[:-1])
+    eig = _eigenvalues(entries)
     ok = eig[..., -1] > 1e-12 * eig[..., 0]
     if not ok.all():
         bad = eig if eig.ndim == 1 else eig[np.argmin(ok)]
@@ -174,8 +179,6 @@ class SpdMatrix:
 
     def __init__(self, entries):
         arr = read_matrix(entries, 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         eig = check_spd(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
@@ -235,6 +238,14 @@ class SpdMatrix:
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, which __eq__ does not tell apart
         return hash((self._entries + 0.0).tobytes())
+
+
+def _symmetric_spectrum(value, ndim=2):
+    """Eigenvalues of a symmetric matrix (ndim 2) or (n, p, p) stack (ndim
+    3), of any sign: an SpdMatrix's own, else _eigenvalues(read_matrix)."""
+    if isinstance(value, SpdMatrix):
+        return value.eigenvalues
+    return _eigenvalues(read_matrix(value, ndim))
 
 
 def _spd_argument(value, name, p=None):
@@ -327,16 +338,17 @@ def _reals(data, depth):
 
 def read_matrix(data, ndim):
     """data, an ndarray or nested lists of real numbers, as a new float
-    array of ndim axes: 1 for a diagonal, 2 for a matrix, 3 for a stack.
-    Strings, bools, None, complex values, ragged rows, integers beyond the
-    float range, another ndim and an empty matrix axis are DimensionErrors,
-    a non-finite entry a DegenerateInputError; an ndarray is converted
-    whole, never entry by entry, and an empty (0, p, p) stack is read."""
+    array of ndim axes: 1 for a diagonal, 2 for a square matrix, 3 for a
+    stack.  Strings, bools, None, complex values, ragged rows, ints beyond
+    the float range, another ndim and an empty or non-square matrix are
+    DimensionErrors, a non-finite entry a DegenerateInputError; an ndarray
+    is converted whole, and an empty (0, p, p) stack is read."""
     try:
         arr = np.array(data, dtype=float) if _reals(data, ndim) else None
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or arr.ndim != ndim or 0 in arr.shape[-2:]:
+    if (arr is None or arr.ndim != ndim or 0 in arr.shape[-2:]
+            or ndim > 1 and arr.shape[-1] != arr.shape[-2]):
         got = reprlib.repr(data) if arr is None else f"shape {arr.shape}"
         shape = ("(p,)", "(p, p)", "(n, p, p)")[ndim - 1]
         raise DimensionError(f"expected equal-length rows of numbers of "

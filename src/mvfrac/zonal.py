@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
                      as_int)
 from .gammacalc import Partition, _partition_parts
-from .spdcore import SpdMatrix, _batch_eigvalsh, read_matrix
+from .spdcore import _symmetric_spectrum
 
 __all__ = [
     "ZonalTable",
@@ -372,28 +372,23 @@ def fetch_table(k_max, p):
 
 
 def zonal_eval(K, Z):
-    """Evaluate the zonal polynomial for partition K at the SPD matrix Z.
+    """Evaluate the zonal polynomial for partition K at the symmetric
+    matrix Z, of any sign.
 
-    Z is read as an (n, p, p) stack, giving the n values as an array: an
-    SpdMatrix is the stack of its one matrix and gives a float, anything
-    else goes through spdcore.read_matrix.  The value is a symmetric function
-    of the eigenvalues from _batch_eigvalsh (an SpdMatrix's own, which its
-    check took there), read from the cached table for p; if K has more
-    nonzero parts than p it is zero, and no table or spectrum is read.
-
-    What read_matrix refuses, and a stack that is not square, is refused
-    before any eigenvalue is computed; a (0, p, p) stack gives an empty array.
+    Z is read by spdcore._symmetric_spectrum as an (n, p, p) stack, giving
+    the n values as an array; an SpdMatrix gives a float from the spectrum
+    it keeps.  The value is a symmetric function of the eigenvalues, read
+    from the cached table for p; if K has more nonzero parts than p it is
+    zero, and no table is read.  A stack that is not square or not exactly
+    symmetric is refused; a (0, p, p) stack gives an empty array.
     """
     K = Partition.coerce(K)
-    single = isinstance(Z, SpdMatrix)
-    stack = Z.entries[None] if single else read_matrix(Z, 3)
-    n, p, q = stack.shape
-    if p != q:
-        raise DimensionError(f"expected an (n, p, p) stack, got shape {stack.shape}")
-    # an SpdMatrix keeps the spectrum _batch_eigvalsh gave its stack of one
+    eigs = _symmetric_spectrum(Z, 3)
+    stack = np.atleast_2d(eigs)
+    n, p = stack.shape
     values = np.zeros(n) if len(K) > p else fetch_table(K.weight, p).value(
-        K, Z.eigenvalues[None] if single else _batch_eigvalsh(stack))
-    return float(values[0]) if single else values
+        K, stack)
+    return float(values[0]) if eigs.ndim == 1 else values
 
 
 def zonal_at_identity(K, p):

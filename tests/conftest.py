@@ -145,11 +145,17 @@ def reference_build_weight(plist, p):
     return block
 
 
-def spd_from_eigs(eigs, seed=0):
-    """SPD matrix with the given eigenvalues in a seeded random basis."""
+def sym_from_eigs(eigs, seed=0):
+    """Symmetric ndarray with the given eigenvalues in a seeded random
+    basis."""
     p = len(eigs)
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((p, p)))
     q = q * np.sign(np.diag(r))
     m = (q * np.asarray(eigs)) @ q.T
-    return mvfrac.SpdMatrix(0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
+
+
+def spd_from_eigs(eigs, seed=0):
+    """SPD matrix with the given eigenvalues in a seeded random basis."""
+    return mvfrac.SpdMatrix(sym_from_eigs(eigs, seed))

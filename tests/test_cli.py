@@ -444,7 +444,8 @@ def test_every_subcommand_help_renders(capsys, command):
 
 # SHA-256 of `verify` stdout at seed 7 and small sizes, computed when each
 # suite wrote its own pass records and the sum-density check lived with
-# the samplers
+# the samplers; fracpower's again when the operator's X took its lower
+# triangle on both sides, which moved one p = 2 determinant by an ulp
 _VERIFY_DIGESTS = {
     "beta": (["--samples", "4000"],
              "6da7ce08288ab112ed6412fd1a5fd68a09113db52a05d395549de4dc462358f3"),
@@ -453,7 +454,7 @@ _VERIFY_DIGESTS = {
     "euler": (["--samples", "20000"],
               "4b0c0d11f666d60fdf994821e0ce847837b7fe444699c2fa37eb3cd68e332100"),
     "fracpower": (["--samples", "4000"],
-                  "5da2e91728552ff648f1c7e0c3ee2932186b9acb8d627e09cf1eb06f9031d675"),
+                  "5fbb94d74b70b56c9444dee539f8819ad540f244b0e9267912e3c83b23a258b7"),
     "fraczonal": (["--samples", "2000"],
                   "98cf019b1c3aedd90ff847c9b4fc1e7139d1550aa88dc7bc6821cc637d089ab9"),
     "pathway": ([],
@@ -629,6 +630,36 @@ def test_eigs_with_matrix_is_usage_error(capsys, command, matrix):
     assert code == 64
     assert captured.out == ""
     assert "mutually exclusive" in captured.err
+
+
+@pytest.mark.parametrize("command", [["zonal", "--k", "1,1"],
+                                     ["hyper", "--num", "0.5"]],
+                         ids=["zonal", "hyper"])
+def test_asymmetric_matrix_is_domain_error(capsys, command):
+    capsys.readouterr()
+    assert cli.main(["eval", *command, "--z", "[[1,5],[0,1]]"]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "DegenerateInputError"
+    assert "not exactly symmetric" in rec["message"]
+
+
+def test_series_take_indefinite_eigenvalues(capsys):
+    # --eigs=-0.7,0.3, since argparse reads "--eigs -0.7,0.3" as a flag
+    # with no value; 1F1 is entire, 1F0 needs max |lambda| < 1
+    capsys.readouterr()
+    assert cli.main(["eval", "zonal", "--k", "2,1", "--eigs=-0.7,0.3"]) == 0
+    assert cli.main(["eval", "hyper", "--num", "0.6", "--den", "2.3",
+                     "--eigs=-0.7,-0.3"]) == 0
+    zonal, hyper = strict_records(capsys.readouterr().out)
+    assert zonal["eigenvalues"] == [0.3, -0.7]
+    assert zonal["value"] == pytest.approx(0.2016, rel=1e-12)
+    assert hyper["eigenvalues"] == [-0.3, -0.7]
+    assert cli.main(["eval", "hyper", "--num", "0.5",
+                     "--eigs=-1.2,0.3"]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "ParameterDomainError"
+    assert rec["message"] == ("spectral radius must be < 1 for this series, "
+                              "got 1.2")
 
 
 @pytest.mark.parametrize("command", [["pathway", "--q", "1.5"],
@@ -901,7 +932,9 @@ def test_sample_domain_messages(capsys, flags, message):
     (["pathway", "--q", "inf", "--k", "1"], "q must be finite, got inf"),
     (["fracint-power", "--r", "1", "--alpha", "inf", "--z", "[[1.0]]"],
      "order must be finite, got inf"),
-], ids=["gamma", "pochhammer", "pathway", "fracint-power"])
+    (["beta", "--p", "2", "--alpha", "inf", "--beta", "1.5"],
+     "alpha must be finite, got inf"),
+], ids=["gamma", "pochhammer", "pathway", "fracint-power", "beta"])
 def test_eval_non_finite_parameters_are_named(capsys, flags, message):
     # a non-finite real parameter is refused as that input, not reported as
     # a result that is not finite
@@ -975,8 +1008,10 @@ def test_sample_fuzz_exits_cleanly(capsys, argv):
 
 def test_extreme_spectrum_keeps_its_small_eigenvalue():
     # the p = 2 closed form cancelled 0.5 to 0.0 next to 1e300; the
-    # condition number 2e300 is still beyond the 1e-12 definiteness rule
-    proc = run("eval", "hyper", "--num=", "--eigs", "1e300,0.5")
+    # condition number 2e300 is still beyond the 1e-12 definiteness rule,
+    # which the operators apply (the series take any symmetric argument)
+    proc = run("eval", "fracint-power", "--r", "2", "--alpha", "2.0",
+               "--z", "[[1e300,0],[0,0.5]]")
     assert proc.returncode == 2
     (rec,) = strict_records(proc.stdout)
     assert rec["error"] == "DegenerateInputError"

@@ -1,5 +1,6 @@
 """The real-parameter rule: every site that reads an order, a series,
-Gauss or Pochhammer parameter, a shape or the pathway q reads it through
+Gauss or Pochhammer parameter, a matrix gamma or beta argument, a shape or
+the pathway q reads it through
 errors.as_real, so a non-finite or non-real value is a ParameterDomainError
 there and never comes back as a NaN value."""
 
@@ -19,8 +20,12 @@ from mvfrac import (
     derive_key,
     frac_integral_power_closed,
     gamma_variates,
+    gauss_2f1_rect,
     gen_pochhammer,
     log_gamma,
+    log_matrix_beta,
+    log_matrix_gamma,
+    mc_integrate_unit_cone,
     pathway_det_limit,
     pathway_factor,
     signed_log_gen_pochhammer,
@@ -44,6 +49,14 @@ _SITES = {
     "gamma_variates": lambda x: gamma_variates(derive_key(1), x, 3),
     "eta": lambda x: frac_integral_power_closed(FracOrder(1.0, _CFG),
                                                 [[1.3]], x),
+    "log_matrix_gamma": lambda x: log_matrix_gamma(2, x),
+    "log_matrix_beta-alpha": lambda x: log_matrix_beta(2, x, 3.0),
+    "log_matrix_beta-beta": lambda x: log_matrix_beta(2, 3.0, x),
+    "gauss_2f1_rect-a": lambda x: gauss_2f1_rect(x, 0.2, 5.0, [[0.5]], _CFG),
+    "gauss_2f1_rect-b": lambda x: gauss_2f1_rect(0.1, x, 5.0, [[0.5]], _CFG),
+    "gauss_2f1_rect-c": lambda x: gauss_2f1_rect(0.1, 0.2, x, [[0.5]], _CFG),
+    "cone-shape": lambda x: mc_integrate_unit_cone(
+        lambda w: w[:, 0, 0], 1, 100, 1, shapes=(x, 1.0)),
 }
 
 
@@ -80,8 +93,10 @@ def test_parameter_types_store_floats():
     (True, "x must be a real number, got True"),
     (None, "x must be a real number, got None"),
     (1 + 0j, "x must be a real number, got (1+0j)"),
+    (10 ** 400, "x must be finite, got inf"),
+    (-10 ** 400, "x must be finite, got -inf"),
 ], ids=["inf", "numpy-minus-inf", "float32-inf", "nan", "string", "bool",
-        "none", "complex"])
+        "none", "complex", "huge-int", "minus-huge-int"])
 def test_as_real_messages(value, message):
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         as_real(value, "x")

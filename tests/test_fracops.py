@@ -17,6 +17,7 @@ from mvfrac import (
     DimensionError,
     FracOrder,
     FracValue,
+    HyperParams,
     ParameterDomainError,
     Partition,
     RectConfig,
@@ -27,6 +28,7 @@ from mvfrac import (
     frac_integral_power_closed,
     frac_integral_zonal_closed,
     gen_pochhammer,
+    hyper_pfq,
     saigo_power_closed,
     zonal_eval,
 )
@@ -226,3 +228,23 @@ def test_numeric_operand_kinds_agree():
     slow = frac_integral_numeric(order, z, lambda x: np.linalg.det(x),
                                  20_000, 8)
     assert fast.value == pytest.approx(slow.value, rel=1e-10)
+
+
+def test_numeric_operands_receive_exactly_symmetric_draws():
+    # X = Z^(1/2) W Z^(1/2) rounds its two triangles apart; the operator
+    # hands out the lower one on both sides, so an operand may read each X
+    # as a symmetric matrix argument
+    z = SpdMatrix([[1.2, -0.3], [-0.3, 0.9]])
+    order = FracOrder(1.5, _cfg(2, 3))
+    params, trunc = HyperParams((0.6,), (2.3,)), Truncation(k_max=10)
+    seen = []
+
+    def operand(x):
+        seen.append(x.copy())
+        return np.array([hyper_pfq(params, m, trunc).value for m in x])
+
+    est = frac_integral_numeric(order, z, operand, 2_000, 5)
+    assert math.isfinite(est.value) and est.stderr > 0.0
+    x = np.concatenate(seen)
+    assert len(x) == 2_000
+    assert x.tobytes() == x.transpose(0, 2, 1).tobytes()

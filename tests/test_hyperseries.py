@@ -48,7 +48,8 @@ from mvfrac import (
     zonal_eval,
 )
 
-from conftest import brute_monomial, reference_monomials, spd_from_eigs
+from conftest import (brute_monomial, reference_monomials, spd_from_eigs,
+                      sym_from_eigs)
 
 
 def _scalar_pfq(num, den, z, k_max):
@@ -311,6 +312,41 @@ def test_balanced_series_needs_radius_below_one():
     with pytest.raises(ParameterDomainError):
         hyper_pfq(HyperParams((1.0, 1.0), (2.0,)),
                   SpdMatrix(np.array([[1.0]])), Truncation(k_max=10))
+    # the radius is max |lambda|, so a negative eigenvalue counts as well
+    with pytest.raises(ParameterDomainError, match=r"got 1\.2$"):
+        hyper_pfq(HyperParams((0.5,), ()), np.diag([-1.2, 0.3]))
+
+
+@pytest.mark.parametrize("a,c", [(0.6, 2.3), (1.7, 3.1)])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_kummer_relation_at_negative_arguments(p, a, c):
+    # 1F1(a; c; Z) = etr(Z) 1F1(c - a; c; -Z), the right side at the
+    # negative definite -Z.  At k_max 30 the sides agree to rel 1e-12 on
+    # rotated spectra up to 1, and up to 2 at p <= 3; at p >= 4 a spectrum
+    # of 2 leaves the right side a reported tail near 1e-9, which bounds
+    # the gap there instead
+    trunc = Truncation(k_max=30)
+    for s in (0.5, 1.0, 2.0):
+        z = sym_from_eigs(np.linspace(s, s / 3, p), seed=p)
+        left = hyper_pfq(HyperParams((a,), (c,)), z, trunc)
+        right = hyper_pfq(HyperParams((c - a,), (c,)), -z, trunc)
+        etr = math.exp(np.trace(z))
+        gap = abs(left.value - etr * right.value)
+        bound = 1e-12 * left.value
+        if s == 2.0 and p >= 4:
+            bound += left.tail_estimate + etr * right.tail_estimate
+        assert gap <= bound, (s, gap)
+
+
+@pytest.mark.parametrize("eigs,b", [((0.5, -0.6), 0.7),
+                                    ((0.3, -0.4, 0.2), 1.3)])
+def test_binomial_identity_at_indefinite_arguments(eigs, b):
+    # 1F0(b; Z) = |I - Z|^(-b) on a rotated indefinite Z; the eigenvalue
+    # -0.6 slows the series, and the reported tail bounds what is left
+    z = sym_from_eigs(eigs, seed=len(eigs))
+    res = hyper_pfq(HyperParams((b,), ()), z, Truncation(k_max=30))
+    want = np.linalg.det(np.eye(len(eigs)) - z) ** -b
+    assert abs(res.value - want) <= res.tail_estimate + 1e-12 * want
 
 
 def test_divergent_series_detected():

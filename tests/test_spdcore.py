@@ -33,7 +33,8 @@ from mvfrac import (
 )
 from mvfrac.errors import ParameterDomainError
 from mvfrac.spdcore import (_SHORT_STACK, _batch_det, _batch_eigvalsh,
-                            check_full_rank, check_spd, read_matrix)
+                            _symmetric_spectrum, check_full_rank, check_spd,
+                            read_matrix)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -495,6 +496,39 @@ def test_entry_points_refuse_malformed_matrices_alike(rows):
     for call in _entry_points(rows):
         with pytest.raises(DimensionError, match="equal-length rows of numbers"):
             call()
+
+
+# an upper and a lower triangle that disagree, each way round; zonal_eval
+# read the lower one alone, so C_(1,1) of the second gave -32
+_ASYMMETRIC = ([[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.0], [5.0, 1.0]])
+_SYMMETRIC_ARGUMENTS = {
+    "zonal_eval-lists": lambda z: zonal_eval((1, 1), [z]),
+    "zonal_eval-stack": lambda z: zonal_eval((2,), np.array([np.eye(2), z])),
+    "hyper_pfq-lists": lambda z: hyper_pfq(HyperParams((0.5,), ()), z),
+    "hyper_pfq-ndarray": lambda z: hyper_pfq(HyperParams((), ()),
+                                             np.array(z)),
+}
+
+
+@pytest.mark.parametrize("rows", _ASYMMETRIC, ids=["upper", "lower"])
+@pytest.mark.parametrize("call", _SYMMETRIC_ARGUMENTS.values(),
+                         ids=_SYMMETRIC_ARGUMENTS.keys())
+def test_symmetric_arguments_refuse_asymmetric_matrices(call, rows):
+    with pytest.raises(DegenerateInputError, match="not exactly symmetric"):
+        call(rows)
+
+
+def test_symmetric_arguments_take_indefinite_matrices():
+    # the sign rule is the SPD cone's, which the series and the zonal
+    # polynomials do not need; an SpdMatrix keeps the spectrum it holds
+    z = [[-1.0, 0.2], [0.2, 0.5]]
+    assert zonal_eval((2, 1), [z])[0] == pytest.approx(0.648, rel=1e-12)
+    assert hyper_pfq(HyperParams((), ()), z).value == pytest.approx(
+        math.exp(-0.5), rel=1e-12)
+    spd = SpdMatrix([[0.5, 0.1], [0.1, 0.3]])
+    assert _symmetric_spectrum(spd) is spd.eigenvalues
+    assert _symmetric_spectrum(np.array(z)).tolist() == \
+        _batch_eigvalsh(np.array([z]))[0].tolist()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
