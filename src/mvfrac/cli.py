@@ -171,20 +171,21 @@ def _pochhammer(args):
 def _zonal(args):
     part = Partition.coerce(args.k)
     z = _matrix_from_args(args, args.eigs)
-    return {"partition": list(part.parts),
-            "eigenvalues": _symmetric_spectrum(z).tolist(),
+    eigs = _symmetric_spectrum(z).tolist()  # refuses a bad z as a matrix
+    return {"partition": list(part.parts), "eigenvalues": eigs,
             "value": float(zonal_eval(part, [z])[0])}
 
 
 def _hyper(args):
     z = _matrix_from_args(args, args.eigs)
+    eigs = _symmetric_spectrum(z).tolist()
     params = HyperParams(args.num, args.den)
     res = hyper_pfq(params, z, Truncation(k_max=args.kmax))
     tail, ratio = (v if np.isfinite(v) else None  # null: no decay seen
                    for v in (res.tail_estimate, res.ratio))
     return {"numerator": list(params.numerator),
             "denominator": list(params.denominator),
-            "eigenvalues": _symmetric_spectrum(z).tolist(),
+            "eigenvalues": eigs,
             "k_max": args.kmax,
             "value": res.value,
             "tail_estimate": tail,

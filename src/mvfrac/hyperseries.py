@@ -62,8 +62,8 @@ class SeriesResult(NamedTuple):
     """Truncated series value plus tail diagnostics.
 
     tail_estimate extrapolates the remaining weight sums geometrically from
-    the last observed ratio; infinite when the ratio gives no decay to
-    extrapolate from.
+    the last observed ratio, of weights or, on a spectrum of both signs,
+    of pairs of them; infinite when it gives no decay to extrapolate from.
     """
 
     value: float
@@ -104,9 +104,13 @@ def _zonal_series(num, den, eigenvalues, trunc):
     value = 0.0
     comp = 0.0  # Kahan carry
     inv_fact = 1.0
-    weight_sums = []
     growth = 0
     beyond_balanced = len(num) > len(den) + 1
+    # growth and the tail read blocks of one weight sum, or of two on a
+    # spectrum of both signs, where one can cancel (every odd one at +-x)
+    pair = eigenvalues[0] > 0.0 > eigenvalues[-1]
+    blocks = [0.0, 0.0]  # the empty blocks before weight 0
+    held = 0.0  # the weight sum a pair's next block adds
     for k in range(trunc.k_max + 1):
         lo, hi = table.offsets[k], table.offsets[k + 1]
         pk = poch[lo:hi]
@@ -120,7 +124,10 @@ def _zonal_series(num, den, eigenvalues, trunc):
         comp = (t - value) - y
         value = t
         sk = abs(wsum)
-        if weight_sums and sk > weight_sums[-1] > 0.0:
+        last, prev = sk + held, blocks[-2 if pair else -1]
+        blocks.append(last)
+        held = sk if pair else 0.0
+        if last > prev > 0.0:
             growth += 1
             if beyond_balanced and growth >= _GROWTH_LIMIT:
                 raise NonConvergenceError(
@@ -128,22 +135,14 @@ def _zonal_series(num, den, eigenvalues, trunc):
                     f"(k={k}); the series is diverging")
         else:
             growth = 0
-        weight_sums.append(sk)
-        # a fully vanished weight stays vanished: the series terminated;
-        # only a weight summing to 0 or NaN can be all zero
+        # a fully vanished weight stays vanished: the series terminated and
+        # leaves no tail; only a weight summing to 0 or NaN can be all zero
         if k and not sk > 0.0 and np.count_nonzero(pk) == 0:
+            last = sk
             break
-    last = weight_sums[-1]
-    prev = weight_sums[-2] if len(weight_sums) > 1 else 0.0
-    if last == 0.0:
-        ratio = 0.0
-        tail = 0.0
-    elif prev > 0.0:
-        ratio = last / prev
-        tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    else:
-        ratio = math.inf
-        tail = math.inf
+    # a vanished last block leaves no tail, a block after one no ratio
+    ratio = last / prev if prev > 0.0 else (math.inf if last else 0.0)
+    tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesResult(value=value, tail_estimate=tail, last_term=last,
                         ratio=ratio)
 

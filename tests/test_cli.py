@@ -662,6 +662,29 @@ def test_series_take_indefinite_eigenvalues(capsys):
                               "got 1.2")
 
 
+def test_series_at_spectrum_symmetric_about_zero(capsys):
+    # every odd weight sum of diag(0.9, -0.9) is 0: 2F0 still diverges,
+    # and 1F0 still reports the tail it leaves at k_max 25
+    capsys.readouterr()
+    assert cli.main(["eval", "hyper", "--num", "1,1",
+                     "--eigs=0.9,-0.9"]) == 2
+    assert cli.main(["eval", "hyper", "--num", "1", "--eigs=0.9,-0.9"]) == 0
+    diverged, res = strict_records(capsys.readouterr().out)
+    assert diverged["error"] == "NonConvergenceError"
+    assert 1.0 / 0.19 - res["value"] <= res["tail_estimate"] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("command", [["zonal", "--k", "1,1"],
+                                     ["hyper", "--num", "0.5"]],
+                         ids=["zonal", "hyper"])
+def test_malformed_matrix_is_read_as_one_matrix(capsys, command):
+    capsys.readouterr()
+    assert cli.main(["eval", *command, "--z", "[[1,2,3],[4,5,6]]"]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "DimensionError"
+    assert "(p, p)" in rec["message"]
+
+
 @pytest.mark.parametrize("command", [["pathway", "--q", "1.5"],
                                      ["zonal", "--k", "1"],
                                      ["hyper", "--num", "1"]],

@@ -356,6 +356,24 @@ def test_divergent_series_detected():
                   Truncation(k_max=25))
 
 
+@pytest.mark.parametrize("z", [np.diag([0.9, -0.9]),
+                               sym_from_eigs((0.9, -0.9), seed=2)],
+                         ids=["diagonal", "rotated"])
+def test_spectrum_symmetric_about_zero(z):
+    # Z and -Z share this spectrum, so every odd weight sum cancels; the
+    # growth guard and the tail must read the even ones across the gaps
+    with pytest.raises(NonConvergenceError):
+        hyper_pfq(HyperParams((1.0, 1.0), ()), z)
+    res = hyper_pfq(HyperParams((1.0,), ()), z, Truncation(k_max=25))
+    gap = 1.0 / 0.19 - res.value  # 1F0(1; Z) = |I - Z|^(-1)
+    assert 0.3 < gap <= res.tail_estimate * (1.0 + 1e-12)
+    assert res.ratio == pytest.approx(0.81, rel=1e-9)
+    # 1F0(-1; Z) = |I - Z| terminates at weight 3, leaving no tail
+    res = hyper_pfq(HyperParams((-1.0,), ()), z)
+    assert res.value == pytest.approx(0.19, rel=1e-12)
+    assert res.tail_estimate == res.ratio == 0.0
+
+
 def test_convergent_series_with_rising_weight_sums():
     # |I - Z|^(-3.5) at Z = diag(0.5, ..., 0.5) in dimension 4 is 2^14; its
     # weight sums rise for about a dozen weights before they fall, which
