@@ -6,12 +6,17 @@ Exit codes: 0 success / all checks passed, 1 a verification check failed,
 2 a domain precondition was violated (a JSON error object is printed),
 64 malformed flags or inputs.
 
-An optional config file (key=value lines, # comments) supplies defaults for
-any flag; explicit flags always win.
+Each command takes only the flags its target reads: an `eval` operation or
+a `sample` kind refuses any other flag as a usage error, and `verify` passes
+every flag given on the command line to the suite, which refuses one it
+does not read.  An optional config file (key=value lines, # comments)
+supplies defaults for any flag; explicit flags always win, and `verify`
+passes a value only the config supplies to a suite that reads it.
 """
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -54,6 +59,15 @@ class _Parser(argparse.ArgumentParser):
     # for domain errors
     def error(self, message):
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+class _Given(argparse.Action):
+    """Stores a flag's value and adds its dest to args.given, so that a
+    command can tell a flag given on the command line from a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
 
 
 def _csv_floats(text):
@@ -239,29 +253,25 @@ def _cmd_eval(args):
 # verify and sample
 
 def _cmd_verify(args):
-    report = run_suite(args.suite, samples=args.samples, seed=args.seed,
-                       k_max=args.kmax, p=args.p, r1=args.r1, r2=args.r2)
+    # every flag given on the command line reaches the suite, which refuses
+    # one it does not read; a value only the config file supplies is a
+    # default, so it reaches only the suites that read it
+    reads = (inspect.signature(SUITES[args.suite]).parameters
+             if args.suite in SUITES else ())
+    values = {"samples": args.samples, "seed": args.seed, "k_max": args.kmax,
+              "p": args.p, "r1": args.r1, "r2": args.r2}
+    report = run_suite(args.suite, **{
+        key: value for key, value in values.items()
+        if key in reads or key.replace("_", "") in args.given})
     _emit(report, args.output)
     return 0 if report["pass"] else 1
 
 
 def _cmd_sample(args):
-    seed = args.seed
-    if args.kind == "matrix-gamma":
-        if args.shape is None:
-            raise _UsageError("sample matrix-gamma requires --shape")
-        stack = sample_matrix_gamma(MatrixGammaSpec(args.p, args.shape),
-                                    args.n, seed)
-    elif args.kind == "rect-exponential":
-        if args.r is None:
-            raise _UsageError("sample rect-exponential requires --r")
-        stack = sample_rect_exponential(
-            RectConfig.with_identity_weights(args.p, args.r), args.n, seed)
-    else:
-        stack = sample_uniform_spd_unit(args.p, args.n, seed)
+    stack = _SAMPLE[args.kind][0](args)
     # entries are finite by construction or refused before this point (the
     # matrix gamma factor check, check_full_rank), as _sample_lines requires
-    _write(_sample_lines(stack, args.kind, seed), args.output)
+    _write(_sample_lines(stack, args.kind, args.seed), args.output)
     return 0
 
 
@@ -345,6 +355,21 @@ _EVAL = {
                            _variant(_K, required=False)]),
 }
 
+# sample kinds: each is its sampler, called on the parsed args, and the
+# flags that kind takes besides --p, --n and --seed
+_N = ("--n", dict(type=int, required=True))
+_SEED = ("--seed", dict(type=int, default=42))
+_SAMPLE = {
+    "matrix-gamma": (lambda args: sample_matrix_gamma(
+        MatrixGammaSpec(args.p, args.shape), args.n, args.seed),
+        [("--shape", dict(type=float, required=True))]),
+    "rect-exponential": (lambda args: sample_rect_exponential(
+        RectConfig.with_identity_weights(args.p, args.r), args.n, args.seed),
+        [_R]),
+    "uniform-unit-cone": (lambda args: sample_uniform_spd_unit(
+        args.p, args.n, args.seed), []),
+}
+
 
 # ---------------------------------------------------------------------------
 # parser assembly
@@ -368,24 +393,24 @@ def _build_parser():
         for option, settings in flags:
             sp.add_argument(option, **settings)
         commands.append(sp)
+        return sp
 
     pe = sub.add_parser("eval", help="evaluate closed forms and series")
     pe_sub = pe.add_subparsers(dest="subcommand", required=True)
     for name, (_, flags) in _EVAL.items():
         new(pe_sub, name, _cmd_eval, flags)
-    new(sub, "verify", _cmd_verify, [
-        ("--suite", dict(required=True, choices=sorted(SUITES))),
-        ("--samples", dict(type=int)), ("--seed", dict(type=int)),
-        _variant(_KMAX, default=None), _variant(_P, required=False),
-        ("--r1", dict(type=int)), ("--r2", dict(type=int))],
+    verify = new(sub, "verify", _cmd_verify, [
+        _variant(flag, action=_Given) for flag in (
+            ("--suite", dict(required=True, choices=sorted(SUITES))),
+            ("--samples", dict(type=int)), ("--seed", dict(type=int)),
+            _variant(_KMAX, default=None), _variant(_P, required=False),
+            ("--r1", dict(type=int)), ("--r2", dict(type=int)))],
         help="run an oracle comparison suite")
-    new(sub, "sample", _cmd_sample, [
-        ("kind", dict(choices=["matrix-gamma", "rect-exponential",
-                               "uniform-unit-cone"])),
-        _P, ("--shape", dict(type=float)), _variant(_R, required=False),
-        ("--n", dict(type=int, required=True)),
-        ("--seed", dict(type=int, default=42))],
-        help="draw seeded random matrices")
+    verify.set_defaults(given=frozenset())
+    ps = sub.add_parser("sample", help="draw seeded random matrices")
+    ps_sub = ps.add_subparsers(dest="kind", required=True)
+    for name, (_, flags) in _SAMPLE.items():
+        new(ps_sub, name, _cmd_sample, [_P, *flags, _N, _SEED])
     return parser, commands
 
 

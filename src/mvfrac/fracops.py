@@ -83,6 +83,9 @@ class DetPowerOperand:
 
     exponent: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", as_real(self.exponent, "eta"))
+
     def __call__(self, x):
         return _batch_det(x) ** self.exponent
 

@@ -301,16 +301,22 @@ def _weighted(f, p, shapes):
     """The each function of _cone_raw that maps a block of draws to
     f(W stack) times the weight mc_integrate_unit_cone describes; f must
     return one finite value per draw once weighted."""
-    if shapes is not None:
-        e_w, e_v = (as_real(s, "cone shape") - 0.5 * (p + 1) for s in shapes)
+    if shapes is None:  # the uniform weight, whose powers are exactly 1.0
+        e_w = e_v = 0.0
+    else:
+        try:
+            s, t = shapes
+        except (TypeError, ValueError):
+            raise ParameterDomainError(
+                f"cone shapes must be a pair (s, t), got {shapes!r}") from None
+        e_w, e_v = (as_real(x, "cone shape") - 0.5 * (p + 1) for x in (s, t))
 
     def each(w, det_w, det_v):
         h = np.asarray(f(w), dtype=float)
         if h.shape != det_w.shape:
             raise DimensionError(
                 f"integrand must return shape {det_w.shape}, got {h.shape}")
-        if shapes is not None:
-            h = det_v ** e_v * det_w ** e_w * h
+        h = det_v ** e_v * det_w ** e_w * h
         if not np.all(np.isfinite(h)):
             raise DegenerateInputError("integrand returned a non-finite value")
         return h

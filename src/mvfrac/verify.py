@@ -469,13 +469,18 @@ SUITES = {
 
 
 def run_suite(name, **kwargs):
-    """Dispatch a suite by name, forwarding only the keywords it accepts and
-    ignoring None values."""
+    """Run the suite called name on the keywords given; a None value stands
+    for an absent keyword.  A keyword the suite does not take is a
+    ParameterDomainError naming the suite and the keyword, raised before
+    any draw."""
     if name not in SUITES:
         raise ParameterDomainError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     allowed = inspect.signature(fn).parameters
-    passed = {k: v for k, v in kwargs.items()
-              if v is not None and k in allowed}
+    passed = {k: v for k, v in kwargs.items() if v is not None}
+    if extra := sorted(passed.keys() - allowed):
+        raise ParameterDomainError(
+            f"suite {name!r} does not take {', '.join(extra)}; it takes "
+            f"{', '.join(allowed)}")
     return fn(**passed)

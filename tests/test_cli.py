@@ -7,6 +7,7 @@ more test checks that it prints the same bytes.  Exit code contract:
 """
 
 import hashlib
+import inspect
 import json
 import math
 import shutil
@@ -208,6 +209,57 @@ def test_verify_suite_runs_and_passes():
 
 def test_verify_unknown_suite():
     assert run("verify", "--suite", "bogus").returncode == 64
+
+
+def _must_not_run(fn):
+    """A stand-in for the suite fn with its signature, failing if called."""
+    def stand_in(*args, **kwargs):
+        raise AssertionError("the suite ran")
+    stand_in.__signature__ = inspect.signature(fn)
+    return stand_in
+
+
+@pytest.mark.parametrize("suite,flags,key", [
+    ("euler", ["--p", "1", "--samples", "2000"], "p"),
+    ("saigo", ["--kmax", "3"], "k_max"),
+    ("pathway", ["--samples", "5"], "samples"),
+])
+def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, monkeypatch,
+                                                        suite, flags, key):
+    # refused before the suite runs, with one record naming suite and flag
+    monkeypatch.setitem(SUITES, suite, _must_not_run(SUITES[suite]))
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", suite, *flags]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "ParameterDomainError"
+    assert f"suite {suite!r} does not take {key};" in rec["message"]
+
+
+def test_verify_config_values_reach_only_suites_that_read_them(capsys,
+                                                               tmp_path):
+    # a config value is a default: euler reads samples and not p or kmax,
+    # pathway reads none of the three; a flag given on the command line is
+    # explicit even where the config sets the same key
+    cfg = tmp_path / "defaults.conf"
+    cfg.write_text("p=2\nkmax=3\nsamples=2000\n")
+    runs = {}
+    for name, argv in {
+            "euler-config": ["--config", str(cfg), "verify", "--suite", "euler"],
+            "euler-flags": ["verify", "--suite", "euler", "--samples", "2000"],
+            "pathway-config": ["--config", str(cfg), "verify", "--suite",
+                               "pathway"],
+            "pathway": ["verify", "--suite", "pathway"],
+            "euler-p": ["--config", str(cfg), "verify", "--suite", "euler",
+                        "--p", "2"]}.items():
+        capsys.readouterr()
+        runs[name] = (cli.main(argv), capsys.readouterr().out)
+    assert runs["euler-config"] == runs["euler-flags"]
+    assert runs["euler-config"][0] == 0
+    assert runs["pathway-config"] == runs["pathway"]
+    code, out = runs["euler-p"]
+    (rec,) = strict_records(out)
+    assert (code, rec["error"]) == (2, "ParameterDomainError")
+    assert "suite 'euler' does not take p;" in rec["message"]
 
 
 def test_verify_byte_identical_across_runs():
@@ -429,7 +481,9 @@ def test_eval_usage_errors_are_64(capsys, argv):
 
 _SUBCOMMANDS = [["eval", name] for name in (
     "gamma", "beta", "pochhammer", "zonal", "hyper", "fracint-power",
-    "fracint-zonal", "saigo", "pathway")] + [["verify"], ["sample"]]
+    "fracint-zonal", "saigo", "pathway")] + [["verify"]] + [
+    ["sample", kind] for kind in ("matrix-gamma", "rect-exponential",
+                                  "uniform-unit-cone")]
 
 
 @pytest.mark.parametrize("command", _SUBCOMMANDS, ids=lambda c: c[-1])
@@ -824,6 +878,23 @@ def test_sample_rect_requires_r():
     assert proc.returncode == 64
     ok = run("sample", "rect-exponential", "--p", "2", "--r", "3", "--n", "2")
     assert ok.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "uniform-unit-cone", "--p", "2", "--n", "3", "--shape", "2"],
+    ["sample", "uniform-unit-cone", "--p", "2", "--n", "3", "--r", "5"],
+    ["sample", "matrix-gamma", "--p", "2", "--n", "3", "--shape", "2",
+     "--r", "3"],
+    ["sample", "rect-exponential", "--p", "2", "--n", "3", "--r", "3",
+     "--shape", "2"],
+    ["sample", "--p", "2", "matrix-gamma", "--shape", "2", "--n", "3"],
+], ids=["cone-shape", "cone-r", "gamma-r", "rect-shape", "kind-after-p"])
+def test_sample_refuses_a_flag_its_kind_does_not_take(capsys, argv):
+    # each kind takes --p, --n, --seed and --output, plus --shape for the
+    # matrix gamma and --r for the rectangular draws; the kind comes first
+    capsys.readouterr()
+    assert _main(argv) == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_sample_unit_cone():

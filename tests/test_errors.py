@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mvfrac import (
+    DetPowerOperand,
     FracOrder,
     HyperParams,
     MatrixGammaSpec,
@@ -49,6 +50,7 @@ _SITES = {
     "gamma_variates": lambda x: gamma_variates(derive_key(1), x, 3),
     "eta": lambda x: frac_integral_power_closed(FracOrder(1.0, _CFG),
                                                 [[1.3]], x),
+    "DetPowerOperand": DetPowerOperand,
     "log_matrix_gamma": lambda x: log_matrix_gamma(2, x),
     "log_matrix_beta-alpha": lambda x: log_matrix_beta(2, x, 3.0),
     "log_matrix_beta-beta": lambda x: log_matrix_beta(2, 3.0, x),

@@ -328,6 +328,13 @@ def test_mc_unit_weight_is_unweighted(p):
             == mc_integrate_unit_cone(g, p, 2_000, 5))
 
 
+@pytest.mark.parametrize("shapes", [(2.0,), (1.5, 2.0, 2.5), 2.0],
+                         ids=["one", "three", "scalar"])
+def test_mc_shapes_must_be_a_pair(shapes):
+    with pytest.raises(ParameterDomainError, match="must be a pair"):
+        mc_integrate_unit_cone(lambda w: w[:, 0, 0], 2, 100, 1, shapes=shapes)
+
+
 def test_mc_monomial_p1():
     # integral of w^2 on (0,1)
     est = mc_integrate_unit_cone(lambda w: w[:, 0, 0] ** 2, 1, 100_000, 33)

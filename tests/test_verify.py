@@ -76,6 +76,13 @@ def test_suites_refuse_non_integer_seeds(seed):
         verify_sum_density(cfg, cfg, 100, seed)
 
 
+def test_run_suite_refuses_a_keyword_its_suite_does_not_take():
+    # the pathway suite reads only its seed; samples is refused, not dropped
+    with pytest.raises(ParameterDomainError,
+                       match="suite 'pathway' does not take samples;"):
+        run_suite("pathway", samples=5)
+
+
 def test_negative_and_numpy_seeds_are_reported_as_ints(capsys):
     assert run_suite("pathway", seed=np.int64(-4))["seed"] == -4
     capsys.readouterr()
