@@ -100,11 +100,10 @@ def _dumps(obj):
 
 
 def _emit(record, output):
-    _write([_dumps(record)], output)
+    _write(_dumps(record) + "\n", output)
 
 
-def _write(lines, output):
-    text = "\n".join(lines) + "\n"
+def _write(text, output):
     if not output:
         sys.stdout.write(text)
         return
@@ -276,16 +275,17 @@ def _cmd_sample(args):
 
 
 def _sample_lines(stack, kind, seed):
-    """The records of an (n, p, r) stack of finite floats, one JSON line
-    each: {"entries", "index", "kind", "schema", "seed"}, the same bytes as
-    _dumps of each record alone.
+    """The records of an (n, p, r) stack of finite floats as one text of
+    JSON lines {"entries", "index", "kind", "schema", "seed"}, each the
+    same bytes as _dumps of the record alone.
 
     json writes a finite float as its repr, so each distinct entry is
-    formatted once and placed into one template for the shape.  The
-    entries must be finite, because repr writes nan and inf where _dumps
-    refuses them.  A square stack equal to its transpose bit for bit (every
-    matrix-gamma and cone draw) formats only its upper triangle; bits,
-    because -0.0 == 0.0 would let a mirrored zero lose its sign.
+    formatted once, placed by one slice assignment per cell into n copies
+    of one template for the shape, and the whole is joined once.  The
+    entries must be finite: repr writes nan and inf, which _dumps refuses.
+    A square stack equal to its transpose bit for bit (every matrix-gamma
+    and cone draw) formats only its upper triangle; bits, because -0.0 ==
+    0.0 would let a mirrored zero lose its sign.
     """
     n, p, r = stack.shape
     cells = np.arange(p * r).reshape(p, r)
@@ -294,13 +294,17 @@ def _sample_lines(stack, kind, seed):
         cells = np.minimum(cells, cells.T)
     distinct, slot = np.unique(cells.ravel(), return_inverse=True)
     m = distinct.size
-    rows = "],[".join(",".join(f"{{{k}}}" for k in row)
-                      for row in slot.reshape(p, r).tolist())
     rest = _dumps({"kind": kind, "schema": _SCHEMA, "seed": seed})[1:]
-    fill = ('{{"entries":[[' + rows + ']],"index":{' + str(m) + '},'
-            + rest.replace("{", "{{").replace("}", "}}")).format
+    pieces = ('{"entries":[[' + "],[".join([",".join("\0" * r)] * p)
+              + ']],"index":\0,' + rest + "\n").split("\0")
+    template = [None] * (2 * len(pieces) - 1)
+    template[::2] = pieces
+    width, parts = len(template), template * n
     text = list(map(repr, stack.reshape(n, -1)[:, distinct].ravel().tolist()))
-    return [fill(*text[k * m:k * m + m], k) for k in range(n)]
+    for cell, k in enumerate(slot.tolist()):
+        parts[2 * cell + 1::width] = text[k::m]
+    parts[width - 2::width] = map(str, range(n))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +423,10 @@ def _apply_config(path, commands):
     at path; blank lines and # comments are ignored.  A key names a flag of
     some subcommand, with - read as _, and satisfies that flag where it is
     required.  Values stay strings so argparse applies the same conversions
-    as for real flags."""
-    keys = {action.dest for sp in commands for action in sp._actions
-            if action.option_strings and action.dest != "help"}
+    as for real flags; argparse checks no default against choices, so
+    this does."""
+    keys = {a.dest: a.choices for sp in commands for a in sp._actions
+            if a.option_strings and a.dest != "help"}
     defaults = {}
     try:
         with open(path) as fh:
@@ -432,13 +437,16 @@ def _apply_config(path, commands):
                 if "=" not in line:
                     raise _UsageError(
                         f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                dest = key.strip().replace("-", "_")
+                key, _, value = map(str.strip, line.partition("="))
+                dest = key.replace("-", "_")
                 if dest not in keys:
                     raise _UsageError(
-                        f"{path}:{lineno}: {key.strip()!r} is not a flag of "
+                        f"{path}:{lineno}: {key!r} is not a flag of "
                         f"any subcommand")
-                defaults[dest] = value.strip()
+                if keys[dest] and value not in keys[dest]:
+                    raise _UsageError(f"{path}:{lineno}: {value!r} is not "
+                                      f"one of the choices for {key!r}")
+                defaults[dest] = value
     except OSError as exc:
         raise _UsageError(f"cannot read config {path}: {exc}")
     for sp in commands:

@@ -9,7 +9,7 @@ Three families back the verification suites:
   requested shape and identity scale;
 * rectangular exponential-weight draws X with density proportional to
   exp(-tr(A X B X')), realized as A^{-1/2} G B^{-1/2} for iid normal G of
-  variance one half;
+  variance one half, or as G itself for identity weights, bit for bit;
 * uniform draws from the set of symmetric positive definite matrices with
   both W and I - W positive definite, by rejection from a box of diagonal
   entries in (0,1) and off-diagonal entries in (-1,1).
@@ -169,12 +169,16 @@ def sample_matrix_gamma(spec, n, seed):
 
 def _rect_raw(cfg, n, seed, stream=0, first=0):
     """n rectangular exponential-weight draws as an (n, p, r) array, the
-    draws first..first+n-1 of the stream."""
+    draws first..first+n-1 of the stream.  With identity weights the scaled
+    normals are returned as they are: Box-Muller never gives a zero, and a
+    product by an exact I returns every nonzero entry bit for bit."""
     n = as_int(n, "sample count", 1)
     key = derive_key(seed, _TAG_RECT + stream)
     size = cfg.p * cfg.r
     g = normals(key, first * size, n * size).reshape(n, cfg.p, cfg.r)
     g *= math.sqrt(0.5)
+    if cfg._identity:
+        return g
     _, a_inv, b_inv = cfg._roots
     return np.matmul(a_inv @ g, b_inv, out=g)
 

@@ -289,6 +289,12 @@ class RectConfig:
                 self.B.matrix_power(-0.5))
 
     @cached_property
+    def _identity(self):
+        """Whether A and B, and so their roots, are exactly I."""
+        return all(np.array_equal(w.entries, np.eye(w.dim))
+                   for w in (self.A, self.B))
+
+    @cached_property
     def log_weight_factor(self):
         """log of |A|^(r/2) |B|^(p/2), the determinant weight of the transform."""
         return 0.5 * self.r * self.A.log_det + 0.5 * self.p * self.B.log_det
@@ -299,7 +305,9 @@ def rect_transform(X, cfg):
 
     Returns the plain C-contiguous (n, p, p) array of transforms, left to
     the caller to validate; check_full_rank refuses rank-deficient X.
-    Products are symmetrized to scrub float asymmetry.
+    Products are symmetrized to scrub float asymmetry.  With identity
+    weights X is copied instead of multiplied: a product by an exact I
+    returns every finite nonzero entry bit for bit.
     """
     if X.ndim != 3 or X.shape[1:] != (cfg.p, cfg.r):
         raise DimensionError(
@@ -307,7 +315,11 @@ def rect_transform(X, cfg):
     # (n, p, r) views of (p, n, r) buffers, where the einsum adds in the same
     # order (a BLAS matmul would not) several times faster; see README
     ax, axb = np.empty((2, cfg.p, len(X), cfg.r)).transpose(0, 2, 1, 3)
-    np.matmul(np.matmul(cfg._roots[0], X, out=ax), cfg.B.entries, out=axb)
+    if cfg._identity:
+        ax[...] = X
+        axb = ax
+    else:
+        np.matmul(np.matmul(cfg._roots[0], X, out=ax), cfg.B.entries, out=axb)
     z = np.einsum("nik,njk->nij", axb, ax)
     z += z.transpose(0, 2, 1)
     z *= 0.5

@@ -987,13 +987,26 @@ def _entry_stack(draw):
        seed=st.integers(min_value=-2**63, max_value=2**64))
 @example(stack=np.array([[[1.0, 0.0], [-0.0, 1.0]]]), kind="matrix-gamma",
          seed=42)
+# entries whose repr takes exponent form
+@example(stack=np.array([[[1e-05, 1.5e+16], [1.5e+16, -2.5e-300]],
+                         [[1e+22, 1e-05], [1e-05, 1e+16]]]),
+         kind="matrix-gamma", seed=0)
+# a -0.0 mirrored off the diagonal of a 3x3 matrix, in either triangle
+@example(stack=np.array([[[1.0, 0.5, -0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 3.0]],
+                         [[1.0, 0.0, 0.5], [-0.0, 2.0, 0.0], [0.5, 0.0, 3.0]]]),
+         kind="uniform-unit-cone", seed=-1)
+# one record
+@example(stack=np.array([[[0.125]]]), kind="uniform-unit-cone", seed=2**64)
+# an (n, 2, 3) rectangular stack
+@example(stack=np.arange(-12.0, 12.0).reshape(4, 2, 3) / 7.0,
+         kind="rect-exponential", seed=7)
 def test_sample_lines_match_records_encoded_alone(stack, kind, seed):
     # the README's promise: each record is the same bytes as encoding it
-    # alone with sorted keys
+    # alone with sorted keys, one line each
     want = [cli._dumps({"entries": m.tolist(), "index": k, "kind": kind,
-                        "schema": "mvfrac/1", "seed": seed})
+                        "schema": "mvfrac/1", "seed": seed}) + "\n"
             for k, m in enumerate(stack)]
-    assert cli._sample_lines(stack, kind, seed) == want
+    assert cli._sample_lines(stack, kind, seed) == "".join(want)
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -1248,6 +1261,31 @@ def test_parser_built_once_per_process(monkeypatch, capsys,
                  ["eval", "gamma", "--p", "2"]):
         _main(argv)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_suite_outside_choices_is_usage_error(capsys, tmp_path, source):
+    # a config value is checked against the flag's choices as the flag is:
+    # both exit 64 with nothing on stdout
+    cfg = tmp_path / "defaults.conf"
+    cfg.write_text("suite=bogus\n")
+    argv = (["--config", str(cfg), "verify"] if source == "config"
+            else ["verify", "--suite", "bogus"])
+    capsys.readouterr()
+    code = _main(argv)
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "'bogus'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_package_runs_as_module():
+    # python -m mvfrac is the command line of python -m mvfrac.cli
+    args = ("eval", "gamma", "--p", "2", "--alpha", "3")
+    package = run_python("-m", "mvfrac", *args)
+    assert package.returncode == 0
+    assert package.stdout == run(*args).stdout
 
 
 def test_config_flag_without_value_is_usage_error():

@@ -175,6 +175,31 @@ def test_rect_transform_mean():
     assert np.max(np.abs(acc - 1.5 * np.eye(2))) < 0.05
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8])
+def test_identity_weights_skip_products_bitwise(p):
+    # with identity weights the draws and their transforms are the bytes
+    # of the product path, taken here by a config whose cached _identity
+    # is set to False
+    for r in (p, p + 1, p + 3):
+        cfg = RectConfig.with_identity_weights(p, r)
+        forced = RectConfig.with_identity_weights(p, r)
+        object.__setattr__(forced, "_identity", False)
+        assert cfg._identity and not forced._identity
+        x = _rect_raw(cfg, 600, 11, 1, 5)
+        assert x.tobytes() == _rect_raw(forced, 600, 11, 1, 5).tobytes()
+        assert (rect_transform(x, cfg).tobytes()
+                == rect_transform(x, forced).tobytes())
+
+
+def test_identity_rule_needs_exact_identity():
+    # a scaled identity or a non-diagonal weight is not the identity
+    eye3 = SpdMatrix.identity(3)
+    scaled = RectConfig(2, 3, SpdMatrix.diagonal((2.0, 2.0)), eye3)
+    mixed = RectConfig(2, 3, [[1.0, 0.25], [0.25, 1.0]], eye3)
+    assert not scaled._identity and not mixed._identity
+    assert RectConfig(2, 3, np.eye(2), np.eye(3))._identity
+
+
 # ---------------------------------------------------------------------------
 # uniform sampler on the open unit cone
 
