@@ -255,8 +255,7 @@ def _cmd_verify(args):
     # every flag given on the command line reaches the suite, which refuses
     # one it does not read; a value only the config file supplies is a
     # default, so it reaches only the suites that read it
-    reads = (inspect.signature(SUITES[args.suite]).parameters
-             if args.suite in SUITES else ())
+    reads = inspect.signature(SUITES[args.suite]).parameters
     values = {"samples": args.samples, "seed": args.seed, "k_max": args.kmax,
               "p": args.p, "r1": args.r1, "r2": args.r2}
     report = run_suite(args.suite, **{

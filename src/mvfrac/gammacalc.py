@@ -28,39 +28,20 @@ __all__ = [
 # scalar log-gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative error below
-# 1e-13 on the positive real axis, and the constants are language-neutral
-# (no dependence on a platform libm).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
+# CPython's own lgamma, a Lanczos sum in C that calls libm's log (not libm's
+# lgamma): finite down to 5e-324, it overflows above about 2.5e305.
 
 def log_gamma(x):
-    """Natural log of the scalar gamma function for x > 0."""
+    """Natural log of the scalar gamma function for x > 0; inf where the
+    value overflows a float."""
     x = as_real(x, "gamma argument")
     if not x > 0.0:
         raise ParameterDomainError(
             f"log_gamma requires x > 0, got x={x!r} (pole or wrong sign)")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum on its accurate branch
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_COEFFS[0]
-    for i in range(1, 9):
-        s += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +113,6 @@ def _partition_parts(k, max_parts):
             out.append(tuple(prefix))
             return
         slots = max_parts - len(prefix)
-        if slots == 0:
-            return
         for part in range(min(remaining, cap), 0, -1):
             if part * slots < remaining:
                 break

@@ -11,6 +11,7 @@ summation so results are byte-reproducible.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonConvergenceError, ParameterDomainError,
                      as_int, as_real)
-from .spdcore import _spd_argument, _symmetric_spectrum
+from .spdcore import _reals, _spd_argument, _symmetric_spectrum
 from .zonal import fetch_table
 
 __all__ = [
@@ -215,13 +216,17 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
 def pathway_det_limit(q, Z):
     """|I + (q-1) Z|**(-1/(q-1)), the pathway deformation of exp(-trace Z).
 
-    Takes the non-negative eigenvalues of Z as a non-empty 1-d array (the
+    Takes the non-negative eigenvalues of Z as a non-empty 1-d array of
+    real numbers, bools excluded, as read_matrix reads them (the
     zero-spectrum limit case is a legitimate input and gives exactly 1).
     Evaluated through log1p on the eigenvalues so q near 1 stays accurate.
     """
     q = as_real(q, "q")
     if not q > 1.0:
         raise ParameterDomainError(f"pathway requires q > 1, got q={q}")
+    if not _reals(Z, 1):
+        raise DimensionError(
+            f"eigenvalues must be real numbers, got {reprlib.repr(Z)}")
     eigs = np.asarray(Z, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
         raise DimensionError(

@@ -150,10 +150,14 @@ def check_spd(entries):
 
 def check_full_rank(entries):
     """Validate a p x r matrix, or an (n, p, r) stack, as of full row rank:
-    r >= p, finite entries and a smallest singular value above 1e-10 times
-    the largest, which also refuses the zero matrix."""
+    real entries as read_matrix takes them, r >= p, finite entries and a
+    smallest singular value above 1e-10 times the largest, which also
+    refuses the zero matrix."""
+    if not _reals(entries, 3):
+        raise DimensionError(
+            f"expected real numbers, got {reprlib.repr(entries)}")
     shape = np.shape(entries)
-    if 0 in shape[-2:]:
+    if len(shape) < 2 or 0 in shape[-2:]:
         raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
     if shape[-1] < shape[-2]:
         raise DimensionError(
@@ -307,8 +311,12 @@ def rect_transform(X, cfg):
     the caller to validate; check_full_rank refuses rank-deficient X.
     Products are symmetrized to scrub float asymmetry.  With identity
     weights X is copied instead of multiplied: a product by an exact I
-    returns every finite nonzero entry bit for bit.
+    returns every finite nonzero entry bit for bit.  X must be an ndarray
+    of a real dtype; anything else is a DimensionError.
     """
+    if not (isinstance(X, np.ndarray) and _reals(X, 0)):
+        raise DimensionError(
+            f"X must be an ndarray of real numbers, got {reprlib.repr(X)}")
     if X.ndim != 3 or X.shape[1:] != (cfg.p, cfg.r):
         raise DimensionError(
             f"X has shape {X.shape}, config expects (n, {cfg.p}, {cfg.r})")

@@ -360,11 +360,12 @@ _WA = "[[2.0,0.1],[0.1,1.0]]"
 _WB = "[[1.0,0.0,0.0],[0.0,3.0,0.5],[0.0,0.5,2.0]]"
 
 # (eval argv, exit code, SHA-256 of stdout), computed when each eval
-# subcommand wrote its own record envelope; {zfile} holds
-# [[1.2,-0.3],[-0.3,0.9]]
+# subcommand wrote its own record envelope, and those of the gamma-based
+# cases 0, 9-13 and 18 again when log_gamma became math.lgamma, which moved
+# their last digits; {zfile} holds [[1.2,-0.3],[-0.3,0.9]]
 _EVAL_DIGESTS = [
     (["gamma", "--p", "2", "--alpha", "3.0"], 0,
-     "4ed71dbf23eaee342f8aeaf5efc7993de85ff9b063265b442bc1313e5fe49fc3"),
+     "5c53ecf085c77c69299ca91b3eedd3946d81baf50d8db5ae2fa05216af767713"),
     (["beta", "--p", "2", "--alpha", "2.5", "--beta", "1.5"], 0,
      "f02426089967187051357b02ba7ca7058b932c06e6ea62eff71b0a2a858ef901"),
     (["pochhammer", "--a", "2.0", "--k", "2,1"], 0,
@@ -384,20 +385,20 @@ _EVAL_DIGESTS = [
       "--kmax", "10"], 0,
      "638c764ea16b7ff68c589902ce07568b16dace9c60efe34faa748704f07b1723"),
     (["fracint-power", "--r", "1", "--alpha", "1.0", "--z", "[[2.0]]"], 0,
-     "139aa42d454d4e72707fa01e49a5878f7b4a3d8fe0c56c155250c2e793bc663d"),
+     "6f81c75949f4cc96dcf83b96b7099ff162d5c28e73058f276843fa4ee0739798"),
     (["fracint-power", "--r", "3", "--alpha", "1.5", "--eta", "0.3",
       "--z-file", "{zfile}", "--weight-a", _WA, "--weight-b", _WB], 0,
-     "a54c4deccc592ce527413938fad62be3afd5fce88a06e0030af767e758f6d715"),
+     "c46d25fc4425fe58074763093e3d92501b2b61aa522b291f5203acf88f645692"),
     (["fracint-zonal", "--r", "2", "--alpha", "1.5", "--k", "2,1",
       "--z", _Z2, "--weight-a", _WA], 0,
-     "f3b98849c1b479cec986527be2cb25d41633c965baacb097bb6b96e5f4e35fc7"),
+     "b6deb616807be6cf2351f159aac11be21b3a112825c64908ed0584447a106c15"),
     (["saigo", "--r", "2", "--alpha", "1.5", "--a", "0.0", "--b", "0.4",
       "--c", "2.5", "--z", _Z2], 0,
-     "7e04121827b24be3283eaa0beb618c4e9ec1be1475d4b8c396a45defe478cbe0"),
+     "4cf6d6e602683bb6d216b0122df74014eac9ad2f41f5a9e7f0f0a89a7cdfdb11"),
     (["saigo", "--r", "3", "--alpha", "1.0", "--a", "0.3", "--b", "0.2",
       "--c", "2.0", "--eta", "0.5", "--kmax", "12", "--z", _Z2,
       "--weight-b", _WB], 0,
-     "8b1cb8ff4c65ef6d45034f71e979aeb2f2ee53c607632fd2f404c6791dfacd59"),
+     "7c4728d498fea9fc0e4140baa63276659ef32f0ab8665ff54f0d8da8cf9d0175"),
     (["pathway", "--q", "1.01", "--eigs", "1.0,0.5"], 0,
      "229d204b6f76a7087e719671b0edc0d5870acda293a102624aa07f39c1455d59"),
     (["pathway", "--q", "2.0", "--k", "2,1"], 0,
@@ -408,7 +409,7 @@ _EVAL_DIGESTS = [
     (["fracint-power", "--r", "1", "--alpha", "1.0", "--z", "[[-1.0]]"], 2,
      "877a7d406737ffda40f0977b8d3a87d519f8a98738b5e102c5bd955a0b7a3fe0"),
     (["fracint-power", "--r", "1", "--alpha", "2.0", "--z", "[[1e300]]"], 2,
-     "b4b76b916aa3973cfcd39b0261175938c12756933673a802cd14efdae6b8ff05"),
+     "722af105b9bdbde7c933837e598356f935951f4ebe0fd9a03d7d5450adfd8411"),
     (["fracint-zonal", "--r", "1", "--alpha", "1.0", "--k", "1",
       "--z", _Z2], 2,
      "d2ec9cacd3410b23e9070fb3a6eed76afcdc17ddb5298f7527ce337fddc384db"),
@@ -499,24 +500,26 @@ def test_every_subcommand_help_renders(capsys, command):
 # SHA-256 of `verify` stdout at seed 7 and small sizes, computed when each
 # suite wrote its own pass records and the sum-density check lived with
 # the samplers; fracpower's again when the operator's X took its lower
-# triangle on both sides, which moved one p = 2 determinant by an ulp
+# triangle on both sides, which moved one p = 2 determinant by an ulp; and
+# all but binomial's and pathway's, which read no gamma function, when
+# log_gamma became math.lgamma
 _VERIFY_DIGESTS = {
     "beta": (["--samples", "4000"],
-             "6da7ce08288ab112ed6412fd1a5fd68a09113db52a05d395549de4dc462358f3"),
+             "00aaa69f3cc7db086c411ee1d095c28ab250517e94902a5287091934812db267"),
     "binomial": ([],
                  "8e1abf26afc0ffa3522a7d133b2b38ab4e9587775b61502af66d3c67faf40793"),
     "euler": (["--samples", "20000"],
-              "4b0c0d11f666d60fdf994821e0ce847837b7fe444699c2fa37eb3cd68e332100"),
+              "13bca2d783096b1843f8da02c9130a168ab4626ae623abb5e18e0da180fac404"),
     "fracpower": (["--samples", "4000"],
-                  "5fbb94d74b70b56c9444dee539f8819ad540f244b0e9267912e3c83b23a258b7"),
+                  "f9fdf1d23692982f1f8accece33f4758c267526edbbb296743c2186e52117390"),
     "fraczonal": (["--samples", "2000"],
-                  "98cf019b1c3aedd90ff847c9b4fc1e7139d1550aa88dc7bc6821cc637d089ab9"),
+                  "b490aaf8eacac65b9b1aced80c2c3a93eb89427c740b52c404227385fbd86520"),
     "pathway": ([],
                 "28c499909ad2c9d3e66083951812b4b2d492eda7ae6fc771d220a0fbfe1c30ad"),
     "saigo": (["--samples", "4000"],
-              "dd3d571baf7865a8ed9b3031437ce15a3ac735eb04b42ccdce56280f4e6198d2"),
+              "4a9335469ee441d28ddc7207ef94315caebe87056bcd0c11454d28d491bc178f"),
     "sumdensity": (["--samples", "4000"],
-                   "e7a4a1966eb8987c52e6c7beb30921f6f6f00ea122e918f4f776c0281fe36122"),
+                   "942e66fc1819969e7f9929b68c8a445d69c628593e96e4c3c6fd9c40e917a0e8"),
 }
 
 
@@ -531,14 +534,15 @@ def test_verify_output_pinned(capsys, suite):
 
 # the same at sizes that take the cone estimator through many blocks
 # (fracpower runs 12 at p = 2), computed when each block's draws were
-# gathered into one stack before the operand saw them
+# gathered into one stack before the operand saw them, and again when
+# log_gamma became math.lgamma
 _VERIFY_MULTIBLOCK_DIGESTS = {
     "euler": (["--samples", "60000"],
-              "4ae2dbdff8a41619056aee58d8877bdcbc42377a32483885164f23fb2f1fd1a0"),
+              "2600b44bd0467c42277fc8fac4ef73ca691ef7e2dcf83ac21e2d5815e4200e16"),
     "fracpower": (["--samples", "50000"],
-                  "fb81aa9126c70d32dc653844373c91feb2e62b5a804a356697be0e16a7a1c141"),
+                  "dccd9e16dfadcab6fc42ef43a0f12eae81b2542cdf8f85885b95a02a0918614b"),
     "saigo": (["--samples", "60000"],
-              "58ae70217a8f55f58c1099fd33aa6423d1d24f4b70e7d892359fa919b7a9a88a"),
+              "5ab42a319e51ac1b547fe3ec2eafc438afa463b8a55017344af12890a3fc0571"),
 }
 
 
@@ -553,12 +557,13 @@ def test_verify_multiblock_output_pinned(capsys, suite):
 
 # sum-density bytes above p = 2, where the rectangular transform's last
 # product covers several rows and np.trace sums eight diagonal entries;
-# computed when that product was an einsum over (n, p, r) stacks
+# computed when that product was an einsum over (n, p, r) stacks, and again
+# when log_gamma became math.lgamma
 _SUMDENSITY_DIGESTS = {
     "p3-r3-r5": (["--p", "3", "--r1", "3", "--r2", "5"],
-                 "f429a3660829606f4682f6783269ff1574ad17100d089aabb6d968effeab340a"),
+                 "8dbedf11c411280c749807d967774be3ba9090de05130c3ab28ec6a5676e4813"),
     "p8-r8-r9": (["--p", "8", "--r1", "8", "--r2", "9"],
-                 "0b340baeb9f1229fa4996904aa76a9489e353d1a04d2a708fcba5b4fa59d1f47"),
+                 "3e164307dc9925b9ae17b5e5ed60deeab80f7753ca0cfb8e47ab2efc5103857a"),
 }
 
 

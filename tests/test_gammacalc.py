@@ -1,13 +1,15 @@
 """Scalar and matrix log-gamma, partitions, Pochhammer coefficients.
 
-Oracles: math.lgamma for the scalar routine, explicit finite products for
-the Pochhammer coefficients, and a brute-force enumerator for partitions.
+Oracles: scipy's gammaln and, below 1e-300, -log(x) for the scalar
+routine, explicit finite products for the Pochhammer coefficients, and a
+brute-force enumerator for partitions.
 """
 
 import itertools
 import math
 
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +31,20 @@ from mvfrac import (
 # scalar log gamma
 
 @given(st.floats(min_value=1e-3, max_value=170.0))
-def test_log_gamma_matches_stdlib(x):
-    assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
+def test_log_gamma_matches_scipy(x):
+    assert log_gamma(x) == pytest.approx(scipy.special.gammaln(x), rel=1e-12,
+                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-309, 5e-324])
+def test_log_gamma_tiny_arguments_are_finite(x):
+    # log Gamma(x) = -log(x) - 0.5772 x + O(x^2); scipy's gammaln(1e-309)
+    # is inf
+    assert log_gamma(x) == pytest.approx(-math.log(x), rel=1e-12)
+
+
+def test_log_gamma_overflow_is_inf():
+    assert log_gamma(1e308) == math.inf
 
 
 def test_log_gamma_frozen_points():
@@ -148,7 +162,8 @@ def test_signed_log_consistent_with_plain(a, k1_extra, k2):
 
 def test_log_matrix_gamma_p1_is_scalar():
     for a in (0.5, 1.0, 2.7, 11.0):
-        assert log_matrix_gamma(1, a) == pytest.approx(math.lgamma(a), rel=1e-12)
+        assert log_matrix_gamma(1, a) == pytest.approx(
+            scipy.special.gammaln(a), rel=1e-12)
 
 
 def test_log_matrix_gamma_frozen():

@@ -621,3 +621,14 @@ def test_pathway_det_limit_refuses_nan_and_takes_inf():
     with pytest.raises(ParameterDomainError, match="non-negative"):
         pathway_det_limit(2.0, np.array([0.5, math.nan]))
     assert pathway_det_limit(2.0, np.array([math.inf])) == 0.0
+
+
+@pytest.mark.parametrize("eigs", [["1.5"], [True], [None], np.array([True]),
+                                  np.array(["1.5"])],
+                         ids=["string", "bool", "none", "bool-array",
+                              "string-array"])
+def test_pathway_det_limit_refuses_non_real_eigenvalues(eigs):
+    # read_matrix's type rule; a float conversion alone read "1.5" as 1.5
+    # and True as 1.0
+    with pytest.raises(DimensionError, match="real numbers"):
+        pathway_det_limit(2.0, eigs)

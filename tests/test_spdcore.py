@@ -253,6 +253,21 @@ def test_rect_transform_rejects_mismatched_shape(shape):
         rect_transform(x, cfg)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rect_transform([[[1.0, 2.0]]],
+                           RectConfig.with_identity_weights(1, 2)),
+    lambda: check_full_rank([["1", "2"]]),
+    lambda: check_full_rank([[True, False]]),
+    lambda: check_full_rank([1.0, 2.0]),
+], ids=["transform-list", "rank-string", "rank-bool", "rank-vector"])
+def test_rectangular_checks_refuse_malformed_input(call):
+    # a list where an ndarray is needed, non-real entries (refused before
+    # any shape rule, as read_matrix refuses them) and a vector; these
+    # raised AttributeError, numpy's TypeError or IndexError, or passed
+    with pytest.raises(DimensionError):
+        call()
+
+
 def test_rect_config_weight_factor():
     a = SpdMatrix.diagonal((2.0, 2.0))
     b = SpdMatrix.diagonal((3.0, 1.0, 1.0))
@@ -540,15 +555,22 @@ def test_entry_points_refuse_non_finite_entries_alike(bad):
 
 
 def test_ndarrays_of_other_dtypes_are_refused():
+    cfg = RectConfig.with_identity_weights(2, 2)
     for arr in (np.eye(2, dtype=bool), np.eye(2, dtype=complex),
                 np.eye(2).astype(str), np.eye(2).astype(object)):
         with pytest.raises(DimensionError, match="equal-length rows"):
             SpdMatrix(arr)
         with pytest.raises(DimensionError, match="equal-length rows"):
             zonal_eval((1,), arr[None])
+        with pytest.raises(DimensionError, match="real numbers"):
+            rect_transform(arr[None], cfg)
+        with pytest.raises(DimensionError, match="real numbers"):
+            check_full_rank(arr)
     for arr in (np.eye(2, dtype=np.int8), np.eye(2, dtype=np.uint16),
                 np.eye(2, dtype=np.float32)):
         assert SpdMatrix(arr) == SpdMatrix(np.eye(2))
+        assert np.array_equal(rect_transform(arr[None], cfg), np.eye(2)[None])
+        check_full_rank(arr)
 
 
 def test_reader_copies_an_ndarray():

@@ -6,12 +6,13 @@ number that says it fails, or the other way round.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from mvfrac import ParameterDomainError, RectConfig, cli
-from mvfrac.verify import run_suite, suite_binomial, verify_sum_density
+from mvfrac.verify import SUITES, run_suite, suite_binomial, verify_sum_density
 
 from test_cli import _VERIFY_DIGESTS
 
@@ -81,6 +82,13 @@ def test_run_suite_refuses_a_keyword_its_suite_does_not_take():
     with pytest.raises(ParameterDomainError,
                        match="suite 'pathway' does not take samples;"):
         run_suite("pathway", samples=5)
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    # the command line refuses --suite bogus and suite=bogus before this
+    with pytest.raises(ParameterDomainError, match=re.escape(
+            f"unknown suite 'bogus'; choose from {sorted(SUITES)}")):
+        run_suite("bogus", seed=7)
 
 
 def test_negative_and_numpy_seeds_are_reported_as_ints(capsys):
