@@ -4,7 +4,9 @@ Every run prints machine-readable JSON, one record per line, each carrying
 {"schema": "mvfrac/1"}.  Identical invocations produce byte-identical output.
 Exit codes: 0 success / all checks passed, 1 a verification check failed,
 2 a domain precondition was violated (a JSON error object is printed),
-64 malformed flags or inputs.
+64 malformed flags or inputs.  A size the host cannot allocate (numpy's
+MemoryError) is exit 2 too, with one {"error": "ResourceLimitError"}
+record whose message is numpy's.
 
 Each command takes only the flags its target reads: an `eval` operation or
 a `sample` kind refuses any other flag as a usage error, and `verify` passes
@@ -230,13 +232,12 @@ def _pathway(args):
     if (args.eigs is None) == (args.k is None):
         raise _UsageError("exactly one of --eigs or --k is required")
     if args.eigs is not None:
-        eigs = np.array(args.eigs)
         # the record echoes the eigenvalues, and strict JSON has no inf
-        if not np.isfinite(eigs).all():
+        if not np.isfinite(args.eigs).all():
             raise ParameterDomainError("eigenvalues must be finite and "
                                        f"non-negative, got {list(args.eigs)}")
         return {"q": args.q, "eigenvalues": list(args.eigs),
-                "value": pathway_det_limit(args.q, eigs)}
+                "value": pathway_det_limit(args.q, args.eigs)}
     part = Partition.coerce(args.k)
     return {"q": args.q, "partition": list(part.parts),
             "value": pathway_factor(args.q, part)}
@@ -481,9 +482,10 @@ def main(argv=None):
     except _UsageError as exc:
         sys.stderr.write(f"mvfrac: error: {exc}\n")
         return 64
-    except MvfracError as exc:
-        _emit({"schema": _SCHEMA, "error": type(exc).__name__,
-               "message": str(exc)}, None)
+    except (MvfracError, MemoryError) as exc:
+        name = ("ResourceLimitError" if isinstance(exc, MemoryError)
+                else type(exc).__name__)
+        _emit({"schema": _SCHEMA, "error": name, "message": str(exc)}, None)
         return 2
 
 

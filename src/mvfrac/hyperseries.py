@@ -11,15 +11,13 @@ summation so results are byte-reproducible.
 """
 
 import math
-import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionError, NonConvergenceError, ParameterDomainError,
-                     as_int, as_real)
-from .spdcore import _reals, _spd_argument, _symmetric_spectrum
+from .errors import NonConvergenceError, ParameterDomainError, as_int, as_real
+from .spdcore import _spd_argument, _symmetric_spectrum, read_matrix
 from .zonal import fetch_table
 
 __all__ = [
@@ -216,21 +214,15 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
 def pathway_det_limit(q, Z):
     """|I + (q-1) Z|**(-1/(q-1)), the pathway deformation of exp(-trace Z).
 
-    Takes the non-negative eigenvalues of Z as a non-empty 1-d array of
-    real numbers, bools excluded, as read_matrix reads them (the
-    zero-spectrum limit case is a legitimate input and gives exactly 1).
-    Evaluated through log1p on the eigenvalues so q near 1 stays accurate.
+    Takes the non-negative eigenvalues of Z as read_matrix reads a 1-d
+    array (the zero-spectrum limit case is a legitimate input and gives
+    exactly 1, and an infinite eigenvalue gives 0.0).  Evaluated through
+    log1p on the eigenvalues so q near 1 stays accurate.
     """
     q = as_real(q, "q")
     if not q > 1.0:
         raise ParameterDomainError(f"pathway requires q > 1, got q={q}")
-    if not _reals(Z, 1):
-        raise DimensionError(
-            f"eigenvalues must be real numbers, got {reprlib.repr(Z)}")
-    eigs = np.asarray(Z, dtype=float)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise DimensionError(
-            f"expected a non-empty 1-d eigenvalue array, got shape {eigs.shape}")
+    eigs = read_matrix(Z, 1)
     if not (eigs >= 0.0).all():  # NaN fails this comparison too
         raise ParameterDomainError(
             f"eigenvalues must be non-negative, got {eigs.tolist()}")

@@ -44,7 +44,7 @@ from .errors import (
     as_real,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
-from .spdcore import _batch_det, check_full_rank
+from .spdcore import _batch_det, check_full_rank, read_matrix
 
 __all__ = [
     "McEstimate",
@@ -303,8 +303,9 @@ def sample_uniform_spd_unit(p, n, seed):
 
 def _weighted(f, p, shapes):
     """The each function of _cone_raw that maps a block of draws to
-    f(W stack) times the weight mc_integrate_unit_cone describes; f must
-    return one finite value per draw once weighted."""
+    f(W stack), read by read_matrix, times the weight
+    mc_integrate_unit_cone describes; f must return one value per draw,
+    finite once weighted."""
     if shapes is None:  # the uniform weight, whose powers are exactly 1.0
         e_w = e_v = 0.0
     else:
@@ -316,7 +317,7 @@ def _weighted(f, p, shapes):
         e_w, e_v = (as_real(x, "cone shape") - 0.5 * (p + 1) for x in (s, t))
 
     def each(w, det_w, det_v):
-        h = np.asarray(f(w), dtype=float)
+        h = read_matrix(f(w), 1)
         if h.shape != det_w.shape:
             raise DimensionError(
                 f"integrand must return shape {det_w.shape}, got {h.shape}")

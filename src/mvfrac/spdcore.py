@@ -1,14 +1,15 @@
 """Symmetric positive definite matrices and the rectangular transform.
 
 This is the one linear-algebra layer.  read_matrix is the one reader of
-matrices from outside, square ones only.  A symmetric argument, the
-series' and the zonal polynomials', passes _symmetric_spectrum: an
-SpdMatrix gives the spectrum it keeps, anything else must equal its
-transpose exactly and gets its eigenvalues from _batch_eigvalsh, the one
-eigenvalue call (np.linalg.eigvalsh bit for bit).  check_spd, and so
-SpdMatrix, adds the sign rule: every eigenvalue above 1e-12 times the
-largest.  The operators and RectConfig, whose integrals need Z > O, read
-_spd_argument: an SpdMatrix as is, anything else read into one.
+arrays from outside and does nothing but read; each value rule sits with
+its one consumer.  _eigenvalues takes square, finite matrices equal to
+their transposes exactly, and _batch_eigvalsh is the one eigenvalue call
+(np.linalg.eigvalsh bit for bit).  A symmetric argument, the series' and
+the zonal polynomials', passes _symmetric_spectrum: an SpdMatrix gives the
+spectrum it keeps, anything else goes through _eigenvalues.  check_spd,
+and so SpdMatrix, adds the sign rule: every eigenvalue above 1e-12 times
+the largest.  The operators and RectConfig, whose integrals need Z > O,
+read _spd_argument: an SpdMatrix as is, anything else read into one.
 check_full_rank refuses rectangular draws whose smallest singular value is
 at most 1e-10 times the largest.  Derived matrices are not checked again.
 """
@@ -73,7 +74,6 @@ def _batch_eigvalsh(m):
     sort.  A shorter p = 2 stack, every p >= 3 stack, and a matrix whose
     largest entry lies outside _UNSCALED or is not finite go to eigvalsh.
     """
-    m = np.asarray(m, dtype=float)
     p = m.shape[-1]
     if p == 1:
         return m[:, 0].copy()
@@ -116,30 +116,36 @@ def _batch_eigvalsh(m):
 
 
 def _eigenvalues(m):
-    """_batch_eigvalsh of matrices equal to their transposes, NaN refused."""
-    stack = np.reshape(m, (-1,) + np.shape(m)[-2:])
-    if not all((stack[:, i, j] == stack[:, j, i]).all()
-               for i in range(stack.shape[2]) for j in range(i + 1)):
+    """_batch_eigvalsh of a matrix or stack read by read_matrix, which must
+    be square, finite and equal to its transpose exactly."""
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix of shape (p, p) or "
+                             f"(n, p, p), got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DegenerateInputError("matrix entries must be finite")
+    stack = m.reshape((-1,) + m.shape[-2:])
+    if not np.array_equal(stack, stack.transpose(0, 2, 1)):
         raise DegenerateInputError(
             "matrix is not exactly symmetric; symmetrize before constructing")
-    return _batch_eigvalsh(stack).reshape(np.shape(m)[:-1])
+    return _batch_eigvalsh(stack).reshape(m.shape[:-1])
 
 
 def check_spd(entries):
-    """Validate a square matrix, or an (n, p, p) stack, read as read_matrix
-    reads it, for a non-empty matrix axis, exact symmetry and positive
-    definiteness.  Returns the eigenvalues from _batch_eigvalsh, descending
-    along the last axis; the error names the first matrix that fails.
+    """Validate a square matrix, or an (n, p, p) stack, as read_matrix
+    reads it, for exact symmetry and positive definiteness.  Returns the
+    eigenvalues from _batch_eigvalsh, descending along the last axis."""
+    return _definite(_eigenvalues(read_matrix(entries, (2, 3))))
+
+
+def _definite(eig):
+    """eig, the eigenvalues of a matrix or a stack, if each matrix is
+    positive definite; the error names the first one that is not.
 
     Positive definite means the smallest eigenvalue exceeds 1e-12 times the
     largest, so S and 1e9*S agree.  LAPACK's symmetric solver scales extreme
     entries and does not cancel: diag(1.0, 1e-10) gives back 1e-10 and
     diag(1e308, 1e308) stays finite.
     """
-    shape = np.shape(entries)
-    if 0 in shape[-2:]:
-        raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
-    eig = _eigenvalues(entries)
     ok = eig[..., -1] > 1e-12 * eig[..., 0]
     if not ok.all():
         bad = eig if eig.ndim == 1 else eig[np.argmin(ok)]
@@ -149,22 +155,17 @@ def check_spd(entries):
 
 
 def check_full_rank(entries):
-    """Validate a p x r matrix, or an (n, p, r) stack, as of full row rank:
-    real entries as read_matrix takes them, r >= p, finite entries and a
-    smallest singular value above 1e-10 times the largest, which also
-    refuses the zero matrix."""
-    if not _reals(entries, 3):
+    """Validate a p x r matrix, or an (n, p, r) stack, as read_matrix reads
+    it, as of full row rank: r >= p, finite entries and a smallest singular
+    value above 1e-10 times the largest, which also refuses the zero
+    matrix."""
+    x = read_matrix(entries, (2, 3))
+    if x.shape[-1] < x.shape[-2]:
         raise DimensionError(
-            f"expected real numbers, got {reprlib.repr(entries)}")
-    shape = np.shape(entries)
-    if len(shape) < 2 or 0 in shape[-2:]:
-        raise DimensionError(f"expected a non-empty matrix, got shape {shape}")
-    if shape[-1] < shape[-2]:
-        raise DimensionError(
-            f"need at least as many columns as rows, got shape {shape}")
-    if not np.isfinite(entries).all():
+            f"need at least as many columns as rows, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise DegenerateInputError("matrix entries must be finite")
-    sv = np.linalg.svd(entries, compute_uv=False)
+    sv = np.linalg.svd(x, compute_uv=False)
     ok = sv[..., -1] > 1e-10 * sv[..., 0]
     if not ok.all():
         first = sv if sv.ndim == 1 else sv[np.argmin(ok)]
@@ -176,14 +177,14 @@ class SpdMatrix:
     """Immutable symmetric positive definite matrix.
 
     The constructor reads its entries with read_matrix, which copies them,
-    validates them with check_spd and freezes them.
+    validates them as check_spd does and freezes them.
     """
 
     __slots__ = ("_entries", "_eigenvalues")
 
     def __init__(self, entries):
         arr = read_matrix(entries, 2)
-        eig = check_spd(arr)
+        eig = _definite(_eigenvalues(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
         object.__setattr__(self, "_eigenvalues", eig)
@@ -358,21 +359,24 @@ def _reals(data, depth):
 
 def read_matrix(data, ndim):
     """data, an ndarray or nested lists of real numbers, as a new float
-    array of ndim axes: 1 for a diagonal, 2 for a square matrix, 3 for a
-    stack.  Strings, bools, None, complex values, ragged rows, ints beyond
-    the float range, another ndim and an empty or non-square matrix are
-    DimensionErrors, a non-finite entry a DegenerateInputError; an ndarray
-    is converted whole, and an empty (0, p, p) stack is read."""
+    array with ndim axes, or any count a tuple ndim names: (2, 3) for a
+    matrix or a stack, (1, 2) for the eigenvalues of one argument or of n.
+    Strings, bools, None, complex values, ragged rows, ints beyond the
+    float range, another number of axes and an empty matrix axis (the last
+    two, or the last one of eigenvalues; a stack may be empty) are
+    DimensionErrors.  An ndarray is judged by its dtype and converted
+    whole.  The value rules, squareness included, are the consumers'."""
+    counts = ndim if isinstance(ndim, tuple) else (ndim,)
+    k = min(2, *counts)  # the matrix axes, each p long
     try:
-        arr = np.array(data, dtype=float) if _reals(data, ndim) else None
+        arr = np.array(data, dtype=float) if _reals(data, max(counts)) else None
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if (arr is None or arr.ndim != ndim or 0 in arr.shape[-2:]
-            or ndim > 1 and arr.shape[-1] != arr.shape[-2]):
+    if arr is None or arr.ndim not in counts or 0 in arr.shape[-k:]:
         got = reprlib.repr(data) if arr is None else f"shape {arr.shape}"
-        shape = ("(p,)", "(p, p)", "(n, p, p)")[ndim - 1]
-        raise DimensionError(f"expected equal-length rows of numbers of "
-                             f"shape {shape} with p >= 1, got {got}")
-    if not np.isfinite(arr).all():
-        raise DegenerateInputError("matrix entries must be finite")
+        shapes = " or ".join(str(tuple("n" * (c - k) + "p" * k))
+                             for c in counts).replace("'", "")
+        raise DimensionError(
+            f"expected non-empty equal-length rows of numbers (real numbers, "
+            f"bools excluded) of shape {shapes} with p >= 1, got {got}")
     return arr

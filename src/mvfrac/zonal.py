@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
                      as_int)
 from .gammacalc import Partition, _partition_parts
-from .spdcore import _symmetric_spectrum
+from .spdcore import _symmetric_spectrum, read_matrix
 
 __all__ = [
     "ZonalTable",
@@ -281,10 +281,11 @@ class ZonalTable:
         """Every monomial symmetric polynomial of weight <= k_max at the
         eigenvalues, in table order.
 
-        Eigenvalues of shape (d,) give shape (offsets[k_max + 1],), and an
-        (n, d) array gives one column per argument.  Entries for
-        partitions with more than d parts are zero.  A k_max the table does
-        not hold or an empty argument is refused.
+        The eigenvalues are read by read_matrix: shape (d,) gives shape
+        (offsets[k_max + 1],), and an (n, d) array gives one column per
+        argument.  Entries for partitions with more than d parts are zero.
+        A k_max the table does not hold or a d above the table's p is
+        refused.
         """
         k_max = as_int(k_max, "k_max")
         if k_max > self.k_max:
@@ -292,10 +293,8 @@ class ZonalTable:
                 f"k_max={k_max} outside table range "
                 f"(k_max={self.k_max}, p={self.p})")
         # contiguous rows keep numpy's vectorized pow loop
-        x = np.ascontiguousarray(np.asarray(eigenvalues, dtype=float).T)
+        x = np.ascontiguousarray(read_matrix(eigenvalues, (1, 2)).T)
         d = len(x)
-        if d == 0:
-            raise DimensionError("argument dimension must be positive")
         if d > self.p:
             raise DimensionError(
                 f"argument dimension {d} exceeds table dimension {self.p}")

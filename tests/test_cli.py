@@ -767,6 +767,30 @@ def test_kmax_above_ceiling_is_resource_error(monkeypatch):
     assert "MVFRAC" not in rec["message"]
 
 
+# each asks for at least 7 PiB, past a 47-bit address space, so numpy's
+# allocation fails at once whatever the host's overcommit setting
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "euler", "--samples", "1000000000000000"],
+    ["sample", "uniform-unit-cone", "--p", "2", "--n", "1000000000000000"],
+    ["sample", "matrix-gamma", "--p", "2", "--shape", "2", "--n",
+     "1000000000000000"],
+    # the identity weight B is built as an r x r matrix
+    ["eval", "fracint-power", "--r", "100000000", "--alpha", "1", "--z",
+     "[[1.0]]"],
+    ["sample", "rect-exponential", "--p", "2", "--r", "100000000", "--n", "1"],
+], ids=["verify", "cone", "gamma", "fracint-power", "rect"])
+def test_unallocatable_size_is_resource_error(capsys, argv):
+    # exit 1 means a failed check; a size the host cannot allocate is a
+    # resource limit, reported as one record with nothing on stderr
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    (rec,) = strict_records(out)
+    assert rec["error"] == "ResourceLimitError"
+    assert "Unable to allocate" in rec["message"]
+    assert err == ""
+
+
 _EXTREME = st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e300, 1e308])
 _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _SCALAR = st.one_of(st.floats(min_value=-5.0, max_value=5.0), _NONFINITE)

@@ -25,6 +25,8 @@ from mvfrac import (
     gauss_2f1_rect,
     hyper_pfq,
     log_matrix_gamma,
+    mc_integrate_unit_cone,
+    pathway_det_limit,
     rect_transform,
     sample_uniform_spd_unit,
     saigo_power_closed,
@@ -35,6 +37,7 @@ from mvfrac.errors import ParameterDomainError
 from mvfrac.spdcore import (_SHORT_STACK, _batch_det, _batch_eigvalsh,
                             _symmetric_spectrum, check_full_rank, check_spd,
                             read_matrix)
+from mvfrac.zonal import fetch_table
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -450,12 +453,16 @@ def test_read_matrix_rejects_non_matrix():
 
 
 # the kinds of payload the CLI refuses as JSON matrices, parsed, plus an
-# empty one; the ragged rows raised numpy's ValueError from SpdMatrix and
-# zonal_eval
+# empty one, a complex one and three of the wrong depth for every entry:
+# one axis short, a ragged stack and one axis too many, which gives the
+# eigenvalue readers a 3-axis array; none may escape as numpy's or
+# Python's own error
 _MALFORMED = {"string": [["a"]], "ragged": [[1.0, 0.0], [0.0]],
               "object": {"a": 1},
               "numeric-string": [["1.5"]], "bool": [[True]], "null": [[None]],
-              "huge-int": [[10 ** 400]], "empty": []}
+              "huge-int": [[10 ** 400]], "empty": [], "complex": [[1 + 1j]],
+              "axis-short": [1.0], "ragged-stack": [[[1.0]], [[1.0, 2.0]]],
+              "axis-extra": [[[[0.5]]]]}
 
 
 def _matrix_arguments(p):
@@ -479,15 +486,31 @@ def _matrix_arguments(p):
     }
 
 
+def _one_row(rows):
+    """The one row of a matrix as nested lists, else rows as they are."""
+    return rows[0] if isinstance(rows, list) and len(rows) == 1 else rows
+
+
 def _entry_points(rows):
-    """A call of each public entry point of an outside matrix on rows, a
-    matrix as nested lists, shaped for it: one row for the diagonal, a
-    stack of one for zonal_eval, and the matrix argument of the series,
-    the operators and the weights of a configuration at p = 1."""
-    diag = rows[0] if isinstance(rows, list) and len(rows) == 1 else rows
-    return [lambda: SpdMatrix(rows), lambda: SpdMatrix.diagonal(diag),
-            lambda: zonal_eval((1,), [rows]),
+    """A call of each entry point of an outside matrix on rows, a matrix as
+    nested lists, shaped for it: one row for the diagonal, a stack of one
+    for zonal_eval, and the matrix argument of check_spd, check_full_rank,
+    the series, the operators and the weights of a configuration at p = 1.
+    Each refuses a non-finite entry with the same message."""
+    return [lambda: SpdMatrix(rows), lambda: SpdMatrix.diagonal(_one_row(rows)),
+            lambda: zonal_eval((1,), [rows]), lambda: check_spd(rows),
+            lambda: check_full_rank(rows),
             *(lambda f=f: f(rows) for f in _matrix_arguments(1).values())]
+
+
+def _row_readers(row):
+    """A call of each entry point that reads one row of numbers from
+    outside on row: the eigenvalues of pathway_det_limit and of a zonal
+    table, and an integrand's values for a cone block of one draw."""
+    return [lambda: pathway_det_limit(2.0, row),
+            lambda: fetch_table(1, 1).value((1,), row),
+            lambda: fetch_table(1, 1).monomials(row, 1),
+            lambda: mc_integrate_unit_cone(lambda w: row, 1, 1, 3)]
 
 
 @pytest.mark.parametrize("name", list(_matrix_arguments(2)))
@@ -508,7 +531,7 @@ def test_matrix_arguments_read_rows_as_their_spd_matrix(name):
 
 @pytest.mark.parametrize("rows", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_entry_points_refuse_malformed_matrices_alike(rows):
-    for call in _entry_points(rows):
+    for call in _entry_points(rows) + _row_readers(_one_row(rows)):
         with pytest.raises(DimensionError, match="equal-length rows of numbers"):
             call()
 

@@ -477,7 +477,7 @@ def test_weight_build_memory_stays_near_its_block(monkeypatch):
     ([0.5, 0.2], 5, ParameterDomainError, "^k_max=5 outside table range"),
     ([0.5, 0.2], -1, ParameterDomainError, "non-negative, got -1$"),
     ([0.5, 0.2], 2.5, ParameterDomainError, "integer, got 2.5$"),
-    ([], 2, DimensionError, "positive"),
+    ([], 2, DimensionError, "non-empty"),
 ])
 def test_monomials_refuse_bad_input(monkeypatch, eigs, k_max, error, match):
     monkeypatch.setattr(zonal, "_table_cache", {})
