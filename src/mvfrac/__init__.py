@@ -46,7 +46,6 @@ from .hyperseries import (
     pathway_det_limit,
 )
 from .matsample import (
-    MatrixGammaSpec,
     McEstimate,
     mc_integrate_unit_cone,
     sample_matrix_gamma,
@@ -79,7 +78,6 @@ __all__ = [
     "FracOrder",
     "FracValue",
     "HyperParams",
-    "MatrixGammaSpec",
     "McEstimate",
     "MvfracError",
     "NonConvergenceError",

@@ -42,7 +42,6 @@ from .gammacalc import (
 )
 from .hyperseries import HyperParams, Truncation, hyper_pfq, pathway_det_limit
 from .matsample import (
-    MatrixGammaSpec,
     sample_matrix_gamma,
     sample_rect_exponential,
     sample_uniform_spd_unit,
@@ -365,7 +364,7 @@ _N = ("--n", dict(type=int, required=True))
 _SEED = ("--seed", dict(type=int, default=42))
 _SAMPLE = {
     "matrix-gamma": (lambda args: sample_matrix_gamma(
-        MatrixGammaSpec(args.p, args.shape), args.n, args.seed),
+        args.p, args.shape, args.n, args.seed),
         [("--shape", dict(type=float, required=True))]),
     "rect-exponential": (lambda args: sample_rect_exponential(
         RectConfig.with_identity_weights(args.p, args.r), args.n, args.seed),

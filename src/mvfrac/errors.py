@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the integer and real rules.
+"""Exception types shared across the package, and the argument rules.
 
 Every error raised on purpose derives from MvfracError, so callers can catch
 one type at the boundary (the CLI maps them to exit code 2).  Integer
-arguments (dimension, count, k_max, partition part, seed) pass as_int, and
-real parameters (order, series parameter, shape, q) pass as_real.  Both
-refuse bools and strings; as_int refuses floats, as_real infinities and NaN.
+arguments (dimension, count, k_max, partition part, seed) pass as_int, real
+parameters (series parameter, q) as_real, and every argument of Gamma_p
+(order, gamma or beta shape) as_shape, as_real above (p-1)/2.  All refuse
+bools and strings; as_int refuses floats, as_real infinities and NaN.
 """
 
 import math
@@ -56,6 +57,17 @@ def as_real(value, name):
         x = math.inf if value > 0 else -math.inf
     if not math.isfinite(x):
         raise ParameterDomainError(f"{name} must be finite, got {x}")
+    return x
+
+
+def as_shape(value, name, p):
+    """value as a float above (p-1)/2, the domain of each argument of Gamma_p
+    (Muirhead 1982, Def. 2.1.10), or a ParameterDomainError ending "got"."""
+    x = as_real(value, name)
+    bound = 0.5 * (p - 1)
+    if not x > bound:
+        raise ParameterDomainError(
+            f"{name} must exceed (p-1)/2 = {bound} at p = {p}, got {x}")
     return x
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterDomainError, as_real
+from .errors import DegenerateInputError, as_real, as_shape
 from .gammacalc import (
     Partition,
     log_matrix_gamma,
@@ -54,11 +54,8 @@ class FracOrder:
     config: RectConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_real(self.alpha, "order"))
-        if not self.alpha > 0.5 * (self.config.p - 1):
-            raise ParameterDomainError(
-                f"order must exceed (p-1)/2 = {0.5 * (self.config.p - 1)}, "
-                f"got {self.alpha}")
+        object.__setattr__(self, "alpha",
+                           as_shape(self.alpha, "order", self.config.p))
 
 
 @dataclass(frozen=True)
@@ -113,12 +110,6 @@ class FracValue:
                 f"value exp({self.log_magnitude}) overflows a float") from exc
 
 
-def _operand_exponent_check(cfg, eta):
-    if not 0.5 * cfg.r + eta > 0.5 * (cfg.p - 1):
-        raise ParameterDomainError(
-            f"need r/2 + eta > (p-1)/2: r={cfg.r}, eta={eta}, p={cfg.p}")
-
-
 def _signed(log_base, det_exponent, factor=1.0):
     """The closed-form value exp(log_base) * factor; a zero factor gives
     sign 0 and log magnitude -inf."""
@@ -140,7 +131,7 @@ def frac_integral_power_closed(order, Z, eta=0.0):
     Z = _spd_argument(Z, "Z", order.config.p)
     cfg = order.config
     eta = as_real(eta, "eta")
-    _operand_exponent_check(cfg, eta)
+    as_shape(0.5 * cfg.r + eta, "r/2 + eta", cfg.p)
     det_exponent = order.alpha + 0.5 * cfg.r + eta - 0.5 * (cfg.p + 1)
     return _signed(det_exponent * Z.log_det
                    + stiefel_constant(cfg.p, cfg.r)
@@ -211,7 +202,7 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     Z = _spd_argument(Z, "Z", order.config.p)
     cfg = order.config
     if isinstance(operand, DetPowerOperand):
-        _operand_exponent_check(cfg, operand.exponent)
+        as_shape(0.5 * cfg.r + operand.exponent, "r/2 + eta", cfg.p)
     p = cfg.p
     alpha = order.alpha
     root = Z.matrix_power(0.5)

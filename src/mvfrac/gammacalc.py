@@ -9,7 +9,7 @@ floats, with a signed log variant where callers need the split.
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError, as_int, as_real
+from .errors import ParameterDomainError, as_int, as_real, as_shape
 
 __all__ = [
     "Partition",
@@ -34,10 +34,7 @@ __all__ = [
 def log_gamma(x):
     """Natural log of the scalar gamma function for x > 0; inf where the
     value overflows a float."""
-    x = as_real(x, "gamma argument")
-    if not x > 0.0:
-        raise ParameterDomainError(
-            f"log_gamma requires x > 0, got x={x!r} (pole or wrong sign)")
+    x = as_shape(x, "gamma argument", 1)
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -135,10 +132,8 @@ def log_matrix_gamma(p, alpha):
     over j = 1..p, so the argument must satisfy alpha > (p-1)/2 or the last
     factor hits a pole.
     """
-    p, alpha = as_int(p, "dimension", 1), as_real(alpha, "gamma argument")
-    if not alpha > (p - 1) / 2.0:
-        raise ParameterDomainError(
-            f"log_matrix_gamma requires alpha > (p-1)/2: alpha={alpha}, p={p}")
+    p = as_int(p, "dimension", 1)
+    alpha = as_shape(alpha, "gamma argument", p)
     acc = 0.25 * p * (p - 1) * math.log(math.pi)
     for j in range(p):
         acc += log_gamma(alpha - 0.5 * j)
@@ -198,7 +193,8 @@ def log_matrix_gamma_partition(p, b, K):
 
 def log_matrix_beta(p, alpha, beta):
     """log of the matrix-variate beta function of dimension p."""
-    alpha, beta = as_real(alpha, "alpha"), as_real(beta, "beta")
+    p = as_int(p, "dimension", 1)
+    alpha, beta = as_shape(alpha, "alpha", p), as_shape(beta, "beta", p)
     return (log_matrix_gamma(p, alpha) + log_matrix_gamma(p, beta)
             - log_matrix_gamma(p, alpha + beta))
 

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergenceError, ParameterDomainError, as_int, as_real
+from .errors import (
+    NonConvergenceError, ParameterDomainError, as_int, as_real, as_shape)
 from .spdcore import _spd_argument, _symmetric_spectrum, read_matrix
 from .zonal import fetch_table
 
@@ -193,21 +194,16 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
     Z_Y must sit strictly between the zero matrix and the identity: it is
     positive definite as an SpdMatrix, and hyper_pfq refuses a spectral
     radius of one or more.  The parameters must satisfy c - a > (p-1)/2
-    and a > -r/2 + (p-1)/2 for the underlying integral representation to
+    and a + r/2 > (p-1)/2 for the underlying integral representation to
     exist.
     """
-    p = cfg.p
-    r = cfg.r
+    p, r = cfg.p, cfg.r
     a, b, c = (as_real(v, f"Gauss parameter {n}")
                for v, n in zip((a, b, c), "abc"))
     Z_Y = _spd_argument(Z_Y, "Z_Y", p)
-    if not (c - a) > (p - 1) / 2.0:
-        raise ParameterDomainError(
-            f"need c - a > (p-1)/2: c={c}, a={a}, p={p}")
-    if not a > -0.5 * r + (p - 1) / 2.0:
-        raise ParameterDomainError(
-            f"need a > -r/2 + (p-1)/2: a={a}, r={r}, p={p}")
-    params = HyperParams((a + 0.5 * r, b), (c + 0.5 * r,))
+    as_shape(c - a, "c - a", p)
+    params = HyperParams((as_shape(a + 0.5 * r, "a + r/2", p), b),
+                         (c + 0.5 * r,))
     return hyper_pfq(params, Z_Y, trunc).value
 
 

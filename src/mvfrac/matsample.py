@@ -6,7 +6,7 @@ Three families back the verification suites:
   diagonal of T holds square roots of gamma variates with shapes that
   decrease by one half per row, the strict lower triangle holds normals of
   variance one half, and W = T T' has the matrix gamma density with the
-  requested shape and identity scale;
+  requested shape, above (p-1)/2, and identity scale;
 * rectangular exponential-weight draws X with density proportional to
   exp(-tr(A X B X')), realized as A^{-1/2} G B^{-1/2} for iid normal G of
   variance one half, or as G itself for identity weights, bit for bit;
@@ -17,16 +17,16 @@ Three families back the verification suites:
 The rejection sampler also powers a hit-or-miss Monte Carlo integrator over
 that set: rejected proposals count as zero-valued integrand samples, so the
 box volume times the mean over all proposals estimates the integral.  Given
-shapes (s, t), this weighted estimator multiplies each draw by the type-1
-matrix beta weight |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2), which the fractional
-operator, the Euler integral and the beta check share.  The estimator
+shapes (s, t), each above (p-1)/2 or the integral diverges, this weighted
+estimator multiplies each draw by the type-1 matrix beta weight
+|W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2), which the fractional operator, the
+Euler integral and the beta check share.  The estimator
 streams: each block of accepted draws is turned into its weighted values
 while it is still in cache, and only those n values are kept.  Every
 sampler is a pure function of (seed, counter), so equal seeds reproduce
 equal output regardless of batch sizes.  The public samplers return their
 draws as one float array: positive definite by construction, or for the
-rectangular sampler checked for full row rank in one call to
-check_full_rank.
+rectangular sampler checked in place by check_full_rank's rank rule.
 """
 
 import functools
@@ -41,14 +41,13 @@ from .errors import (
     ParameterDomainError,
     ResourceLimitError,
     as_int,
-    as_real,
+    as_shape,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
-from .spdcore import _batch_det, check_full_rank, read_matrix
+from .spdcore import _batch_det, _full_rank, read_matrix
 
 __all__ = [
     "McEstimate",
-    "MatrixGammaSpec",
     "sample_matrix_gamma",
     "sample_rect_exponential",
     "sample_uniform_spd_unit",
@@ -119,26 +118,12 @@ class McEstimate:
         object.__setattr__(self, "n", as_int(self.n, "sample count", 1))
 
 
-@dataclass(frozen=True)
-class MatrixGammaSpec:
-    """Dimension and shape of a matrix gamma distribution, identity scale."""
-
-    dim: int
-    shape: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", as_int(self.dim, "dimension", 1))
-        object.__setattr__(self, "shape", as_real(self.shape, "matrix gamma shape"))
-        if not self.shape > 0.5 * (self.dim - 1):
-            raise ParameterDomainError(
-                f"matrix gamma shape must exceed (dim-1)/2 = "
-                f"{0.5 * (self.dim - 1)}, got {self.shape}")
-
-
 def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     """n matrix gamma draws as an (n, p, p) array, W = T T', positive
     definite because the triangular T has a positive diagonal; a stack with
     a variate that underflowed to zero, or a non-finite W, is refused."""
+    p = as_int(p, "dimension", 1)
+    shape = as_shape(shape, "matrix gamma shape", p)
     if p > _GAMMA_OFF:
         raise ParameterDomainError(
             f"matrix gamma dimension must be at most {_GAMMA_OFF}, got {p}")
@@ -160,11 +145,11 @@ def _matrix_gamma_raw(p, shape, n, seed, tag_base):
     return w
 
 
-def sample_matrix_gamma(spec, n, seed):
-    """n independent matrix gamma draws for the given spec, dimension at
-    most 240, as one (n, p, p) array certified positive definite by
-    construction."""
-    return _matrix_gamma_raw(spec.dim, spec.shape, n, seed, _TAG_GAMMA_DIAG)
+def sample_matrix_gamma(p, shape, n, seed):
+    """n independent draws of the p x p matrix gamma distribution with the
+    given shape, above (p-1)/2, and identity scale, p at most 240, as one
+    (n, p, p) array certified positive definite by construction."""
+    return _matrix_gamma_raw(p, shape, n, seed, _TAG_GAMMA_DIAG)
 
 
 def _rect_raw(cfg, n, seed, stream=0, first=0):
@@ -187,7 +172,7 @@ def sample_rect_exponential(cfg, n, seed):
     """n independent draws with density exp(-tr(A X B X')) up to constant,
     as one full-rank-checked (n, p, r) array."""
     x = _rect_raw(cfg, n, seed)
-    check_full_rank(x)
+    _full_rank(x)
     return x
 
 
@@ -305,7 +290,7 @@ def _weighted(f, p, shapes):
     """The each function of _cone_raw that maps a block of draws to
     f(W stack), read by read_matrix, times the weight
     mc_integrate_unit_cone describes; f must return one value per draw,
-    finite once weighted."""
+    finite once weighted.  Both shapes are read here, before any draw."""
     if shapes is None:  # the uniform weight, whose powers are exactly 1.0
         e_w = e_v = 0.0
     else:
@@ -314,7 +299,9 @@ def _weighted(f, p, shapes):
         except (TypeError, ValueError):
             raise ParameterDomainError(
                 f"cone shapes must be a pair (s, t), got {shapes!r}") from None
-        e_w, e_v = (as_real(x, "cone shape") - 0.5 * (p + 1) for x in (s, t))
+        p = as_int(p, "dimension", 1)
+        e_w, e_v = (as_shape(x, "cone shape", p) - 0.5 * (p + 1)
+                    for x in (s, t))
 
     def each(w, det_w, det_v):
         h = read_matrix(f(w), 1)
@@ -347,7 +334,8 @@ def _indicator_estimate(cone, p, seed):
 
 def mc_integrate_unit_cone(g, p, n, seed, shapes=None):
     """Monte Carlo integral of g over {W : W > 0, I - W > 0}, weighted by
-    |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2) when shapes = (s, t) is given.
+    |W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2) when shapes = (s, t) is given; s
+    and t must exceed (p-1)/2, where the weight's integral B_p(s, t) exists.
 
     g is called once per block of accepted draws with that block's (k, p, p)
     stack and returns their k values, so it must map every draw to its
@@ -363,8 +351,6 @@ def sample_type1_beta(p, a1, a2, n, seed):
     draws have the type-1 matrix beta density with parameters (a1, a2)
     (Muirhead 1982, Thm 3.3.1).  W1 and W2 come certified positive definite,
     and so U and I - U = L^{-1} W2 L'^{-1} are."""
-    p = MatrixGammaSpec(p, a1).dim
-    MatrixGammaSpec(p, a2)
     w1 = _matrix_gamma_raw(p, a1, n, seed, _TAG_BETA_FIRST)
     w2 = _matrix_gamma_raw(p, a2, n, seed, _TAG_BETA_SECOND)
     low = np.linalg.cholesky(w1 + w2)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterDomainError, ResourceLimitError, as_int, as_real
+from .errors import ResourceLimitError, as_int, as_shape
 
 __all__ = [
     "derive_key",
@@ -131,9 +131,7 @@ def gamma_variates(key, shape, n, first=0):
     own fixed counter block; the acceptance rate is high enough that running
     out of the 84-attempt budget is not a reachable event for valid shapes.
     """
-    shape = as_real(shape, "gamma shape")
-    if not shape > 0.0:
-        raise ParameterDomainError(f"gamma shape must be positive, got {shape}")
+    shape = as_shape(shape, "gamma shape", 1)
     n = as_int(n, "count")
     base_first = as_int(first, "counter position")
     boosted = shape < 1.0

@@ -10,8 +10,9 @@ spectrum it keeps, anything else goes through _eigenvalues.  check_spd,
 and so SpdMatrix, adds the sign rule: every eigenvalue above 1e-12 times
 the largest.  The operators and RectConfig, whose integrals need Z > O,
 read _spd_argument: an SpdMatrix as is, anything else read into one.
-check_full_rank refuses rectangular draws whose smallest singular value is
-at most 1e-10 times the largest.  Derived matrices are not checked again.
+check_full_rank is read_matrix plus _full_rank, which refuses a smallest
+singular value at most 1e-10 times the largest.  Derived matrices are not
+checked again.
 """
 
 import math
@@ -156,10 +157,15 @@ def _definite(eig):
 
 def check_full_rank(entries):
     """Validate a p x r matrix, or an (n, p, r) stack, as read_matrix reads
-    it, as of full row rank: r >= p, finite entries and a smallest singular
-    value above 1e-10 times the largest, which also refuses the zero
-    matrix."""
-    x = read_matrix(entries, (2, 3))
+    it, as of full row rank by _full_rank."""
+    _full_rank(read_matrix(entries, (2, 3)))
+
+
+def _full_rank(x):
+    """Refuse x, a float p x r matrix or (n, p, r) stack, unless it has full
+    row rank: r >= p, finite entries and a smallest singular value above
+    1e-10 times the largest, which also refuses the zero matrix.  Reads x
+    in place, so a sampler checks its own draws without a copy."""
     if x.shape[-1] < x.shape[-2]:
         raise DimensionError(
             f"need at least as many columns as rows, got shape {x.shape}")

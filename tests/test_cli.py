@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mvfrac import (
-    MatrixGammaSpec,
     RectConfig,
     cli,
     pathway_det_limit,
@@ -405,7 +404,7 @@ _EVAL_DIGESTS = [
      "d129f005004c260f9baea5ad0eb14371feef7ea96ac668e6107096045aa54cbd"),
     # domain errors
     (["gamma", "--p", "3", "--alpha", "0.5"], 2,
-     "3d76772cea6659348c0f36df3fda46d29fae4731d80b9dafe41658158592b239"),
+     "7fff0d1f400aeacc3b8edaf178d3f56c67d4894ebeb61cfd76ef15d4379761aa"),
     (["fracint-power", "--r", "1", "--alpha", "1.0", "--z", "[[-1.0]]"], 2,
      "877a7d406737ffda40f0977b8d3a87d519f8a98738b5e102c5bd955a0b7a3fe0"),
     (["fracint-power", "--r", "1", "--alpha", "2.0", "--z", "[[1e300]]"], 2,
@@ -959,14 +958,14 @@ def test_sample_output_pinned(capsys, flags, digest):
 
 @pytest.mark.parametrize("flags,draw,shape", [
     (["matrix-gamma", "--p", "3", "--shape", "2.5"],
-     lambda: sample_matrix_gamma(MatrixGammaSpec(3, 2.5), 50, 7), (50, 3, 3)),
+     lambda: sample_matrix_gamma(3, 2.5, 50, 7), (50, 3, 3)),
     (["rect-exponential", "--p", "2", "--r", "3"],
      lambda: sample_rect_exponential(RectConfig.with_identity_weights(2, 3),
                                      50, 7), (50, 2, 3)),
     (["uniform-unit-cone", "--p", "3"],
      lambda: sample_uniform_spd_unit(3, 50, 7), (50, 3, 3)),
     (["matrix-gamma", "--p", "5", "--shape", "3.5"],
-     lambda: sample_matrix_gamma(MatrixGammaSpec(5, 3.5), 50, 7), (50, 5, 5)),
+     lambda: sample_matrix_gamma(5, 3.5, 50, 7), (50, 5, 5)),
     (["rect-exponential", "--p", "3", "--r", "5"],
      lambda: sample_rect_exponential(RectConfig.with_identity_weights(3, 5),
                                      50, 7), (50, 3, 5)),
@@ -1050,6 +1049,8 @@ def test_sample_lines_match_records_encoded_alone(stack, kind, seed):
      "higher dimensions need the beta importance sampler"),
     (["matrix-gamma", "--p", "241", "--shape", "130"],
      "matrix gamma dimension must be at most 240, got 241"),
+    (["matrix-gamma", "--p", "2", "--shape", "0.5"],
+     "matrix gamma shape must exceed (p-1)/2 = 0.5 at p = 2, got 0.5"),
 ])
 def test_sample_domain_messages(capsys, flags, message):
     # refused before any draw, with a message that names the bad value

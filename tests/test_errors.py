@@ -2,7 +2,10 @@
 Gauss or Pochhammer parameter, a matrix gamma or beta argument, a shape or
 the pathway q reads it through
 errors.as_real, so a non-finite or non-real value is a ParameterDomainError
-there and never comes back as a NaN value."""
+there and never comes back as a NaN value.  The gamma-domain rule: every
+site whose value is an argument of Gamma_p, or a shape of a gamma or beta
+integral, reads it through errors.as_shape, which refuses (p-1)/2 and
+below."""
 
 import math
 import re
@@ -14,11 +17,11 @@ from mvfrac import (
     DetPowerOperand,
     FracOrder,
     HyperParams,
-    MatrixGammaSpec,
     ParameterDomainError,
     RectConfig,
     SaigoParams,
     derive_key,
+    frac_integral_numeric,
     frac_integral_power_closed,
     gamma_variates,
     gauss_2f1_rect,
@@ -29,9 +32,11 @@ from mvfrac import (
     mc_integrate_unit_cone,
     pathway_det_limit,
     pathway_factor,
+    sample_matrix_gamma,
+    sample_type1_beta,
     signed_log_gen_pochhammer,
 )
-from mvfrac.errors import as_real
+from mvfrac.errors import as_real, as_shape
 
 _CFG = RectConfig.with_identity_weights(1, 1)
 
@@ -40,7 +45,7 @@ _SITES = {
     "HyperParams-numerator": lambda x: HyperParams((0.5, x), ()),
     "HyperParams-denominator": lambda x: HyperParams((0.5,), (x,)),
     "SaigoParams": lambda x: SaigoParams(0.2, 0.4, x),
-    "MatrixGammaSpec": lambda x: MatrixGammaSpec(2, x),
+    "MatrixGammaSpec": lambda x: sample_matrix_gamma(2, x, 3, 7),
     "FracOrder": lambda x: FracOrder(x, _CFG),
     "log_gamma": log_gamma,
     "gen_pochhammer": lambda x: gen_pochhammer(x, (2,)),
@@ -60,6 +65,57 @@ _SITES = {
     "cone-shape": lambda x: mc_integrate_unit_cone(
         lambda w: w[:, 0, 0], 1, 100, 1, shapes=(x, 1.0)),
 }
+
+
+_CFG3 = RectConfig.with_identity_weights(3, 4)  # r/2 = 2
+_Y3 = np.diag([0.5, 0.4, 0.3])
+
+# each site that reads as_shape, with its p, as a function of the quantity
+# the rule reads: for eta that is r/2 + eta, and c - a and a + r/2 for
+# gauss_2f1_rect
+_SHAPE_SITES = {
+    "log_gamma": (1, log_gamma),
+    "log_matrix_gamma": (3, lambda x: log_matrix_gamma(3, x)),
+    "log_matrix_beta-alpha": (3, lambda x: log_matrix_beta(3, x, 3.0)),
+    "log_matrix_beta-beta": (3, lambda x: log_matrix_beta(3, 3.0, x)),
+    "gamma_variates": (1, lambda x: gamma_variates(derive_key(1), x, 3)),
+    "sample_matrix_gamma": (3, lambda x: sample_matrix_gamma(3, x, 3, 7)),
+    "sample_type1_beta-a1": (3, lambda x: sample_type1_beta(3, x, 2.5, 3, 7)),
+    "sample_type1_beta-a2": (3, lambda x: sample_type1_beta(3, 2.5, x, 3, 7)),
+    "FracOrder": (3, lambda x: FracOrder(x, _CFG3)),
+    "eta": (3, lambda x: frac_integral_power_closed(
+        FracOrder(1.5, _CFG3), np.eye(3), x - 2.0)),
+    "frac_integral_numeric": (3, lambda x: frac_integral_numeric(
+        FracOrder(1.5, _CFG3), np.eye(3), DetPowerOperand(x - 2.0), 100, 1)),
+    "gauss_2f1_rect-c-a": (3, lambda x: gauss_2f1_rect(
+        0.5, 0.2, 0.5 + x, _Y3, _CFG3)),
+    "gauss_2f1_rect-a+r/2": (3, lambda x: gauss_2f1_rect(
+        x - 2.0, 0.2, 4.0, _Y3, _CFG3)),
+    "cone-shape-s": (2, lambda x: mc_integrate_unit_cone(
+        lambda w: np.ones(len(w)), 2, 100, 1, shapes=(x, 2.0))),
+    "cone-shape-t": (2, lambda x: mc_integrate_unit_cone(
+        lambda w: np.ones(len(w)), 2, 100, 1, shapes=(2.0, x))),
+}
+
+
+@pytest.mark.parametrize("p,site", _SHAPE_SITES.values(),
+                         ids=_SHAPE_SITES.keys())
+def test_every_shape_site_refuses_half_p_minus_one(p, site):
+    bound = 0.5 * (p - 1)
+    with pytest.raises(ParameterDomainError,
+                       match=r"must exceed \(p-1\)/2 = .*got "):
+        site(bound)
+    site(bound + 0.25)
+
+
+def test_as_shape_message_and_type():
+    with pytest.raises(ParameterDomainError, match=(
+            r"^gamma argument must exceed \(p-1\)/2 = 1\.0 at p = 3, "
+            r"got 0\.5$")):
+        as_shape(0.5, "gamma argument", 3)
+    with pytest.raises(ParameterDomainError, match=r"^x must be finite"):
+        as_shape(math.nan, "x", 3)
+    assert type(as_shape(np.int64(2), "x", 3)) is float
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1.5", True,
@@ -83,7 +139,8 @@ def test_parameter_types_store_floats():
         HyperParams((1.0, 0.5), (2.0,))
     assert type(SaigoParams(0, 1, np.int64(3)).c) is float
     assert type(FracOrder(np.int64(1), _CFG).alpha) is float
-    assert type(MatrixGammaSpec(2, 3).shape) is float
+    assert (sample_matrix_gamma(2, np.int64(3), 3, 7).tobytes()
+            == sample_matrix_gamma(2, 3.0, 3, 7).tobytes())
 
 
 @pytest.mark.parametrize("value,message", [

@@ -129,7 +129,8 @@ def test_argument_and_operand_refusals():
         frac_integral_power_closed(order, SpdMatrix.identity(1))
     # r/2 + eta = 0.5 is not above (p-1)/2 = 0.5; refused before any draw
     with pytest.raises(ParameterDomainError,
-                       match=r"need r/2 \+ eta > \(p-1\)/2: r=2, eta=-0\.5, p=2"):
+                       match=r"^r/2 \+ eta must exceed \(p-1\)/2 = 0\.5 at p = 2, "
+                             r"got 0\.5$"):
         frac_integral_numeric(order, SpdMatrix.identity(2),
                               DetPowerOperand(-0.5), 1000, 1)
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from mvfrac import (
     DimensionError,
     HyperParams,
-    MatrixGammaSpec,
     NonConvergenceError,
     ParameterDomainError,
     Partition,
@@ -430,10 +429,12 @@ _INTEGER_ENTRIES = {
             HyperParams((0.3, 0.2), (2.0,)), p),
         "build_zonal_table": lambda p: build_zonal_table(3, p),
         "fetch_table": lambda p: fetch_table(3, p),
-        "MatrixGammaSpec": lambda p: MatrixGammaSpec(p, 2.5),
+        "sample_matrix_gamma": lambda p: sample_matrix_gamma(p, 2.5, 3, 7),
         "sample_uniform_spd_unit": lambda p: sample_uniform_spd_unit(p, 3, 7),
         "mc_integrate_unit_cone": lambda p: mc_integrate_unit_cone(
             _traces, p, 3, 7),
+        "mc_integrate_unit_cone-shapes": lambda p: mc_integrate_unit_cone(
+            _traces, p, 3, 7, shapes=(2.0, 2.0)),
         "sample_type1_beta": lambda p: sample_type1_beta(p, 2.5, 3.0, 3, 7),
         "SpdMatrix.identity": lambda p: SpdMatrix.identity(p).entries,
         "RectConfig.with_identity_weights":
@@ -441,8 +442,7 @@ _INTEGER_ENTRIES = {
         "stiefel_constant": lambda p: stiefel_constant(p, 3),
     },
     "sample count": {
-        "sample_matrix_gamma": lambda n: sample_matrix_gamma(
-            MatrixGammaSpec(2, 2.5), n, 7),
+        "sample_matrix_gamma": lambda n: sample_matrix_gamma(2, 2.5, n, 7),
         "sample_rect_exponential": lambda n: sample_rect_exponential(
             RectConfig.with_identity_weights(2, 3), n, 7),
         "sample_uniform_spd_unit": lambda n: sample_uniform_spd_unit(2, n, 7),
@@ -567,7 +567,8 @@ def test_gauss_rect_preconditions():
     with pytest.raises(DimensionError):
         gauss_2f1_rect(1.0, 0.5, 3.0, SpdMatrix(np.array([[0.3]])), cfg)
     with pytest.raises(ParameterDomainError,
-                       match=r"need a > -r/2 \+ \(p-1\)/2: a=-1\.0, r=2, p=2"):
+                       match=r"^a \+ r/2 must exceed \(p-1\)/2 = 0\.5 at p = 2, "
+                             r"got 0\.0$"):
         gauss_2f1_rect(-1.0, 0.5, 1.0, y, cfg)  # -r/2 + (p-1)/2 = -1/2
 
 

@@ -20,7 +20,6 @@ from mvfrac import (
     DetPowerOperand,
     DimensionError,
     FracOrder,
-    MatrixGammaSpec,
     McEstimate,
     ParameterDomainError,
     RectConfig,
@@ -61,7 +60,7 @@ from mvfrac.verify import _gamma_cdf
 def test_matrix_gamma_p1_is_scalar_gamma():
     # density w^{a-1} e^{-w} for a single entry
     a = 1.8
-    mats = sample_matrix_gamma(MatrixGammaSpec(1, a), 100_000, 3)
+    mats = sample_matrix_gamma(1, a, 100_000, 3)
     x = mats[:, 0, 0]
     stat = scipy.stats.kstest(x, "gamma", args=(a,)).statistic
     assert stat < 1.6276 / math.sqrt(len(x))  # 1% level
@@ -74,7 +73,7 @@ _GAMMA_SHAPES = [(2, 3.5), (3, 2.6), (2, 0.55), (2, 0.75), (3, 1.1)]
 
 @pytest.mark.parametrize("p,a", _GAMMA_SHAPES)
 def test_matrix_gamma_trace_moment(p, a):
-    mats = sample_matrix_gamma(MatrixGammaSpec(p, a), 40_000, 17)
+    mats = sample_matrix_gamma(p, a, 40_000, 17)
     tr = np.trace(mats, axis1=1, axis2=2)
     se = tr.std() / math.sqrt(len(tr))
     assert abs(tr.mean() - p * a) < 4 * se
@@ -83,7 +82,7 @@ def test_matrix_gamma_trace_moment(p, a):
 @pytest.mark.parametrize("p,a", _GAMMA_SHAPES)
 def test_matrix_gamma_determinant_moment(p, a):
     # E|W| is the ratio of consecutive matrix gamma values
-    mats = sample_matrix_gamma(MatrixGammaSpec(p, a), 40_000, 29)
+    mats = sample_matrix_gamma(p, a, 40_000, 29)
     dt = _batch_det(mats)
     want = math.exp(log_matrix_gamma(p, a + 1) - log_matrix_gamma(p, a))
     se = dt.std() / math.sqrt(len(dt))
@@ -95,7 +94,7 @@ def test_matrix_gamma_refuses_underflow_and_overflow(p, a):
     # a diagonal variate that underflows to zero leaves T T' singular, and
     # at 1e308 W itself overflows; neither has a draw to return
     with pytest.raises(DegenerateInputError, match="underflowed or overflowed"):
-        sample_matrix_gamma(MatrixGammaSpec(p, a), 20_000, 3)
+        sample_matrix_gamma(p, a, 20_000, 3)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -104,15 +103,14 @@ def test_matrix_gamma_draws_pass_spd_check(p):
     # the construction's draws also meet SpdMatrix's eigenvalue rule
     for a in (0.5 * (p + 1), p + 1.0):
         for seed in range(3):
-            check_spd(sample_matrix_gamma(MatrixGammaSpec(p, a), 20_000, seed))
+            check_spd(sample_matrix_gamma(p, a, 20_000, seed))
 
 
 def test_matrix_gamma_refuses_rows_past_its_stream_tags():
     # row 240's gamma stream would share its key with the off-diagonal
     # normals; 240 rows still have keys of their own
-    assert sample_matrix_gamma(MatrixGammaSpec(240, 130.0), 2, 7).shape == (
-        2, 240, 240)
-    for draw in (lambda: sample_matrix_gamma(MatrixGammaSpec(241, 130.0), 2, 7),
+    assert sample_matrix_gamma(240, 130.0, 2, 7).shape == (2, 240, 240)
+    for draw in (lambda: sample_matrix_gamma(241, 130.0, 2, 7),
                  lambda: sample_type1_beta(241, 130.0, 130.0, 2, 7)):
         with pytest.raises(ParameterDomainError, match="at most 240, got 241"):
             draw()
@@ -134,18 +132,18 @@ def test_stream_tags_give_distinct_keys():
 
 def test_matrix_gamma_shape_domain():
     with pytest.raises(ParameterDomainError):
-        MatrixGammaSpec(3, 1.0)  # needs a > (p-1)/2
+        sample_matrix_gamma(3, 1.0, 3, 7)  # needs a > (p-1)/2
 
 
 @pytest.mark.parametrize("shape", [math.inf, -math.inf, math.nan])
 def test_matrix_gamma_shape_must_be_finite(shape):
     with pytest.raises(ParameterDomainError, match="shape must be finite"):
-        MatrixGammaSpec(2, shape)
+        sample_matrix_gamma(2, shape, 3, 7)
 
 
 def test_matrix_gamma_determinism():
-    a = sample_matrix_gamma(MatrixGammaSpec(2, 2.0), 3, 5)
-    b = sample_matrix_gamma(MatrixGammaSpec(2, 2.0), 3, 5)
+    a = sample_matrix_gamma(2, 2.0, 3, 5)
+    b = sample_matrix_gamma(2, 2.0, 3, 5)
     assert a.shape == (3, 2, 2)
     assert np.array_equal(a, b)
 
@@ -189,6 +187,20 @@ def test_identity_weights_skip_products_bitwise(p):
         assert x.tobytes() == _rect_raw(forced, 600, 11, 1, 5).tobytes()
         assert (rect_transform(x, cfg).tobytes()
                 == rect_transform(x, forced).tobytes())
+
+
+def test_rect_sampler_checks_its_draws_in_place():
+    # the rank rule reads the drawn array itself; a copy of it for the
+    # check would put two (n, p, r) stacks in memory at once
+    cfg = RectConfig.with_identity_weights(2, 3)
+    sample_rect_exponential(cfg, 100, 1)  # imports
+    tracemalloc.start()
+    try:
+        x = sample_rect_exponential(cfg, 200_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * x.nbytes
 
 
 def test_identity_rule_needs_exact_identity():
@@ -358,6 +370,19 @@ def test_mc_unit_weight_is_unweighted(p):
 def test_mc_shapes_must_be_a_pair(shapes):
     with pytest.raises(ParameterDomainError, match="must be a pair"):
         mc_integrate_unit_cone(lambda w: w[:, 0, 0], 2, 100, 1, shapes=shapes)
+
+
+def _never_called(w):
+    raise AssertionError("integrand called")
+
+
+@pytest.mark.parametrize("p,shapes", [(2, (0.5, 2.0)), (2, (2.0, 0.5)),
+                                      (2, (0.0, 2.0)), (1, (0.0, 1.0))])
+def test_mc_shapes_must_exceed_half_p_minus_one(p, shapes):
+    # B_p(s, t) diverges unless s and t exceed (p-1)/2, so there is nothing
+    # to estimate; the weight is refused before any draw
+    with pytest.raises(ParameterDomainError, match=r"^cone shape must exceed"):
+        mc_integrate_unit_cone(_never_called, p, 100, 1, shapes=shapes)
 
 
 def test_mc_monomial_p1():
