@@ -29,7 +29,7 @@ from .gammacalc import (
     log_matrix_gamma,
     signed_log_gen_pochhammer,
 )
-from .hyperseries import HyperParams, hyper_pfq_at_identity
+from .hyperseries import HyperParams, Truncation, hyper_pfq_at_identity
 from .matsample import _cone_raw, _indicator_estimate, _weighted
 from .spdcore import RectConfig, _batch_det, _spd_argument, stiefel_constant
 from .zonal import zonal_eval
@@ -170,7 +170,7 @@ def frac_integral_zonal_closed(order, Z, K):
                    det_exponent, cz)
 
 
-def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=None):
+def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=Truncation()):
     """Operator value on |X|^eta when the kernel carries the extra Gauss
     factor 2F1(a, b; c; I - Z^(-1/2) X Z^(-1/2)).
 

@@ -7,7 +7,9 @@ in-place product, each partition's Pochhammer ratio from its parent's times
 the factor of the box the parent lacks, and two BLAS products: the zonal
 values, coefficients times monomials, and their dot with the ratios.  The
 weight sums are accumulated in fixed order (k ascending) with compensated
-summation so results are byte-reproducible.
+summation so results are byte-reproducible.  A series stops at the first
+weight whose Pochhammer ratios all vanish, and the ratio of its last two
+weight sums is both its tail diagnostic and the one divergence test.
 """
 
 import math
@@ -41,9 +43,15 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("numerator", "denominator"):
+            values = getattr(self, name)
+            try:
+                entries = enumerate(values, 1)
+            except TypeError:
+                raise ParameterDomainError(
+                    f"{name} parameters must be a sequence of real numbers, "
+                    f"got {values!r}") from None
             object.__setattr__(self, name, tuple(
-                as_real(v, f"{name} parameter {i}")
-                for i, v in enumerate(getattr(self, name), 1)))
+                as_real(v, f"{name} parameter {i}") for i, v in entries))
 
 
 @dataclass(frozen=True)
@@ -72,15 +80,6 @@ class SeriesResult(NamedTuple):
     ratio: float
 
 
-# Consecutive growing weight sums before a beyond-balanced series (more than
-# one numerator parameter in excess) is declared divergent.  Only those
-# series diverge for every nonzero argument: a balanced-plus-one series
-# converges below spectral radius one, which hyper_pfq checks, even when its
-# weight sums rise for about p*a*x/(1-x) weights first, and a series with no
-# more numerator than denominator parameters is entire.
-_GROWTH_LIMIT = 5
-
-
 def _zonal_series(num, den, eigenvalues, trunc):
     table = fetch_table(trunc.k_max, len(eigenvalues))
     m = table.monomials(eigenvalues, trunc.k_max)
@@ -104,9 +103,7 @@ def _zonal_series(num, den, eigenvalues, trunc):
     value = 0.0
     comp = 0.0  # Kahan carry
     inv_fact = 1.0
-    growth = 0
-    beyond_balanced = len(num) > len(den) + 1
-    # growth and the tail read blocks of one weight sum, or of two on a
+    # the ratio and the tail read blocks of one weight sum, or of two on a
     # spectrum of both signs, where one can cancel (every odd one at +-x)
     pair = eigenvalues[0] > 0.0 > eigenvalues[-1]
     blocks = [0.0, 0.0]  # the empty blocks before weight 0
@@ -127,14 +124,6 @@ def _zonal_series(num, den, eigenvalues, trunc):
         last, prev = sk + held, blocks[-2 if pair else -1]
         blocks.append(last)
         held = sk if pair else 0.0
-        if last > prev > 0.0:
-            growth += 1
-            if beyond_balanced and growth >= _GROWTH_LIMIT:
-                raise NonConvergenceError(
-                    f"weight sums grew for {_GROWTH_LIMIT} consecutive weights "
-                    f"(k={k}); the series is diverging")
-        else:
-            growth = 0
         # a fully vanished weight stays vanished: the series terminated and
         # leaves no tail; only a weight summing to 0 or NaN can be all zero
         if k and not sk > 0.0 and np.count_nonzero(pk) == 0:
@@ -142,23 +131,29 @@ def _zonal_series(num, den, eigenvalues, trunc):
             break
     # a vanished last block leaves no tail, a block after one no ratio
     ratio = last / prev if prev > 0.0 else (math.inf if last else 0.0)
+    # with more than one numerator parameter in excess the series diverges
+    # at every nonzero argument unless it terminates (Muirhead 1982, 7.3),
+    # so there a last ratio that shows no decay, NaN included, is refused
+    if len(num) > len(den) + 1 and not ratio < 1.0:
+        raise NonConvergenceError(
+            f"weight-sum ratio {ratio:.4f} is not below 1 at k={k}; the "
+            f"series is diverging")
     tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesResult(value=value, tail_estimate=tail, last_term=last,
                         ratio=ratio)
 
 
-def hyper_pfq(params, Z, trunc=None):
+def hyper_pfq(params, Z, trunc=Truncation()):
     """Hypergeometric pFq of the symmetric matrix argument Z, of any sign,
     truncated by weight.
 
     A series with no more numerator than denominator parameters takes any
     Z.  For a balanced-plus-one series the spectral radius max |lambda| of
-    Z must be below one; beyond-balanced series are admitted only formally
-    and trip the divergence detector as soon as the weight sums grow.
+    Z must be below one.  A beyond-balanced series is summed when it
+    terminates and is refused with NonConvergenceError when the last ratio
+    of its weight sums is not below one.
     """
     eigs = _symmetric_spectrum(Z).tolist()
-    if trunc is None:
-        trunc = Truncation()
     if len(params.numerator) == len(params.denominator) + 1:
         radius = max(eigs[0], -eigs[-1])
         if not radius < 1.0:
@@ -167,7 +162,7 @@ def hyper_pfq(params, Z, trunc=None):
     return _zonal_series(params.numerator, params.denominator, eigs, trunc)
 
 
-def hyper_pfq_at_identity(params, p, trunc=None):
+def hyper_pfq_at_identity(params, p, trunc=Truncation()):
     """pFq at the p-dimensional identity argument.
 
     The identity sits on the boundary of the convergence domain, so instead
@@ -176,8 +171,6 @@ def hyper_pfq_at_identity(params, p, trunc=None):
     non-convergence error is raised.
     """
     p = as_int(p, "dimension", 1)
-    if trunc is None:
-        trunc = Truncation()
     result = _zonal_series(params.numerator, params.denominator,
                            [1.0] * p, trunc)
     if not result.ratio < 0.95:
@@ -187,7 +180,7 @@ def hyper_pfq_at_identity(params, p, trunc=None):
     return result
 
 
-def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=None):
+def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=Truncation()):
     """Gauss series with the rectangular half-shift applied to its first and
     third parameters: 2F1(a + r/2, b; c + r/2; Z_Y).
 

@@ -48,10 +48,13 @@ _CHUNK = 1 << 15
 
 
 def derive_key(seed, tag=0):
-    """A 64-bit stream key from a seed and a small stream tag."""
+    """A 64-bit stream key from a seed and a stream tag, each an int or
+    numpy integer of any sign taken modulo 2**64; a float, string, bool or
+    None is a ParameterDomainError."""
     z = as_int(seed, "seed", -math.inf) & _MASK64
     z = (z * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) & _MASK64
-    z ^= ((int(tag) & _MASK64) * 0xC2B2AE3D27D4EB4F) & _MASK64
+    tag = as_int(tag, "stream tag", -math.inf) & _MASK64
+    z ^= (tag * 0xC2B2AE3D27D4EB4F) & _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27

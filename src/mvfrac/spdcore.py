@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateInputError, DimensionError, ParameterDomainError,
-                     as_int)
+from .errors import DegenerateInputError, DimensionError, as_int, as_shape
 from .gammacalc import log_matrix_gamma
 
 __all__ = [
@@ -343,10 +342,10 @@ def rect_transform(X, cfg):
 
 def stiefel_constant(p, r):
     """log of pi^(rp/2) / Gamma_p(r/2), the surface constant of the r-frame
-    reduction that converts rectangular integrals to cone integrals."""
+    reduction that converts rectangular integrals to cone integrals.  r/2
+    is an argument of Gamma_p, so r < p is a ParameterDomainError."""
     p, r = as_int(p, "dimension", 1), as_int(r, "r", 1)
-    if r < p:
-        raise ParameterDomainError(f"stiefel_constant requires r >= p, got r={r} < p={p}")
+    as_shape(0.5 * r, "r/2", p)
     return 0.5 * r * p * math.log(math.pi) - log_matrix_gamma(p, 0.5 * r)
 
 

@@ -35,6 +35,7 @@ from mvfrac import (
     sample_matrix_gamma,
     sample_type1_beta,
     signed_log_gen_pochhammer,
+    stiefel_constant,
 )
 from mvfrac.errors import as_real, as_shape
 
@@ -71,8 +72,9 @@ _CFG3 = RectConfig.with_identity_weights(3, 4)  # r/2 = 2
 _Y3 = np.diag([0.5, 0.4, 0.3])
 
 # each site that reads as_shape, with its p, as a function of the quantity
-# the rule reads: for eta that is r/2 + eta, and c - a and a + r/2 for
-# gauss_2f1_rect
+# the rule reads: for eta that is r/2 + eta, c - a and a + r/2 for
+# gauss_2f1_rect, and r/2 for stiefel_constant, whose integer r is 2x
+# rounded up
 _SHAPE_SITES = {
     "log_gamma": (1, log_gamma),
     "log_matrix_gamma": (3, lambda x: log_matrix_gamma(3, x)),
@@ -95,6 +97,7 @@ _SHAPE_SITES = {
         lambda w: np.ones(len(w)), 2, 100, 1, shapes=(x, 2.0))),
     "cone-shape-t": (2, lambda x: mc_integrate_unit_cone(
         lambda w: np.ones(len(w)), 2, 100, 1, shapes=(2.0, x))),
+    "stiefel_constant": (3, lambda x: stiefel_constant(3, math.ceil(2 * x))),
 }
 
 
@@ -159,6 +162,33 @@ def test_parameter_types_store_floats():
 def test_as_real_messages(value, message):
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         as_real(value, "x")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: derive_key(1, 2.7), "stream tag must be an integer, got 2.7"),
+    (lambda: derive_key(1, "3"), "stream tag must be an integer, got '3'"),
+    (lambda: derive_key(1, True), "stream tag must be an integer, got True"),
+    (lambda: derive_key(1, None), "stream tag must be an integer, got None"),
+    (lambda: HyperParams(1.5, ()),
+     "numerator parameters must be a sequence of real numbers, got 1.5"),
+    (lambda: HyperParams(None, ()),
+     "numerator parameters must be a sequence of real numbers, got None"),
+    (lambda: HyperParams((), 2),
+     "denominator parameters must be a sequence of real numbers, got 2"),
+], ids=["tag-float", "tag-string", "tag-bool", "tag-none", "params-float",
+        "params-none", "params-int"])
+def test_malformed_tags_and_parameter_lists(call, message):
+    # these were truncated, read as ints or leaked a bare TypeError
+    with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_tags_and_parameter_lists_keep_their_accepted_forms():
+    assert derive_key(1, np.int64(2)) == derive_key(1, 2)
+    assert derive_key(1, -1) == derive_key(1, (1 << 64) - 1)
+    want = HyperParams((0.5, 2.0), (1.5,))
+    for num, den in (([0.5, 2], [1.5]), (np.array([0.5, 2.0]), (1.5,))):
+        assert HyperParams(num, den) == want
 
 
 def test_parameter_messages_name_the_parameter():

@@ -95,6 +95,13 @@ def test_partition_validation():
     assert Partition.coerce((3, 1, 1)).weight == 5
 
 
+def test_partition_indexing_and_repr():
+    k = Partition((3, 1, 1))
+    assert (k[0], k[-1], k[1:]) == (3, 1, (1, 1))
+    assert repr(k) == "Partition(3, 1, 1)"
+    assert repr(Partition(())) == "Partition()"
+
+
 # ---------------------------------------------------------------------------
 # generalized Pochhammer
 

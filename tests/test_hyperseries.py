@@ -186,7 +186,6 @@ def _reference_series(num, den, eigenvalues, k_max):
     value = comp = 0.0
     inv_fact = 1.0
     weight_sums = []
-    growth = 0
     for k in range(k_max + 1):
         lo, hi = table.offsets[k], table.offsets[k + 1]
         if k:
@@ -198,16 +197,7 @@ def _reference_series(num, den, eigenvalues, k_max):
         t = value + y
         comp = (t - value) - y
         value = t
-        sk = abs(wsum)
-        if weight_sums and sk > weight_sums[-1] > 0.0:
-            growth += 1
-            if len(num) > len(den) + 1 and growth >= 5:
-                raise NonConvergenceError(
-                    f"weight sums grew for 5 consecutive weights "
-                    f"(k={k}); the series is diverging")
-        else:
-            growth = 0
-        weight_sums.append(sk)
+        weight_sums.append(abs(wsum))
         if all_poch_zero:
             break
     last = weight_sums[-1]
@@ -219,6 +209,10 @@ def _reference_series(num, den, eigenvalues, k_max):
         tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     else:
         ratio = tail = math.inf
+    if len(num) > len(den) + 1 and not ratio < 1.0:
+        raise NonConvergenceError(
+            f"weight-sum ratio {ratio:.4f} is not below 1 at k={k}; the "
+            f"series is diverging")
     return SeriesResult(value, tail, last, ratio), k
 
 
@@ -264,7 +258,7 @@ def test_terminating_series_match_reference_bitwise():
 
 
 def test_divergence_and_domain_errors_match_reference():
-    # 2F0 diverges at the same weight with the same message, and a
+    # 2F0 is refused on the same last ratio with the same message, and a
     # denominator on the Pochhammer lattice is refused alike
     with pytest.raises(NonConvergenceError):
         _reference_series((1.5, 2.0), (), [0.9, 0.5], 25)
@@ -272,6 +266,32 @@ def test_divergence_and_domain_errors_match_reference():
     with pytest.raises(ParameterDomainError):
         _reference_series((1.0,), (0.5,), [0.3, 0.3], 2)
     assert _same_series((1.0,), (0.5,), (0.3, 0.3), 2) is None
+
+
+@pytest.mark.parametrize("num,eigs,k_stop", [
+    ((-6.0, 2.5), (0.3, 0.2), 13),
+    ((-6.0, 2.5), (0.9, 0.8), 13),
+    ((-4.0, 3.5), (0.9, 0.7, 0.6), 13),
+], ids=["p2-small", "p2-near-one", "p3"])
+def test_terminating_beyond_balanced_series_are_summed(num, eigs, k_stop):
+    # (a)_kappa with a = -6 or -4 vanishes once the first row passes -a, so
+    # 2F0 is a polynomial of weight at most -a * p, summed up to the first
+    # weight that vanishes however its weight sums rise on the way
+    assert _same_series(num, (), eigs, 25) == k_stop
+    res = hyper_pfq(HyperParams(num, ()), SpdMatrix.diagonal(eigs))
+    assert res.tail_estimate == res.ratio == 0.0
+
+
+def test_terminating_beyond_balanced_series_at_dimension_one():
+    # 2F0(-10, 3; ; 1/2) = 43163.5, with no tail; 2F0(1.5, 2; ; Z) has no
+    # finite sum at any nonzero Z and stays refused
+    res = hyper_pfq(HyperParams((-10.0, 3.0), ()), [[0.5]])
+    assert res.value == pytest.approx(43163.5, rel=1e-12)
+    assert res.value == pytest.approx(_scalar_pfq((-10.0, 3.0), (), 0.5, 25),
+                                      rel=1e-12)
+    assert res.tail_estimate == 0.0
+    with pytest.raises(NonConvergenceError, match="^weight-sum ratio "):
+        hyper_pfq(HyperParams((1.5, 2.0), ()), SpdMatrix.diagonal((0.9, 0.5)))
 
 
 def test_nan_weight_sums_match_reference():
@@ -349,7 +369,7 @@ def test_binomial_identity_at_indefinite_arguments(eigs, b):
 
 
 def test_divergent_series_detected():
-    # 2F0 diverges for any nonzero argument; the growth guard must fire
+    # 2F0 diverges for any nonzero argument; its last ratio must refuse it
     with pytest.raises(NonConvergenceError):
         hyper_pfq(HyperParams((1.5, 2.0), ()), SpdMatrix(np.array([[0.9]])),
                   Truncation(k_max=25))
@@ -360,7 +380,7 @@ def test_divergent_series_detected():
                          ids=["diagonal", "rotated"])
 def test_spectrum_symmetric_about_zero(z):
     # Z and -Z share this spectrum, so every odd weight sum cancels; the
-    # growth guard and the tail must read the even ones across the gaps
+    # ratio and the tail must read the even ones across the gaps
     with pytest.raises(NonConvergenceError):
         hyper_pfq(HyperParams((1.0, 1.0), ()), z)
     res = hyper_pfq(HyperParams((1.0,), ()), z, Truncation(k_max=25))

@@ -316,7 +316,8 @@ def test_stiefel_constant_frozen():
     assert stiefel_constant(1, 1) == pytest.approx(0.0, abs=1e-12)
     expected = 2.0 * math.log(math.pi) - log_matrix_gamma(2, 1.0)
     assert stiefel_constant(2, 2) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError, match=(
+            r"^r/2 must exceed \(p-1\)/2 = 1\.0 at p = 3, got 1\.0$")):
         stiefel_constant(3, 2)
 
 
@@ -601,6 +602,15 @@ def test_reader_copies_an_ndarray():
     m = SpdMatrix(arr)
     arr[0, 0] = 5.0
     assert m.entries[0, 0] == 1.0 and not m.entries.flags.writeable
+
+
+def test_spd_matrix_is_immutable_and_equals_only_spd_matrices():
+    m = SpdMatrix.identity(2)
+    with pytest.raises(AttributeError, match="^SpdMatrix is immutable$"):
+        m._entries = np.eye(2)
+    # the rows of an SpdMatrix are not one: __eq__ defers to the other type
+    assert (m == [[1.0, 0.0], [0.0, 1.0]]) is False
+    assert m != np.eye(2).tolist() and m == SpdMatrix(np.eye(2))
 
 
 _LEAF = st.one_of(
