@@ -8,8 +8,9 @@ the factor of the box the parent lacks, and two BLAS products: the zonal
 values, coefficients times monomials, and their dot with the ratios.  The
 weight sums are accumulated in fixed order (k ascending) with compensated
 summation so results are byte-reproducible.  A series stops at the first
-weight whose Pochhammer ratios all vanish, and the ratio of its last two
-weight sums is both its tail diagnostic and the one divergence test.
+weight whose Pochhammer ratios all vanish; one that diverges unless it
+terminates is refused if it reaches k_max without stopping.  The ratio of
+the last two weight sums is the tail diagnostic.
 """
 
 import math
@@ -129,15 +130,17 @@ def _zonal_series(num, den, eigenvalues, trunc):
         if k and not sk > 0.0 and np.count_nonzero(pk) == 0:
             last = sk
             break
+    else:
+        # with more than one numerator parameter in excess the series
+        # diverges at every nonzero argument unless it terminates (Muirhead
+        # 1982, 7.3), and this one reached k_max without a vanished weight
+        if len(num) > len(den) + 1 and any(eigenvalues):
+            raise NonConvergenceError(
+                f"a series with more than one numerator parameter in excess "
+                f"diverges unless it terminates, and this one did not by "
+                f"k_max={trunc.k_max}")
     # a vanished last block leaves no tail, a block after one no ratio
     ratio = last / prev if prev > 0.0 else (math.inf if last else 0.0)
-    # with more than one numerator parameter in excess the series diverges
-    # at every nonzero argument unless it terminates (Muirhead 1982, 7.3),
-    # so there a last ratio that shows no decay, NaN included, is refused
-    if len(num) > len(den) + 1 and not ratio < 1.0:
-        raise NonConvergenceError(
-            f"weight-sum ratio {ratio:.4f} is not below 1 at k={k}; the "
-            f"series is diverging")
     tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesResult(value=value, tail_estimate=tail, last_term=last,
                         ratio=ratio)
@@ -149,9 +152,9 @@ def hyper_pfq(params, Z, trunc=Truncation()):
 
     A series with no more numerator than denominator parameters takes any
     Z.  For a balanced-plus-one series the spectral radius max |lambda| of
-    Z must be below one.  A beyond-balanced series is summed when it
-    terminates and is refused with NonConvergenceError when the last ratio
-    of its weight sums is not below one.
+    Z must be below one.  A beyond-balanced series is summed only when it
+    terminates within trunc.k_max, its last weight vanishing, and is
+    refused with NonConvergenceError otherwise.
     """
     eigs = _symmetric_spectrum(Z).tolist()
     if len(params.numerator) == len(params.denominator) + 1:

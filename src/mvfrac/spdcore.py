@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, as_int, as_shape
+from .errors import DegenerateInputError, DimensionError, as_int
 from .gammacalc import log_matrix_gamma
 
 __all__ = [
@@ -345,7 +345,6 @@ def stiefel_constant(p, r):
     reduction that converts rectangular integrals to cone integrals.  r/2
     is an argument of Gamma_p, so r < p is a ParameterDomainError."""
     p, r = as_int(p, "dimension", 1), as_int(r, "r", 1)
-    as_shape(0.5 * r, "r/2", p)
     return 0.5 * r * p * math.log(math.pi) - log_matrix_gamma(p, 0.5 * r)
 
 

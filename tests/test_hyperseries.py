@@ -200,6 +200,12 @@ def _reference_series(num, den, eigenvalues, k_max):
         weight_sums.append(abs(wsum))
         if all_poch_zero:
             break
+    else:
+        if len(num) > len(den) + 1 and any(eigenvalues):
+            raise NonConvergenceError(
+                f"a series with more than one numerator parameter in excess "
+                f"diverges unless it terminates, and this one did not by "
+                f"k_max={k_max}")
     last = weight_sums[-1]
     prev = weight_sums[-2] if len(weight_sums) > 1 else 0.0
     if last == 0.0:
@@ -209,10 +215,6 @@ def _reference_series(num, den, eigenvalues, k_max):
         tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     else:
         ratio = tail = math.inf
-    if len(num) > len(den) + 1 and not ratio < 1.0:
-        raise NonConvergenceError(
-            f"weight-sum ratio {ratio:.4f} is not below 1 at k={k}; the "
-            f"series is diverging")
     return SeriesResult(value, tail, last, ratio), k
 
 
@@ -258,8 +260,8 @@ def test_terminating_series_match_reference_bitwise():
 
 
 def test_divergence_and_domain_errors_match_reference():
-    # 2F0 is refused on the same last ratio with the same message, and a
-    # denominator on the Pochhammer lattice is refused alike
+    # 2F0 runs to k_max without terminating and is refused with the same
+    # message, and a denominator on the Pochhammer lattice is refused alike
     with pytest.raises(NonConvergenceError):
         _reference_series((1.5, 2.0), (), [0.9, 0.5], 25)
     assert _same_series((1.5, 2.0), (), (0.9, 0.5), 25) is None
@@ -290,8 +292,38 @@ def test_terminating_beyond_balanced_series_at_dimension_one():
     assert res.value == pytest.approx(_scalar_pfq((-10.0, 3.0), (), 0.5, 25),
                                       rel=1e-12)
     assert res.tail_estimate == 0.0
-    with pytest.raises(NonConvergenceError, match="^weight-sum ratio "):
+    with pytest.raises(NonConvergenceError, match=(
+            r"^a series with more than one numerator parameter in excess "
+            r"diverges unless it terminates, and this one did not by "
+            r"k_max=25$")):
         hyper_pfq(HyperParams((1.5, 2.0), ()), SpdMatrix.diagonal((0.9, 0.5)))
+
+
+@pytest.mark.parametrize("num,z,k_max", [
+    ((-10.5, 3.0), 0.5, 12),
+    ((-10.5, 3.0), 0.5, 13),
+    ((1.5, 2.0), 0.01, 25),
+    ((1.5, 2.0), 1e-300, 25),
+    ((-10.0, 3.0), 0.5, 5),
+    ((1.0, 1.0), 0.5, 0),
+], ids=["falling-k12", "falling-k13", "small", "underflow", "cut-polynomial",
+        "kmax0"])
+def test_beyond_balanced_series_refused_unless_terminated(num, z, k_max):
+    # a series that diverges unless it terminates has no sum to extrapolate
+    # to, however its weight sums fall before k_max or underflow to zero;
+    # a polynomial cut before its last weight is refused alike
+    with pytest.raises(NonConvergenceError, match=f"k_max={k_max}$"):
+        hyper_pfq(HyperParams(num, ()), [[z]], Truncation(k_max))
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 25])
+def test_beyond_balanced_series_at_zero_argument(k_max):
+    # at the zero argument every weight after 0 vanishes and the value is
+    # exactly 1; at k_max 0 no weight shows the decay, so the tail is inf
+    res = hyper_pfq(HyperParams((1.5, 2.0, 3.0), ()), np.zeros((2, 2)),
+                    Truncation(k_max))
+    assert res.value == 1.0
+    assert res.tail_estimate == (math.inf if k_max == 0 else 0.0)
 
 
 def test_nan_weight_sums_match_reference():
@@ -369,7 +401,7 @@ def test_binomial_identity_at_indefinite_arguments(eigs, b):
 
 
 def test_divergent_series_detected():
-    # 2F0 diverges for any nonzero argument; its last ratio must refuse it
+    # 2F0 diverges for any nonzero argument and does not terminate
     with pytest.raises(NonConvergenceError):
         hyper_pfq(HyperParams((1.5, 2.0), ()), SpdMatrix(np.array([[0.9]])),
                   Truncation(k_max=25))

@@ -317,7 +317,8 @@ def test_stiefel_constant_frozen():
     expected = 2.0 * math.log(math.pi) - log_matrix_gamma(2, 1.0)
     assert stiefel_constant(2, 2) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ParameterDomainError, match=(
-            r"^r/2 must exceed \(p-1\)/2 = 1\.0 at p = 3, got 1\.0$")):
+            r"^gamma argument must exceed \(p-1\)/2 = 1\.0 at p = 3, "
+            r"got 1\.0$")):
         stiefel_constant(3, 2)
 
 
