@@ -152,9 +152,9 @@ def hyper_pfq(params, Z, trunc=Truncation()):
 
     A series with no more numerator than denominator parameters takes any
     Z.  For a balanced-plus-one series the spectral radius max |lambda| of
-    Z must be below one.  A beyond-balanced series is summed only when it
-    terminates within trunc.k_max, its last weight vanishing, and is
-    refused with NonConvergenceError otherwise.
+    Z must be below one.  A beyond-balanced series at a nonzero Z is summed
+    only when it terminates within trunc.k_max, its last weight vanishing,
+    and is refused with NonConvergenceError otherwise.
     """
     eigs = _symmetric_spectrum(Z).tolist()
     if len(params.numerator) == len(params.denominator) + 1:
