@@ -6,11 +6,13 @@ arguments (dimension, count, k_max, partition part, seed) pass as_int, real
 parameters (series parameter, q) as_real, and every argument of Gamma_p
 (order, gamma or beta shape) as_shape, as_real above (p-1)/2.  All refuse
 bools and strings; as_int refuses floats, as_real infinities and NaN.
+Parameter objects and callables (operand, integrand) pass as_instance.
 """
 
 import math
 import numbers
 import operator
+import reprlib
 
 
 class MvfracError(Exception):
@@ -69,6 +71,16 @@ def as_shape(value, name, p):
         raise ParameterDomainError(
             f"{name} must exceed (p-1)/2 = {bound} at p = {p}, got {x}")
     return x
+
+
+def as_instance(value, name, cls):
+    """value unchanged if it is an instance of cls, or any callable if cls is
+    the builtin callable; else a ParameterDomainError ending "got ..."."""
+    if callable(value) if cls is callable else isinstance(value, cls):
+        return value
+    kind = "callable" if cls is callable else f"a {cls.__name__}"
+    raise ParameterDomainError(
+        f"{name} must be {kind}, got {reprlib.repr(value)}")
 
 
 class NonConvergenceError(MvfracError):

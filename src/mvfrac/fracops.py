@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, as_real, as_shape
+from .errors import DegenerateInputError, as_instance, as_real, as_shape
 from .gammacalc import (
     Partition,
     log_matrix_gamma,
@@ -54,8 +54,8 @@ class FracOrder:
     config: RectConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha",
-                           as_shape(self.alpha, "order", self.config.p))
+        p = as_instance(self.config, "config", RectConfig).p
+        object.__setattr__(self, "alpha", as_shape(self.alpha, "order", p))
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def frac_integral_power_closed(order, Z, eta=0.0):
     |Z|^(alpha+r/2+eta-(p+1)/2) * pi^(rp/2) Gamma_p(r/2+eta) /
     (|A|^(r/2) |B|^(p/2) Gamma_p(r/2) Gamma_p(alpha+r/2+eta)).
     """
-    Z = _spd_argument(Z, "Z", order.config.p)
-    cfg = order.config
+    cfg = as_instance(order, "order", FracOrder).config
+    Z = _spd_argument(Z, "Z", cfg.p)
     eta = as_real(eta, "eta")
     as_shape(0.5 * cfg.r + eta, "r/2 + eta", cfg.p)
     det_exponent = order.alpha + 0.5 * cfg.r + eta - 0.5 * (cfg.p + 1)
@@ -154,8 +154,8 @@ def frac_integral_zonal_closed(order, Z, K):
     C_K(Z) = 0 for K with more than p parts gives exactly zero; otherwise
     both Pochhammer symbols are positive, since r >= p and alpha > (p-1)/2.
     """
-    Z = _spd_argument(Z, "Z", order.config.p)
-    cfg = order.config
+    cfg = as_instance(order, "order", FracOrder).config
+    Z = _spd_argument(Z, "Z", cfg.p)
     K = Partition.coerce(K)
     cz = zonal_eval(K, Z)
     # a zero cz (K longer than p) gives sign 0; _signed reads no logs then
@@ -183,6 +183,7 @@ def saigo_power_closed(order, Z, saigo, eta=0.0, trunc=Truncation()):
     With a = 0 the Gauss factor is identically one and the value is the
     plain power form, bit for bit.
     """
+    as_instance(saigo, "saigo", SaigoParams)
     power = frac_integral_power_closed(order, Z, eta)
     params = HyperParams((saigo.a, saigo.b, order.alpha),
                          (saigo.c, order.alpha + (0.5 * order.config.r + eta)))
@@ -199,12 +200,12 @@ def frac_integral_numeric(order, Z, operand, n, seed):
     DetPowerOperand is one such operand.  Returns the estimate on the
     absolute scale together with its standard error.
     """
-    Z = _spd_argument(Z, "Z", order.config.p)
-    cfg = order.config
+    cfg = as_instance(order, "order", FracOrder).config
+    p, alpha = cfg.p, order.alpha
+    as_instance(operand, "operand", callable)
+    Z = _spd_argument(Z, "Z", p)
     if isinstance(operand, DetPowerOperand):
-        as_shape(0.5 * cfg.r + operand.exponent, "r/2 + eta", cfg.p)
-    p = cfg.p
-    alpha = order.alpha
+        as_shape(0.5 * cfg.r + operand.exponent, "r/2 + eta", p)
     root = Z.matrix_power(0.5)
     kron_t = np.kron(root, root).T
     lower = [(i, j) for i in range(p) for j in range(i)]

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NonConvergenceError, ParameterDomainError, as_int, as_real, as_shape)
-from .spdcore import _spd_argument, _symmetric_spectrum, read_matrix
+from .errors import (NonConvergenceError, ParameterDomainError, as_instance,
+                     as_int, as_real, as_shape)
+from .spdcore import RectConfig, _spd_argument, _symmetric_spectrum, read_matrix
 from .zonal import fetch_table
 
 __all__ = [
@@ -82,6 +82,7 @@ class SeriesResult(NamedTuple):
 
 
 def _zonal_series(num, den, eigenvalues, trunc):
+    as_instance(trunc, "trunc", Truncation)
     table = fetch_table(trunc.k_max, len(eigenvalues))
     m = table.monomials(eigenvalues, trunc.k_max)
     # one Pochhammer factor per nonempty partition, for the box its parent
@@ -156,6 +157,7 @@ def hyper_pfq(params, Z, trunc=Truncation()):
     only when it terminates within trunc.k_max, its last weight vanishing,
     and is refused with NonConvergenceError otherwise.
     """
+    as_instance(params, "params", HyperParams)
     eigs = _symmetric_spectrum(Z).tolist()
     if len(params.numerator) == len(params.denominator) + 1:
         radius = max(eigs[0], -eigs[-1])
@@ -174,8 +176,8 @@ def hyper_pfq_at_identity(params, p, trunc=Truncation()):
     non-convergence error is raised.
     """
     p = as_int(p, "dimension", 1)
-    result = _zonal_series(params.numerator, params.denominator,
-                           [1.0] * p, trunc)
+    result = _zonal_series(as_instance(params, "params", HyperParams).numerator,
+                           params.denominator, [1.0] * p, trunc)
     if not result.ratio < 0.95:
         raise NonConvergenceError(
             f"weight-sum ratio {result.ratio:.4f} >= 0.95 at the identity "
@@ -193,7 +195,7 @@ def gauss_2f1_rect(a, b, c, Z_Y, cfg, trunc=Truncation()):
     and a + r/2 > (p-1)/2 for the underlying integral representation to
     exist.
     """
-    p, r = cfg.p, cfg.r
+    p, r = as_instance(cfg, "cfg", RectConfig).p, cfg.r
     a, b, c = (as_real(v, f"Gauss parameter {n}")
                for v, n in zip((a, b, c), "abc"))
     Z_Y = _spd_argument(Z_Y, "Z_Y", p)

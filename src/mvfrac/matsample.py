@@ -40,11 +40,12 @@ from .errors import (
     DimensionError,
     ParameterDomainError,
     ResourceLimitError,
+    as_instance,
     as_int,
     as_shape,
 )
 from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
-from .spdcore import _batch_det, _full_rank, read_matrix
+from .spdcore import RectConfig, _batch_det, _full_rank, read_matrix
 
 __all__ = [
     "McEstimate",
@@ -171,7 +172,7 @@ def _rect_raw(cfg, n, seed, stream=0, first=0):
 def sample_rect_exponential(cfg, n, seed):
     """n independent draws with density exp(-tr(A X B X')) up to constant,
     as one full-rank-checked (n, p, r) array."""
-    x = _rect_raw(cfg, n, seed)
+    x = _rect_raw(as_instance(cfg, "cfg", RectConfig), n, seed)
     _full_rank(x)
     return x
 
@@ -341,6 +342,7 @@ def mc_integrate_unit_cone(g, p, n, seed, shapes=None):
     stack and returns their k values, so it must map every draw to its
     value on its own; the standard error needs n >= 2.
     """
+    as_instance(g, "g", callable)
     cone = _cone_raw(p, n, seed, _weighted(g, p, shapes))
     return _indicator_estimate(cone, p, seed)
 

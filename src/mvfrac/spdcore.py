@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, as_int
+from .errors import DegenerateInputError, DimensionError, as_instance, as_int
 from .gammacalc import log_matrix_gamma
 
 __all__ = [
@@ -320,6 +320,7 @@ def rect_transform(X, cfg):
     returns every finite nonzero entry bit for bit.  X must be an ndarray
     of a real dtype; anything else is a DimensionError.
     """
+    as_instance(cfg, "cfg", RectConfig)
     if not (isinstance(X, np.ndarray) and _reals(X, 0)):
         raise DimensionError(
             f"X must be an ndarray of real numbers, got {reprlib.repr(X)}")

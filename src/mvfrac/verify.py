@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterDomainError, as_int
+from .errors import DimensionError, ParameterDomainError, as_instance, as_int
 from .fracops import (
     DetPowerOperand,
     FracOrder,
@@ -315,35 +315,16 @@ def suite_saigo(samples=400_000, seed=42):
 
 
 def suite_beta(samples=200_000, seed=42):
-    """Type-1 and type-2 beta integrals against exp(log of the beta value).
-
-    Type-1 is the cone estimator's own beta weight on the constant 1.  The
-    type-2 integral lives on the whole cone, so it is pulled back through
-    S = W (I - W)^(-1), whose Jacobian contributes |I - W|^(-(p+1)).  In
-    exact arithmetic |S| = |W| / |I - W| and |I + S| = |I - W|^(-1), so
-    that integrand reduces to the type-1 weight: the case checks the
-    inversion code path on another stream, not a type-2 integral.
-    """
+    """Type-1 beta integral against exp(log of the beta value): the cone
+    estimator's own beta weight on the constant 1, at two parameter pairs."""
     p = 2
-    eye = np.eye(p)
-    half = 0.5 * (p + 1)
     cases = []
     for i, (al, be) in enumerate(((2.0, 2.0), (1.5, 2.5))):
-        target = math.exp(log_matrix_beta(p, al, be))
-
-        def g_type2(w, al=al, be=be):
-            rest = eye - w
-            s_mat = w @ np.linalg.inv(rest)
-            return (_batch_det(s_mat) ** (al - half)
-                    * _batch_det(eye + s_mat) ** -(al + be)
-                    * _batch_det(rest) ** -(p + 1.0))
-
-        for kind, g, shapes, stream in (
-                ("type1", lambda w: np.ones(len(w)), (al, be), seed + i),
-                ("type2", g_type2, None, seed + 100 + i)):
-            est = mc_integrate_unit_cone(g, p, samples, stream, shapes)
-            cases.append(_mc_check(f"{kind}-a{al}-b{be}", target, est,
-                                   ref="target", alpha=al, beta=be))
+        est = mc_integrate_unit_cone(lambda w: np.ones(len(w)), p, samples,
+                                     seed + i, (al, be))
+        cases.append(_mc_check(f"type1-a{al}-b{be}",
+                               math.exp(log_matrix_beta(p, al, be)), est,
+                               ref="target", alpha=al, beta=be))
     return _report("beta", seed, {"samples": int(samples), "dimension": p},
                    cases)
 
@@ -364,10 +345,10 @@ def verify_sum_density(cfg1, cfg2, n, seed):
     floats.
     """
     n = as_int(n, "sample count", 2)
-    if cfg1.p != cfg2.p:
+    p = as_instance(cfg1, "cfg1", RectConfig).p
+    if as_instance(cfg2, "cfg2", RectConfig).p != p:
         raise DimensionError(
             f"configurations disagree on dimension: {cfg1.p} vs {cfg2.p}")
-    p = cfg1.p
     traces, dets = np.empty(n), np.empty(n)
     for lo in range(0, n, _CONE_BLOCK):
         m = min(_CONE_BLOCK, n - lo)

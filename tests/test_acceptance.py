@@ -172,13 +172,16 @@ def test_sum_density():
 
 
 def test_beta_integrals():
-    # both beta integral forms against the log-beta value within 3 SE
+    # the type-1 beta integral at two parameter pairs against the log-beta
+    # value within 3 SE
     rep = run_suite("beta")
     worst = max(abs(c["z"]) for c in rep["cases"])
     ok = rep["pass"]
     _line("beta integrals", ok,
           f"worst |z| = {worst:.2f} over {len(rep['cases'])} cases")
     assert rep["pass"]
+    assert [c["name"] for c in rep["cases"]] == ["type1-a2.0-b2.0",
+                                                 "type1-a1.5-b2.5"]
 
 
 def test_verify_determinism():

@@ -334,6 +334,14 @@ def test_verify_one_sample_is_domain_error(suite):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_grid_refuses_a_dimension_outside_it(capsys):
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "fracpower", "--p", "3"]) == 2
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert rec["error"] == "ParameterDomainError"
+    assert rec["message"] == "grid covers p in [1, 2], got 3"
+
+
 def test_verify_nonfinite_result_is_domain_error():
     # seed 37 makes the constant-integrand grid point (p=2, r=3, alpha=1.5,
     # eta=0) accept both of its two proposals, so its stderr is 0 and its
@@ -501,10 +509,11 @@ def test_every_subcommand_help_renders(capsys, command):
 # the samplers; fracpower's again when the operator's X took its lower
 # triangle on both sides, which moved one p = 2 determinant by an ulp; and
 # all but binomial's and pathway's, which read no gamma function, when
-# log_gamma became math.lgamma
+# log_gamma became math.lgamma; beta's again when it dropped the cases that
+# re-estimated its type-1 integral through W (I - W)^(-1)
 _VERIFY_DIGESTS = {
     "beta": (["--samples", "4000"],
-             "00aaa69f3cc7db086c411ee1d095c28ab250517e94902a5287091934812db267"),
+             "527701070dba70e37914b61e8646e017225b9fff12a9b3c0f4ce24539bbe988e"),
     "binomial": ([],
                  "8e1abf26afc0ffa3522a7d133b2b38ab4e9587775b61502af66d3c67faf40793"),
     "euler": (["--samples", "20000"],
@@ -1328,6 +1337,25 @@ def test_config_file_malformed():
     proc = run("--config", "/no/such/file", "eval", "gamma", "--p", "1",
                "--alpha", "1.0")
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--config", "/nonexistent/x.conf", "eval", "gamma", "--p", "2",
+      "--alpha", "3"], "cannot read config /nonexistent/x.conf: "),
+    (["eval", "zonal", "--k", "1", "--z-file", "/nonexistent.json"],
+     "cannot read /nonexistent.json: "),
+    (["eval", "hyper", "--num", "a,b", "--eigs", "0.5"],
+     "argument --num: not a comma-separated float list: 'a,b'"),
+], ids=["config", "z-file", "num"])
+def test_unreadable_inputs_are_named(capsys, argv, message):
+    # the usage-error table's checks plus the message; its ids would give
+    # these rows the names of two existing ones
+    capsys.readouterr()
+    assert _main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.skipif(shutil.which("mvfrac") is None,

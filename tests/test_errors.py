@@ -23,19 +23,26 @@ from mvfrac import (
     derive_key,
     frac_integral_numeric,
     frac_integral_power_closed,
+    frac_integral_zonal_closed,
     gamma_variates,
     gauss_2f1_rect,
     gen_pochhammer,
+    hyper_pfq,
+    hyper_pfq_at_identity,
     log_gamma,
     log_matrix_beta,
     log_matrix_gamma,
     mc_integrate_unit_cone,
     pathway_det_limit,
     pathway_factor,
+    rect_transform,
+    saigo_power_closed,
     sample_matrix_gamma,
+    sample_rect_exponential,
     sample_type1_beta,
     signed_log_gen_pochhammer,
     stiefel_constant,
+    verify_sum_density,
 )
 from mvfrac.errors import as_real, as_shape
 
@@ -175,10 +182,45 @@ def test_as_real_messages(value, message):
      "numerator parameters must be a sequence of real numbers, got None"),
     (lambda: HyperParams((), 2),
      "denominator parameters must be a sequence of real numbers, got 2"),
+    (lambda: FracOrder(1.5, None), "config must be a RectConfig, got None"),
+    (lambda: frac_integral_power_closed(None, [[1.3]]),
+     "order must be a FracOrder, got None"),
+    (lambda: frac_integral_zonal_closed(None, [[1.3]], (1,)),
+     "order must be a FracOrder, got None"),
+    (lambda: saigo_power_closed(FracOrder(1.5, _CFG), [[1.3]], None),
+     "saigo must be a SaigoParams, got None"),
+    (lambda: frac_integral_numeric(None, [[1.3]], DetPowerOperand(1.0),
+                                   100, 1),
+     "order must be a FracOrder, got None"),
+    (lambda: frac_integral_numeric(FracOrder(1.5, _CFG), [[1.3]], None,
+                                   100, 1),
+     "operand must be callable, got None"),
+    (lambda: hyper_pfq(None, [[1.3]]), "params must be a HyperParams, got None"),
+    (lambda: hyper_pfq(HyperParams((1.0,), ()), [[0.5]], None),
+     "trunc must be a Truncation, got None"),
+    (lambda: hyper_pfq_at_identity(None, 2),
+     "params must be a HyperParams, got None"),
+    (lambda: gauss_2f1_rect(1.0, 0.5, 3.0, [[0.5]], None),
+     "cfg must be a RectConfig, got None"),
+    (lambda: verify_sum_density(None, _CFG, 10, 1),
+     "cfg1 must be a RectConfig, got None"),
+    (lambda: sample_rect_exponential(None, 10, 1),
+     "cfg must be a RectConfig, got None"),
+    (lambda: rect_transform(np.ones((1, 2, 2)), None),
+     "cfg must be a RectConfig, got None"),
+    (lambda: mc_integrate_unit_cone(None, 2, 100, 1),
+     "g must be callable, got None"),
 ], ids=["tag-float", "tag-string", "tag-bool", "tag-none", "params-float",
-        "params-none", "params-int"])
+        "params-none", "params-int", "FracOrder-config",
+        "frac_integral_power_closed-order", "frac_integral_zonal_closed-order",
+        "saigo_power_closed-saigo", "frac_integral_numeric-order",
+        "frac_integral_numeric-operand", "hyper_pfq-params", "hyper_pfq-trunc",
+        "hyper_pfq_at_identity-params", "gauss_2f1_rect-cfg",
+        "verify_sum_density-cfg1", "sample_rect_exponential-cfg",
+        "rect_transform-cfg", "mc_integrate_unit_cone-g"])
 def test_malformed_tags_and_parameter_lists(call, message):
-    # these were truncated, read as ints or leaked a bare TypeError
+    # these were truncated, read as ints or leaked a bare TypeError or
+    # AttributeError
     with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
         call()
 
