@@ -1348,8 +1348,8 @@ def test_config_file_malformed():
      "argument --num: not a comma-separated float list: 'a,b'"),
 ], ids=["config", "z-file", "num"])
 def test_unreadable_inputs_are_named(capsys, argv, message):
-    # the usage-error table's checks plus the message; its ids would give
-    # these rows the names of two existing ones
+    # the usage-error table's checks plus the message; as rows of that
+    # table they would take the ids of its zonal---k and hyper---num rows
     capsys.readouterr()
     assert _main(argv) == 64
     captured = capsys.readouterr()
