@@ -24,7 +24,12 @@ import sys
 
 import numpy as np
 
-from .errors import DegenerateInputError, MvfracError, ParameterDomainError
+from .errors import (
+    DegenerateInputError,
+    MvfracError,
+    ParameterDomainError,
+    as_int,
+)
 from .fracops import (
     FracOrder,
     SaigoParams,
@@ -141,11 +146,13 @@ def _matrix_from_args(args, eigs=None):
 
 def _operator(args):
     """Z and the FracOrder of fracint-power, fracint-zonal and saigo, from
-    --z or --z-file, --r, --alpha and the weights (identity by default)."""
+    --z or --z-file, --r, --alpha and the weights (identity by default);
+    r is read by RectConfig's rule before the default B is built from it."""
     z = SpdMatrix(_matrix_from_args(args))
+    r = as_int(args.r, "r", 1)
     a = SpdMatrix.identity(z.dim) if args.weight_a is None else args.weight_a
-    b = SpdMatrix.identity(args.r) if args.weight_b is None else args.weight_b
-    return z, FracOrder(args.alpha, RectConfig(z.dim, args.r, a, b))
+    b = SpdMatrix.identity(r) if args.weight_b is None else args.weight_b
+    return z, FracOrder(args.alpha, RectConfig(z.dim, r, a, b))
 
 
 def _operator_fields(args, z, fv):

@@ -19,10 +19,10 @@ that set: rejected proposals count as zero-valued integrand samples, so the
 box volume times the mean over all proposals estimates the integral.  Given
 shapes (s, t), each above (p-1)/2 or the integral diverges, this weighted
 estimator multiplies each draw by the type-1 matrix beta weight
-|W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2), which the fractional operator, the
-Euler integral and the beta check share.  The estimator
-streams: each block of accepted draws is turned into its weighted values
-while it is still in cache, and only those n values are kept.  Every
+|W|^(s-(p+1)/2) |I - W|^(t-(p+1)/2), which the fractional operator and
+the beta check share.  The estimator streams: each block of accepted
+draws is turned into its weighted values while it is still in cache, and
+only those n values are kept.  Every
 sampler is a pure function of (seed, counter), so equal seeds reproduce
 equal output regardless of batch sizes.  The public samplers return their
 draws as one float array: positive definite by construction, or for the

@@ -15,7 +15,6 @@ limit when each tenfold step of q - 1 cuts its error by a ratio in (5, 20),
 its final error is below 1e-3 and its degenerate cases are exact.
 """
 
-import dataclasses
 import inspect
 import math
 
@@ -193,36 +192,27 @@ def suite_binomial(k_max=Truncation.k_max, seed=42):
 
 def suite_euler(samples=1_000_000, seed=42):
     """Gauss series with the half-shifted parameters against the Monte Carlo
-    cone integral it must equal.
+    operator it must equal.
 
     Fixed instance: p = 2, r = 2, (a, b, c) = (1, 0.5, 3), argument
-    diag(0.3, 0.1).  The integral representation is
+    Y = diag(0.3, 0.1).  The operator of order c - a on the binomial operand
+    is the power form times the Gauss series (Muirhead 1982, ch. 7):
 
-        2F1(a+r/2, b; c+r/2; Y) = Gamma_p(c+r/2) /
-            (Gamma_p(a+r/2) Gamma_p(c-a)) *
-            integral |V|^(a+r/2-(p+1)/2) |I-V|^(c-a-(p+1)/2)
-                     |I - Y^(1/2) V Y^(1/2)|^(-b) dV
+        I[|X|^a |I-X|^(-b)](Y) = I[|X|^a](Y) * 2F1(a+r/2, b; c+r/2; Y)
     """
     p, r = 2, 2
     a, b, c = 1.0, 0.5, 3.0
     zy = SpdMatrix.diagonal((0.3, 0.1))
-    cfg = RectConfig.with_identity_weights(p, r)
-    series = gauss_2f1_rect(a, b, c, zy, cfg)
+    order = FracOrder(c - a, RectConfig.with_identity_weights(p, r))
+    series = gauss_2f1_rect(a, b, c, zy, order.config)
 
-    root = zy.matrix_power(0.5)
+    def operand(x):
+        return _batch_det(x) ** a * _batch_det(np.eye(p) - x) ** -b
 
-    def g(v):
-        return _batch_det(np.eye(p) - root @ v @ root) ** -b
-
-    mc = mc_integrate_unit_cone(g, p, samples, seed,
-                                shapes=(a + 0.5 * r, c - a))
-    const = math.exp(log_matrix_gamma(p, c + 0.5 * r)
-                     - log_matrix_gamma(p, a + 0.5 * r)
-                     - log_matrix_gamma(p, c - a))
-    est = dataclasses.replace(mc, value=const * mc.value,
-                              stderr=const * mc.stderr)
-    cases = [_mc_check("euler-p2", series, est, ref="series",
-                       proposals=mc.n_proposals)]
+    est = frac_integral_numeric(order, zy, operand, samples, seed)
+    closed = frac_integral_power_closed(order, zy, a).value() * series
+    cases = [_mc_check("euler-p2", closed, est, series=series,
+                       proposals=est.n_proposals)]
     return _report("euler", seed, {"samples": int(samples)}, cases)
 
 

@@ -464,20 +464,27 @@ def test_eval_output_pinned(capsys, tmp_path, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# explicit ids, so that a new row renames no other row
 @pytest.mark.parametrize("argv", [
-    ["eval", "gamma", "--p", "2"],
-    ["eval", "beta", "--p", "two", "--alpha", "1", "--beta", "1"],
-    ["eval", "no-such-op"],
-    ["eval", "pochhammer", "--a", "1", "--k", "1,x"],
-    ["eval", "zonal", "--k", "1"],
-    ["eval", "hyper", "--num", "1", "--eigs", "0.5", "--z", "[[0.5]]"],
-    ["eval", "fracint-power", "--r", "1", "--alpha", "1", "--z", "{"],
-    ["eval", "fracint-zonal", "--r", "1", "--alpha", "1", "--z", "[[1]]"],
-    ["eval", "saigo", "--r", "1", "--alpha", "1", "--a", "0", "--b", "0",
-     "--z", "[[0.5]]"],
-    ["eval", "pathway", "--q", "1.01"],
-    ["eval", "pathway", "--q", "1.01", "--eigs", "1.0", "--k", "2"],
-], ids=lambda argv: "-".join(argv[1:3]))
+    pytest.param(["eval", "gamma", "--p", "2"], id="gamma---p"),
+    pytest.param(["eval", "beta", "--p", "two", "--alpha", "1", "--beta", "1"],
+                 id="beta---p"),
+    pytest.param(["eval", "no-such-op"], id="no-such-op"),
+    pytest.param(["eval", "pochhammer", "--a", "1", "--k", "1,x"],
+                 id="pochhammer---a"),
+    pytest.param(["eval", "zonal", "--k", "1"], id="zonal---k"),
+    pytest.param(["eval", "hyper", "--num", "1", "--eigs", "0.5", "--z",
+                  "[[0.5]]"], id="hyper---num"),
+    pytest.param(["eval", "fracint-power", "--r", "1", "--alpha", "1", "--z",
+                  "{"], id="fracint-power---r"),
+    pytest.param(["eval", "fracint-zonal", "--r", "1", "--alpha", "1", "--z",
+                  "[[1]]"], id="fracint-zonal---r"),
+    pytest.param(["eval", "saigo", "--r", "1", "--alpha", "1", "--a", "0",
+                  "--b", "0", "--z", "[[0.5]]"], id="saigo---r"),
+    pytest.param(["eval", "pathway", "--q", "1.01"], id="pathway---q0"),
+    pytest.param(["eval", "pathway", "--q", "1.01", "--eigs", "1.0", "--k",
+                  "2"], id="pathway---q1"),
+])
 def test_eval_usage_errors_are_64(capsys, argv):
     capsys.readouterr()
     code = _main(argv)
@@ -510,14 +517,16 @@ def test_every_subcommand_help_renders(capsys, command):
 # triangle on both sides, which moved one p = 2 determinant by an ulp; and
 # all but binomial's and pathway's, which read no gamma function, when
 # log_gamma became math.lgamma; beta's again when it dropped the cases that
-# re-estimated its type-1 integral through W (I - W)^(-1)
+# re-estimated its type-1 integral through W (I - W)^(-1); euler's again
+# when it became the operator on |X|^a |I-X|^(-b) against the power form
+# times the series, on the same draws
 _VERIFY_DIGESTS = {
     "beta": (["--samples", "4000"],
              "527701070dba70e37914b61e8646e017225b9fff12a9b3c0f4ce24539bbe988e"),
     "binomial": ([],
                  "8e1abf26afc0ffa3522a7d133b2b38ab4e9587775b61502af66d3c67faf40793"),
     "euler": (["--samples", "20000"],
-              "13bca2d783096b1843f8da02c9130a168ab4626ae623abb5e18e0da180fac404"),
+              "864dfc583d288b920142fb4dfe0fc67074af8ccd44fe9a830defbb01e04b5d7a"),
     "fracpower": (["--samples", "4000"],
                   "f9fdf1d23692982f1f8accece33f4758c267526edbbb296743c2186e52117390"),
     "fraczonal": (["--samples", "2000"],
@@ -543,10 +552,11 @@ def test_verify_output_pinned(capsys, suite):
 # the same at sizes that take the cone estimator through many blocks
 # (fracpower runs 12 at p = 2), computed when each block's draws were
 # gathered into one stack before the operand saw them, and again when
-# log_gamma became math.lgamma
+# log_gamma became math.lgamma; euler's again when it went through the
+# operator
 _VERIFY_MULTIBLOCK_DIGESTS = {
     "euler": (["--samples", "60000"],
-              "2600b44bd0467c42277fc8fac4ef73ca691ef7e2dcf83ac21e2d5815e4200e16"),
+              "878ec70e8e826225409b7cdbddf0b371042f1150506748419c23a18f9c67d230"),
     "fracpower": (["--samples", "50000"],
                   "dccd9e16dfadcab6fc42ef43a0f12eae81b2542cdf8f85885b95a02a0918614b"),
     "saigo": (["--samples", "60000"],
@@ -1080,10 +1090,21 @@ def test_sample_domain_messages(capsys, flags, message):
      "order must be finite, got inf"),
     (["beta", "--p", "2", "--alpha", "inf", "--beta", "1.5"],
      "alpha must be finite, got inf"),
-], ids=["gamma", "pochhammer", "pathway", "fracint-power", "beta"])
+    (["fracint-power", "--r", "0", "--alpha", "1", "--z", "[[1]]"],
+     "r must be positive, got 0"),
+    (["fracint-zonal", "--r", "0", "--alpha", "1", "--k", "1", "--z",
+      "[[1]]"], "r must be positive, got 0"),
+    (["saigo", "--r", "0", "--alpha", "1", "--a", "0", "--b", "0", "--c", "1",
+      "--z", "[[1]]"], "r must be positive, got 0"),
+    (["fracint-power", "--r", "-1", "--alpha", "1", "--z", "[[1]]"],
+     "r must be positive, got -1"),
+], ids=["gamma", "pochhammer", "pathway", "fracint-power", "beta",
+        "fracint-power-r0", "fracint-zonal-r0", "saigo-r0",
+        "fracint-power-r-1"])
 def test_eval_non_finite_parameters_are_named(capsys, flags, message):
     # a non-finite real parameter is refused as that input, not reported as
-    # a result that is not finite
+    # a result that is not finite; so is an order r below 1, not as the
+    # dimension of the identity weight B built from it
     capsys.readouterr()
     assert cli.main(["eval", *flags]) == 2
     (rec,) = strict_records(capsys.readouterr().out)
@@ -1348,8 +1369,7 @@ def test_config_file_malformed():
      "argument --num: not a comma-separated float list: 'a,b'"),
 ], ids=["config", "z-file", "num"])
 def test_unreadable_inputs_are_named(capsys, argv, message):
-    # the usage-error table's checks plus the message; as rows of that
-    # table they would take the ids of its zonal---k and hyper---num rows
+    # the usage-error table's checks plus the message
     capsys.readouterr()
     assert _main(argv) == 64
     captured = capsys.readouterr()

@@ -6,12 +6,24 @@ number that says it fails, or the other way round.
 """
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from mvfrac import ParameterDomainError, RectConfig, cli
+from mvfrac import (
+    FracOrder,
+    ParameterDomainError,
+    RectConfig,
+    SpdMatrix,
+    cli,
+    frac_integral_numeric,
+    frac_integral_power_closed,
+    log_matrix_gamma,
+    mc_integrate_unit_cone,
+)
+from mvfrac.spdcore import _batch_det
 from mvfrac.verify import SUITES, run_suite, suite_binomial, verify_sum_density
 
 from test_cli import _VERIFY_DIGESTS
@@ -96,3 +108,31 @@ def test_negative_and_numpy_seeds_are_reported_as_ints(capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--suite", "pathway", "--seed", "-1"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == -1
+
+
+def test_euler_operator_route_matches_the_cone_integral():
+    # the euler suite's identity I[|X|^a |I-X|^(-b)](Y) = I[|X|^a](Y) *
+    # 2F1(a+r/2, b; c+r/2; Y) at order c - a: divided by the power form, the
+    # operator's estimate is the Gauss function's cone integral, weighted by
+    # shapes (a + r/2, c - a) and scaled by its gamma ratio, on the same draws
+    p, r = 2, 2
+    a, b, c = 1.0, 0.5, 3.0
+    y = SpdMatrix.diagonal((0.3, 0.1))
+    order = FracOrder(c - a, RectConfig.with_identity_weights(p, r))
+
+    def operand(x):
+        return _batch_det(x) ** a * _batch_det(np.eye(p) - x) ** -b
+
+    est = frac_integral_numeric(order, y, operand, 20_000, 7)
+    power = frac_integral_power_closed(order, y, a).value()
+
+    root = np.diag(np.sqrt([0.3, 0.1]))
+    ref = mc_integrate_unit_cone(
+        lambda w: _batch_det(np.eye(p) - root @ w @ root) ** -b, p, 20_000, 7,
+        shapes=(a + 0.5 * r, c - a))
+    const = math.exp(log_matrix_gamma(p, c + 0.5 * r)
+                     - log_matrix_gamma(p, a + 0.5 * r)
+                     - log_matrix_gamma(p, c - a))
+    assert est.n_proposals == ref.n_proposals
+    assert est.value / power == pytest.approx(const * ref.value, rel=1e-12)
+    assert est.stderr / power == pytest.approx(const * ref.stderr, rel=1e-12)
