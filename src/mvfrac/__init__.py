@@ -26,7 +26,6 @@ from .fracops import (
     saigo_power_closed,
 )
 from .gammacalc import (
-    Partition,
     gen_pochhammer,
     log_gamma,
     log_matrix_beta,
@@ -82,7 +81,6 @@ __all__ = [
     "MvfracError",
     "NonConvergenceError",
     "ParameterDomainError",
-    "Partition",
     "RectConfig",
     "ResourceLimitError",
     "SUITES",

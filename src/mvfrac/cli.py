@@ -29,6 +29,7 @@ from .errors import (
     MvfracError,
     ParameterDomainError,
     as_int,
+    as_partition,
 )
 from .fracops import (
     FracOrder,
@@ -38,7 +39,6 @@ from .fracops import (
     saigo_power_closed,
 )
 from .gammacalc import (
-    Partition,
     gen_pochhammer,
     log_matrix_beta,
     log_matrix_gamma,
@@ -76,18 +76,15 @@ class _Given(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
-def _csv_floats(text):
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _csv_partition(text):
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+def _csv(kind, convert):
+    """An argparse type that reads a comma-separated list of kind."""
+    def parse(text):
+        try:
+            return tuple(convert(x) for x in text.split(",") if x.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind} list: {text!r}")
+    return parse
 
 
 def _inline_matrix(text):
@@ -181,19 +178,19 @@ def _beta(args):
 
 
 def _pochhammer(args):
-    part = Partition.coerce(args.k)
+    part = as_partition(args.k)
     log_mag, sign = signed_log_gen_pochhammer(args.a, part)
-    return {"a": args.a, "partition": list(part.parts),
+    return {"a": args.a, "partition": list(part),
             "value": gen_pochhammer(args.a, part),
             "log_magnitude": log_mag if sign != 0 else None,
             "sign": sign}
 
 
 def _zonal(args):
-    part = Partition.coerce(args.k)
+    part = as_partition(args.k)
     z = _matrix_from_args(args, args.eigs)
     eigs = _symmetric_spectrum(z).tolist()  # refuses a bad z as a matrix
-    return {"partition": list(part.parts), "eigenvalues": eigs,
+    return {"partition": list(part), "eigenvalues": eigs,
             "value": float(zonal_eval(part, [z])[0])}
 
 
@@ -221,9 +218,9 @@ def _fracint_power(args):
 
 def _fracint_zonal(args):
     z, order = _operator(args)
-    part = Partition.coerce(args.k)
+    part = as_partition(args.k)
     fv = frac_integral_zonal_closed(order, z, part)
-    return {**_operator_fields(args, z, fv), "partition": list(part.parts)}
+    return {**_operator_fields(args, z, fv), "partition": list(part)}
 
 
 def _saigo(args):
@@ -244,8 +241,8 @@ def _pathway(args):
                                        f"non-negative, got {list(args.eigs)}")
         return {"q": args.q, "eigenvalues": list(args.eigs),
                 "value": pathway_det_limit(args.q, args.eigs)}
-    part = Partition.coerce(args.k)
-    return {"q": args.q, "partition": list(part.parts),
+    part = as_partition(args.k)
+    return {"q": args.q, "partition": list(part),
             "value": pathway_factor(args.q, part)}
 
 
@@ -326,8 +323,8 @@ _P = ("--p", dict(type=int, required=True))
 _R = ("--r", dict(type=int, required=True))
 _A = ("--a", dict(type=float, required=True))
 _ALPHA = ("--alpha", dict(type=float, required=True))
-_K = ("--k", dict(type=_csv_partition, required=True))
-_EIGS = ("--eigs", dict(type=_csv_floats))
+_K = ("--k", dict(type=_csv("integer", int), required=True))
+_EIGS = ("--eigs", dict(type=_csv("float", float)))
 _KMAX = ("--kmax", dict(type=int, default=Truncation.k_max))
 _ETA = ("--eta", dict(type=float, default=0.0))
 _MATRIX = (("--z", dict(type=_inline_matrix,
@@ -349,9 +346,9 @@ _EVAL = {
         _K, _variant(_EIGS, help="eigenvalues as comma-separated floats"),
         *_MATRIX]),
     "hyper": (_hyper, [
-        ("--num", dict(type=_csv_floats, required=True,
+        ("--num", dict(type=_csv("float", float), required=True,
                        help="numerator parameters")),
-        ("--den", dict(type=_csv_floats, default=(),
+        ("--den", dict(type=_csv("float", float), default=(),
                        help="denominator parameters")),
         _EIGS, _KMAX, *_MATRIX]),
     "fracint-power": (_fracint_power,

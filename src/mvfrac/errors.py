@@ -2,11 +2,12 @@
 
 Every error raised on purpose derives from MvfracError, so callers can catch
 one type at the boundary (the CLI maps them to exit code 2).  Integer
-arguments (dimension, count, k_max, partition part, seed) pass as_int, real
-parameters (series parameter, q) as_real, and every argument of Gamma_p
-(order, gamma or beta shape) as_shape, as_real above (p-1)/2.  All refuse
-bools and strings; as_int refuses floats, as_real infinities and NaN.
-Parameter objects and callables (operand, integrand) pass as_instance.
+arguments (dimension, count, k_max, seed) pass as_int, partitions
+as_partition (a tuple of as_int parts), real parameters (series parameter,
+q) as_real, and every argument of Gamma_p (order, gamma or beta shape)
+as_shape, as_real above (p-1)/2.  All refuse bools and strings; as_int
+refuses floats, as_real infinities and NaN.  Parameter objects and
+callables (operand, integrand) pass as_instance.
 """
 
 import math
@@ -35,7 +36,7 @@ def as_int(value, name, least=0):
     """value as a plain int of at least `least`, or a ParameterDomainError
     ending "got {value!r}".  operator.index takes numpy integers at a small
     fraction of the cost of an isinstance check against numbers.Integral,
-    which every part of every Partition a table build makes would pay."""
+    which every part of every partition argument would pay."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -46,6 +47,20 @@ def as_int(value, name, least=0):
         bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
         raise ParameterDomainError(f"{name} must be {bound}, got {value!r}")
     return n
+
+
+def as_partition(value):
+    """value as a partition, the tuple of its non-increasing parts, or a
+    ParameterDomainError ending "got ...": a bare int is one part, an
+    iterable is read part by part with as_int, and trailing zeros go."""
+    parts = [as_int(k, "partition part")
+             for k in (value if hasattr(value, "__iter__") else (value,))]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ParameterDomainError(
+            f"partition parts must be non-increasing, got {tuple(parts)}")
+    return tuple(parts)
 
 
 def as_real(value, name):

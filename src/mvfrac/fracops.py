@@ -23,12 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, as_instance, as_real, as_shape
-from .gammacalc import (
-    Partition,
-    log_matrix_gamma,
-    signed_log_gen_pochhammer,
-)
+from .errors import (DegenerateInputError, as_instance, as_partition, as_real,
+                     as_shape)
+from .gammacalc import log_matrix_gamma, signed_log_gen_pochhammer
 from .hyperseries import HyperParams, Truncation, hyper_pfq_at_identity
 from .matsample import _cone_raw, _indicator_estimate, _weighted
 from .spdcore import RectConfig, _batch_det, _spd_argument, stiefel_constant
@@ -156,7 +153,7 @@ def frac_integral_zonal_closed(order, Z, K):
     """
     cfg = as_instance(order, "order", FracOrder).config
     Z = _spd_argument(Z, "Z", cfg.p)
-    K = Partition.coerce(K)
+    K = as_partition(K)
     cz = zonal_eval(K, Z)
     # a zero cz (K longer than p) gives sign 0; _signed reads no logs then
     num_log = signed_log_gen_pochhammer(0.5 * cfg.r, K)[0]

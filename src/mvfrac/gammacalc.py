@@ -7,12 +7,11 @@ floats, with a signed log variant where callers need the split.
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterDomainError, as_int, as_real, as_shape
+from .errors import (ParameterDomainError, as_int, as_partition, as_real,
+                     as_shape)
 
 __all__ = [
-    "Partition",
     "partitions_of",
     "log_gamma",
     "log_matrix_gamma",
@@ -45,63 +44,11 @@ def log_gamma(x):
 # partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
-    """An integer partition: non-increasing positive parts.
-
-    Zero parts are stripped on construction, so ``Partition((2, 1, 0))`` and
-    ``Partition((2, 1))`` are the same object value.  The empty partition is
-    ``Partition(())`` and has weight 0.
-    """
-
-    parts: tuple = ()
-
-    def __post_init__(self):
-        parts = tuple([as_int(p, "partition part") for p in self.parts])
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ParameterDomainError(
-                    f"partition parts must be non-increasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    @classmethod
-    def coerce(cls, obj):
-        if isinstance(obj, cls):
-            return obj
-        return cls(tuple(obj) if hasattr(obj, "__iter__") else (obj,))
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __repr__(self):
-        return f"Partition{self.parts!r}"
-
-
 def partitions_of(k, max_parts):
-    """All partitions of k into at most max_parts parts, reverse-lex order.
-
-    Reverse-lexicographic means (k) first and the flattest partition last;
-    this refines dominance order, which the zonal recurrence relies on.
-    """
-    return [Partition(parts) for parts in _partition_parts(
-        as_int(k, "k"), as_int(max_parts, "max_parts", 1))]
-
-
-def _partition_parts(k, max_parts):
-    """The parts of ``partitions_of(k, max_parts)`` as plain tuples, in the
-    same order, for callers that have validated k and max_parts."""
+    """All partitions of k into at most max_parts parts, as tuples, in
+    reverse-lex order: (k,) first and the flattest partition last, which
+    refines dominance order, as the zonal recurrence needs."""
+    k, max_parts = as_int(k, "k"), as_int(max_parts, "max_parts", 1)
     out = []
     prefix = []
 
@@ -143,7 +90,7 @@ def log_matrix_gamma(p, alpha):
 def _box_factors(a, K):
     """The factors (a - (j-1)/2) + (i-1) of (a)_K, box by box, row by row."""
     a = as_real(a, "Pochhammer parameter")
-    for j, kj in enumerate(Partition.coerce(K).parts):
+    for j, kj in enumerate(as_partition(K)):
         base = a - 0.5 * j
         for i in range(kj):
             yield base + i
@@ -177,17 +124,17 @@ def log_matrix_gamma_partition(p, b, K):
     Requires (b)_K > 0; use signed_log_gen_pochhammer for the general case.
     """
     p = as_int(p, "dimension", 1)
-    K = Partition.coerce(K)
+    K = as_partition(K)
     if len(K) > p:
         raise ParameterDomainError(
             f"partition has {len(K)} parts but dimension is {p}")
     log_abs, sign = signed_log_gen_pochhammer(b, K)
     if sign == 0:
         raise ParameterDomainError(
-            f"({b})_{K.parts} vanishes; log form undefined")
+            f"({b})_{K} vanishes; log form undefined")
     if sign < 0:
         raise ParameterDomainError(
-            f"({b})_{K.parts} is negative; use the signed variant")
+            f"({b})_{K} is negative; use the signed variant")
     return log_matrix_gamma(p, b) + log_abs
 
 
@@ -209,10 +156,9 @@ def pathway_factor(q, K):
     q = as_real(q, "q")
     if not q > 1.0:
         raise ParameterDomainError(f"pathway_factor requires q > 1, got q={q}")
-    K = Partition.coerce(K)
     eps = q - 1.0
     out = 1.0
-    for j, kj in enumerate(K.parts):
+    for j, kj in enumerate(as_partition(K)):
         for i in range(kj):
             out *= 1.0 - eps * 0.5 * j + eps * i
     return out

@@ -58,8 +58,10 @@ class HyperParams:
 @dataclass(frozen=True)
 class Truncation:
     """Series truncation policy: k_max caps the partition weight.  The
-    series always reports its geometric tail estimate and leaves the
-    verdict to the caller."""
+    series reports its tail estimate and ratio.  It refuses a beyond-balanced
+    series at a nonzero argument that has not terminated by k_max, hyper_pfq
+    a spectral radius of one or more, and hyper_pfq_at_identity a ratio of
+    0.95 or more; any other verdict on the tail is left to the caller."""
 
     k_max: int = 25
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ResourceLimitError, as_int, as_shape
+from .errors import ParameterDomainError, ResourceLimitError, as_int, as_shape
 
 __all__ = [
     "derive_key",
@@ -41,6 +41,7 @@ _TWO_PI = 2.0 * math.pi
 _GAMMA_STRIDE = 256
 _GAMMA_MAX_ATTEMPTS = 84
 _GAMMA_BOOST_SLOT = 255
+_ATTEMPT_SLOTS = np.arange(3, dtype=np.uint64)[:, None]
 
 # words per pass of uniforms and normals: a chunk and its scratch (512 KB)
 # stay in L2 cache instead of streaming through memory once per round
@@ -82,11 +83,20 @@ def _unit(key, z, t):
     return u
 
 
+def _check_slots(first, end):
+    """Refuse a request from counter position first whose slots reach
+    end - 1 >= 2**64 - 1: the finalizer reads slot i as i + 1 in 64 bits."""
+    if end > _MASK64:
+        raise ParameterDomainError(
+            f"counter slots must lie below 2**64 - 1, got {first!r}")
+
+
 def uniforms(key, start, n):
     """n uniforms in the open interval (0,1) at counter positions
-    start..start+n-1."""
+    start..start+n-1, each below 2**64 - 1."""
     start = as_int(start, "counter position")
     out = np.empty(as_int(n, "count"))
+    _check_slots(start, start + out.size)
     step = np.arange(min(out.size, _CHUNK), dtype=np.uint64)
     t = np.empty_like(step)
     for lo in range(0, out.size, _CHUNK):
@@ -97,9 +107,14 @@ def uniforms(key, start, n):
 
 
 def uniforms_at(key, idx):
-    """Uniforms in (0,1) at explicit counter positions."""
-    idx = np.asarray(idx, dtype=np.uint64)
-    z = np.add(idx, np.uint64(1), out=np.empty(idx.shape, dtype=np.uint64))
+    """Uniforms in (0,1) at explicit counter positions in [0, 2**64 - 1)."""
+    pos = np.asarray(idx)
+    if pos.size and not (pos.max() < _MASK64 if pos.dtype.kind == "u"
+                         else pos.dtype.kind == "i" and pos.min() >= 0):
+        raise ParameterDomainError("counter positions must be integers in "
+                                   f"[0, 2**64 - 1), got {idx!r}")
+    z = np.add(pos.astype(np.uint64, copy=False), np.uint64(1),
+               out=np.empty(pos.shape, dtype=np.uint64))
     return _unit(key, z, np.empty_like(z))
 
 
@@ -113,6 +128,7 @@ def normals(key, first, n):
     """
     first = as_int(first, "counter position")
     n = as_int(n, "count")
+    _check_slots(first, (first + n + 1) & ~1)
     z = np.empty((((first + n + 1) >> 1) - (first >> 1), 2))
     for lo in range(0, len(z), _CHUNK // 2):
         zc = z[lo:lo + _CHUNK // 2]
@@ -136,7 +152,10 @@ def gamma_variates(key, shape, n, first=0):
     """
     shape = as_shape(shape, "gamma shape", 1)
     n = as_int(n, "count")
-    base_first = as_int(first, "counter position")
+    first = as_int(first, "counter position")
+    _check_slots(first, (first + n) * _GAMMA_STRIDE)
+    # slot 0 of each variate's block, as uint64: slots reach 2**64 - 2
+    blocks = (first + np.arange(n, dtype=np.uint64)) * _GAMMA_STRIDE
     boosted = shape < 1.0
     a = shape + 1.0 if boosted else shape
     d = a - 1.0 / 3.0
@@ -146,8 +165,8 @@ def gamma_variates(key, shape, n, first=0):
     for attempt in range(_GAMMA_MAX_ATTEMPTS):
         if pending.size == 0:
             break
-        slot = (base_first + pending) * _GAMMA_STRIDE + 3 * attempt
-        u1, u2, u3 = uniforms_at(key, slot + np.arange(3)[:, None])
+        slot = blocks[pending] + 3 * attempt
+        u1, u2, u3 = uniforms_at(key, slot + _ATTEMPT_SLOTS)
         x = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
         v = (1.0 + c * x) ** 3
         positive = v > 0.0
@@ -163,6 +182,5 @@ def gamma_variates(key, shape, n, first=0):
             f"gamma sampler exhausted {_GAMMA_MAX_ATTEMPTS} attempts for "
             f"{pending.size} variates (shape={shape})")
     if boosted:
-        slot = (base_first + np.arange(n)) * _GAMMA_STRIDE + _GAMMA_BOOST_SLOT
-        out *= uniforms_at(key, slot) ** (1.0 / shape)
+        out *= uniforms_at(key, blocks + _GAMMA_BOOST_SLOT) ** (1.0 / shape)
     return out

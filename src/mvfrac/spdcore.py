@@ -258,10 +258,10 @@ def _symmetric_spectrum(value, ndim=2):
     return _eigenvalues(read_matrix(value, ndim))
 
 
-def _spd_argument(value, name, p=None):
-    """value as an SpdMatrix (one passes unchanged), p x p if p is given."""
+def _spd_argument(value, name, p):
+    """value as a p x p SpdMatrix (one passes unchanged)."""
     z = value if isinstance(value, SpdMatrix) else SpdMatrix(value)
-    if p is not None and z.dim != p:
+    if z.dim != p:
         raise DimensionError(f"{name} must be {p}x{p}, got {z.dim}")
     return z
 

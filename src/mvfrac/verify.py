@@ -31,7 +31,6 @@ from .fracops import (
     saigo_power_closed,
 )
 from .gammacalc import (
-    Partition,
     gen_pochhammer,
     log_matrix_beta,
     log_matrix_gamma,
@@ -237,14 +236,13 @@ def suite_fraczonal(p=None, samples=150_000, seed=42):
     cases, collapses = [], []
     for pp, r, alpha, z, order in _grid(p):
         for K in ((1,), (2,)):
-            part = Partition.coerce(K)
-            closed = frac_integral_zonal_closed(order, z, part).value()
+            closed = frac_integral_zonal_closed(order, z, K).value()
             est = frac_integral_numeric(
-                order, z, lambda x: zonal_eval(part, x),
+                order, z, lambda x: zonal_eval(K, x),
                 samples, seed + len(cases))
             cases.append(_mc_check(
-                f"p{pp}-r{r}-a{alpha}-K{list(part.parts)}", closed, est,
-                dimension=pp, r=r, alpha=alpha, partition=list(part.parts)))
+                f"p{pp}-r{r}-a{alpha}-K{list(K)}", closed, est,
+                dimension=pp, r=r, alpha=alpha, partition=list(K)))
         collapses.append(_rel_check(
             f"empty-K-p{pp}-r{r}-a{alpha}", "zonal_form",
             frac_integral_zonal_closed(order, z, ()).value(),
@@ -288,9 +286,8 @@ def suite_saigo(samples=400_000, seed=42):
     # the kernel and the scale
     coeffs = []
     for k in range(trunc.k_max + 1):
-        part = Partition.coerce((k,) if k else ())
-        coeffs.append(gen_pochhammer(aa, part) * gen_pochhammer(bb, part)
-                      / (gen_pochhammer(cc, part) * math.factorial(k)))
+        coeffs.append(gen_pochhammer(aa, (k,)) * gen_pochhammer(bb, (k,))
+                      / (gen_pochhammer(cc, (k,)) * math.factorial(k)))
     poly = np.array(coeffs[::-1])  # np.polyval takes the leading one first
     z11 = z.entries[0, 0]
 
@@ -405,8 +402,7 @@ def suite_pathway(seed=42):
     qs = (1.01, 1.001, 1.0001)
     cases = []
 
-    part = Partition.coerce((2, 1))
-    factor_errs = [abs(pathway_factor(q, part) - 1.0) for q in qs]
+    factor_errs = [abs(pathway_factor(q, (2, 1)) - 1.0) for q in qs]
     z = SpdMatrix.diagonal((1.0, 0.4))
     det_target = math.exp(-z.trace)
     det_errs = [abs(pathway_det_limit(q, z.eigenvalues) - det_target) / det_target
@@ -419,7 +415,7 @@ def suite_pathway(seed=42):
         cases.append(_check(f"{label}-decay", ok, q=list(qs), errors=errs,
                             ratios=ratios, final_error=errs[-1]))
 
-    exact_factor = pathway_factor(1.01, Partition.coerce(()))
+    exact_factor = pathway_factor(1.01, ())
     exact_det = pathway_det_limit(1.01, [0.0, 0.0])
     cases.append(_check(
         "degenerate-exact", exact_factor == 1.0 and exact_det == 1.0,

@@ -27,8 +27,8 @@ from itertools import accumulate, combinations, zip_longest
 import numpy as np
 
 from .errors import (DimensionError, ParameterDomainError, ResourceLimitError,
-                     as_int)
-from .gammacalc import Partition, _partition_parts
+                     as_int, as_partition)
+from .gammacalc import partitions_of
 from .spdcore import _symmetric_spectrum, read_matrix
 
 __all__ = [
@@ -198,7 +198,7 @@ class ZonalTable:
     def __init__(self, p, k_max, kept):
         self.k_max = k_max
         self.p = p
-        weights = [_partition_parts(k, p) for k in range(k_max + 1)]
+        weights = [partitions_of(k, p) for k in range(k_max + 1)]
         flat = [kappa for plist in weights for kappa in plist]
         self.offsets = np.cumsum([0] + [len(plist) for plist in weights]
                                  ).tolist()
@@ -268,12 +268,12 @@ class ZonalTable:
                                )[:, None]
 
     def _position(self, K):
-        """(K as a Partition, its index in table order)."""
-        K = Partition.coerce(K)
-        i = self._index.get(K.parts)
+        """(K as a tuple of parts, its index in table order)."""
+        K = as_partition(K)
+        i = self._index.get(K)
         if i is None:
             raise ParameterDomainError(
-                f"partition {K.parts} outside table range "
+                f"partition {K} outside table range "
                 f"(k_max={self.k_max}, p={self.p})")
         return K, i
 
@@ -315,15 +315,15 @@ class ZonalTable:
         """Zonal polynomial for the partition K at eigenvalues of shape (d,)
         or (n, d)."""
         K, i = self._position(K)
-        lo = self.offsets[K.weight]
-        m = self.monomials(eigenvalues, K.weight)
-        return self.coeffs[K.weight][i - lo] @ m[lo:]
+        k = sum(K)
+        lo = self.offsets[k]
+        return self.coeffs[k][i - lo] @ self.monomials(eigenvalues, k)[lo:]
 
     def monomial_value(self, mu, eigenvalues):
         """Monomial symmetric polynomial for mu at eigenvalues of shape (d,)
         or (n, d)."""
         mu, i = self._position(mu)
-        return self.monomials(eigenvalues, mu.weight)[i]
+        return self.monomials(eigenvalues, sum(mu))[i]
 
 
 _table_cache = {}  # p -> the table built for exactly p variables
@@ -381,11 +381,11 @@ def zonal_eval(K, Z):
     zero, and no table is read.  A stack that is not square or not exactly
     symmetric is refused; a (0, p, p) stack gives an empty array.
     """
-    K = Partition.coerce(K)
+    K = as_partition(K)
     eigs = _symmetric_spectrum(Z, 3)
     stack = np.atleast_2d(eigs)
     n, p = stack.shape
-    values = np.zeros(n) if len(K) > p else fetch_table(K.weight, p).value(
+    values = np.zeros(n) if len(K) > p else fetch_table(sum(K), p).value(
         K, stack)
     return float(values[0]) if eigs.ndim == 1 else values
 
@@ -394,6 +394,6 @@ def zonal_at_identity(K, p):
     """Zonal polynomial value at the p-dimensional identity, from its closed
     form; no table is read, so any weight is allowed.  A partition with more
     than p parts gives exactly 0."""
-    K, p = Partition.coerce(K), as_int(p, "dimension", 1)
-    return float(_at_identity(_parts_array([K.parts], max(1, len(K))), p)[0])
+    K, p = as_partition(K), as_int(p, "dimension", 1)
+    return float(_at_identity(_parts_array([K], max(1, len(K))), p)[0])
 

@@ -46,8 +46,7 @@ def brute_monomial(mu, eigs):
 def _reference_passes(k_max, p):
     # the monomial passes in their original (rows, width) layout, built from
     # the partitions in table order as ZonalTable numbers them
-    flat = [q.parts for k in range(k_max + 1)
-            for q in mvfrac.partitions_of(k, p)]
+    flat = [q for k in range(k_max + 1) for q in mvfrac.partitions_of(k, p)]
     index = {kappa: i for i, kappa in enumerate(flat)}
     offsets = list(itertools.accumulate(
         [len(mvfrac.partitions_of(k, p)) for k in range(k_max + 1)],

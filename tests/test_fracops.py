@@ -19,7 +19,6 @@ from mvfrac import (
     FracValue,
     HyperParams,
     ParameterDomainError,
-    Partition,
     RectConfig,
     SaigoParams,
     SpdMatrix,
@@ -99,8 +98,7 @@ def test_zonal_p1_frozen():
     # weight-1 partition against z = 1: Pochhammer ratio (1/2)/(3/2) times
     # the half-integral of the identity function evaluates to 2/3
     order = FracOrder(1.0, _cfg(1, 1))
-    fv = frac_integral_zonal_closed(order, SpdMatrix(np.array([[1.0]])),
-                                    Partition.coerce((1,)))
+    fv = frac_integral_zonal_closed(order, SpdMatrix(np.array([[1.0]])), (1,))
     assert fv.value() == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
@@ -108,7 +106,7 @@ def test_zonal_empty_partition_matches_power_form():
     for p, r, alpha in ((1, 1, 1.0), (2, 2, 1.5), (2, 3, 1.5)):
         z = SpdMatrix.diagonal(tuple(0.8 + 0.2 * i for i in range(p)))
         order = FracOrder(alpha, _cfg(p, r))
-        a = frac_integral_zonal_closed(order, z, Partition.coerce(()))
+        a = frac_integral_zonal_closed(order, z, ())
         b = frac_integral_power_closed(order, z, eta=0.0)
         assert a.value() == pytest.approx(b.value(), rel=1e-12)
 
@@ -140,8 +138,7 @@ def test_zonal_scalar_reduction_oracle():
     # explicitly: value = z^{alpha+k-1/2} * B(alpha, k+1/2) / Gamma(alpha)
     alpha, k, z = 1.5, 2, 0.6
     order = FracOrder(alpha, _cfg(1, 1))
-    fv = frac_integral_zonal_closed(order, SpdMatrix(np.array([[z]])),
-                                    Partition.coerce((k,)))
+    fv = frac_integral_zonal_closed(order, SpdMatrix(np.array([[z]])), (k,))
     want = (z ** (alpha + k - 0.5)
             * scipy.special.beta(alpha, k + 0.5) / math.gamma(alpha))
     assert fv.value() == pytest.approx(want, rel=1e-12)
@@ -180,7 +177,7 @@ def test_saigo_scalar_termwise_beta_oracle():
     s = eta + 0.5
     total = 0.0
     for k in range(k_max + 1):
-        part = Partition.coerce((k,) if k else ())
+        part = (k,)
         coef = (gen_pochhammer(a, part) * gen_pochhammer(b, part)
                 / (gen_pochhammer(c, part) * math.factorial(k)))
         total += coef * scipy.special.beta(alpha + k, s)
@@ -202,7 +199,7 @@ def test_numeric_matches_power_closed():
 def test_numeric_matches_zonal_closed():
     z = SpdMatrix.diagonal((1.2, 0.6))
     order = FracOrder(1.5, _cfg(2, 2))
-    part = Partition.coerce((1,))
+    part = (1,)
     closed = frac_integral_zonal_closed(order, z, part).value()
 
     def g(x):

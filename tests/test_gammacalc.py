@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfrac import (
-    Partition,
     ParameterDomainError,
     gen_pochhammer,
     log_gamma,
@@ -25,6 +24,7 @@ from mvfrac import (
     pathway_factor,
     signed_log_gen_pochhammer,
 )
+from mvfrac.errors import as_partition
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,9 @@ def _brute_partitions(k, max_parts):
 
 @pytest.mark.parametrize("k,max_parts", [(0, 3), (1, 1), (4, 2), (5, 5), (6, 3)])
 def test_partitions_of_matches_brute_force(k, max_parts):
-    got = {p.parts for p in partitions_of(k, max_parts)}
-    assert got == _brute_partitions(k, max_parts)
+    got = partitions_of(k, max_parts)
+    assert set(got) == _brute_partitions(k, max_parts)
+    assert got == sorted(got, reverse=True)  # reverse-lex, (k,) first
 
 
 def test_partitions_of_known_count():
@@ -87,19 +88,18 @@ def test_partitions_of_known_count():
 
 
 def test_partition_validation():
-    with pytest.raises(ParameterDomainError):
-        Partition.coerce((1, 2))  # must be weakly decreasing
-    # trailing zeros are padding, not parts
-    assert Partition.coerce((2, 0)).parts == (2,)
-    assert Partition.coerce(()).weight == 0
-    assert Partition.coerce((3, 1, 1)).weight == 5
-
-
-def test_partition_indexing_and_repr():
-    k = Partition((3, 1, 1))
-    assert (k[0], k[-1], k[1:]) == (3, 1, (1, 1))
-    assert repr(k) == "Partition(3, 1, 1)"
-    assert repr(Partition(())) == "Partition()"
+    # a bare int is a one-part partition; trailing zeros are padding
+    assert as_partition(3) == (3,)
+    assert as_partition((2, 0)) == (2,)
+    assert as_partition(()) == () == as_partition([0, 0])
+    for bad, message in (
+            ((1, 2), "partition parts must be non-increasing, got (1, 2)"),
+            ((2, 3, 0), "partition parts must be non-increasing, got (2, 3)"),
+            (2.0, "partition part must be an integer, got 2.0"),
+            ((2, -1), "partition part must be non-negative, got -1")):
+        with pytest.raises(ParameterDomainError) as info:
+            as_partition(bad)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +124,24 @@ def _poch_product(a, parts):
 ])
 def test_gen_pochhammer_matches_product(a, parts):
     expected = _poch_product(a, parts)
-    assert gen_pochhammer(a, Partition.coerce(parts)) == pytest.approx(
-        expected, rel=1e-12)
+    assert gen_pochhammer(a, parts) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gen_pochhammer_frozen():
     # (2)_{(2,1)} = [2*3] * [1.5] = 9
-    assert gen_pochhammer(2.0, Partition.coerce((2, 1))) == pytest.approx(9.0)
+    assert gen_pochhammer(2.0, (2, 1)) == pytest.approx(9.0)
 
 
 def test_signed_log_gen_pochhammer_negative_factor():
     # a = 0.2, K = (1,1): factors 0.2 and -0.3, product -0.06
-    log_mag, sign = signed_log_gen_pochhammer(0.2, Partition.coerce((1, 1)))
+    log_mag, sign = signed_log_gen_pochhammer(0.2, (1, 1))
     assert sign == -1
     assert math.exp(log_mag) == pytest.approx(0.06, rel=1e-12)
 
 
 def test_signed_log_gen_pochhammer_zero():
     # a = 0 makes the first factor vanish
-    _, sign = signed_log_gen_pochhammer(0.0, Partition.coerce((2,)))
+    _, sign = signed_log_gen_pochhammer(0.0, (2,))
     assert sign == 0
 
 
@@ -158,7 +157,7 @@ def test_signed_log_consistent_with_plain(a, k1_extra, k2):
         parts = (k1,)
     else:
         parts = (k1, k2)
-    part = Partition.coerce(parts)
+    part = parts
     plain = gen_pochhammer(a, part)
     log_mag, sign = signed_log_gen_pochhammer(a, part)
     assert sign * math.exp(log_mag) == pytest.approx(plain, rel=1e-10)
@@ -193,7 +192,7 @@ def test_log_matrix_gamma_domain():
 
 def test_log_matrix_gamma_partition_shift():
     # shifted value equals log gamma plus log of the Pochhammer coefficient
-    part = Partition.coerce((2, 1))
+    part = (2, 1)
     a = 3.0
     expected = log_matrix_gamma(2, a) + math.log(gen_pochhammer(a, part))
     assert log_matrix_gamma_partition(2, a, part) == pytest.approx(
@@ -242,13 +241,13 @@ def test_log_matrix_beta_gamma_identity():
 def test_pathway_factor_frozen():
     # K = (2): single factor (q-1)^{-k} * poch-like product; at q=2 the
     # factor reduces to 1/(q-1)^k times nothing extra for one row
-    assert pathway_factor(2.0, Partition.coerce(())) == 1.0
-    assert pathway_factor(2.0, Partition.coerce((2,))) == pytest.approx(2.0)
+    assert pathway_factor(2.0, ()) == 1.0
+    assert pathway_factor(2.0, (2,)) == pytest.approx(2.0)
 
 
 def test_pathway_factor_limit_is_one():
     # as q -> 1+ the factor tends to 1 for any partition
-    part = Partition.coerce((2, 1))
+    part = (2, 1)
     errs = [abs(pathway_factor(q, part) - 1.0) for q in (1.01, 1.001, 1.0001)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3

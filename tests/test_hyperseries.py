@@ -20,7 +20,6 @@ from mvfrac import (
     HyperParams,
     NonConvergenceError,
     ParameterDomainError,
-    Partition,
     RectConfig,
     SeriesResult,
     SpdMatrix,
@@ -46,6 +45,8 @@ from mvfrac import (
     zonal_at_identity,
     zonal_eval,
 )
+
+from mvfrac.errors import as_partition
 
 from conftest import (brute_monomial, reference_monomials, spd_from_eigs,
                       sym_from_eigs)
@@ -129,7 +130,7 @@ def _per_row_series(num, den, eigs, k_max, table):
     # value row by row from brute-force monomials
     total = 0.0
     for k in range(k_max + 1):
-        plist = [q.parts for q in partitions_of(k, table.p)]
+        plist = partitions_of(k, table.p)
         for K, row in zip(plist, table.coeffs[k].tolist()):
             if len(K) > len(eigs):
                 continue
@@ -515,8 +516,8 @@ _INTEGER_ENTRIES = {
     },
     "k_max": {"Truncation": lambda k: Truncation(k_max=k)},
     "partition part": {
-        "Partition": lambda k: Partition((k,)),
-        "Partition.coerce": Partition.coerce,
+        "as_partition": lambda k: as_partition((k,)),
+        "as_partition-bare": as_partition,
         "zonal_eval": lambda k: zonal_eval(
             (k,), SpdMatrix([[1.2, -0.3], [-0.3, 0.9]])),
     },
@@ -551,6 +552,7 @@ def test_at_identity_validates_dimension(p):
     *[("sample count", n) for n in (0, 2.7, 2.0, True)],
     *[(kind, n) for kind in ("count", "counter position")
       for n in (-1, 2.7, 2.0, True, "2")],
+    ("counter position", 2**64),
     *[("k_max", k) for k in (-1, 2.0, 2.5, True, "2")],
     *[("partition part", k) for k in (-1, 2.0, 2.5, True, "2")],
 ])

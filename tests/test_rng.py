@@ -79,6 +79,31 @@ def test_uniforms_at_scalar_and_array_positions():
     assert float(uniforms_at(key, 5)) == block[5]
 
 
+def test_counter_slots_stop_below_two_to_the_64():
+    # the finalizer reads slot i as i + 1 in 64 bits, so a request reaching
+    # slot 2**64 - 1 is refused instead of wrapping to the low slots
+    key = derive_key(1)
+    for call, value in (
+            (lambda: gamma_variates(key, 2.0, 2, first=2**56), 2**56),
+            (lambda: gamma_variates(key, 2.0, 2, first=2**70), 2**70),
+            (lambda: uniforms(key, 2**64 - 1, 1), 2**64 - 1),
+            (lambda: normals(key, 2**64 - 2, 1), 2**64 - 2),
+            (lambda: normals(key, 2**64, 2), 2**64),
+            (lambda: uniforms_at(key, [-1]), [-1]),
+            (lambda: uniforms_at(key, [2**64 - 1]), [2**64 - 1]),
+            (lambda: uniforms_at(key, [2.0]), [2.0])):
+        with pytest.raises(ParameterDomainError) as info:
+            call()
+        assert str(info.value).endswith(f"got {value!r}")
+    # the slots just below are drawn, by every path alike
+    top = uniforms(key, 2**64 - 4, 2)
+    assert np.array_equal(top, uniforms_at(key, np.array([2**64 - 4, 2**64 - 3],
+                                                         dtype=np.uint64)))
+    assert normals(key, 2**64 - 3, 1)[0] == normals(key, 2**64 - 4, 2)[1]
+    last = gamma_variates(key, 0.5, 3, first=2**56 - 4)
+    assert np.array_equal(last[1:], gamma_variates(key, 0.5, 2, first=2**56 - 3))
+
+
 def test_uniforms_distinct_keys_decorrelated():
     a = uniforms(derive_key(1), 0, 4096)
     b = uniforms(derive_key(2), 0, 4096)

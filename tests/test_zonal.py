@@ -10,6 +10,7 @@ table and a hook-length form of C_kappa(I) complete the picture.
 """
 
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -26,18 +27,24 @@ from hypothesis import strategies as st
 from mvfrac import (
     DegenerateInputError,
     DimensionError,
+    FracOrder,
     HyperParams,
     ParameterDomainError,
-    Partition,
+    RectConfig,
     ResourceLimitError,
     SpdMatrix,
     Truncation,
     build_zonal_table,
     cli,
     fetch_table,
+    frac_integral_zonal_closed,
+    gen_pochhammer,
     hyper_pfq,
+    log_matrix_gamma_partition,
     partitions_of,
+    pathway_factor,
     run_suite,
+    signed_log_gen_pochhammer,
     zonal,
     zonal_at_identity,
     zonal_eval,
@@ -153,11 +160,11 @@ def test_missing_entry_errors():
     z = SpdMatrix.diagonal((1.0, 1.0))
     with pytest.raises(ParameterDomainError, match="outside table range"):
         # weight above k_max
-        table.value(Partition((table.k_max + 1,)), z.eigenvalues)
+        table.value((table.k_max + 1,), z.eigenvalues)
     # more parts than the argument's dimension: zero, before any lookup
     assert zonal_eval((1, 1, 1), z) == 0.0
     with pytest.raises(DimensionError):
-        table.value(Partition((2,)), np.ones(3))
+        table.value((2,), np.ones(3))
 
 
 def test_build_ceiling(monkeypatch):
@@ -179,7 +186,7 @@ def test_monomial_value_matches_permutation_sum(d):
     eigs = np.random.default_rng(d).uniform(0.1, 2.0, (3, d))
     for k in range(7):
         for mu in partitions_of(k, 4):
-            want = [brute_monomial(mu.parts, row) for row in eigs]
+            want = [brute_monomial(mu, row) for row in eigs]
             np.testing.assert_allclose(table.monomial_value(mu, eigs), want,
                                        rtol=1e-12)
             assert table.monomial_value(mu, eigs[0]) == pytest.approx(
@@ -209,22 +216,45 @@ def test_monomials_match_row_layout_bitwise(p, k_max):
 
 
 def test_table_methods_take_every_partition_form():
-    # value and monomial_value read a tuple, a list or a Partition alike,
-    # for one argument and for a stack
+    # every entry that takes a partition reads it by one rule: a list,
+    # trailing zeros, a numpy array and numpy integer parts give the bytes
+    # of the tuple, and a bare int those of the one-part partition; the
+    # table methods are read for one argument and for a stack
     table = fetch_table(3, 2)
     eigs = np.array([[0.7, 0.2], [1.5, 0.4], [0.3, 0.3]])
-    for K in partitions_of(3, 2):
-        for x in (eigs[0], eigs):
-            for method in (table.value, table.monomial_value):
-                want = np.asarray(method(K, x)).tobytes()
-                for form in (K.parts, list(K.parts)):
-                    assert np.asarray(method(form, x)).tobytes() == want
+    stack = np.stack([np.diag(x) for x in eigs])
+    z = SpdMatrix.diagonal((0.7, 0.2))
+    order = FracOrder(1.5, RectConfig.with_identity_weights(2, 3))
+    entries = {
+        "zonal_eval": lambda K: zonal_eval(K, stack),
+        "ZonalTable.value": lambda K: table.value(K, eigs),
+        "ZonalTable.value-one": lambda K: table.value(K, eigs[0]),
+        "ZonalTable.monomial_value": lambda K: table.monomial_value(K, eigs),
+        "ZonalTable.monomial_value-one":
+            lambda K: table.monomial_value(K, eigs[0]),
+        "zonal_at_identity": lambda K: zonal_at_identity(K, 2),
+        "gen_pochhammer": lambda K: gen_pochhammer(0.7, K),
+        "signed_log_gen_pochhammer":
+            lambda K: signed_log_gen_pochhammer(0.7, K),
+        "log_matrix_gamma_partition":
+            lambda K: log_matrix_gamma_partition(2, 1.7, K),
+        "pathway_factor": lambda K: pathway_factor(1.3, K),
+        "frac_integral_zonal_closed":
+            lambda K: frac_integral_zonal_closed(order, z, K),
+    }
+    for name, entry in entries.items():
+        for K in partitions_of(3, 2):
+            want = pickle.dumps(entry(K))
+            for form in (list(K), K + (0,), np.array(K),
+                         tuple(np.int64(k) for k in K)):
+                assert pickle.dumps(entry(form)) == want, (name, form)
+        assert pickle.dumps(entry(3)) == pickle.dumps(entry((3,))), name
 
 
 def test_empty_partition_is_constant_one():
     z = SpdMatrix.diagonal((0.3, 5.0))
     assert zonal_eval((), z) == 1.0
-    assert zonal_at_identity(Partition.coerce(()), 2) == 1.0
+    assert zonal_at_identity((), 2) == 1.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -245,7 +275,7 @@ def test_stack_matches_per_matrix(p):
             assert got.shape == (len(mats),)
             np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
     with pytest.raises(DimensionError):
-        table.value(Partition((1,)), np.ones((2, 4)))
+        table.value((1,), np.ones((2, 4)))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -306,7 +336,7 @@ def _exact_weight(k, p):
     Laplace-Beltrami recurrence row by row, then each row's scale solved
     from sum_kappa C_kappa = (x_1 + ... + x_p)^k, whose coefficient on m_mu
     is the multinomial k! / prod(mu_i!)."""
-    plist = [q.parts for q in partitions_of(k, p)]
+    plist = partitions_of(k, p)
 
     def sums(q):
         return list(accumulate(q + (0,) * (p - len(q))))
@@ -349,7 +379,7 @@ def test_coefficients_match_exact_rationals():
         table = build_zonal_table(k_max, p)
         for k in range(k_max + 1):
             exact = _exact_weight(k, 5)
-            plist = [q.parts for q in partitions_of(k, p)]
+            plist = partitions_of(k, p)
             for kappa, row in zip(plist, table.coeffs[k].tolist()):
                 want = {mu: c for mu, c in exact[kappa].items()
                         if len(mu) <= p}
@@ -389,7 +419,7 @@ def test_trace_identity_and_identity_values(k_max, p):
             lo, hi = table.offsets[k], table.offsets[k + 1]
             total = (table.coeffs[k] @ m[lo:hi]).sum()
             assert total == pytest.approx(eigs.sum() ** k, rel=1e-12)
-    top = [q.parts for q in partitions_of(k_max, p)]
+    top = partitions_of(k_max, p)
     for kappa in top[::7] + top[-3:]:
         assert zonal_at_identity(kappa, p) == pytest.approx(
             _hook_identity_value(kappa, p), rel=1e-12)
@@ -409,7 +439,7 @@ def test_monomials_at_ones_match_reference_bitwise(monkeypatch, k_max, p):
     # every value must be the exact integer count of mu's orderings
     monkeypatch.setattr(zonal, "_table_cache", {})
     table = fetch_table(k_max, p)
-    want = [_reference_ones(q.parts, p)
+    want = [_reference_ones(q, p)
             for k in range(k_max + 1) for q in partitions_of(k, p)]
     assert table.monomials(np.ones(p), k_max).tolist() == want
 
@@ -419,7 +449,7 @@ def test_identity_values_are_exact():
     # build scales by and in the public one-partition form, to the last bit
     for p in range(1, 6):
         for k in range(31):
-            plist = [q.parts for q in partitions_of(k, p)]
+            plist = partitions_of(k, p)
             want = [_hook_identity_value(kappa, p) for kappa in plist]
             parts = zonal._parts_array(plist, p)
             assert zonal._at_identity(parts, p).tolist() == want
@@ -433,7 +463,7 @@ def test_weight_blocks_match_reference_bitwise(monkeypatch, k_max, p):
     monkeypatch.setattr(zonal, "_table_cache", {})
     table = fetch_table(k_max, p)
     for k in range(k_max + 1):
-        plist = [q.parts for q in partitions_of(k, p)]
+        plist = partitions_of(k, p)
         want = reference_build_weight(plist, p)
         assert table.coeffs[k].tobytes() == want.tobytes(), (k, p)
 
@@ -443,7 +473,7 @@ def test_grown_table_matches_reference_bitwise(monkeypatch):
     fetch_table(2, 3)
     table = fetch_table(25, 3)
     for k in range(26):
-        plist = [q.parts for q in partitions_of(k, 3)]
+        plist = partitions_of(k, 3)
         want = reference_build_weight(plist, 3)
         assert table.coeffs[k].tobytes() == want.tobytes(), k
 
