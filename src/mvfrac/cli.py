@@ -282,31 +282,37 @@ def _sample_lines(stack, kind, seed):
     JSON lines {"entries", "index", "kind", "schema", "seed"}, each the
     same bytes as _dumps of the record alone.
 
-    json writes a finite float as its repr, so each distinct entry is
-    formatted once, placed by one slice assignment per cell into n copies
-    of one template for the shape, and the whole is joined once.  The
-    entries must be finite: repr writes nan and inf, which _dumps refuses.
-    A square stack equal to its transpose bit for bit (every matrix-gamma
-    and cone draw) formats only its upper triangle; bits, because -0.0 ==
-    0.0 would let a mirrored zero lose its sign.
+    json writes a finite float as its repr, so the repr text of each
+    distinct entry is made once, by _floatrepr.repr_text: Schubfach's
+    shortest round-trip digits (Giulietti 2020), which are repr's, laid out
+    by repr's rules, in numpy integer arithmetic over blocks of 4096
+    entries taken cell by cell.  The strings are placed by one slice
+    assignment per cell into n copies of one template for the shape, and
+    the whole is joined once.  The entries must be finite: repr writes nan
+    and inf, which _dumps refuses.  A square stack equal to its transpose
+    bit for bit (every matrix-gamma and cone draw) formats only its upper
+    triangle; bits, because -0.0 == 0.0 would let a mirrored zero lose its
+    sign.
     """
+    # imported here, so that a process that never samples never loads it
+    from ._floatrepr import repr_text
+
     n, p, r = stack.shape
     cells = np.arange(p * r).reshape(p, r)
     bits = stack.view(np.uint64)
     if p == r and np.array_equal(bits, bits.transpose(0, 2, 1)):
         cells = np.minimum(cells, cells.T)
     distinct, slot = np.unique(cells.ravel(), return_inverse=True)
-    m = distinct.size
     rest = _dumps({"kind": kind, "schema": _SCHEMA, "seed": seed})[1:]
     pieces = ('{"entries":[[' + "],[".join([",".join("\0" * r)] * p)
               + ']],"index":\0,' + rest + "\n").split("\0")
     template = [None] * (2 * len(pieces) - 1)
     template[::2] = pieces
     width, parts = len(template), template * n
-    text = list(map(repr, stack.reshape(n, -1)[:, distinct].ravel().tolist()))
+    text = repr_text(stack.reshape(n, -1).T[distinct].ravel())
     for cell, k in enumerate(slot.tolist()):
-        parts[2 * cell + 1::width] = text[k::m]
-    parts[width - 2::width] = map(str, range(n))
+        parts[2 * cell + 1::width] = text[k * n:(k + 1) * n]
+    parts[width - 2::width] = map(repr, range(n))
     return "".join(parts)
 
 

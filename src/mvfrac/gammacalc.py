@@ -8,8 +8,8 @@ floats, with a signed log variant where callers need the split.
 
 import math
 
-from .errors import (ParameterDomainError, as_int, as_partition, as_real,
-                     as_shape)
+from .errors import (DegenerateInputError, ParameterDomainError, as_int,
+                     as_partition, as_real, as_shape)
 
 __all__ = [
     "partitions_of",
@@ -139,11 +139,19 @@ def log_matrix_gamma_partition(p, b, K):
 
 
 def log_matrix_beta(p, alpha, beta):
-    """log of the matrix-variate beta function of dimension p."""
+    """log of the matrix-variate beta function of dimension p.
+
+    A log Gamma_p term that overflows a float is a DegenerateInputError,
+    so the value is never NaN (inf - inf).
+    """
     p = as_int(p, "dimension", 1)
     alpha, beta = as_shape(alpha, "alpha", p), as_shape(beta, "beta", p)
-    return (log_matrix_gamma(p, alpha) + log_matrix_gamma(p, beta)
-            - log_matrix_gamma(p, alpha + beta))
+    terms = [log_matrix_gamma(p, x)
+             for x in (alpha, beta, as_real(alpha + beta, "alpha + beta"))]
+    if math.inf in terms:
+        raise DegenerateInputError(
+            f"log Gamma_{p} overflows at alpha = {alpha}, beta = {beta}")
+    return terms[0] + terms[1] - terms[2]
 
 
 def pathway_factor(q, K):

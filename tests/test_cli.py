@@ -622,6 +622,17 @@ def test_verify_fuzz_exits_cleanly(capsys, suite, samples, seed, extra):
     assert len(recs) == (0 if code == 64 else 1)
 
 
+def test_eval_beta_overflowing_gamma_names_its_arguments():
+    # log Gamma_1(1e308) overflows; the value used to be inf - inf, a NaN
+    # that the record refused as "result is not finite"
+    proc = run("eval", "beta", "--p", "1", "--alpha", "1e308", "--beta", "1")
+    assert proc.returncode == 2
+    (rec,) = strict_records(proc.stdout)
+    assert rec["error"] == "DegenerateInputError"
+    assert rec["message"] == \
+        "log Gamma_1 overflows at alpha = 1e+308, beta = 1.0"
+
+
 def test_eval_overflowing_value_is_domain_error():
     # |Z|^(3/2) at Z = 1e300 is beyond the float range
     proc = run("eval", "fracint-power", "--r", "1", "--alpha", "2.0",
@@ -975,6 +986,24 @@ def test_sample_output_pinned(capsys, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_sample_multiblock_output_pinned(capsys):
+    # 30 000 distinct entries, several of the formatter's blocks; SHA-256
+    # of the output when every entry was written by repr
+    capsys.readouterr()
+    assert cli.main(["sample", "uniform-unit-cone", "--p", "3", "--n", "5000",
+                     "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "76ed72467eabd7a5323863ae74aae3b30b20b11292ee20232230a767ab61778e"
+
+
+def test_formatter_loads_only_for_sample():
+    proc = run_python("-c", "import sys, mvfrac.cli; "
+                      "print('mvfrac._floatrepr' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("flags,draw,shape", [
     (["matrix-gamma", "--p", "3", "--shape", "2.5"],
      lambda: sample_matrix_gamma(3, 2.5, 50, 7), (50, 3, 3)),
@@ -1047,6 +1076,11 @@ def _entry_stack(draw):
 # an (n, 2, 3) rectangular stack
 @example(stack=np.arange(-12.0, 12.0).reshape(4, 2, 3) / 7.0,
          kind="rect-exponential", seed=7)
+# subnormals that repr writes with one digit
+@example(stack=np.array([[[5e-324, 1e-323], [1e-323, 7e-323]]]),
+         kind="matrix-gamma", seed=1)
+@example(stack=np.array([[[-5e-324, 1e-323, -7e-323], [7e-323, -0.0, 0.0]]]),
+         kind="rect-exponential", seed=1)
 def test_sample_lines_match_records_encoded_alone(stack, kind, seed):
     # the README's promise: each record is the same bytes as encoding it
     # alone with sorted keys, one line each

@@ -7,6 +7,7 @@ brute-force enumerator for partitions.
 
 import itertools
 import math
+import re
 
 import pytest
 import scipy.special
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfrac import (
+    DegenerateInputError,
     ParameterDomainError,
     gen_pochhammer,
     log_gamma,
@@ -233,6 +235,34 @@ def test_log_matrix_beta_gamma_identity():
         direct = (log_matrix_gamma(p, a) + log_matrix_gamma(p, b)
                   - log_matrix_gamma(p, a + b))
         assert log_matrix_beta(p, a, b) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,alpha,beta", [
+    (1, 1e308, 1.0), (2, 1e307, 2.0), (1, 1.0, 1e308), (3, 1e306, 1e306)])
+def test_log_matrix_beta_overflow_is_degenerate_not_nan(p, alpha, beta):
+    # a log Gamma_p term overflows; the value used to be nan (inf - inf)
+    message = f"log Gamma_{p} overflows at alpha = {alpha!r}, beta = {beta!r}"
+    with pytest.raises(DegenerateInputError, match=f"^{re.escape(message)}$"):
+        log_matrix_beta(p, alpha, beta)
+
+
+def test_log_matrix_beta_reads_the_sum_as_a_real():
+    # alpha + beta overflows to inf, which the caller never passed
+    with pytest.raises(ParameterDomainError,
+                       match=r"^alpha \+ beta must be finite, got inf$"):
+        log_matrix_beta(2, 1e308, 1e308)
+
+
+@given(st.integers(min_value=1, max_value=4),
+       st.floats(min_value=2.0, max_value=1e308),
+       st.floats(min_value=2.0, max_value=1e308))
+@settings(max_examples=200)
+def test_log_matrix_beta_is_finite_or_refused(p, alpha, beta):
+    try:
+        value = log_matrix_beta(p, alpha, beta)
+    except (DegenerateInputError, ParameterDomainError):
+        return
+    assert math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
