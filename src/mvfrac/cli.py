@@ -389,8 +389,9 @@ _SAMPLE = {
 
 def _build_parser():
     """The parser and the list of its subcommand parsers."""
-    # abbreviation is off at the top level so that subcommand flags such as
-    # --c are never mistaken for a prefix of --config
+    # abbreviation is off on every parser: at the top level so that
+    # subcommand flags such as --c are never mistaken for a prefix of
+    # --config, below it so that --a is never read as --alpha
     parser = _Parser(prog="mvfrac", allow_abbrev=False,
                      description="matrix-argument special functions and "
                                  "fractional integral operators")
@@ -399,7 +400,7 @@ def _build_parser():
     commands = []
 
     def new(parent, name, func, flags, **kw):
-        sp = parent.add_parser(name, **kw)
+        sp = parent.add_parser(name, allow_abbrev=False, **kw)
         sp.set_defaults(func=func)
         sp.add_argument("--output",
                         help="write JSON to this path instead of stdout")
@@ -408,7 +409,8 @@ def _build_parser():
         commands.append(sp)
         return sp
 
-    pe = sub.add_parser("eval", help="evaluate closed forms and series")
+    pe = sub.add_parser("eval", allow_abbrev=False,
+                        help="evaluate closed forms and series")
     pe_sub = pe.add_subparsers(dest="subcommand", required=True)
     for name, (_, flags) in _EVAL.items():
         new(pe_sub, name, _cmd_eval, flags)
@@ -420,7 +422,8 @@ def _build_parser():
             ("--r1", dict(type=int)), ("--r2", dict(type=int)))],
         help="run an oracle comparison suite")
     verify.set_defaults(given=frozenset())
-    ps = sub.add_parser("sample", help="draw seeded random matrices")
+    ps = sub.add_parser("sample", allow_abbrev=False,
+                        help="draw seeded random matrices")
     ps_sub = ps.add_subparsers(dest="kind", required=True)
     for name, (_, flags) in _SAMPLE.items():
         new(ps_sub, name, _cmd_sample, [_P, *flags, _N, _SEED])

@@ -138,11 +138,31 @@ def log_matrix_gamma_partition(p, b, K):
     return log_matrix_gamma(p, b) + log_abs
 
 
+# from this argument on, Stirling's remainder 1/(12x) - 1/(360x^3) +
+# 1/(1260x^5) is exact to double precision
+_STIRLING_FROM = 1e3
+
+
+def _log_rise(x, b):
+    """lgamma(x + b) - lgamma(x) for x >= _STIRLING_FROM and b > 0, in
+    Stirling's form b log x + (x + b - 1/2) log1p(b/x) - b + S(x+b) - S(x),
+    which does not cancel when x dwarfs b."""
+    def rest(y):
+        w = 1.0 / (y * y)
+        return (1.0 / 12.0 - (1.0 / 360.0 - w / 1260.0) * w) / y
+    return (b * math.log(x) + (x + b - 0.5) * math.log1p(b / x) - b
+            + (rest(x + b) - rest(x)))
+
+
 def log_matrix_beta(p, alpha, beta):
     """log of the matrix-variate beta function of dimension p.
 
     A log Gamma_p term that overflows a float is a DegenerateInputError,
-    so the value is never NaN (inf - inf).
+    so the value is never NaN (inf - inf).  Where the larger shape less
+    (p-1)/2 reaches _STIRLING_FROM, the value is log Gamma_p of the smaller
+    shape b less the p rises lgamma(x_j + b) - lgamma(x_j), x_j the larger
+    less j/2, in Stirling's form: the difference of the three log Gamma_p
+    terms cancels there, to 0.0 at alpha 1e20, beta 2 against -92.1.
     """
     p = as_int(p, "dimension", 1)
     alpha, beta = as_shape(alpha, "alpha", p), as_shape(beta, "beta", p)
@@ -151,7 +171,11 @@ def log_matrix_beta(p, alpha, beta):
     if math.inf in terms:
         raise DegenerateInputError(
             f"log Gamma_{p} overflows at alpha = {alpha}, beta = {beta}")
-    return terms[0] + terms[1] - terms[2]
+    small, big = sorted((alpha, beta))
+    if big - 0.5 * (p - 1) < _STIRLING_FROM:
+        return terms[0] + terms[1] - terms[2]
+    return (terms[1] if alpha > beta else terms[0]) - sum(
+        _log_rise(big - 0.5 * j, small) for j in range(p))
 
 
 def pathway_factor(q, K):

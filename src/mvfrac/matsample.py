@@ -44,7 +44,8 @@ from .errors import (
     as_int,
     as_shape,
 )
-from .rng import derive_key, gamma_variates, normals, uniforms, uniforms_at
+from .rng import (_GOLDEN, _check_slots, _golden, _golden_steps, _unit,
+                  derive_key, gamma_variates, normals, uniforms)
 from .spdcore import RectConfig, _batch_det, _full_rank, read_matrix
 
 __all__ = [
@@ -180,9 +181,10 @@ def sample_rect_exponential(cfg, n, seed):
 @functools.cache
 def _cone_cols(p):
     """The counter offsets of slot p for the proposals of a block that
-    starts at proposal 0, built once for each p."""
+    starts at proposal 0, times the golden ratio as rng._unit takes them,
+    built once for each p."""
     width = p + p * (p - 1) // 2
-    return np.arange(_CONE_BLOCK, dtype=np.uint64) * np.uint64(width) + np.uint64(p)
+    return (np.arange(_CONE_BLOCK, dtype=np.uint64) * width + p) * _GOLDEN
 
 
 def _cone_block(key, p, cols, first, limit):
@@ -192,7 +194,10 @@ def _cone_block(key, p, cols, first, limit):
     A proposal is accepted when every leading principal minor of W and of
     I - W clears the edge margin.  Proposal i owns the counter slots
     (first + i)*width.., W's entries sitting at the slots _CONE_SLOTS gives;
-    cols holds the block's offsets of slot p, that of w01 (p > 1).
+    cols holds the block's offsets of slot p, that of w01 (p > 1), times the
+    golden ratio: slot s of proposal first + i reaches rng._unit as cols[i]
+    + steps[s], steps[s] = (first*width + s - p)*golden, and one slot check
+    on the block's last slot stands for uniforms_at's check of each one.
 
     An accepted W has |w_ij| < 1/2 off the diagonal: W and I - W are
     positive definite, so both 2x2 principal minors on rows {i, j} are
@@ -209,11 +214,14 @@ def _cone_block(key, p, cols, first, limit):
         u = u[hits]
         return hits, u[:, None, None], u, 1.0 - u
     width = p + p * (p - 1) // 2
-    u01 = uniforms_at(key, cols + np.uint64(first * width))
+    _check_slots(first * width, (first + cols.size) * width)
+    steps = _golden_steps()[:width, None] + _golden(first * width - p)
+    z = cols + steps[p]
+    u01 = _unit(key, z, np.empty_like(z))
     near = np.flatnonzero((u01 > 0.25) & (u01 < 0.75))  # |2 u01 - 1| < 1/2
-    at = (first + near) * width  # slot 0 of each proposal kept
     ent = np.empty((width, near.size))  # W's entries, one row per slot
-    ent[:2] = uniforms_at(key, at + np.arange(2)[:, None])
+    z = cols[near] + steps[:2]
+    ent[:2] = _unit(key, z, np.empty_like(z))
     ent[p] = 2.0 * u01[near] - 1.0
     vv = ent[p] * ent[p]
     det_v = 1.0 - ent[0]
@@ -226,7 +234,8 @@ def _cone_block(key, p, cols, first, limit):
         hits = hits[:limit]
     ent = ent.take(hits, axis=1)
     if p == 3:
-        ent[[2, 4, 5]] = uniforms_at(key, at[hits] + np.array((2, 4, 5))[:, None])
+        z = cols[near[hits]] + steps[[2, 4, 5]]
+        ent[[2, 4, 5]] = _unit(key, z, np.empty_like(z))
         ent[4:] = 2.0 * ent[4:] - 1.0
         small = np.flatnonzero((np.abs(ent[4:]) < 0.5).all(axis=0))
         hits, ent = hits[small], ent.take(small, axis=1)

@@ -1,7 +1,11 @@
 """Deterministic counter-based random streams.
 
 Every draw is a pure function of (key, counter index): the raw 64-bit output
-at index i is the splitmix finalizer applied to key + (i+1) * golden ratio.
+at index i is the splitmix finalizer applied to key + (i+1) * golden ratio
+mod 2**64.  The finalizer _unit takes counters already multiplied by the
+golden ratio: uniforms adds one scalar to a table of j * golden built on
+first use, uniforms_at multiplies in one pass, and the gamma and cone
+samplers add slot steps to block offsets held times golden.
 The same seed gives the same draws bit for bit across reruns and batch sizes
 on one host (numpy's float kernels may round differently on another CPU),
 and sub-streams are addressed by absolute index instead of by shared mutable
@@ -15,6 +19,7 @@ variate owns a fixed block of counter slots so rejection never desynchronizes
 neighbouring variates.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -41,7 +46,7 @@ _TWO_PI = 2.0 * math.pi
 _GAMMA_STRIDE = 256
 _GAMMA_MAX_ATTEMPTS = 84
 _GAMMA_BOOST_SLOT = 255
-_ATTEMPT_SLOTS = np.arange(3, dtype=np.uint64)[:, None]
+_ATTEMPT_SLOTS = np.arange(3, dtype=np.uint64)[:, None] * _GOLDEN
 
 # words per pass of uniforms and normals: a chunk and its scratch (512 KB)
 # stay in L2 cache instead of streaming through memory once per round
@@ -64,12 +69,23 @@ def derive_key(seed, tag=0):
     return np.uint64(z)
 
 
+def _golden(i):
+    """i * golden ratio mod 2**64 as a uint64 scalar, for a Python int i."""
+    return np.uint64(i * int(_GOLDEN) & _MASK64)
+
+
+@functools.cache
+def _golden_steps():
+    """j * golden ratio mod 2**64 for j in 0.._CHUNK-1, built on first use."""
+    return np.arange(_CHUNK, dtype=np.uint64) * _GOLDEN
+
+
 def _unit(key, z, t):
-    """Uniforms (word >> 11 + 0.5) * 2**-53 in place of the counter indices
-    plus one held in the uint64 buffer z, with t as the finalizer's scratch.
-    The shifted words are below 2**53, so the conversion is exact."""
-    z *= _GOLDEN
-    z += key
+    """Uniforms (word >> 11 + 0.5) * 2**-53 in place of the uint64 buffer z
+    of counter slots i times the golden ratio: key + golden is added as one
+    scalar, so slot i reads key + (i+1)*golden; t is the finalizer's scratch.
+    The shifted words are below 2**53, so the int64 conversion is exact."""
+    z += np.uint64((int(key) + int(_GOLDEN)) & _MASK64)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, shift, out=t)
         z ^= t
@@ -78,7 +94,7 @@ def _unit(key, z, t):
     z ^= t
     z >>= np.uint64(11)
     u = z.view(np.float64)
-    np.add(z, 0.5, out=u)
+    np.add(z.view(np.int64), 0.5, out=u)
     u *= _TWO_NEG53
     return u
 
@@ -97,11 +113,11 @@ def uniforms(key, start, n):
     start = as_int(start, "counter position")
     out = np.empty(as_int(n, "count"))
     _check_slots(start, start + out.size)
-    step = np.arange(min(out.size, _CHUNK), dtype=np.uint64)
-    t = np.empty_like(step)
+    steps = _golden_steps()
+    t = np.empty(min(out.size, _CHUNK), dtype=np.uint64)
     for lo in range(0, out.size, _CHUNK):
         z = out[lo:lo + _CHUNK].view(np.uint64)
-        np.add(step[:z.size], np.uint64(start + lo + 1), out=z)
+        np.add(steps[:z.size], _golden(start + lo), out=z)
         _unit(key, z, t[:z.size])
     return out
 
@@ -113,8 +129,9 @@ def uniforms_at(key, idx):
                          else pos.dtype.kind == "i" and pos.min() >= 0):
         raise ParameterDomainError("counter positions must be integers in "
                                    f"[0, 2**64 - 1), got {idx!r}")
-    z = np.add(pos.astype(np.uint64, copy=False), np.uint64(1),
-               out=np.empty(pos.shape, dtype=np.uint64))
+    # int64 positions, checked non-negative, cast to uint64 in the multiply
+    z = np.multiply(pos, _GOLDEN, out=np.empty(pos.shape, dtype=np.uint64),
+                    dtype=np.uint64, casting="unsafe")
     return _unit(key, z, np.empty_like(z))
 
 
@@ -154,8 +171,8 @@ def gamma_variates(key, shape, n, first=0):
     n = as_int(n, "count")
     first = as_int(first, "counter position")
     _check_slots(first, (first + n) * _GAMMA_STRIDE)
-    # slot 0 of each variate's block, as uint64: slots reach 2**64 - 2
-    blocks = (first + np.arange(n, dtype=np.uint64)) * _GAMMA_STRIDE
+    # slot 0 of each variate's block times the golden ratio, as _unit takes it
+    blocks = (first + np.arange(n, dtype=np.uint64)) * _golden(_GAMMA_STRIDE)
     boosted = shape < 1.0
     a = shape + 1.0 if boosted else shape
     d = a - 1.0 / 3.0
@@ -165,8 +182,8 @@ def gamma_variates(key, shape, n, first=0):
     for attempt in range(_GAMMA_MAX_ATTEMPTS):
         if pending.size == 0:
             break
-        slot = blocks[pending] + 3 * attempt
-        u1, u2, u3 = uniforms_at(key, slot + _ATTEMPT_SLOTS)
+        z = blocks[pending] + (_ATTEMPT_SLOTS + _golden(3 * attempt))
+        u1, u2, u3 = _unit(key, z, np.empty_like(z))
         x = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
         v = (1.0 + c * x) ** 3
         positive = v > 0.0
@@ -182,5 +199,6 @@ def gamma_variates(key, shape, n, first=0):
             f"gamma sampler exhausted {_GAMMA_MAX_ATTEMPTS} attempts for "
             f"{pending.size} variates (shape={shape})")
     if boosted:
-        out *= uniforms_at(key, blocks + _GAMMA_BOOST_SLOT) ** (1.0 / shape)
+        blocks += _golden(_GAMMA_BOOST_SLOT)
+        out *= _unit(key, blocks, np.empty_like(blocks)) ** (1.0 / shape)
     return out

@@ -165,6 +165,28 @@ def test_usage_errors_are_64():
                "--alpha", "1").returncode == 64  # no matrix at all
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "beta", "--p", "1", "--a", "2", "--b", "3"],
+    ["verify", "--suite", "beta", "--sam", "400", "--see", "7"],
+    ["sample", "uniform-unit-cone", "--p", "1", "--n", "2", "--se", "1"],
+    ["eval", "gam", "--p", "1", "--alpha", "2"],
+])
+def test_subcommands_refuse_abbreviated_flags(argv, capsys):
+    # a prefix such as --a for --alpha is a usage error, not a silent match
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_saigo_reads_its_own_a_and_b(capsys):
+    argv = ["eval", "saigo", "--r", "1", "--alpha", "1.0", "--a", "0.3",
+            "--b", "0.2", "--c", "1.5", "--z", "[[0.5]]"]
+    assert cli.main(argv) == 0
+    (rec,) = strict_records(capsys.readouterr().out)
+    assert (rec["a"], rec["b"]) == (0.3, 0.2)
+
+
 def test_domain_errors_are_2():
     proc = run("eval", "gamma", "--p", "3", "--alpha", "0.5")
     assert proc.returncode == 2

@@ -246,6 +246,19 @@ def test_log_matrix_beta_overflow_is_degenerate_not_nan(p, alpha, beta):
         log_matrix_beta(p, alpha, beta)
 
 
+@pytest.mark.parametrize("a", [1e6, 1e10, 1e15, 1e20])
+def test_log_matrix_beta_when_one_shape_dwarfs_the_other(a):
+    # B(a, 2) = 1/(a(a+1)) and B_2(a, 2) = pi^(1/2) Gamma(3/2) / (a(a+1)
+    # (a-1/2)(a+1/2)); the difference of the three log Gamma_p terms gave
+    # 0.0 at a = 1e20 and -64.0 at a = 1e15 for p = 1
+    one = -math.log(a) - math.log1p(a)
+    two = (0.5 * math.log(math.pi) + math.lgamma(1.5) - math.log(a * (a + 1))
+           - math.log((a - 0.5) * (a + 0.5)))
+    for p, want in ((1, one), (2, two)):
+        assert log_matrix_beta(p, a, 2.0) == pytest.approx(want, rel=1e-12)
+        assert log_matrix_beta(p, 2.0, a) == log_matrix_beta(p, a, 2.0)
+
+
 def test_log_matrix_beta_reads_the_sum_as_a_real():
     # alpha + beta overflows to inf, which the caller never passed
     with pytest.raises(ParameterDomainError,

@@ -5,6 +5,7 @@ seeds, so they are deterministic.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -193,3 +194,84 @@ def test_moments_match_theory():
     x = normals(derive_key(8, 9), 0, 200_000)
     assert abs(x.mean()) < 4 / np.sqrt(len(x))
     assert abs(x.var() - 1.0) < 4 * np.sqrt(2.0 / len(x))
+
+
+# ---------------------------------------------------------------------------
+# the streams against an independent finalizer in Python integers
+
+_M64 = (1 << 64) - 1
+
+
+def _reference_uniforms(key, positions):
+    """Slot i's uniform from splitmix64's finalizer on key + (i+1) * golden
+    mod 2**64, in Python ints and floats."""
+    out = []
+    for i in positions:
+        w = (int(key) + (int(i) + 1) * 0x9E3779B97F4A7C15) & _M64
+        w = ((w ^ (w >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & _M64
+        w ^= w >> 31
+        out.append(((w >> 11) + 0.5) * 2.0 ** -53)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("start", [0, 5, _CHUNK - 1, 2**64 - 4])
+def test_uniforms_match_reference_finalizer(start):
+    key = derive_key(11, 3)
+    n = min(_CHUNK + 3, 2**64 - 1 - start)  # straddles a chunk where it can
+    got = uniforms(key, start, n)
+    want = _reference_uniforms(key, range(start, start + n))
+    assert np.array_equal(got, want)
+
+
+def test_uniforms_at_matches_reference_finalizer():
+    key = derive_key(2**64 - 7, 2**63 + 1)
+    pos = [0, 1, 7, 2**31, 2**40 + 3, 2**63 - 1]
+    want = _reference_uniforms(key, pos)
+    ipos = np.array(pos, dtype=np.int64)
+    assert np.array_equal(uniforms_at(key, ipos), want)
+    upos = np.array(pos + [2**63, 2**64 - 2], dtype=np.uint64)
+    assert np.array_equal(uniforms_at(key, upos),
+                          _reference_uniforms(key, upos.tolist()))
+    assert float(uniforms_at(key, 2**40 + 3)) == want[4]
+
+
+@pytest.mark.parametrize("first", [0, 3, 2**60 + 1])
+def test_normals_match_reference_pairs(first):
+    # Box-Muller on the reference uniform pairs, each branch from its pair
+    key = derive_key(5, 9)
+    n = 9
+    pos = np.arange(n) + first % 2
+    pairs = _reference_uniforms(key, range(first & ~1, (first & ~1) + n + 2))
+    u1, u2 = pairs[pos - pos % 2], pairs[pos - pos % 2 + 1]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    want = np.where(pos % 2 == 0, radius * np.cos(angle),
+                    radius * np.sin(angle))
+    assert np.array_equal(normals(key, first, n), want)
+
+
+@pytest.mark.parametrize("shape", [0.7, 2.5])
+def test_gamma_first_attempt_matches_reference_slots(shape):
+    # a variate accepted at its first attempt is the Marsaglia-Tsang value,
+    # in the sampler's numpy arithmetic, of the reference uniforms at slots
+    # 0, 1, 2 of its block, boosted below shape one by the one at slot 255
+    key = derive_key(3, 1)
+    first, n = 6, 64
+    base = np.arange(first, first + n) * 256
+    u1, u2, u3 = (_reference_uniforms(key, base + s) for s in range(3))
+    a = shape + 1.0 if shape < 1.0 else shape
+    d = a - 1.0 / 3.0
+    c = 1.0 / (3.0 * math.sqrt(d))
+    x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    v = (1.0 + c * x) ** 3
+    x2 = x * x
+    safe_v = np.where(v > 0.0, v, 1.0)
+    accept = (v > 0.0) & ((u3 < 1.0 - 0.0331 * x2 * x2) | (
+        np.log(u3) < 0.5 * x2 + d * (1.0 - safe_v + np.log(safe_v))))
+    want = d * v
+    if shape < 1.0:
+        want *= _reference_uniforms(key, base + 255) ** (1.0 / shape)
+    got = gamma_variates(key, shape, n, first)
+    assert accept.sum() > 50
+    assert np.array_equal(got[accept], want[accept])
